@@ -16,7 +16,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .codec import decode, encode
-from .config import RunConfig, with_overrides
+from .config import (
+    _NOISE_MODES,
+    RunConfig,
+    _parse_bool,
+    _parse_choice,
+    _parse_float,
+    _parse_int,
+    with_overrides,
+)
 from .engine import EditRequest, run_edit
 from .errors import ConfigError
 from .fixtures import load_fixture
@@ -26,13 +34,36 @@ from .prompts import embed_prompt
 
 REPORT_SCHEMA = "ablation-report/1"
 
-_GRID_AXES = (
-    "fri_mode",
-    "fij_enabled",
-    "noise_mode",
-    "filter_sigma",
-    "fij_block_range",
-)
+
+def _fri_mode_fields(value: str) -> dict[str, object]:
+    if value == "off":
+        return {"fia_fri_enabled": False}
+    if value in ("freq", "add"):
+        return {"fia_fri_enabled": True, "fia_fri_mode": value}
+    raise ConfigError(f"fri_mode value {value!r} not in off/add/freq")
+
+
+def _block_range_fields(value: str) -> dict[str, object]:
+    if value == "auto":
+        return {"fia_fij_block_lo": -1, "fia_fij_block_hi": -1}
+    lo, _, hi = value.partition("-")
+    return {
+        "fia_fij_block_lo": _parse_int(lo, "fij_block_range"),
+        "fia_fij_block_hi": _parse_int(hi, "fij_block_range"),
+    }
+
+
+# grid axis -> the RunConfig fields one of its values sets; raises
+# ConfigError for a value of the wrong form
+_GRID_AXES = {
+    "fri_mode": _fri_mode_fields,
+    "fij_enabled": lambda v: {"fia_fij_enabled": _parse_bool(v, "fij_enabled")},
+    "noise_mode": lambda v: {
+        "edit_noise_mode": _parse_choice(tuple(_NOISE_MODES))(v, "noise_mode")
+    },
+    "filter_sigma": lambda v: {"fia_filter_sigma": _parse_float(v, "filter_sigma")},
+    "fij_block_range": _block_range_fields,
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +83,12 @@ class GridSpec:
 
 
 def parse_grid(spec: str) -> GridSpec:
-    """Parse "axis=v1,v2;axis=v1" into a grid, validating axis names."""
+    """Parse "axis=v1,v2;axis=v1" into a grid, validating axes and values.
+
+    Every value must have its axis's form; whether a well-formed value makes
+    a valid run (a positive sigma, a block range inside the model) is a
+    per-cell matter, reported in the cell's row.
+    """
     axes: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
     for part in spec.split(";"):
@@ -64,13 +100,15 @@ def parse_grid(spec: str) -> GridSpec:
         name, _, raw_values = part.partition("=")
         name = name.strip()
         if name not in _GRID_AXES:
-            raise ConfigError(f"unknown grid axis {name!r}; valid: {_GRID_AXES}")
+            raise ConfigError(f"unknown grid axis {name!r}; valid: {tuple(_GRID_AXES)}")
         if name in seen:
             raise ConfigError(f"duplicate grid axis {name!r}")
         seen.add(name)
         values = tuple(v.strip() for v in raw_values.split(",") if v.strip())
         if not values:
             raise ConfigError(f"grid axis {name!r} has no values")
+        for value in values:
+            _GRID_AXES[name](value)
         axes.append((name, values))
     if not axes:
         raise ConfigError("grid spec is empty")
@@ -81,28 +119,7 @@ def apply_cell(cfg: RunConfig, delta: tuple[tuple[str, str], ...]) -> RunConfig:
     """Overlay one grid cell's settings onto a base config."""
     overrides: dict[str, object] = {}
     for axis, value in delta:
-        if axis == "fri_mode":
-            if value == "off":
-                overrides["fia_fri_enabled"] = False
-            elif value in ("freq", "add"):
-                overrides["fia_fri_enabled"] = True
-                overrides["fia_fri_mode"] = value
-            else:
-                raise ConfigError(f"fri_mode value {value!r} not in off/add/freq")
-        elif axis == "fij_enabled":
-            overrides["fia_fij_enabled"] = {"true": True, "false": False}[value]
-        elif axis == "noise_mode":
-            overrides["edit_noise_mode"] = value
-        elif axis == "filter_sigma":
-            overrides["fia_filter_sigma"] = float(value)
-        elif axis == "fij_block_range":
-            if value == "auto":
-                overrides["fia_fij_block_lo"] = -1
-                overrides["fia_fij_block_hi"] = -1
-            else:
-                lo, _, hi = value.partition("-")
-                overrides["fia_fij_block_lo"] = int(lo)
-                overrides["fia_fij_block_hi"] = int(hi)
+        overrides.update(_GRID_AXES[axis](value))
     return with_overrides(cfg, **overrides)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .codec import ImageBuffer, clamp_image
+from .errors import ConfigError
 
 
 def gradient_image(h: int = 16, w: int = 16) -> ImageBuffer:
@@ -60,9 +61,6 @@ FIXTURES = {
 
 
 def load_fixture(name: str) -> tuple[ImageBuffer, np.ndarray | None]:
-    try:
-        return FIXTURES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown fixture {name!r}; available: {sorted(FIXTURES)}"
-        ) from None
+    if name not in FIXTURES:
+        raise ConfigError(f"unknown fixture {name!r}; available: {sorted(FIXTURES)}")
+    return FIXTURES[name]()

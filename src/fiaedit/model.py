@@ -151,6 +151,19 @@ class HookPlan:
 EMPTY_PLAN = HookPlan()
 
 
+def guide(v_cond: np.ndarray | None, v_uncond: np.ndarray | None, mu: float) -> np.ndarray:
+    """Classifier-free guidance: ``v_uncond + mu * (v_cond - v_uncond)``.
+
+    ``mu`` of exactly 1 or 0 returns the conditional or unconditional pass
+    untouched, and the other pass may then be None.
+    """
+    if mu == 1.0:
+        return v_cond
+    if mu == 0.0:
+        return v_uncond
+    return v_uncond + mu * (v_cond - v_uncond)
+
+
 def time_embedding(t_index: int, sigma_t: float, d_model: int) -> np.ndarray:
     """Sinusoidal features of the noise level at geometrically spaced frequencies.
 
@@ -207,8 +220,15 @@ def _gelu_like(g: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row softmax, in place.  Shifts rows only when magnitudes require it."""
-    if scores.max() > _SOFTMAX_GUARD:
+    """Row softmax, in place.  Shifts rows only when magnitudes require it.
+
+    A score beyond +_SOFTMAX_GUARD could overflow exp, and a row whose
+    scores all lie far below -_SOFTMAX_GUARD would underflow to 0/0; when
+    any score leaves the guard band every row is shifted by its maximum.
+    The band test uses the global extremes because a reduction along short
+    rows costs several times a whole-array one.
+    """
+    if scores.max() > _SOFTMAX_GUARD or scores.min() < -_SOFTMAX_GUARD:
         scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     sums = scores.sum(axis=-1, keepdims=True)
@@ -401,9 +421,10 @@ class VelocityModel:
     ) -> tuple[np.ndarray, list[AttentionPacket]]:
         """Guided velocity at state ``x``; hooks act on the conditional pass.
 
-        Guidance blends the unconditional and conditional passes as
-        ``v_uncond + mu * (v_cond - v_uncond)``; ``mu`` of exactly 1 or 0
-        returns the corresponding single pass untouched.
+        The conditional and unconditional passes are blended by
+        :func:`guide`; with ``mu`` of exactly 1 or 0 only the pass that
+        enters the result runs (the conditional one also runs whenever the
+        hooks capture).
         """
         if x.ndim != 3 or x.shape[0] != self.cfg.channels:
             raise ShapeMismatchError(
@@ -419,27 +440,23 @@ class VelocityModel:
 
         scratch: dict[tuple[int, ...], np.ndarray] = {}
         captured: list[AttentionPacket] = []
-        need_cond = mu != 0.0 or bool(hooks.capture)
-        v_cond = None
-        if need_cond:
+        v_cond = v_uncond = None
+        if mu != 0.0 or hooks.capture:
             v_cond = self._forward(
                 x, p.matrix, p, sigma_t, t_index, hooks, captured, scratch
             )
-        if mu == 1.0:
-            return v_cond, captured
-        v_uncond = self._forward(
-            x,
-            self.weights["null_token"],
-            None,
-            sigma_t,
-            t_index,
-            EMPTY_PLAN,
-            [],
-            scratch,
-        )
-        if mu == 0.0:
-            return v_uncond, captured
-        return v_uncond + mu * (v_cond - v_uncond), captured
+        if mu != 1.0:
+            v_uncond = self._forward(
+                x,
+                self.weights["null_token"],
+                None,
+                sigma_t,
+                t_index,
+                EMPTY_PLAN,
+                [],
+                scratch,
+            )
+        return guide(v_cond, v_uncond, mu), captured
 
     def attention_from_packet(self, packet: AttentionPacket) -> np.ndarray:
         """Recompute a site's attention output (post-projection) from a packet."""

@@ -13,11 +13,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import NumericFailure, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,8 @@ def ifft2(s: Spectrum) -> np.ndarray:
     re = out.real
     # spectra built from real tensors stay conjugate-symmetric through every
     # operation in this module, so the imaginary part is numerical residue
-    assert np.abs(out.imag).max() <= 1e-6 * max(1.0, np.abs(re).max()), (
-        "inverse transform produced a non-negligible imaginary part"
-    )
+    if np.abs(out.imag).max() > 1e-6 * max(1.0, np.abs(re).max()):
+        raise NumericFailure("inverse transform produced a non-negligible imaginary part")
     return re
 
 
@@ -103,16 +103,22 @@ def lowpass_profile(r: np.ndarray | float, sigma: float, normalized: bool) -> np
     return gauss / (2.0 * np.pi * sigma * sigma)
 
 
+@functools.lru_cache(maxsize=64)
 def make_gaussian_lowpass(
     h: int, w: int, sigma: float, normalized: bool = True
 ) -> LowPassFilter:
-    """Gaussian low-pass mask on an h-by-w centered frequency grid."""
+    """Gaussian low-pass mask on an h-by-w centered frequency grid.
+
+    Built once per ``(h, w, sigma, normalized)``; every caller shares the
+    cached filter, so its mask is read-only.
+    """
     if h < 1 or w < 1:
         raise ValueError("grid dimensions must be positive")
     v = centered_frequencies(h)[:, None]
     u = centered_frequencies(w)[None, :]
     r = np.sqrt(u * u + v * v)
     mask = lowpass_profile(r, sigma, normalized)
+    mask.setflags(write=False)
     return LowPassFilter(mask=mask, sigma=sigma, normalized=normalized)
 
 
@@ -144,19 +150,36 @@ def fri_fuse(
     filt: LowPassFilter,
     weights: FusionWeights,
 ) -> np.ndarray:
-    """Cross-weighted frequency blend of two feature maps.
+    """Cross-weighted frequency blend of two (C, H, W) feature maps.
 
     The source's high band is paired with the target's low band under the
-    dominant weight, the two remaining bands under the minor weight, and the
-    blended spectrum is brought back to the spatial domain.
+    dominant weight and the two remaining bands under the minor weight:
+    ``l1*(S*(1-L) + T*L) + l2*(S*L + T*(1-L))`` for spectra S, T and mask L.
+    Collecting terms gives ``l1*S + l2*T + (l1-l2)*L*(T - S)``.  The
+    transform is linear and L is real with L(-k) = L(k), so the blend is
+    evaluated in the spatial domain as
+
+        (l1*src + l2*tar) + (l1-l2) * irfft2(L * rfft2(tar - src))
+
+    with one real transform pair per channel.  Swapping the inputs together
+    with the weights negates both the difference and ``l1 - l2``, which
+    leaves every rounding step unchanged, so the swap is bit-exact.
     """
     if f_src.shape != f_tar.shape:
         raise ShapeMismatchError(f"shapes differ: {f_src.shape} vs {f_tar.shape}")
-    s_src = fft2(f_src)
-    s_tar = fft2(f_tar)
-    src_high, src_low = decompose(s_src, filt)
-    tar_high, tar_low = decompose(s_tar, filt)
-    fused = weights.lambda1 * (src_high.coeffs + tar_low.coeffs) + weights.lambda2 * (
-        src_low.coeffs + tar_high.coeffs
-    )
-    return ifft2(Spectrum(fused))
+    f_src = np.asarray(f_src, dtype=np.float64)
+    f_tar = np.asarray(f_tar, dtype=np.float64)
+    if f_src.ndim != 3:
+        raise ShapeMismatchError(f"expected (C, H, W), got shape {f_src.shape}")
+    if filt.grid != f_src.shape[-2:]:
+        raise ShapeMismatchError(
+            f"filter grid {filt.grid} does not match feature grid {f_src.shape[-2:]}"
+        )
+    if not (np.all(np.isfinite(f_src)) and np.all(np.isfinite(f_tar))):
+        raise ValueError("input contains non-finite values")
+    h, w = filt.grid
+    # rfft2 keeps the non-negative frequencies of the last axis, DC first
+    half_mask = np.fft.ifftshift(filt.mask)[:, : w // 2 + 1]
+    band = np.fft.irfft2(half_mask * np.fft.rfft2(f_tar - f_src), s=(h, w))
+    l1, l2 = weights.lambda1, weights.lambda2
+    return (l1 * f_src + l2 * f_tar) + (l1 - l2) * band

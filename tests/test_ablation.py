@@ -55,6 +55,22 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             parse_grid("filter_sigma=1;filter_sigma=2")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "fij_enabled=true,maybe",
+            "fri_mode=banana",
+            "noise_mode=loud",
+            "filter_sigma=0.9,wide",
+            "filter_sigma=nan",
+            "fij_block_range=3",
+            "fij_block_range=0-x",
+        ],
+    )
+    def test_malformed_value_rejected(self, spec):
+        with pytest.raises(ConfigError):
+            parse_grid(spec)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             parse_grid("  ;  ")

@@ -11,7 +11,7 @@ import pytest
 from fiaedit.cli import _exit_code_for, main, run_selftest
 from fiaedit.codec import write_mask, write_ppm
 from fiaedit.errors import ConfigError, EditRunError, NumericFailure
-from fiaedit.fixtures import blob_scene, checkerboard_image, gradient_image
+from fiaedit.fixtures import blob_scene, checkerboard_image, gradient_image, load_fixture
 
 ZERO_EDIT_CONFIG = """
 model.channels = 12
@@ -153,11 +153,12 @@ class TestMetrics:
         # ssim has no masked variant: line unchanged
         assert unmasked.splitlines()[2] == masked.splitlines()[2]
 
-    def test_size_mismatch_is_exit_2(self, tmp_path, capsys):
+    def test_size_mismatch_is_exit_1(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm")
         write_ppm(gradient_image(16, 16), a)
         write_ppm(gradient_image(8, 8), b)
-        assert main(["metrics", a, b]) == 2
+        assert main(["metrics", a, b]) == 1
+        assert "shapes differ" in capsys.readouterr().err
 
 
 class TestAblate:
@@ -175,6 +176,23 @@ class TestAblate:
         cfg = write_config(tmp_path, EDIT_CONFIG)
         rc = main(["ablate", "--config", cfg, "--grid", "nope=1", "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    def test_bad_grid_value_is_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, EDIT_CONFIG)
+        out = tmp_path / "x"
+        rc = main(["ablate", "--config", cfg, "--grid", "fij_enabled=maybe", "--out", str(out)])
+        assert rc == 1
+        assert "fij_enabled" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_fixture_is_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, EDIT_CONFIG)
+        with pytest.raises(ConfigError):
+            load_fixture("nope")
+        rc = main(["ablate", "--config", cfg, "--grid", "filter_sigma=0.9",
+                   "--fixture", "nope", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "unknown fixture 'nope'" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import PacketAlignmentError, TopologyError
 from fiaedit.fia import (
     FiaConfig,
@@ -18,11 +21,13 @@ from fiaedit.model import (
     AttentionPacket,
     AttnKind,
     GuidanceConfig,
+    HookPlan,
     ReplaceQK,
     ReplaceQKVE,
     Topology,
 )
-from fiaedit.spectral import FusionWeights
+from fiaedit.schedule import NoiseMode, make_linear_schedule
+from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
 from oracle_dft import oracle_fri_fuse
 
@@ -154,6 +159,21 @@ class TestBuildOverrides:
         )
         assert np.abs(got.q - expected_q).max() < 1e-9
 
+    def test_batched_fusion_equals_per_site_calls(self):
+        src, tar = self.packets(5)
+        cfg = FiaConfig(fij_enabled=False)
+        plan = build_target_overrides(cfg, 0, 10, src, tar, (2, 2), self.topo)
+        filt = make_gaussian_lowpass(2, 2, 0.9)
+        for b in (0, 1):
+            got = plan.overrides[(b, AttnKind.SELF)]
+            for name in ("q", "k"):
+                s_grid = fold_heads_to_grid(getattr(src[b], name), 2, 2)
+                t_grid = fold_heads_to_grid(getattr(tar[b], name), 2, 2)
+                alone = fri_fuse(s_grid, t_grid, filt, cfg.fusion)
+                assert np.array_equal(getattr(got, name), unfold_grid_to_heads(alone, 2))
+                oracle = oracle_fri_fuse(s_grid, t_grid, 0.9, True, 0.8, 0.2)
+                assert np.abs(fold_heads_to_grid(getattr(got, name), 2, 2) - oracle).max() < 1e-9
+
     def test_add_mode_is_the_mean(self):
         src, tar = self.packets(3)
         cfg = FiaConfig(fri_mode=FriMode.ADD, fij_enabled=False)
@@ -221,6 +241,51 @@ class TestConstrainedPair:
             GuidanceConfig(mu_src=2.0, mu_tar=2.0), FiaConfig(),
         )
         assert np.array_equal(v_src, v_tar)
+
+    @pytest.mark.parametrize("mu_tar", [0.0, 1.0, 3.0])
+    def test_target_equals_full_constrained_velocity(self, tiny_model, prompt_pair, mu_tar):
+        p_src, p_tar = prompt_pair
+        rng = np.random.default_rng(4)
+        x_src, x_tar = rng.standard_normal((2, 4, 6, 6))
+        diag = {}
+        _, v_tar = constrained_velocity_pair(
+            tiny_model, x_src, x_tar, p_src, p_tar, 5, 0.5, 0, 10,
+            GuidanceConfig(mu_src=1.5, mu_tar=mu_tar), FiaConfig(), diagnostics=diag,
+        )
+        overrides = diag["plan"].overrides
+        assert overrides
+        expected, _ = tiny_model.velocity(
+            x_tar, p_tar, 5, 0.5, mu_tar, hooks=HookPlan(overrides=overrides)
+        )
+        assert np.array_equal(v_tar, expected)
+
+    @pytest.mark.parametrize(
+        "fia, bypass, per_step",
+        [(FiaConfig(), False, 5), (FiaConfig.disabled(), False, 4), (FiaConfig(), True, 4)],
+    )
+    def test_forwards_per_guided_step(
+        self, tiny_model, prompt_pair, monkeypatch, fia, bypass, per_step
+    ):
+        p_src, p_tar = prompt_pair
+        forward = tiny_model._forward
+        signature = inspect.signature(forward)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments["hooks"])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(tiny_model, "_forward", counting)
+        req = EditRequest(
+            source_latent=np.random.default_rng(5).standard_normal((4, 6, 6)),
+            p_src=p_src, p_tar=p_tar, schedule=make_linear_schedule(3, 0.0),
+            guidance=GuidanceConfig(mu_src=1.5, mu_tar=3.0), fia=fia,
+            noise_mode=NoiseMode.REUSED_EPSILON,
+        )
+        run_edit(tiny_model, req, bypass_fia=bypass)
+        assert len(calls) == 3 * per_step
+        # the constrained forward runs at every step with a non-empty plan
+        assert sum(bool(plan.overrides) for plan in calls) == (3 if per_step == 5 else 0)
 
     def test_constraint_changes_target_velocity(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair

@@ -12,6 +12,7 @@ from fiaedit.model import (
     ReplaceQK,
     ReplaceQKVE,
     Topology,
+    _softmax_rows,
     init_model,
     load_weights,
     save_weights,
@@ -194,6 +195,21 @@ class TestShapes:
         p16 = embed_prompt("a cat", 16, 0)
         with pytest.raises(ShapeMismatchError):
             tiny_model.velocity(latent(), p16, 3, 0.5, 1.0)
+
+
+class TestSoftmax:
+    def test_far_negative_row_does_not_underflow(self):
+        scores = np.array([[-800.0, -801.0], [0.5, -0.5]])
+        weights = _softmax_rows(scores)
+        assert np.all(np.isfinite(weights))
+        assert weights.sum(axis=-1) == pytest.approx([1.0, 1.0], abs=1e-15)
+        assert weights[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), rel=1e-15)
+
+    def test_in_band_scores_are_not_shifted(self):
+        scores = np.random.default_rng(0).uniform(-50.0, 50.0, (2, 5, 7))
+        expected = np.exp(scores)
+        expected *= 1.0 / expected.sum(axis=-1, keepdims=True)
+        assert np.array_equal(_softmax_rows(scores.copy()), expected)
 
 
 class TestTimeEmbedding:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiaedit.errors import ShapeMismatchError
+from fiaedit.errors import NumericFailure, ShapeMismatchError
 from fiaedit.spectral import (
     FusionWeights,
     LowPassFilter,
@@ -79,6 +79,12 @@ class TestIfft2:
         out = ifft2(Spectrum(coeffs))
         assert out == pytest.approx(np.full((1, 2, 2), 0.25), abs=1e-12)
 
+    def test_non_conjugate_symmetric_spectrum_raises(self):
+        coeffs = np.zeros((1, 4, 4), dtype=complex)
+        coeffs[0, 2, 3] = 1.0  # one bin without its mirror image
+        with pytest.raises(NumericFailure):
+            ifft2(Spectrum(coeffs))
+
     @settings(max_examples=30, deadline=None)
     @given(shape=grids, seed=st.integers(0, 10_000))
     def test_real_pipeline_imaginary_residue_below_1e9(self, shape, seed):
@@ -116,6 +122,13 @@ class TestGaussianLowpass:
         assert mask[4, 4 - 2] == pytest.approx(mask[4, 4 + 2], rel=1e-15)
         assert mask[4 - 3, 4] == pytest.approx(mask[4 + 3, 4], rel=1e-15)
         assert mask[4 - 1, 4 - 1] == pytest.approx(mask[4 + 1, 4 + 1], rel=1e-15)
+
+    def test_built_once_and_read_only(self):
+        filt = make_gaussian_lowpass(6, 5, 0.9)
+        assert make_gaussian_lowpass(6, 5, 0.9) is filt
+        assert make_gaussian_lowpass(6, 5, 0.9, False) is not filt
+        with pytest.raises(ValueError):
+            filt.mask[0, 0] = 0.0
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
@@ -204,6 +217,23 @@ class TestFriFuse:
                 make_gaussian_lowpass(4, 4, 0.9),
                 FusionWeights(),
             )
+        with pytest.raises(ShapeMismatchError):
+            fri_fuse(
+                np.zeros((1, 8, 8)),
+                np.zeros((1, 8, 8)),
+                make_gaussian_lowpass(4, 4, 0.9),
+                FusionWeights(),
+            )
+
+    def test_rejects_non_finite(self):
+        f = random_tensor((1, 4, 4), 0)
+        bad = f.copy()
+        bad[0, 1, 2] = np.inf
+        filt = make_gaussian_lowpass(4, 4, 0.9)
+        with pytest.raises(ValueError):
+            fri_fuse(f, bad, filt, FusionWeights())
+        with pytest.raises(ValueError):
+            fri_fuse(bad, f, filt, FusionWeights())
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
