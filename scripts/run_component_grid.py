@@ -5,9 +5,8 @@ shipped blob fixture and prints one metrics row per cell.
 """
 
 import argparse
-import os
 
-from fiaedit.ablation import format_report, format_timings, parse_grid, run_ablation
+from fiaedit.ablation import parse_grid, run_ablation, write_report
 from fiaedit.config import parse_config
 
 # symmetric guidance and all-block injection isolate the mechanisms cleanly
@@ -31,19 +30,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/component_grid")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     base = parse_config(BASE_CONFIG + f"edit.seed = {args.seed}\n")
     grid = parse_grid("fij_enabled=false,true;fri_mode=off,add,freq")
-    report = run_ablation(base, grid, fixture="blob16", jobs=args.jobs)
-
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "report.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
-    with open(path + ".timings", "w", encoding="utf-8") as fh:
-        fh.write(format_timings(report))
+    report = run_ablation(base, grid, fixture="blob16")
+    path = write_report(report, args.out)
 
     print(f"{'fij':>6} {'fri':>5} {'mse':>12} {'psnr':>9} {'ssim':>9} {'ssd':>10}")
     for row in report.rows:

@@ -1,9 +1,8 @@
 """Injection placement: early blocks, the cross-only tail, or every block."""
 
 import argparse
-import os
 
-from fiaedit.ablation import format_report, format_timings, parse_grid, run_ablation
+from fiaedit.ablation import parse_grid, run_ablation, write_report
 from fiaedit.config import parse_config
 
 BASE_CONFIG = """
@@ -30,13 +29,7 @@ def main():
     # 4 dual + 2 cross-only blocks: early run, cross-only tail, everything
     grid = parse_grid("fij_block_range=0-3,4-5,0-5")
     report = run_ablation(base, grid, fixture="blob16")
-
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "report.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
-    with open(path + ".timings", "w", encoding="utf-8") as fh:
-        fh.write(format_timings(report))
+    path = write_report(report, args.out)
 
     print(f"{'blocks':>7} {'mse':>12} {'psnr':>9} {'ssim':>9} {'ssd':>10}")
     for row in report.rows:

@@ -1,9 +1,8 @@
 """Noise-stepping comparison: no noise, fresh Gaussian, or the reused draw."""
 
 import argparse
-import os
 
-from fiaedit.ablation import format_report, format_timings, parse_grid, run_ablation
+from fiaedit.ablation import parse_grid, run_ablation, write_report
 from fiaedit.config import parse_config
 
 BASE_CONFIG = """
@@ -26,13 +25,7 @@ def main():
 
     base = parse_config(BASE_CONFIG + f"edit.seed = {args.seed}\n")
     report = run_ablation(base, parse_grid("noise_mode=none,fresh,reused"), fixture="blob16")
-
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "report.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
-    with open(path + ".timings", "w", encoding="utf-8") as fh:
-        fh.write(format_timings(report))
+    path = write_report(report, args.out)
 
     print(f"{'mode':>7} {'mse':>12} {'psnr':>9} {'ssim':>9} {'ssd':>10}")
     for row in report.rows:

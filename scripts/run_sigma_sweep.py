@@ -1,9 +1,8 @@
 """Filter-width sweep over the eight stock low-pass widths."""
 
 import argparse
-import os
 
-from fiaedit.ablation import format_report, format_timings, parse_grid, run_ablation
+from fiaedit.ablation import parse_grid, run_ablation, write_report
 from fiaedit.config import parse_config
 
 SIGMAS = (0.2, 0.4, 0.8, 0.9, 1.0, 1.5, 5.0, 10.0)
@@ -25,19 +24,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/sigma_sweep")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     base = parse_config(BASE_CONFIG + f"edit.seed = {args.seed}\n")
     grid = parse_grid("filter_sigma=" + ",".join(str(s) for s in SIGMAS))
-    report = run_ablation(base, grid, fixture="blob16", jobs=args.jobs)
-
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "report.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
-    with open(path + ".timings", "w", encoding="utf-8") as fh:
-        fh.write(format_timings(report))
+    report = run_ablation(base, grid, fixture="blob16")
+    path = write_report(report, args.out)
 
     print(f"{'sigma':>6} {'mse':>12} {'psnr':>9} {'ssim':>9} {'ssd':>10}")
     for row in report.rows:

@@ -2,7 +2,7 @@
 attention, built around a deterministic toy velocity model so every mechanism
 is testable at desk scale."""
 
-from .engine import EditRequest, EditTrace, run_edit, run_reconstruction
+from .engine import EditRequest, EditTrace, run_edit
 from .fia import FiaConfig, FriMode, constrained_velocity_pair, default_fij_cutoff
 from .model import (
     AttentionPacket,
@@ -11,9 +11,6 @@ from .model import (
     HookPlan,
     ModelConfig,
     VelocityModel,
-    init_model,
-    load_weights,
-    save_weights,
     time_embedding,
 )
 from .prompts import PromptEmbedding, embed_prompt, embeddings_equal
@@ -68,14 +65,10 @@ __all__ = [
     "fft2",
     "fri_fuse",
     "ifft2",
-    "init_model",
     "interpolate_source",
-    "load_weights",
     "make_gaussian_lowpass",
     "make_linear_schedule",
     "reconstruct_target_state",
     "run_edit",
-    "run_reconstruction",
-    "save_weights",
     "time_embedding",
 ]

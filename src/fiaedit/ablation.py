@@ -11,8 +11,8 @@ non-reproducible output.
 from __future__ import annotations
 
 import itertools
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .codec import decode, encode
@@ -23,14 +23,14 @@ from .config import (
     _parse_choice,
     _parse_float,
     _parse_int,
+    build_edit_request,
     with_overrides,
 )
-from .engine import EditRequest, run_edit
+from .engine import run_edit
 from .errors import ConfigError
 from .fixtures import load_fixture
 from .metrics import MetricReport, compute_report
 from .model import VelocityModel
-from .prompts import embed_prompt
 
 REPORT_SCHEMA = "ablation-report/1"
 
@@ -152,38 +152,14 @@ def selected_metric_values(report: MetricReport, select: tuple[str, ...]) -> dic
     return {name: float(_METRIC_GETTERS[name](report)) for name in select}
 
 
-def build_edit_request(cfg: RunConfig, source_latent) -> EditRequest:
-    if not cfg.prompts_source or not cfg.prompts_target:
-        raise ConfigError("prompts.source and prompts.target are required")
-    d_model = cfg.model_d_model
-    return EditRequest(
-        source_latent=source_latent,
-        p_src=embed_prompt(cfg.prompts_source, d_model, cfg.prompts_seed),
-        p_tar=embed_prompt(cfg.prompts_target, d_model, cfg.prompts_seed),
-        schedule=cfg.make_schedule(),
-        guidance=cfg.make_guidance(),
-        fia=cfg.make_fia(),
-        seed=cfg.edit_seed,
-        noise_mode=cfg.noise_mode(),
-        snapshot_stride=cfg.edit_snapshot_stride,
-    )
-
-
 def run_ablation(
-    base: RunConfig, grid: GridSpec, fixture: str = "blob16", jobs: int = 1
+    base: RunConfig, grid: GridSpec, fixture: str = "blob16"
 ) -> AblationReport:
     """Run every grid cell against the fixture; never stop on a failed cell."""
     image, mask = load_fixture(fixture)
-    expected_channels = 3 * base.codec_patch**2
-    if base.model_channels != expected_channels:
-        raise ConfigError(
-            f"model.channels={base.model_channels} but codec.patch="
-            f"{base.codec_patch} produces {expected_channels} latent channels"
-        )
     latent = encode(image, base.codec_patch)
     model = VelocityModel(base.make_model_config())
     select = base.selected_metrics()
-    cells = grid.cells()
 
     def run_cell(delta: tuple[tuple[str, str], ...]) -> AblationRow:
         start = time.perf_counter()
@@ -206,12 +182,7 @@ def run_ablation(
                 wall_s=time.perf_counter() - start,
             )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(run_cell, cells))
-    else:
-        rows = tuple(run_cell(delta) for delta in cells)
-
+    rows = tuple(run_cell(delta) for delta in grid.cells())
     return AblationReport(
         seed=base.edit_seed, fixture=fixture, axes=grid.axis_names, rows=rows
     )
@@ -243,6 +214,17 @@ def format_timings(report: AblationReport) -> str:
     for i, row in enumerate(report.rows):
         lines.append(f"cell.{i}.wall_s={row.wall_s:.6f}")
     return "\n".join(lines) + "\n"
+
+
+def write_report(report: AblationReport, out_dir: str) -> str:
+    """Write ``report.txt`` and its ``.timings`` sidecar; return the report path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "report.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_report(report))
+    with open(path + ".timings", "w", encoding="utf-8") as fh:
+        fh.write(format_timings(report))
+    return path
 
 
 def parse_report(text: str) -> AblationReport:

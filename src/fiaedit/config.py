@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .engine import EditRequest
 from .errors import ConfigError
 from .fia import FiaConfig, FriMode
 from .model import GuidanceConfig, ModelConfig
+from .prompts import embed_prompt
 from .schedule import NoiseMode, NoiseSchedule, make_linear_schedule
 from .spectral import FusionWeights
 
@@ -54,6 +56,12 @@ class RunConfig:
     metrics_select: str = "mse,psnr,ssim,ssd"
 
     def make_model_config(self) -> ModelConfig:
+        expected_channels = 3 * self.codec_patch**2
+        if self.model_channels != expected_channels:
+            raise ConfigError(
+                f"model.channels={self.model_channels} but codec.patch="
+                f"{self.codec_patch} produces {expected_channels} latent channels"
+            )
         return ModelConfig(
             n_blocks_dual=self.model_blocks_dual,
             n_blocks_cross_only=self.model_blocks_cross_only,
@@ -93,6 +101,23 @@ class RunConfig:
 
     def selected_metrics(self) -> tuple[str, ...]:
         return tuple(m.strip() for m in self.metrics_select.split(",") if m.strip())
+
+
+def build_edit_request(cfg: RunConfig, source_latent) -> EditRequest:
+    if not cfg.prompts_source or not cfg.prompts_target:
+        raise ConfigError("prompts.source and prompts.target are required")
+    d_model = cfg.model_d_model
+    return EditRequest(
+        source_latent=source_latent,
+        p_src=embed_prompt(cfg.prompts_source, d_model, cfg.prompts_seed),
+        p_tar=embed_prompt(cfg.prompts_target, d_model, cfg.prompts_seed),
+        schedule=cfg.make_schedule(),
+        guidance=cfg.make_guidance(),
+        fia=cfg.make_fia(),
+        seed=cfg.edit_seed,
+        noise_mode=cfg.noise_mode(),
+        snapshot_stride=cfg.edit_snapshot_stride,
+    )
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -196,6 +221,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    if cfg.codec_patch < 1:
+        raise ConfigError(f"codec.patch must be >= 1, got {cfg.codec_patch}")
     try:
         cfg.make_model_config()
         cfg.make_schedule()
@@ -203,8 +230,6 @@ def _validate(cfg: RunConfig) -> None:
         cfg.make_fia()
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.codec_patch < 1:
-        raise ConfigError(f"codec.patch must be >= 1, got {cfg.codec_patch}")
     if cfg.edit_seed < 0:
         raise ConfigError("edit.seed must be non-negative")
     if cfg.edit_snapshot_stride < 0:

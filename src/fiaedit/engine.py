@@ -149,20 +149,3 @@ def run_edit(
         )
 
     return EditTrace(records=tuple(records), final_latent=state.x_fe)
-
-
-def run_reconstruction(model: VelocityModel, req: EditRequest) -> EditTrace:
-    """Run the edit with the target branch forced to mirror the source.
-
-    Both the prompt and the guidance scale are symmetrized; with noise
-    injection disabled this reproduces the source latent exactly, which is
-    the sanity baseline for everything else.
-    """
-    symmetric = replace(
-        req,
-        p_tar=req.p_src,
-        guidance=GuidanceConfig(
-            mu_src=req.guidance.mu_src, mu_tar=req.guidance.mu_src
-        ),
-    )
-    return run_edit(model, symmetric)

@@ -280,8 +280,9 @@ def constrained_velocity_pair(
     blended with the probe's unconditional pass, which has the same inputs
     and takes no hooks.  The rerun is skipped when the override plan comes
     out empty, since the probe's conditional pass already is the
-    constrained one, and when ``mu_tar`` is 0, since the conditional pass
-    does not enter the result.
+    constrained one.  With ``mu_tar`` of 0 the conditional pass does not
+    enter the result, so nothing is captured and the target is one plain
+    unconditional pass.
 
     ``diagnostics``, when given, is filled with the captured packets and the
     override plan for inspection by tests and tooling; the probe's packets
@@ -292,11 +293,11 @@ def constrained_velocity_pair(
             f"state shapes differ: {x_src_t.shape} vs {x_tar_t.shape}"
         )
     topology = model.topology
-    capture = plan_capture(cfg, topology)
+    mu = guidance.mu_tar
+    capture = plan_capture(cfg, topology) if mu != 0.0 else HookPlan()
     v_src, src_packets = model.velocity(
         x_src_t, p_src, t_index, sigma_t, guidance.mu_src, hooks=capture
     )
-    mu = guidance.mu_tar
     if capture.is_empty:
         v_tar, _ = model.velocity(x_tar_t, p_tar, t_index, sigma_t, mu)
         if diagnostics is not None:
@@ -316,7 +317,7 @@ def constrained_velocity_pair(
         cfg, step_index, total_steps, src_packets, tar_packets, grid, topology
     )
     constrained_packets = tar_packets
-    if plan.overrides and mu != 0.0:
+    if plan.overrides:
         constrained_hooks = HookPlan(
             capture=capture.capture if diagnostics is not None else frozenset(),
             overrides=plan.overrides,

@@ -16,7 +16,6 @@ Captured packets always record what the attention actually consumed.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -255,28 +254,15 @@ def _weight_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 class VelocityModel:
     """Seeded toy velocity network; weights are immutable after init."""
 
-    def __init__(self, cfg: ModelConfig, weights: dict[str, np.ndarray] | None = None):
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        layout = _weight_layout(cfg)
-        if weights is None:
-            rng = np.random.default_rng(cfg.seed)
-            weights = {
-                name: rng.standard_normal(shape) / np.sqrt(shape[0])
-                for name, shape in layout
-            }
-        else:
-            expected = dict(layout)
-            if set(weights) != set(expected):
-                raise ValueError("weight archive does not match the model layout")
-            for name, shape in expected.items():
-                if weights[name].shape != shape:
-                    raise ShapeMismatchError(
-                        f"weight {name}: expected {shape}, got {weights[name].shape}"
-                    )
-        for arr in weights.values():
+        rng = np.random.default_rng(cfg.seed)
+        self.weights = {
+            name: rng.standard_normal(shape) / np.sqrt(shape[0])
+            for name, shape in _weight_layout(cfg)
+        }
+        for arr in self.weights.values():
             arr.setflags(write=False)
-        self.weights = weights
-        # pure function of the grid; duplicate computation under races is benign
         self._position_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -457,73 +443,3 @@ class VelocityModel:
                 scratch,
             )
         return guide(v_cond, v_uncond, mu), captured
-
-    def attention_from_packet(self, packet: AttentionPacket) -> np.ndarray:
-        """Recompute a site's attention output (post-projection) from a packet."""
-        w_o = self.weights[f"b{packet.block_index}.{packet.kind.value}.wo"]
-        return self._attend(packet.q, packet.k, packet.v, w_o, {})
-
-
-def init_model(cfg: ModelConfig) -> VelocityModel:
-    return VelocityModel(cfg)
-
-
-# -- weight snapshot archive --------------------------------------------------
-
-_MAGIC = b"FEW1"
-
-
-def save_weights(model: VelocityModel, path: str) -> None:
-    """Write the weight archive: small header plus named float64 tensors."""
-    cfg = model.cfg
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<6q",
-                cfg.n_blocks_dual,
-                cfg.n_blocks_cross_only,
-                cfg.d_model,
-                cfg.n_heads,
-                cfg.seed,
-                cfg.channels,
-            )
-        )
-        fh.write(struct.pack("<I", len(model.weights)))
-        for name, _ in _weight_layout(cfg):
-            arr = model.weights[name]
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8", copy=False).tobytes())
-
-
-def load_weights(path: str) -> VelocityModel:
-    """Read a weight archive back into a model, verifying the layout."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path} is not a weight archive")
-        dual, cross_only, d_model, n_heads, seed, channels = struct.unpack(
-            "<6q", fh.read(48)
-        )
-        cfg = ModelConfig(
-            n_blocks_dual=dual,
-            n_blocks_cross_only=cross_only,
-            d_model=d_model,
-            n_heads=n_heads,
-            seed=seed,
-            channels=channels,
-        )
-        (count,) = struct.unpack("<I", fh.read(4))
-        weights: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n_bytes = 8 * int(np.prod(shape))
-            data = np.frombuffer(fh.read(n_bytes), dtype="<f8").reshape(shape)
-            weights[name] = data.copy()
-    return VelocityModel(cfg, weights=weights)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fiaedit.engine import EditRequest, run_edit, run_reconstruction
+from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import EditRunError, NumericFailure
 from fiaedit.fia import FiaConfig, constrained_velocity_pair
 from fiaedit.model import GuidanceConfig, Topology
@@ -175,18 +175,21 @@ class TestNoiseModes:
 
 
 class TestReconstruction:
+    """The target branch mirrors the source: same prompt, same guidance."""
+
     def test_noise_free_reconstruction_is_identity(self, tiny_model, source_latent, prompt_pair):
-        p_src, p_tar = prompt_pair
-        req = base_request(source_latent, p_src, p_tar, mu=(2.0, 5.0), noise_mode=NoiseMode.NONE)
-        trace = run_reconstruction(tiny_model, req)
+        p_src, _ = prompt_pair
+        req = base_request(source_latent, p_src, p_src, mu=(2.0, 2.0), noise_mode=NoiseMode.NONE)
+        trace = run_edit(tiny_model, req)
         assert np.array_equal(trace.final_latent, source_latent)
 
     def test_noisy_reconstruction_differs_and_has_full_trace(self, tiny_model, source_latent, prompt_pair):
-        p_src, p_tar = prompt_pair
+        p_src, _ = prompt_pair
         req = base_request(
-            source_latent, p_src, p_tar, steps=6, noise_mode=NoiseMode.REUSED_EPSILON
+            source_latent, p_src, p_src, steps=6, mu=(1.5, 1.5),
+            noise_mode=NoiseMode.REUSED_EPSILON,
         )
-        trace = run_reconstruction(tiny_model, req)
+        trace = run_edit(tiny_model, req)
         assert len(trace.records) == 6
         drift = float(np.linalg.norm(trace.final_latent - source_latent))
         assert drift > 0.0

@@ -252,19 +252,29 @@ class TestConstrainedPair:
             tiny_model, x_src, x_tar, p_src, p_tar, 5, 0.5, 0, 10,
             GuidanceConfig(mu_src=1.5, mu_tar=mu_tar), FiaConfig(), diagnostics=diag,
         )
-        overrides = diag["plan"].overrides
-        assert overrides
-        expected, _ = tiny_model.velocity(
-            x_tar, p_tar, 5, 0.5, mu_tar, hooks=HookPlan(overrides=overrides)
-        )
+        if mu_tar == 0.0:
+            # no constraint reaches the target: one plain unconditional pass
+            expected, _ = tiny_model.velocity(x_tar, p_tar, 5, 0.5, 0.0)
+        else:
+            overrides = diag["plan"].overrides
+            assert overrides
+            expected, _ = tiny_model.velocity(
+                x_tar, p_tar, 5, 0.5, mu_tar, hooks=HookPlan(overrides=overrides)
+            )
         assert np.array_equal(v_tar, expected)
 
     @pytest.mark.parametrize(
-        "fia, bypass, per_step",
-        [(FiaConfig(), False, 5), (FiaConfig.disabled(), False, 4), (FiaConfig(), True, 4)],
+        "fia, bypass, mu_tar, per_step",
+        [
+            (FiaConfig(), False, 3.0, 5),
+            (FiaConfig.disabled(), False, 3.0, 4),
+            (FiaConfig(), True, 3.0, 4),
+            (FiaConfig(), False, 0.0, 3),
+        ],
+        ids=["fia0-False-5", "fia1-False-4", "fia2-True-4", "mu_tar0-False-3"],
     )
     def test_forwards_per_guided_step(
-        self, tiny_model, prompt_pair, monkeypatch, fia, bypass, per_step
+        self, tiny_model, prompt_pair, monkeypatch, fia, bypass, mu_tar, per_step
     ):
         p_src, p_tar = prompt_pair
         forward = tiny_model._forward
@@ -279,7 +289,7 @@ class TestConstrainedPair:
         req = EditRequest(
             source_latent=np.random.default_rng(5).standard_normal((4, 6, 6)),
             p_src=p_src, p_tar=p_tar, schedule=make_linear_schedule(3, 0.0),
-            guidance=GuidanceConfig(mu_src=1.5, mu_tar=3.0), fia=fia,
+            guidance=GuidanceConfig(mu_src=1.5, mu_tar=mu_tar), fia=fia,
             noise_mode=NoiseMode.REUSED_EPSILON,
         )
         run_edit(tiny_model, req, bypass_fia=bypass)

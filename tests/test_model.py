@@ -12,10 +12,8 @@ from fiaedit.model import (
     ReplaceQK,
     ReplaceQKVE,
     Topology,
+    VelocityModel,
     _softmax_rows,
-    init_model,
-    load_weights,
-    save_weights,
     time_embedding,
 )
 from fiaedit.prompts import embed_prompt
@@ -45,13 +43,13 @@ class TestModelConfig:
 class TestDeterminism:
     def test_same_config_same_weights(self):
         cfg = ModelConfig(seed=5, channels=4)
-        a, b = init_model(cfg), init_model(cfg)
+        a, b = VelocityModel(cfg), VelocityModel(cfg)
         assert set(a.weights) == set(b.weights)
         assert all(np.array_equal(a.weights[k], b.weights[k]) for k in a.weights)
 
     def test_different_seed_different_weights(self):
-        a = init_model(ModelConfig(seed=5, channels=4))
-        b = init_model(ModelConfig(seed=6, channels=4))
+        a = VelocityModel(ModelConfig(seed=5, channels=4))
+        b = VelocityModel(ModelConfig(seed=6, channels=4))
         assert not np.array_equal(a.weights["w_in"], b.weights["w_in"])
 
     def test_velocity_repeatable(self, tiny_model, prompt_pair):
@@ -148,10 +146,6 @@ class TestHooks:
         assert np.array_equal(pkt.k, donor.k)
         assert np.array_equal(pkt.v, donor.v)
         assert pkt.text_embedding is donor.text_embedding
-        assert np.array_equal(
-            tiny_model.attention_from_packet(pkt),
-            tiny_model.attention_from_packet(donor),
-        )
 
     def test_replace_qk_changes_output(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
@@ -229,26 +223,3 @@ class TestTimeEmbedding:
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             time_embedding(0, 0.5, 5)
-
-
-class TestWeightArchive:
-    def test_roundtrip_bitexact(self, tmp_path, tiny_model, prompt_pair):
-        path = str(tmp_path / "weights.bin")
-        save_weights(tiny_model, path)
-        loaded = load_weights(path)
-        assert loaded.cfg == tiny_model.cfg
-        assert all(
-            np.array_equal(loaded.weights[k], tiny_model.weights[k])
-            for k in tiny_model.weights
-        )
-        p, _ = prompt_pair
-        x = latent(11)
-        v_orig, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0)
-        v_loaded, _ = loaded.velocity(x, p, 3, 0.5, 2.0)
-        assert np.array_equal(v_orig, v_loaded)
-
-    def test_rejects_non_archive(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not an archive at all")
-        with pytest.raises(ValueError):
-            load_weights(str(path))
