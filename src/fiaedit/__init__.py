@@ -15,8 +15,6 @@ from .model import (
 )
 from .prompts import PromptEmbedding, embed_prompt, embeddings_equal
 from .schedule import (
-    LatentState,
-    NoiseDraw,
     NoiseMode,
     NoiseSchedule,
     euler_step,
@@ -47,10 +45,8 @@ __all__ = [
     "FusionWeights",
     "GuidanceConfig",
     "HookPlan",
-    "LatentState",
     "LowPassFilter",
     "ModelConfig",
-    "NoiseDraw",
     "NoiseMode",
     "NoiseSchedule",
     "PromptEmbedding",

@@ -52,14 +52,6 @@ def _format_trace(trace: EditTrace, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate_geometry(cfg: RunConfig, grid: tuple[int, int]) -> None:
-    h, w = grid
-    if h % cfg.codec_patch or w % cfg.codec_patch:
-        raise ConfigError(
-            f"{h}x{w} image not divisible by codec.patch={cfg.codec_patch}"
-        )
-
-
 def cmd_edit(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -67,7 +59,6 @@ def cmd_edit(args: argparse.Namespace) -> int:
     if args.snapshot_stride is not None:
         cfg = with_overrides(cfg, edit_snapshot_stride=args.snapshot_stride)
     image = read_ppm(args.image)
-    _validate_geometry(cfg, image.grid)
     latent = encode(image, cfg.codec_patch)
     model = VelocityModel(cfg.make_model_config())
     trace = run_edit(model, build_edit_request(cfg, latent))

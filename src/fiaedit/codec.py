@@ -7,6 +7,7 @@ with maxval 255, mapped by round(x * 255) on write and v / 255 on read.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from .errors import ShapeMismatchError
 @dataclass(frozen=True)
 class ImageBuffer:
     pixels: np.ndarray  # (3, H, W) float64 in [0, 1]
-    provenance: str = "synthetic"
 
     def __post_init__(self) -> None:
         if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
@@ -32,9 +32,9 @@ class ImageBuffer:
         return self.pixels.shape[-2], self.pixels.shape[-1]
 
 
-def clamp_image(pixels: np.ndarray, provenance: str = "synthetic") -> ImageBuffer:
+def clamp_image(pixels: np.ndarray) -> ImageBuffer:
     """Build an image buffer, clipping values into [0, 1]."""
-    return ImageBuffer(np.clip(pixels, 0.0, 1.0), provenance=provenance)
+    return ImageBuffer(np.clip(pixels, 0.0, 1.0))
 
 
 def encode(img: ImageBuffer, patch: int) -> np.ndarray:
@@ -72,7 +72,7 @@ def decode(latent: np.ndarray, patch: int) -> ImageBuffer:
         .transpose(0, 3, 1, 4, 2)
         .reshape(c, hp * patch, wp * patch)
     )
-    return clamp_image(pixels, provenance="decoded")
+    return clamp_image(pixels)
 
 
 def write_ppm(img: ImageBuffer, path: str) -> None:
@@ -103,7 +103,11 @@ def _read_ppm_token(fh) -> bytes:
 
 
 def read_ppm(path: str) -> ImageBuffer:
-    """Read binary P6 into a [0, 1] image buffer."""
+    """Read binary P6 into a [0, 1] image buffer.
+
+    The header's size is checked against the bytes left in the file before
+    any pixel data is read, so a forged header cannot ask for a huge read.
+    """
     with open(path, "rb") as fh:
         if _read_ppm_token(fh) != b"P6":
             raise ValueError(f"{path} is not a binary P6 PPM")
@@ -112,11 +116,17 @@ def read_ppm(path: str) -> ImageBuffer:
         maxval = int(_read_ppm_token(fh))
         if maxval != 255:
             raise ValueError(f"only maxval 255 supported, got {maxval}")
-        data = fh.read(3 * h * w)
-        if len(data) != 3 * h * w:
-            raise ValueError(f"{path}: expected {3 * h * w} bytes of pixel data")
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: image size {w}x{h} is not positive")
+        n_bytes = 3 * h * w
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_bytes > left:
+            raise ValueError(f"{path}: header needs {n_bytes} pixel bytes, {left} remain")
+        data = fh.read(n_bytes)
+        if len(data) != n_bytes:
+            raise ValueError(f"{path}: expected {n_bytes} bytes of pixel data")
     arr = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return ImageBuffer(arr.astype(np.float64) / 255.0, provenance=path)
+    return ImageBuffer(arr.astype(np.float64) / 255.0)
 
 
 def read_mask(path: str) -> np.ndarray:
@@ -127,4 +137,4 @@ def read_mask(path: str) -> np.ndarray:
 
 def write_mask(mask: np.ndarray, path: str) -> None:
     pixels = np.repeat(mask[None, :, :].astype(np.float64), 3, axis=0)
-    write_ppm(ImageBuffer(pixels, provenance="mask"), path)
+    write_ppm(ImageBuffer(pixels), path)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .engine import EditRequest
 from .errors import ConfigError
-from .fia import FiaConfig, FriMode
+from .fia import DEFAULT_FILTER_SIGMA, FiaConfig, FriMode
 from .model import GuidanceConfig, ModelConfig
 from .prompts import embed_prompt
 from .schedule import NoiseMode, NoiseSchedule, make_linear_schedule
@@ -26,26 +26,28 @@ _FRI_MODES = {m.value: m for m in FriMode}
 
 @dataclass(frozen=True)
 class RunConfig:
-    model_channels: int = 12
-    model_blocks_dual: int = 4
-    model_blocks_cross_only: int = 2
-    model_d_model: int = 8
-    model_n_heads: int = 2
-    model_seed: int = 0
+    """Flat view of every config key; defaults come from the owning classes."""
+
+    model_channels: int = ModelConfig.channels
+    model_blocks_dual: int = ModelConfig.n_blocks_dual
+    model_blocks_cross_only: int = ModelConfig.n_blocks_cross_only
+    model_d_model: int = ModelConfig.d_model
+    model_n_heads: int = ModelConfig.n_heads
+    model_seed: int = ModelConfig.seed
     schedule_steps: int = 50
     schedule_skip_fraction: float = 0.0
-    guidance_mu_src: float = 3.5
-    guidance_mu_tar: float = 13.5
+    guidance_mu_src: float = GuidanceConfig.mu_src
+    guidance_mu_tar: float = GuidanceConfig.mu_tar
     prompts_source: str = ""
     prompts_target: str = ""
     prompts_seed: int = 0
-    fia_fri_enabled: bool = True
-    fia_fri_mode: str = "freq"
-    fia_lambda1: float = 0.8
-    fia_lambda2: float = 0.2
-    fia_filter_sigma: float = 0.9
-    fia_filter_normalized: bool = True
-    fia_fij_enabled: bool = True
+    fia_fri_enabled: bool = FiaConfig.fri_enabled
+    fia_fri_mode: str = FiaConfig.fri_mode.value
+    fia_lambda1: float = FusionWeights.lambda1
+    fia_lambda2: float = FusionWeights.lambda2
+    fia_filter_sigma: float = DEFAULT_FILTER_SIGMA
+    fia_filter_normalized: bool = FiaConfig.filter_normalized
+    fia_fij_enabled: bool = FiaConfig.fij_enabled
     fia_fij_step_cutoff: int = -1  # -1: first ceil(0.54 * steps)
     fia_fij_block_lo: int = -1  # -1: the cross-only tail
     fia_fij_block_hi: int = -1

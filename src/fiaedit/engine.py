@@ -8,7 +8,7 @@ what happened at every step; latent and velocity snapshots are opt-in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .fia import FiaConfig, constrained_velocity_pair
 from .model import GuidanceConfig, VelocityModel
 from .prompts import PromptEmbedding
 from .schedule import (
-    LatentState,
     NoiseMode,
     NoiseSchedule,
     draw_step_noise,
@@ -59,14 +58,6 @@ class EditTrace:
     records: tuple[StepRecord, ...]
     final_latent: np.ndarray
 
-    @property
-    def fij_active_count(self) -> int:
-        return sum(1 for r in self.records if r.fij_active)
-
-    @property
-    def sigmas(self) -> tuple[float, ...]:
-        return tuple(r.sigma_t for r in self.records)
-
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
@@ -84,26 +75,20 @@ def run_edit(
     """
     sigmas = req.schedule.sigmas
     total_steps = req.schedule.step_count
-    state = LatentState(
-        x_fe=req.source_latent.copy(), x_src_ref=req.source_latent
-    )
+    x_src = req.source_latent
+    x_fe = x_src.copy()
     records: list[StepRecord] = []
 
     for i in range(total_steps):
         try:
             sigma_t = sigmas[i]
             sigma_prev = sigmas[i + 1]
-            t_index = total_steps - i
-            draw = draw_step_noise(state.x_src_ref.shape, req.seed, i)
-            x_src_t = interpolate_source(state.x_src_ref, sigma_t, draw)
-            x_tar_t = reconstruct_target_state(state.x_fe, x_src_t, state.x_src_ref)
+            draw = draw_step_noise(x_src.shape, req.seed, i)
+            x_src_t = interpolate_source(x_src, sigma_t, draw)
+            x_tar_t = reconstruct_target_state(x_fe, x_src_t, x_src)
             if bypass_fia:
-                v_src, _ = model.velocity(
-                    x_src_t, req.p_src, t_index, sigma_t, req.guidance.mu_src
-                )
-                v_tar, _ = model.velocity(
-                    x_tar_t, req.p_tar, t_index, sigma_t, req.guidance.mu_tar
-                )
+                v_src, _ = model.velocity(x_src_t, req.p_src, sigma_t, req.guidance.mu_src)
+                v_tar, _ = model.velocity(x_tar_t, req.p_tar, sigma_t, req.guidance.mu_tar)
                 fij_active = False
             else:
                 v_src, v_tar = constrained_velocity_pair(
@@ -112,7 +97,6 @@ def run_edit(
                     x_tar_t,
                     req.p_src,
                     req.p_tar,
-                    t_index,
                     sigma_t,
                     i,
                     total_steps,
@@ -123,15 +107,14 @@ def run_edit(
             v_delta = v_tar - v_src
             _check_finite("velocity difference", v_delta)
             fresh = (
-                draw_step_noise(state.x_src_ref.shape, req.seed, i, salt=_FRESH_NOISE_SALT)
+                draw_step_noise(x_src.shape, req.seed, i, salt=_FRESH_NOISE_SALT)
                 if req.noise_mode is NoiseMode.FRESH_GAUSSIAN
                 else None
             )
             x_fe = euler_step(
-                state.x_fe, v_delta, sigma_prev, sigma_t, draw, req.noise_mode, fresh=fresh
+                x_fe, v_delta, sigma_prev, sigma_t, draw, req.noise_mode, fresh=fresh
             )
             _check_finite("edit latent", x_fe)
-            state = replace(state, x_fe=x_fe)
         except Exception as exc:
             raise EditRunError(f"edit aborted at step {i}: {exc}") from exc
 
@@ -148,4 +131,4 @@ def run_edit(
             )
         )
 
-    return EditTrace(records=tuple(records), final_latent=state.x_fe)
+    return EditTrace(records=tuple(records), final_latent=x_fe)

@@ -10,7 +10,9 @@ Two mechanisms feed a hook plan for the constrained target pass:
 Target features come from an unconstrained probe of the target branch.
 The constrained pass reuses the probe's unconditional forward, so a guided
 step with a non-empty override plan costs one extra conditional forward:
-five forwards against four with the constraints off.
+five forwards against four with the constraints off.  Sites are read from
+the model's ``ModelConfig``, and packets travel as ``{site: packet}``
+tables, the form ``VelocityModel.velocity`` returns.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .model import (
     AttnKind,
     GuidanceConfig,
     HookPlan,
+    ModelConfig,
     ReplaceQK,
     ReplaceQKVE,
     Site,
-    Topology,
     VelocityModel,
     guide,
 )
@@ -83,10 +85,6 @@ class FiaConfig:
     def disabled() -> "FiaConfig":
         return FiaConfig(fri_enabled=False, fij_enabled=False)
 
-    @property
-    def any_enabled(self) -> bool:
-        return self.fri_enabled or self.fij_enabled
-
     def resolved_cutoff(self, total_steps: int) -> int:
         cutoff = (
             default_fij_cutoff(total_steps)
@@ -99,15 +97,15 @@ class FiaConfig:
             )
         return cutoff
 
-    def resolved_block_range(self, topology: Topology) -> tuple[int, int]:
+    def resolved_block_range(self, model_cfg: ModelConfig) -> tuple[int, int]:
         rng = (
-            topology.cross_only_range()
+            model_cfg.cross_only_range()
             if self.fij_block_range is None
             else self.fij_block_range
         )
-        if rng[1] >= topology.n_blocks:
+        if rng[1] >= model_cfg.n_blocks:
             raise TopologyError(
-                f"fij_block_range {rng} outside topology of {topology.n_blocks} blocks"
+                f"fij_block_range {rng} outside a model of {model_cfg.n_blocks} blocks"
             )
         return rng
 
@@ -115,13 +113,13 @@ class FiaConfig:
         return self.fij_enabled and step_index < self.resolved_cutoff(total_steps)
 
 
-def plan_capture(cfg: FiaConfig, topology: Topology) -> HookPlan:
+def plan_capture(cfg: FiaConfig, model_cfg: ModelConfig) -> HookPlan:
     """Capture plan for the source and probe passes: every site FIA consumes."""
     sites: set[Site] = set()
     if cfg.fri_enabled:
-        sites.update(topology.self_sites())
+        sites.update(model_cfg.self_sites())
     if cfg.fij_enabled:
-        lo, hi = cfg.resolved_block_range(topology)
+        lo, hi = cfg.resolved_block_range(model_cfg)
         sites.update((b, AttnKind.CROSS) for b in range(lo, hi + 1))
     return HookPlan(capture=frozenset(sites))
 
@@ -153,15 +151,6 @@ def _packets_identical(a: AttentionPacket, b: AttentionPacket) -> bool:
         and np.array_equal(a.k, b.k)
         and np.array_equal(a.v, b.v)
     )
-
-
-def _by_site(packets: list[AttentionPacket], label: str) -> dict[Site, AttentionPacket]:
-    table: dict[Site, AttentionPacket] = {}
-    for pkt in packets:
-        if pkt.site in table:
-            raise PacketAlignmentError(f"duplicate {label} packet at {pkt.site}")
-        table[pkt.site] = pkt
-    return table
 
 
 def _fuse_self_sites(
@@ -205,12 +194,14 @@ def build_target_overrides(
     cfg: FiaConfig,
     step_index: int,
     total_steps: int,
-    src_packets: list[AttentionPacket],
-    tar_packets: list[AttentionPacket],
+    src_packets: dict[Site, AttentionPacket],
+    tar_packets: dict[Site, AttentionPacket],
     grid: tuple[int, int],
-    topology: Topology,
+    topology: ModelConfig,
 ) -> HookPlan:
     """Turn captured source/target packets into the constrained pass's plan.
+
+    ``topology`` is the model's config, which lists the self sites.
 
     Frequency fusion overrides every self-attention site at every step;
     packet injection overrides the configured cross sites only while the
@@ -220,16 +211,14 @@ def build_target_overrides(
     computed replaces values with themselves.  Skipping them changes no
     bits and keeps fully symmetric runs exactly symmetric.
     """
-    src_by = _by_site(src_packets, "source")
-    tar_by = _by_site(tar_packets, "target")
     overrides: dict[Site, ReplaceQK | ReplaceQKVE] = {}
 
     if cfg.fri_enabled:
         unit_weights = cfg.fusion.lambda1 + cfg.fusion.lambda2 == 1.0
         to_fuse = []
         for site in topology.self_sites():
-            src = src_by.get(site)
-            tar = tar_by.get(site)
+            src = src_packets.get(site)
+            tar = tar_packets.get(site)
             if src is None or tar is None:
                 raise PacketAlignmentError(f"missing self-attention packets at {site}")
             if src.q.shape != tar.q.shape or src.k.shape != tar.k.shape:
@@ -247,10 +236,10 @@ def build_target_overrides(
         lo, hi = cfg.resolved_block_range(topology)
         for b in range(lo, hi + 1):
             site = (b, AttnKind.CROSS)
-            src = src_by.get(site)
+            src = src_packets.get(site)
             if src is None:
                 raise PacketAlignmentError(f"missing cross-attention packet at {site}")
-            tar = tar_by.get(site)
+            tar = tar_packets.get(site)
             if tar is not None and _packets_identical(src, tar):
                 continue
             overrides[site] = ReplaceQKVE(packet=src)
@@ -264,13 +253,11 @@ def constrained_velocity_pair(
     x_tar_t: np.ndarray,
     p_src: PromptEmbedding,
     p_tar: PromptEmbedding,
-    t_index: int,
     sigma_t: float,
     step_index: int,
     total_steps: int,
     guidance: GuidanceConfig,
     cfg: FiaConfig,
-    diagnostics: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Source velocity and the source-constrained target velocity at one step.
 
@@ -283,53 +270,26 @@ def constrained_velocity_pair(
     constrained one.  With ``mu_tar`` of 0 the conditional pass does not
     enter the result, so nothing is captured and the target is one plain
     unconditional pass.
-
-    ``diagnostics``, when given, is filled with the captured packets and the
-    override plan for inspection by tests and tooling; the probe's packets
-    stand in for the constrained ones when the rerun is skipped.
     """
     if x_src_t.shape != x_tar_t.shape:
         raise ShapeMismatchError(
             f"state shapes differ: {x_src_t.shape} vs {x_tar_t.shape}"
         )
-    topology = model.topology
     mu = guidance.mu_tar
-    capture = plan_capture(cfg, topology) if mu != 0.0 else HookPlan()
+    capture = plan_capture(cfg, model.cfg) if mu != 0.0 else HookPlan()
     v_src, src_packets = model.velocity(
-        x_src_t, p_src, t_index, sigma_t, guidance.mu_src, hooks=capture
+        x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture
     )
-    if capture.is_empty:
-        v_tar, _ = model.velocity(x_tar_t, p_tar, t_index, sigma_t, mu)
-        if diagnostics is not None:
-            diagnostics.update(
-                src_packets=[], tar_packets=[], plan=HookPlan(), constrained_packets=[]
-            )
+    if not capture.capture:
+        v_tar, _ = model.velocity(x_tar_t, p_tar, sigma_t, mu)
         return v_src, v_tar
 
-    v_cond, tar_packets = model.velocity(
-        x_tar_t, p_tar, t_index, sigma_t, 1.0, hooks=capture
-    )
-    v_uncond = (
-        None if mu == 1.0 else model.velocity(x_tar_t, p_tar, t_index, sigma_t, 0.0)[0]
-    )
+    v_cond, tar_packets = model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
+    v_uncond = None if mu == 1.0 else model.velocity(x_tar_t, p_tar, sigma_t, 0.0)[0]
     grid = x_src_t.shape[-2:]
     plan = build_target_overrides(
-        cfg, step_index, total_steps, src_packets, tar_packets, grid, topology
+        cfg, step_index, total_steps, src_packets, tar_packets, grid, model.cfg
     )
-    constrained_packets = tar_packets
     if plan.overrides:
-        constrained_hooks = HookPlan(
-            capture=capture.capture if diagnostics is not None else frozenset(),
-            overrides=plan.overrides,
-        )
-        v_cond, constrained_packets = model.velocity(
-            x_tar_t, p_tar, t_index, sigma_t, 1.0, hooks=constrained_hooks
-        )
-    if diagnostics is not None:
-        diagnostics.update(
-            src_packets=src_packets,
-            tar_packets=tar_packets,
-            plan=plan,
-            constrained_packets=constrained_packets,
-        )
+        v_cond, _ = model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=plan)
     return v_src, guide(v_cond, v_uncond, mu)

@@ -18,14 +18,14 @@ def gradient_image(h: int = 16, w: int = 16) -> ImageBuffer:
     ys = np.linspace(0.0, 1.0, h)[:, None]
     xs = np.linspace(0.0, 1.0, w)[None, :]
     pixels = np.stack([ys + 0 * xs, 0 * ys + xs, 0.5 * (ys + xs)])
-    return clamp_image(pixels, provenance="fixture:gradient")
+    return clamp_image(pixels)
 
 
 def checkerboard_image(h: int = 16, w: int = 16, cell: int = 2) -> ImageBuffer:
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     board = ((ys // cell + xs // cell) % 2).astype(np.float64)
     pixels = np.stack([0.2 + 0.6 * board, 0.8 - 0.6 * board, np.full((h, w), 0.5)])
-    return clamp_image(pixels, provenance="fixture:checkerboard")
+    return clamp_image(pixels)
 
 
 def blob_scene(
@@ -49,7 +49,7 @@ def blob_scene(
         pixels[c][blob] = level
 
     background = r >= blob_radius_frac + margin_frac
-    return clamp_image(pixels, provenance="fixture:blob"), background
+    return clamp_image(pixels), background
 
 
 FIXTURES = {

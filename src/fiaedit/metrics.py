@@ -30,7 +30,6 @@ class MetricReport:
     psnr: float
     ssim: float
     spectral_structure_distance: float
-    mask: np.ndarray | None = None
 
 
 def _check_pair(a: ImageBuffer, b: ImageBuffer) -> None:
@@ -111,5 +110,4 @@ def compute_report(
         psnr=psnr(a, b, mask),
         ssim=ssim(a, b),
         spectral_structure_distance=spectral_structure_distance(a, b),
-        mask=mask,
     )

@@ -10,7 +10,9 @@ fixed order, so a config is a complete description of the network.
 Hooks observe and override attention inputs: a ``HookPlan`` names the
 ``(block, kind)`` sites whose effective Q/K/V (and text embedding) should be
 captured, and the sites whose inputs are replaced before attention runs.
-Captured packets always record what the attention actually consumed.
+``ModelConfig`` says which sites exist, and ``VelocityModel.velocity``
+returns the captured packets keyed by site.  Captured packets always record
+what the attention actually consumed.
 """
 
 from __future__ import annotations
@@ -59,14 +61,6 @@ class ModelConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
-
-@dataclass(frozen=True)
-class Topology:
-    """Which attention sites exist: dual blocks first, cross-only after."""
-
-    n_blocks_dual: int
-    n_blocks_cross_only: int
-
     @property
     def n_blocks(self) -> int:
         return self.n_blocks_dual + self.n_blocks_cross_only
@@ -75,6 +69,7 @@ class Topology:
         return 0 <= block_index < self.n_blocks_dual
 
     def contains(self, site: Site) -> bool:
+        """Whether the site exists: dual blocks first, cross-only after."""
         block, kind = site
         if not 0 <= block < self.n_blocks:
             return False
@@ -83,13 +78,10 @@ class Topology:
     def self_sites(self) -> tuple[Site, ...]:
         return tuple((b, AttnKind.SELF) for b in range(self.n_blocks_dual))
 
-    def cross_sites(self) -> tuple[Site, ...]:
-        return tuple((b, AttnKind.CROSS) for b in range(self.n_blocks))
-
     def cross_only_range(self) -> tuple[int, int]:
         """Inclusive block range of the cross-attention-only tail."""
         if self.n_blocks_cross_only == 0:
-            raise TopologyError("topology has no cross-only blocks")
+            raise TopologyError("model has no cross-only blocks")
         return self.n_blocks_dual, self.n_blocks - 1
 
 
@@ -142,10 +134,6 @@ class HookPlan:
     capture: frozenset[Site] = frozenset()
     overrides: Mapping[Site, ReplaceQK | ReplaceQKVE] = field(default_factory=dict)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.capture and not self.overrides
-
 
 EMPTY_PLAN = HookPlan()
 
@@ -163,12 +151,11 @@ def guide(v_cond: np.ndarray | None, v_uncond: np.ndarray | None, mu: float) -> 
     return v_uncond + mu * (v_cond - v_uncond)
 
 
-def time_embedding(t_index: int, sigma_t: float, d_model: int) -> np.ndarray:
+def time_embedding(sigma_t: float, d_model: int) -> np.ndarray:
     """Sinusoidal features of the noise level at geometrically spaced frequencies.
 
     Layout is (sin f0*s, cos f0*s, sin f1*s, cos f1*s, ...) with d_model/2
-    frequencies spaced geometrically from 1 to 10.  The step index is part of
-    the call contract but the level itself already identifies the grid point.
+    frequencies spaced geometrically from 1 to 10.
     """
     if d_model % 2 != 0:
         raise ValueError(f"d_model must be even, got {d_model}")
@@ -265,10 +252,6 @@ class VelocityModel:
             arr.setflags(write=False)
         self._position_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    @property
-    def topology(self) -> Topology:
-        return Topology(self.cfg.n_blocks_dual, self.cfg.n_blocks_cross_only)
-
     # -- forward machinery ---------------------------------------------------
 
     def _split_heads(self, z: np.ndarray) -> np.ndarray:
@@ -307,9 +290,8 @@ class VelocityModel:
         text: np.ndarray,
         text_ref: PromptEmbedding | None,
         sigma_t: float,
-        t_index: int,
         hooks: HookPlan,
-        captured: list[AttentionPacket],
+        captured: dict[Site, AttentionPacket],
         scratch: dict[tuple[int, ...], np.ndarray],
     ) -> np.ndarray:
         cfg = self.cfg
@@ -324,10 +306,10 @@ class VelocityModel:
         tokens = x.reshape(c, n_tok).T
         h = tokens @ W["w_in"]
         h = h + pos
-        h = h + time_embedding(t_index, sigma_t, cfg.d_model)[None, :]
+        h = h + time_embedding(sigma_t, cfg.d_model)[None, :]
 
-        for b in range(self.topology.n_blocks):
-            if self.topology.has_self(b):
+        for b in range(cfg.n_blocks):
+            if cfg.has_self(b):
                 hn = _layer_norm(h)
                 q = self._split_heads(hn @ W[f"b{b}.self.wq"])
                 k = self._split_heads(hn @ W[f"b{b}.self.wk"])
@@ -342,10 +324,8 @@ class VelocityModel:
                         )
                     q, k = action.q, action.k
                 if site in hooks.capture:
-                    captured.append(
-                        AttentionPacket(
-                            b, AttnKind.SELF, _snapshot(q), _snapshot(k), _snapshot(v)
-                        )
+                    captured[site] = AttentionPacket(
+                        b, AttnKind.SELF, _snapshot(q), _snapshot(k), _snapshot(v)
                     )
                 h = h + self._attend(q, k, v, W[f"b{b}.self.wo"], scratch)
 
@@ -366,11 +346,8 @@ class VelocityModel:
                 q, k, v = pkt.q, pkt.k, pkt.v
                 site_text = pkt.text_embedding
             if site in hooks.capture:
-                captured.append(
-                    AttentionPacket(
-                        b, AttnKind.CROSS, _snapshot(q), _snapshot(k), _snapshot(v),
-                        site_text,
-                    )
+                captured[site] = AttentionPacket(
+                    b, AttnKind.CROSS, _snapshot(q), _snapshot(k), _snapshot(v), site_text
                 )
             h = h + self._attend(q, k, v, W[f"b{b}.cross.wo"], scratch)
 
@@ -382,13 +359,13 @@ class VelocityModel:
         return out.T.reshape(c, h_grid, w_grid)
 
     def _validate_hooks(self, hooks: HookPlan) -> None:
-        topo = self.topology
+        cfg = self.cfg
         for site in hooks.capture:
-            if not topo.contains(site):
-                raise TopologyError(f"capture site {site} not in topology")
+            if not cfg.contains(site):
+                raise TopologyError(f"capture site {site} not in the model")
         for site, action in hooks.overrides.items():
-            if not topo.contains(site):
-                raise TopologyError(f"override site {site} not in topology")
+            if not cfg.contains(site):
+                raise TopologyError(f"override site {site} not in the model")
             if isinstance(action, ReplaceQKVE) and site[1] is not AttnKind.CROSS:
                 raise TopologyError(
                     f"full packet substitution only applies to cross sites, got {site}"
@@ -400,17 +377,16 @@ class VelocityModel:
         self,
         x: np.ndarray,
         p: PromptEmbedding,
-        t_index: int,
         sigma_t: float,
         mu: float,
         hooks: HookPlan = EMPTY_PLAN,
-    ) -> tuple[np.ndarray, list[AttentionPacket]]:
-        """Guided velocity at state ``x``; hooks act on the conditional pass.
+    ) -> tuple[np.ndarray, dict[Site, AttentionPacket]]:
+        """Guided velocity at state ``x`` and the packets captured by site.
 
-        The conditional and unconditional passes are blended by
-        :func:`guide`; with ``mu`` of exactly 1 or 0 only the pass that
-        enters the result runs (the conditional one also runs whenever the
-        hooks capture).
+        Hooks act on the conditional pass.  The conditional and
+        unconditional passes are blended by :func:`guide`; with ``mu`` of
+        exactly 1 or 0 only the pass that enters the result runs (the
+        conditional one also runs whenever the hooks capture).
         """
         if x.ndim != 3 or x.shape[0] != self.cfg.channels:
             raise ShapeMismatchError(
@@ -425,21 +401,12 @@ class VelocityModel:
         self._validate_hooks(hooks)
 
         scratch: dict[tuple[int, ...], np.ndarray] = {}
-        captured: list[AttentionPacket] = []
+        captured: dict[Site, AttentionPacket] = {}
         v_cond = v_uncond = None
         if mu != 0.0 or hooks.capture:
-            v_cond = self._forward(
-                x, p.matrix, p, sigma_t, t_index, hooks, captured, scratch
-            )
+            v_cond = self._forward(x, p.matrix, p, sigma_t, hooks, captured, scratch)
         if mu != 1.0:
             v_uncond = self._forward(
-                x,
-                self.weights["null_token"],
-                None,
-                sigma_t,
-                t_index,
-                EMPTY_PLAN,
-                [],
-                scratch,
+                x, self.weights["null_token"], None, sigma_t, EMPTY_PLAN, {}, scratch
             )
         return guide(v_cond, v_uncond, mu), captured

@@ -5,7 +5,8 @@ grid runs from its highest level down to exactly 0.0, so ``sigmas[0]`` belongs
 to the first (noisiest) step and ``sigmas[-1] == 0.0`` to the finished latent.
 Noise draws come from a counter-based generator keyed by ``(run_seed,
 step_index)``: any draw can be regenerated independently of the others, and a
-fixed run seed reproduces the whole sequence bit for bit.
+fixed run seed reproduces the whole sequence bit for bit.  A draw is a plain
+array of the latent's shape.
 """
 
 from __future__ import annotations
@@ -51,28 +52,6 @@ class NoiseSchedule:
             raise ValueError(f"first sigma must be in (0, 1], got {self.sigmas[0]}")
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One per-step Gaussian draw, reused by interpolation and stepping."""
-
-    epsilon: np.ndarray
-    step_index: int
-
-
-@dataclass(frozen=True)
-class LatentState:
-    """The evolving edit latent next to the frozen source it started from."""
-
-    x_fe: np.ndarray
-    x_src_ref: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.x_fe.shape != self.x_src_ref.shape:
-            raise ShapeMismatchError(
-                f"latent shapes differ: {self.x_fe.shape} vs {self.x_src_ref.shape}"
-            )
-
-
 def make_linear_schedule(step_count: int, skip_fraction: float = 0.0) -> NoiseSchedule:
     """Evenly spaced noise levels from ``1 - skip_fraction`` down to 0."""
     if not isinstance(step_count, int) or step_count < 1:
@@ -93,23 +72,18 @@ def step_rng(run_seed: int, step_index: int, salt: int = 0) -> np.random.Generat
 
 def draw_step_noise(
     shape: tuple[int, ...], run_seed: int, step_index: int, salt: int = 0
-) -> NoiseDraw:
-    """Sample the standard-normal draw for one step of a run."""
-    eps = step_rng(run_seed, step_index, salt).standard_normal(shape)
-    return NoiseDraw(epsilon=eps, step_index=step_index)
-
-
-def interpolate_source(
-    x_src: np.ndarray, sigma_t: float, draw: NoiseDraw
 ) -> np.ndarray:
-    """Blend the source latent toward noise: ``(1 - sigma) * x + sigma * eps``."""
-    if x_src.shape != draw.epsilon.shape:
-        raise ShapeMismatchError(
-            f"source {x_src.shape} vs noise {draw.epsilon.shape}"
-        )
+    """Sample the standard-normal draw for one step of a run."""
+    return step_rng(run_seed, step_index, salt).standard_normal(shape)
+
+
+def interpolate_source(x_src: np.ndarray, sigma_t: float, draw: np.ndarray) -> np.ndarray:
+    """Blend the source latent toward noise: ``(1 - sigma) * x + sigma * draw``."""
+    if x_src.shape != draw.shape:
+        raise ShapeMismatchError(f"source {x_src.shape} vs noise {draw.shape}")
     if not 0.0 <= sigma_t <= 1.0:
         raise ValueError(f"sigma_t must be in [0, 1], got {sigma_t}")
-    return (1.0 - sigma_t) * x_src + sigma_t * draw.epsilon
+    return (1.0 - sigma_t) * x_src + sigma_t * draw
 
 
 def reconstruct_target_state(
@@ -132,9 +106,9 @@ def euler_step(
     v_delta: np.ndarray,
     sigma_prev: float,
     sigma_t: float,
-    draw: NoiseDraw,
+    draw: np.ndarray,
     noise_mode: NoiseMode,
-    fresh: NoiseDraw | None = None,
+    fresh: np.ndarray | None = None,
 ) -> np.ndarray:
     """One velocity-difference update from level ``sigma_t`` down to ``sigma_prev``.
 
@@ -151,13 +125,13 @@ def euler_step(
         )
     out = x_fe + (sigma_prev - sigma_t) * v_delta
     if noise_mode is NoiseMode.REUSED_EPSILON:
-        if draw.epsilon.shape != x_fe.shape:
+        if draw.shape != x_fe.shape:
             raise ShapeMismatchError("reused draw shape does not match latent")
-        out = out + sigma_t * draw.epsilon
+        out = out + sigma_t * draw
     elif noise_mode is NoiseMode.FRESH_GAUSSIAN:
         if fresh is None:
             raise ValueError("fresh draw required for NoiseMode.FRESH_GAUSSIAN")
-        if fresh.epsilon.shape != x_fe.shape:
+        if fresh.shape != x_fe.shape:
             raise ShapeMismatchError("fresh draw shape does not match latent")
-        out = out + sigma_t * fresh.epsilon
+        out = out + sigma_t * fresh
     return out

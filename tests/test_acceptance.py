@@ -18,12 +18,18 @@ from fiaedit.ablation import parse_report
 from fiaedit.codec import decode, encode
 from fiaedit.config import RunConfig
 from fiaedit.engine import EditRequest, run_edit
-from fiaedit.fia import FiaConfig, constrained_velocity_pair
+from fiaedit.fia import (
+    FiaConfig,
+    build_target_overrides,
+    constrained_velocity_pair,
+    plan_capture,
+)
 from fiaedit.fixtures import gradient_image, load_fixture
 from fiaedit.metrics import PSNR_INFINITE, compute_report
 from fiaedit.model import (
     AttnKind,
     GuidanceConfig,
+    HookPlan,
     ModelConfig,
     ReplaceQKVE,
     VelocityModel,
@@ -147,21 +153,30 @@ def test_c05_fij_exactness(tiny_model, prompt_pair):
     x_fe = x_src.copy()
     guidance = GuidanceConfig(mu_src=3.5, mu_tar=13.5)
     injected_sites = {(4, AttnKind.CROSS), (5, AttnKind.CROSS)}
+    capture = plan_capture(cfg, tiny_model.cfg)
     for i in range(total):
         sigma_t = sched.sigmas[i]
         draw = draw_step_noise(x_src.shape, 0, i)
         x_src_t = interpolate_source(x_src, sigma_t, draw)
         x_tar_t = reconstruct_target_state(x_fe, x_src_t, x_src)
-        diag = {}
         v_src, v_tar = constrained_velocity_pair(
             tiny_model, x_src_t, x_tar_t, p_src, p_tar,
-            total - i, sigma_t, i, total, guidance, cfg, diagnostics=diag,
+            sigma_t, i, total, guidance, cfg,
         )
-        overrides = diag["plan"].overrides
+        _, src_by = tiny_model.velocity(x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture)
+        _, tar_by = tiny_model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
+        plan = build_target_overrides(
+            cfg, i, total, src_by, tar_by, x_src.shape[-2:], tiny_model.cfg
+        )
+        overrides = plan.overrides
+        expected, _ = tiny_model.velocity(
+            x_tar_t, p_tar, sigma_t, guidance.mu_tar, hooks=HookPlan(overrides=overrides)
+        )
+        assert np.array_equal(v_tar, expected)
         if i < 27:
             assert set(overrides) == injected_sites
-            src_by = {p.site: p for p in diag["src_packets"]}
-            got_by = {p.site: p for p in diag["constrained_packets"]}
+            rerun = HookPlan(capture=capture.capture, overrides=overrides)
+            _, got_by = tiny_model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=rerun)
             for site in injected_sites:
                 assert isinstance(overrides[site], ReplaceQKVE)
                 assert np.array_equal(got_by[site].q, src_by[site].q)
@@ -179,13 +194,13 @@ def test_c05_fij_exactness(tiny_model, prompt_pair):
 def test_c06_cfg_contract(tiny_model, prompt_pair):
     p, other = prompt_pair
     x = np.random.default_rng(3).standard_normal((4, 6, 6))
-    v0, _ = tiny_model.velocity(x, p, 3, 0.5, 0.0)
-    v1, _ = tiny_model.velocity(x, p, 3, 0.5, 1.0)
-    v2, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0)
+    v0, _ = tiny_model.velocity(x, p, 0.5, 0.0)
+    v1, _ = tiny_model.velocity(x, p, 0.5, 1.0)
+    v2, _ = tiny_model.velocity(x, p, 0.5, 2.0)
     assert np.abs((v2 - v1) - (v1 - v0)).max() < 1e-9
-    v0_other, _ = tiny_model.velocity(x, other, 3, 0.5, 0.0)
+    v0_other, _ = tiny_model.velocity(x, other, 0.5, 0.0)
     assert np.array_equal(v0, v0_other)  # mu=0 is exactly the unconditional pass
-    v1_other, _ = tiny_model.velocity(x, other, 3, 0.5, 1.0)
+    v1_other, _ = tiny_model.velocity(x, other, 0.5, 1.0)
     assert not np.array_equal(v1, v1_other)  # mu=1 is exactly the conditional pass
     defaults = RunConfig().make_guidance()
     assert (defaults.mu_src, defaults.mu_tar) == (3.5, 13.5)

@@ -118,11 +118,14 @@ class TestEdit:
         rc = main(["edit", str(tmp_path / "no.ppm"), "--config", cfg, "--out", str(tmp_path / "x.ppm")])
         assert rc == 2
 
-    def test_geometry_mismatch_is_exit_1(self, tmp_path, scene):
+    def test_geometry_mismatch_is_exit_1(self, tmp_path, scene, capsys):
         src, _ = scene
-        bad = write_config(tmp_path, EDIT_CONFIG.replace("codec.patch = 2", "codec.patch = 3"))
+        # a valid patch-3 config: the 16x16 scene does not tile into 3x3 patches
+        text = EDIT_CONFIG.replace("codec.patch = 2", "codec.patch = 3")
+        bad = write_config(tmp_path, text.replace("model.channels = 12", "model.channels = 27"))
         rc = main(["edit", src, "--config", bad, "--out", str(tmp_path / "x.ppm")])
         assert rc == 1
+        assert "16x16 image not divisible by patch 3" in capsys.readouterr().err
 
 
 class TestMetrics:
@@ -152,6 +155,12 @@ class TestMetrics:
         assert unmasked.splitlines()[0] != masked.splitlines()[0]
         # ssim has no masked variant: line unchanged
         assert unmasked.splitlines()[2] == masked.splitlines()[2]
+
+    def test_forged_header_size_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.ppm"
+        path.write_bytes(b"P6\n99999999999 99999999999\n255\n")
+        assert main(["metrics", str(path), str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
 
     def test_size_mismatch_is_exit_1(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm")

@@ -115,6 +115,22 @@ class TestPpm:
         with pytest.raises(ValueError):
             read_ppm(str(path))
 
+    @pytest.mark.parametrize(
+        "size", [b"0 4", b"4 0", b"-2 3", b"3 -2"], ids=["w0", "h0", "w-neg", "h-neg"]
+    )
+    def test_rejects_nonpositive_size(self, tmp_path, size):
+        path = tmp_path / "z.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(48))
+        with pytest.raises(ValueError, match="z.ppm.*not positive"):
+            read_ppm(str(path))
+
+    def test_rejects_size_beyond_file_before_reading(self, tmp_path):
+        # 3*h*w overflows a single read: it must be refused from the header
+        path = tmp_path / "big.ppm"
+        path.write_bytes(b"P6\n99999999999 99999999999\n255\n" + bytes(12))
+        with pytest.raises(ValueError, match="big.ppm"):
+            read_ppm(str(path))
+
     def test_mask_roundtrip(self, tmp_path):
         _, mask = blob_scene(16, 16)
         path = str(tmp_path / "m.ppm")

@@ -4,7 +4,8 @@ import pytest
 
 from fiaedit.config import RunConfig, load_config, parse_config, with_overrides
 from fiaedit.errors import ConfigError
-from fiaedit.fia import FriMode
+from fiaedit.fia import FiaConfig, FriMode
+from fiaedit.model import GuidanceConfig, ModelConfig
 from fiaedit.schedule import NoiseMode
 
 SAMPLE = """
@@ -39,6 +40,13 @@ class TestDefaults:
         assert cfg.make_schedule().sigmas[0] == 1.0
         assert cfg.make_fia().fri_mode is FriMode.FREQ
         assert cfg.selected_metrics() == ("mse", "psnr", "ssim", "ssd")
+
+
+    def test_defaults_match_the_owning_classes(self):
+        cfg = RunConfig()
+        assert cfg.make_model_config() == ModelConfig()
+        assert cfg.make_guidance() == GuidanceConfig()
+        assert cfg.make_fia() == FiaConfig()
 
 
 class TestParsing:

@@ -6,7 +6,7 @@ import pytest
 from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import EditRunError, NumericFailure
 from fiaedit.fia import FiaConfig, constrained_velocity_pair
-from fiaedit.model import GuidanceConfig, Topology
+from fiaedit.model import GuidanceConfig, ModelConfig
 from fiaedit.prompts import embed_prompt
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 
@@ -16,16 +16,13 @@ from conftest import dyadic
 class ConstantVelocityModel:
     """Velocity fixture: a constant field per prompt text, hook-oblivious."""
 
-    def __init__(self, table: dict[str, float], channels: int = 4):
+    cfg = ModelConfig(n_blocks_dual=1, n_blocks_cross_only=1, channels=4)
+
+    def __init__(self, table: dict[str, float]):
         self.table = table
-        self.channels = channels
 
-    @property
-    def topology(self) -> Topology:
-        return Topology(1, 1)
-
-    def velocity(self, x, p, t_index, sigma_t, mu, hooks=None):
-        return np.full_like(x, self.table[p.text]), []
+    def velocity(self, x, p, sigma_t, mu, hooks=None):
+        return np.full_like(x, self.table[p.text]), {}
 
 
 def base_request(x, p_src, p_tar, steps=10, mu=(1.5, 3.0), fia=None, **kw):
@@ -103,15 +100,15 @@ class TestDeterminismAndTraces:
         )
         trace = run_edit(tiny_model, req)
         assert len(trace.records) == 10
-        assert trace.fij_active_count == 4
         assert [r.fij_active for r in trace.records] == [True] * 4 + [False] * 6
 
     def test_sigmas_visited_in_strictly_decreasing_order(self, tiny_model, source_latent, prompt_pair):
         p_src, p_tar = prompt_pair
         req = base_request(source_latent, p_src, p_tar, noise_mode=NoiseMode.NONE)
         trace = run_edit(tiny_model, req)
-        assert trace.sigmas == req.schedule.sigmas[:-1]
-        assert all(a > b for a, b in zip(trace.sigmas, trace.sigmas[1:]))
+        sigmas = tuple(r.sigma_t for r in trace.records)
+        assert sigmas == req.schedule.sigmas[:-1]
+        assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
     def test_snapshot_stride(self, tiny_model, source_latent, prompt_pair):
         p_src, p_tar = prompt_pair
@@ -145,11 +142,11 @@ class TestVelocityAntisymmetry:
         p_src, p_tar = prompt_pair
         x = np.random.default_rng(5).standard_normal((4, 6, 6))
         fwd = constrained_velocity_pair(
-            tiny_model, x, x.copy(), p_src, p_tar, 5, 0.5, 0, 10,
+            tiny_model, x, x.copy(), p_src, p_tar, 0.5, 0, 10,
             GuidanceConfig(mu_src=1.5, mu_tar=3.0), FiaConfig.disabled(),
         )
         rev = constrained_velocity_pair(
-            tiny_model, x, x.copy(), p_tar, p_src, 5, 0.5, 0, 10,
+            tiny_model, x, x.copy(), p_tar, p_src, 0.5, 0, 10,
             GuidanceConfig(mu_src=3.0, mu_tar=1.5), FiaConfig.disabled(),
         )
         assert np.array_equal(fwd[1] - fwd[0], -(rev[1] - rev[0]))
@@ -200,9 +197,9 @@ class TestFailureSemantics:
         p_src, p_tar = prompt_pair
 
         class Exploding:
-            topology = Topology(1, 1)
+            cfg = ConstantVelocityModel.cfg
 
-            def velocity(self, x, p, t_index, sigma_t, mu, hooks=None):
+            def velocity(self, x, p, sigma_t, mu, hooks=None):
                 raise RuntimeError("boom")
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
@@ -214,10 +211,10 @@ class TestFailureSemantics:
         p_src, p_tar = prompt_pair
 
         class Infinite:
-            topology = Topology(1, 1)
+            cfg = ConstantVelocityModel.cfg
 
-            def velocity(self, x, p, t_index, sigma_t, mu, hooks=None):
-                return np.full_like(x, np.inf), []
+            def velocity(self, x, p, sigma_t, mu, hooks=None):
+                return np.full_like(x, np.inf), {}
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
         with pytest.raises(EditRunError) as err:

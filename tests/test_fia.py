@@ -22,9 +22,9 @@ from fiaedit.model import (
     AttnKind,
     GuidanceConfig,
     HookPlan,
+    ModelConfig,
     ReplaceQK,
     ReplaceQKVE,
-    Topology,
 )
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
@@ -54,12 +54,12 @@ class TestDefaults:
         assert FiaConfig().resolved_cutoff(50) == 27
 
     def test_default_block_range_is_cross_only_tail(self):
-        assert FiaConfig().resolved_block_range(Topology(4, 2)) == (4, 5)
+        assert FiaConfig().resolved_block_range(ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2)) == (4, 5)
 
     def test_explicit_range_validated_against_topology(self):
         cfg = FiaConfig(fij_block_range=(0, 9))
         with pytest.raises(TopologyError):
-            cfg.resolved_block_range(Topology(4, 2))
+            cfg.resolved_block_range(ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2))
 
     def test_cutoff_cannot_exceed_steps(self):
         with pytest.raises(ValueError):
@@ -68,16 +68,16 @@ class TestDefaults:
 
 class TestPlanCapture:
     def test_all_disabled_is_empty(self):
-        plan = plan_capture(FiaConfig.disabled(), Topology(4, 2))
-        assert plan.is_empty
+        plan = plan_capture(FiaConfig.disabled(), ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2))
+        assert plan == HookPlan()
 
     def test_fri_only_captures_each_dual_block(self):
         cfg = FiaConfig(fri_enabled=True, fij_enabled=False)
-        plan = plan_capture(cfg, Topology(4, 2))
+        plan = plan_capture(cfg, ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2))
         assert plan.capture == frozenset((b, AttnKind.SELF) for b in range(4))
 
     def test_defaults_capture_self_plus_tail_cross(self):
-        plan = plan_capture(FiaConfig(), Topology(4, 2))
+        plan = plan_capture(FiaConfig(), ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2))
         expected = {(b, AttnKind.SELF) for b in range(4)} | {
             (4, AttnKind.CROSS),
             (5, AttnKind.CROSS),
@@ -100,16 +100,17 @@ class TestFoldUnfold:
 
 
 class TestBuildOverrides:
-    topo = Topology(2, 1)
+    topo = ModelConfig(n_blocks_dual=2, n_blocks_cross_only=1)
 
     def packets(self, seed_base):
-        src = [make_self_packet(0, seed_base), make_self_packet(1, seed_base + 1),
-               make_cross_packet(0, seed_base + 2), make_cross_packet(1, seed_base + 3),
-               make_cross_packet(2, seed_base + 4)]
-        tar = [make_self_packet(0, seed_base + 10), make_self_packet(1, seed_base + 11),
-               make_cross_packet(0, seed_base + 12), make_cross_packet(1, seed_base + 13),
-               make_cross_packet(2, seed_base + 14)]
-        return src, tar
+        """Source and target packets keyed by site: self 0-1, cross 0-2."""
+        def table(base):
+            pkts = [make_self_packet(0, base), make_self_packet(1, base + 1),
+                    make_cross_packet(0, base + 2), make_cross_packet(1, base + 3),
+                    make_cross_packet(2, base + 4)]
+            return {p.site: p for p in pkts}
+
+        return table(seed_base), table(seed_base + 10)
 
     def test_past_cutoff_keeps_fri_only(self):
         src, tar = self.packets(0)
@@ -124,24 +125,24 @@ class TestBuildOverrides:
         cfg = FiaConfig(fij_step_cutoff=5)
         plan = build_target_overrides(cfg, 4, 10, src, tar, (2, 2), self.topo)
         assert isinstance(plan.overrides[(2, AttnKind.CROSS)], ReplaceQKVE)
-        assert plan.overrides[(2, AttnKind.CROSS)].packet is src[4]
+        assert plan.overrides[(2, AttnKind.CROSS)].packet is src[(2, AttnKind.CROSS)]
 
     def test_identical_packets_fuse_to_no_override(self):
         src, _ = self.packets(0)
         cfg = FiaConfig(fij_enabled=False)
-        plan = build_target_overrides(cfg, 0, 10, src, list(src), (2, 2), self.topo)
+        plan = build_target_overrides(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert not plan.overrides
 
     def test_identical_packets_skip_injection_too(self):
         src, _ = self.packets(0)
         cfg = FiaConfig(fri_enabled=False, fij_step_cutoff=10)
-        plan = build_target_overrides(cfg, 0, 10, src, list(src), (2, 2), self.topo)
+        plan = build_target_overrides(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert not plan.overrides
 
     def test_non_unit_weights_do_not_skip_identical_packets(self):
         src, _ = self.packets(0)
         cfg = FiaConfig(fij_enabled=False, fusion=FusionWeights(0.5, 0.2))
-        plan = build_target_overrides(cfg, 0, 10, src, list(src), (2, 2), self.topo)
+        plan = build_target_overrides(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert set(plan.overrides) == {(0, AttnKind.SELF), (1, AttnKind.SELF)}
 
     def test_freq_override_matches_spectral_oracle(self):
@@ -151,8 +152,8 @@ class TestBuildOverrides:
         got = plan.overrides[(0, AttnKind.SELF)]
         expected_q = unfold_grid_to_heads(
             oracle_fri_fuse(
-                fold_heads_to_grid(src[0].q, 2, 2),
-                fold_heads_to_grid(tar[0].q, 2, 2),
+                fold_heads_to_grid(src[(0, AttnKind.SELF)].q, 2, 2),
+                fold_heads_to_grid(tar[(0, AttnKind.SELF)].q, 2, 2),
                 0.9, True, 0.8, 0.2,
             ),
             2,
@@ -164,11 +165,11 @@ class TestBuildOverrides:
         cfg = FiaConfig(fij_enabled=False)
         plan = build_target_overrides(cfg, 0, 10, src, tar, (2, 2), self.topo)
         filt = make_gaussian_lowpass(2, 2, 0.9)
-        for b in (0, 1):
-            got = plan.overrides[(b, AttnKind.SELF)]
+        for site in ((0, AttnKind.SELF), (1, AttnKind.SELF)):
+            got = plan.overrides[site]
             for name in ("q", "k"):
-                s_grid = fold_heads_to_grid(getattr(src[b], name), 2, 2)
-                t_grid = fold_heads_to_grid(getattr(tar[b], name), 2, 2)
+                s_grid = fold_heads_to_grid(getattr(src[site], name), 2, 2)
+                t_grid = fold_heads_to_grid(getattr(tar[site], name), 2, 2)
                 alone = fri_fuse(s_grid, t_grid, filt, cfg.fusion)
                 assert np.array_equal(getattr(got, name), unfold_grid_to_heads(alone, 2))
                 oracle = oracle_fri_fuse(s_grid, t_grid, 0.9, True, 0.8, 0.2)
@@ -178,15 +179,18 @@ class TestBuildOverrides:
         src, tar = self.packets(3)
         cfg = FiaConfig(fri_mode=FriMode.ADD, fij_enabled=False)
         plan = build_target_overrides(cfg, 0, 10, src, tar, (2, 2), self.topo)
-        got = plan.overrides[(1, AttnKind.SELF)]
-        assert np.array_equal(got.q, 0.5 * (src[1].q + tar[1].q))
-        assert np.array_equal(got.k, 0.5 * (src[1].k + tar[1].k))
+        site = (1, AttnKind.SELF)
+        got = plan.overrides[site]
+        assert np.array_equal(got.q, 0.5 * (src[site].q + tar[site].q))
+        assert np.array_equal(got.k, 0.5 * (src[site].k + tar[site].k))
 
     def test_missing_packets_rejected(self):
         src, tar = self.packets(0)
         cfg = FiaConfig()
         with pytest.raises(PacketAlignmentError):
-            build_target_overrides(cfg, 0, 10, src[:1], tar, (2, 2), self.topo)
+            build_target_overrides(
+                cfg, 0, 10, {(0, AttnKind.SELF): src[(0, AttnKind.SELF)]}, tar, (2, 2), self.topo
+            )
 
     def test_fri_applies_at_every_step(self):
         src, tar = self.packets(1)
@@ -198,6 +202,15 @@ class TestBuildOverrides:
             assert has_fij == (step < 3)
 
 
+def public_plan(model, x_src, x_tar, p_src, p_tar, mu_src, cfg, step=0, total=10):
+    """The source packets and the override plan, built the way the engine does."""
+    capture = plan_capture(cfg, model.cfg)
+    _, src = model.velocity(x_src, p_src, 0.5, mu_src, hooks=capture)
+    _, tar = model.velocity(x_tar, p_tar, 0.5, 1.0, hooks=capture)
+    grid = x_src.shape[-2:]
+    return src, build_target_overrides(cfg, step, total, src, tar, grid, model.cfg)
+
+
 class TestConstrainedPair:
     def test_disabled_equals_plain_target_pass(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair
@@ -205,11 +218,11 @@ class TestConstrainedPair:
         x_src, x_tar = rng.standard_normal((2, 4, 6, 6))
         guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
         v_src, v_tar = constrained_velocity_pair(
-            tiny_model, x_src, x_tar, p_src, p_tar, 5, 0.5, 0, 10,
+            tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10,
             guidance, FiaConfig.disabled(),
         )
-        v_src_plain, _ = tiny_model.velocity(x_src, p_src, 5, 0.5, 1.5)
-        v_tar_plain, _ = tiny_model.velocity(x_tar, p_tar, 5, 0.5, 3.0)
+        v_src_plain, _ = tiny_model.velocity(x_src, p_src, 0.5, 1.5)
+        v_tar_plain, _ = tiny_model.velocity(x_tar, p_tar, 0.5, 3.0)
         assert np.array_equal(v_src, v_src_plain)
         assert np.array_equal(v_tar, v_tar_plain)
 
@@ -218,13 +231,9 @@ class TestConstrainedPair:
         rng = np.random.default_rng(1)
         x_src, x_tar = rng.standard_normal((2, 4, 6, 6))
         cfg = FiaConfig(fri_enabled=False, fij_enabled=True)
-        diag = {}
-        constrained_velocity_pair(
-            tiny_model, x_src, x_tar, p_src, p_tar, 5, 0.5, 0, 10,
-            GuidanceConfig(mu_src=1.5, mu_tar=3.0), cfg, diagnostics=diag,
-        )
-        src_by = {p.site: p for p in diag["src_packets"]}
-        got_by = {p.site: p for p in diag["constrained_packets"]}
+        src_by, plan = public_plan(tiny_model, x_src, x_tar, p_src, p_tar, 1.5, cfg)
+        hooks = HookPlan(capture=frozenset(src_by), overrides=plan.overrides)
+        _, got_by = tiny_model.velocity(x_tar, p_tar, 0.5, 1.0, hooks=hooks)
         for block in (4, 5):
             site = (block, AttnKind.CROSS)
             src, got = src_by[site], got_by[site]
@@ -237,7 +246,7 @@ class TestConstrainedPair:
         p, _ = prompt_pair
         x = np.random.default_rng(2).standard_normal((4, 6, 6))
         v_src, v_tar = constrained_velocity_pair(
-            tiny_model, x, x.copy(), p, p, 5, 0.5, 0, 10,
+            tiny_model, x, x.copy(), p, p, 0.5, 0, 10,
             GuidanceConfig(mu_src=2.0, mu_tar=2.0), FiaConfig(),
         )
         assert np.array_equal(v_src, v_tar)
@@ -247,19 +256,18 @@ class TestConstrainedPair:
         p_src, p_tar = prompt_pair
         rng = np.random.default_rng(4)
         x_src, x_tar = rng.standard_normal((2, 4, 6, 6))
-        diag = {}
         _, v_tar = constrained_velocity_pair(
-            tiny_model, x_src, x_tar, p_src, p_tar, 5, 0.5, 0, 10,
-            GuidanceConfig(mu_src=1.5, mu_tar=mu_tar), FiaConfig(), diagnostics=diag,
+            tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10,
+            GuidanceConfig(mu_src=1.5, mu_tar=mu_tar), FiaConfig(),
         )
         if mu_tar == 0.0:
             # no constraint reaches the target: one plain unconditional pass
-            expected, _ = tiny_model.velocity(x_tar, p_tar, 5, 0.5, 0.0)
+            expected, _ = tiny_model.velocity(x_tar, p_tar, 0.5, 0.0)
         else:
-            overrides = diag["plan"].overrides
-            assert overrides
+            _, plan = public_plan(tiny_model, x_src, x_tar, p_src, p_tar, 1.5, FiaConfig())
+            assert plan.overrides
             expected, _ = tiny_model.velocity(
-                x_tar, p_tar, 5, 0.5, mu_tar, hooks=HookPlan(overrides=overrides)
+                x_tar, p_tar, 0.5, mu_tar, hooks=HookPlan(overrides=plan.overrides)
             )
         assert np.array_equal(v_tar, expected)
 
@@ -303,7 +311,7 @@ class TestConstrainedPair:
         x_src, x_tar = rng.standard_normal((2, 4, 6, 6))
         guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
         _, v_constrained = constrained_velocity_pair(
-            tiny_model, x_src, x_tar, p_src, p_tar, 5, 0.5, 0, 10, guidance, FiaConfig(),
+            tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10, guidance, FiaConfig(),
         )
-        v_plain, _ = tiny_model.velocity(x_tar, p_tar, 5, 0.5, 3.0)
+        v_plain, _ = tiny_model.velocity(x_tar, p_tar, 0.5, 3.0)
         assert not np.array_equal(v_constrained, v_plain)

@@ -145,6 +145,11 @@ class TestReport:
         assert report.spectral_structure_distance == 0.0
 
     def test_mask_is_carried(self):
+        # the mask reaches MSE and PSNR; SSIM and SSD stay whole-image
         a, b = gradient_image(), checkerboard_image()
-        mask = np.ones((16, 16), dtype=bool)
-        assert compute_report(a, b, mask).mask is mask
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[:, :5] = True
+        report = compute_report(a, b, mask)
+        assert report.mse == mse(a, b, mask) != mse(a, b)
+        assert report.psnr == psnr(a, b, mask)
+        assert report.ssim == compute_report(a, b).ssim

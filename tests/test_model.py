@@ -11,7 +11,6 @@ from fiaedit.model import (
     ModelConfig,
     ReplaceQK,
     ReplaceQKVE,
-    Topology,
     VelocityModel,
     _softmax_rows,
     time_embedding,
@@ -33,7 +32,7 @@ class TestModelConfig:
             ModelConfig(d_model=7, n_heads=1)
 
     def test_topology_split(self):
-        topo = Topology(2, 2)
+        topo = ModelConfig(n_blocks_dual=2, n_blocks_cross_only=2)
         assert topo.n_blocks == 4
         assert [topo.has_self(b) for b in range(4)] == [True, True, False, False]
         assert topo.cross_only_range() == (2, 3)
@@ -55,8 +54,8 @@ class TestDeterminism:
     def test_velocity_repeatable(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent()
-        v1, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0)
-        v2, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0)
+        v1, _ = tiny_model.velocity(x, p, 0.5, 2.0)
+        v2, _ = tiny_model.velocity(x, p, 0.5, 2.0)
         assert np.array_equal(v1, v2)
 
     def test_weights_are_frozen(self, tiny_model):
@@ -68,23 +67,23 @@ class TestGuidance:
     def test_affine_in_mu(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(1)
-        v0, _ = tiny_model.velocity(x, p, 3, 0.5, 0.0)
-        v1, _ = tiny_model.velocity(x, p, 3, 0.5, 1.0)
-        v2, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0)
+        v0, _ = tiny_model.velocity(x, p, 0.5, 0.0)
+        v1, _ = tiny_model.velocity(x, p, 0.5, 1.0)
+        v2, _ = tiny_model.velocity(x, p, 0.5, 2.0)
         assert np.abs((v2 - v1) - (v1 - v0)).max() < 1e-9
 
     def test_mu_zero_ignores_prompt(self, tiny_model, prompt_pair):
         p_a, p_b = prompt_pair
         x = latent(2)
-        va, _ = tiny_model.velocity(x, p_a, 3, 0.5, 0.0)
-        vb, _ = tiny_model.velocity(x, p_b, 3, 0.5, 0.0)
+        va, _ = tiny_model.velocity(x, p_a, 0.5, 0.0)
+        vb, _ = tiny_model.velocity(x, p_b, 0.5, 0.0)
         assert np.array_equal(va, vb)
 
     def test_mu_one_is_prompt_sensitive(self, tiny_model, prompt_pair):
         p_a, p_b = prompt_pair
         x = latent(2)
-        va, _ = tiny_model.velocity(x, p_a, 3, 0.5, 1.0)
-        vb, _ = tiny_model.velocity(x, p_b, 3, 0.5, 1.0)
+        va, _ = tiny_model.velocity(x, p_a, 0.5, 1.0)
+        vb, _ = tiny_model.velocity(x, p_b, 0.5, 1.0)
         assert not np.array_equal(va, vb)
 
     def test_guidance_config_validation(self):
@@ -97,51 +96,50 @@ class TestHooks:
     def test_empty_plan_is_transparent(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(3)
-        v_plain, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0)
-        v_hooked, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0, hooks=HookPlan())
+        v_plain, _ = tiny_model.velocity(x, p, 0.5, 2.0)
+        v_hooked, _ = tiny_model.velocity(x, p, 0.5, 2.0, hooks=HookPlan())
         assert np.array_equal(v_plain, v_hooked)
 
     def test_capture_only_plan_does_not_change_output(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(3)
         sites = frozenset({(0, AttnKind.SELF), (5, AttnKind.CROSS)})
-        v_plain, _ = tiny_model.velocity(x, p, 3, 0.5, 2.0)
-        v_cap, packets = tiny_model.velocity(x, p, 3, 0.5, 2.0, hooks=HookPlan(capture=sites))
+        v_plain, _ = tiny_model.velocity(x, p, 0.5, 2.0)
+        v_cap, packets = tiny_model.velocity(x, p, 0.5, 2.0, hooks=HookPlan(capture=sites))
         assert np.array_equal(v_plain, v_cap)
-        assert {pkt.site for pkt in packets} == sites
+        assert set(packets) == sites
 
     def test_capture_completeness_and_uniqueness(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
-        topo = tiny_model.topology
-        sites = frozenset(topo.self_sites()) | frozenset(topo.cross_sites())
-        _, packets = tiny_model.velocity(latent(4), p, 3, 0.5, 1.0, hooks=HookPlan(capture=sites))
-        seen = [pkt.site for pkt in packets]
-        assert len(seen) == len(sites)
-        assert set(seen) == sites
+        cfg = tiny_model.cfg
+        sites = frozenset(cfg.self_sites()) | {(b, AttnKind.CROSS) for b in range(cfg.n_blocks)}
+        _, packets = tiny_model.velocity(latent(4), p, 0.5, 1.0, hooks=HookPlan(capture=sites))
+        assert set(packets) == sites
+        assert all(pkt.site == site for site, pkt in packets.items())
 
     def test_cross_packets_record_text_embedding(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         sites = frozenset({(4, AttnKind.CROSS)})
-        _, packets = tiny_model.velocity(latent(5), p, 3, 0.5, 1.0, hooks=HookPlan(capture=sites))
-        assert packets[0].text_embedding is p
+        _, packets = tiny_model.velocity(latent(5), p, 0.5, 1.0, hooks=HookPlan(capture=sites))
+        assert packets[(4, AttnKind.CROSS)].text_embedding is p
 
     def test_captured_packets_are_frozen(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         sites = frozenset({(0, AttnKind.SELF)})
-        _, packets = tiny_model.velocity(latent(5), p, 3, 0.5, 1.0, hooks=HookPlan(capture=sites))
+        _, packets = tiny_model.velocity(latent(5), p, 0.5, 1.0, hooks=HookPlan(capture=sites))
         with pytest.raises(ValueError):
-            packets[0].q[0, 0, 0] = 99.0
+            packets[(0, AttnKind.SELF)].q[0, 0, 0] = 99.0
 
     def test_qkve_override_reproduces_donor_activations(self, tiny_model, prompt_pair):
         p_a, p_b = prompt_pair
         x_a, x_b = latent(6), latent(7)
         site = (5, AttnKind.CROSS)
         capture = HookPlan(capture=frozenset({site}))
-        _, donor_packets = tiny_model.velocity(x_a, p_a, 3, 0.5, 1.0, hooks=capture)
-        donor = donor_packets[0]
+        _, donor_packets = tiny_model.velocity(x_a, p_a, 0.5, 1.0, hooks=capture)
+        donor = donor_packets[site]
         plan = HookPlan(capture=frozenset({site}), overrides={site: ReplaceQKVE(donor)})
-        _, got = tiny_model.velocity(x_b, p_b, 3, 0.5, 1.0, hooks=plan)
-        pkt = got[0]
+        _, got = tiny_model.velocity(x_b, p_b, 0.5, 1.0, hooks=plan)
+        pkt = got[site]
         assert np.array_equal(pkt.q, donor.q)
         assert np.array_equal(pkt.k, donor.k)
         assert np.array_equal(pkt.v, donor.v)
@@ -152,21 +150,21 @@ class TestHooks:
         x = latent(8)
         site = (0, AttnKind.SELF)
         capture = HookPlan(capture=frozenset({site}))
-        v_plain, packets = tiny_model.velocity(x, p, 3, 0.5, 1.0, hooks=capture)
-        pkt = packets[0]
+        v_plain, packets = tiny_model.velocity(x, p, 0.5, 1.0, hooks=capture)
+        pkt = packets[site]
         plan = HookPlan(overrides={site: ReplaceQK(q=pkt.q * 2.0, k=pkt.k.copy())})
-        v_mod, _ = tiny_model.velocity(x, p, 3, 0.5, 1.0, hooks=plan)
+        v_mod, _ = tiny_model.velocity(x, p, 0.5, 1.0, hooks=plan)
         assert not np.array_equal(v_plain, v_mod)
 
     def test_invalid_sites_rejected(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(9)
         with pytest.raises(TopologyError):
-            tiny_model.velocity(x, p, 3, 0.5, 1.0, hooks=HookPlan(capture=frozenset({(9, AttnKind.SELF)})))
+            tiny_model.velocity(x, p, 0.5, 1.0, hooks=HookPlan(capture=frozenset({(9, AttnKind.SELF)})))
         with pytest.raises(TopologyError):
             # block 5 is cross-only: no self site to override
             tiny_model.velocity(
-                x, p, 3, 0.5, 1.0,
+                x, p, 0.5, 1.0,
                 hooks=HookPlan(overrides={(5, AttnKind.SELF): ReplaceQK(np.zeros(1), np.zeros(1))}),
             )
 
@@ -174,7 +172,7 @@ class TestHooks:
         p, _ = prompt_pair
         with pytest.raises(TopologyError):
             tiny_model.velocity(
-                latent(10), p, 3, 0.5, 1.0,
+                latent(10), p, 0.5, 1.0,
                 hooks=HookPlan(overrides={(0, AttnKind.CROSS): ReplaceQK(np.zeros(1), np.zeros(1))}),
             )
 
@@ -183,12 +181,12 @@ class TestShapes:
     def test_wrong_channel_count(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         with pytest.raises(ShapeMismatchError):
-            tiny_model.velocity(np.zeros((3, 4, 4)), p, 3, 0.5, 1.0)
+            tiny_model.velocity(np.zeros((3, 4, 4)), p, 0.5, 1.0)
 
     def test_wrong_prompt_width(self, tiny_model):
         p16 = embed_prompt("a cat", 16, 0)
         with pytest.raises(ShapeMismatchError):
-            tiny_model.velocity(latent(), p16, 3, 0.5, 1.0)
+            tiny_model.velocity(latent(), p16, 0.5, 1.0)
 
 
 class TestSoftmax:
@@ -208,18 +206,18 @@ class TestSoftmax:
 
 class TestTimeEmbedding:
     def test_sigma_zero_alternates(self):
-        emb = time_embedding(0, 0.0, 8)
+        emb = time_embedding(0.0, 8)
         assert np.array_equal(emb[0::2], np.zeros(4))
         assert np.array_equal(emb[1::2], np.ones(4))
 
     def test_repeatable(self):
-        assert np.array_equal(time_embedding(3, 0.37, 16), time_embedding(3, 0.37, 16))
+        assert np.array_equal(time_embedding(0.37, 16), time_embedding(0.37, 16))
 
     def test_two_frequency_hand_values(self):
-        emb = time_embedding(0, 0.5, 4)
+        emb = time_embedding(0.5, 4)
         expected = [np.sin(0.5), np.cos(0.5), np.sin(5.0), np.cos(5.0)]
         assert emb == pytest.approx(expected, abs=1e-12)
 
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
-            time_embedding(0, 0.5, 5)
+            time_embedding(0.5, 5)
