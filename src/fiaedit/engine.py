@@ -8,6 +8,7 @@ what happened at every step; latent and velocity snapshots are opt-in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,10 @@ def run_edit(
                 )
                 fij_active = req.fia.fij_active(i, total_steps)
             v_delta = v_tar - v_src
-            _check_finite("velocity difference", v_delta)
+            # a NaN or inf entry, or entries so large the norm overflows
+            vdelta_norm = float(np.linalg.norm(v_delta))
+            if not math.isfinite(vdelta_norm):
+                raise NumericFailure("velocity difference is not finite or its norm overflows")
             fresh = (
                 draw_step_noise(x_src.shape, req.seed, i, salt=_FRESH_NOISE_SALT)
                 if req.noise_mode is NoiseMode.FRESH_GAUSSIAN
@@ -123,7 +127,7 @@ def run_edit(
             StepRecord(
                 step_index=i,
                 sigma_t=sigma_t,
-                vdelta_norm=float(np.linalg.norm(v_delta)),
+                vdelta_norm=vdelta_norm,
                 fij_active=fij_active,
                 latent=x_fe.copy() if snap else None,
                 v_src=v_src.copy() if req.record_velocities else None,

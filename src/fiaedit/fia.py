@@ -8,11 +8,12 @@ Two mechanisms feed a hook plan for the constrained target pass:
   and text embedding) in a chosen block range during the early steps.
 
 Target features come from an unconstrained probe of the target branch.
-The constrained pass reuses the probe's unconditional forward, so a guided
-step with a non-empty override plan costs one extra conditional forward:
-five forwards against four with the constraints off.  Sites are read from
-the model's ``ModelConfig``, and packets travel as ``{site: packet}``
-tables, the form ``VelocityModel.velocity`` returns.
+The source passes and the probe run as one batched model call; the
+constrained pass reuses the probe's unconditional forward, so a guided step
+with a non-empty override plan costs two calls of 4 and 1 branches, against
+one call of 4 branches with the constraints off.  Sites are read from the
+model's ``ModelConfig``, and packets travel as ``{site: packet}`` tables,
+the form ``VelocityModel.velocity`` returns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import PacketAlignmentError, ShapeMismatchError, TopologyError
 from .model import (
     AttentionPacket,
+    EMPTY_PLAN,
     AttnKind,
     GuidanceConfig,
     HookPlan,
@@ -261,35 +263,38 @@ def constrained_velocity_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Source velocity and the source-constrained target velocity at one step.
 
-    Runs the source pass (capturing) and an unconstrained target probe: its
-    conditional pass (capturing) and its unconditional pass.  The target's
-    conditional pass then runs again under the built overrides and is
-    blended with the probe's unconditional pass, which has the same inputs
-    and takes no hooks.  The rerun is skipped when the override plan comes
-    out empty, since the probe's conditional pass already is the
-    constrained one.  With ``mu_tar`` of 0 the conditional pass does not
-    enter the result, so nothing is captured and the target is one plain
-    unconditional pass.
+    One batched forward runs the source's conditional (capturing) and
+    unconditional passes and an unconstrained target probe: its conditional
+    pass (capturing) and its unconditional pass.  The target's conditional
+    pass then runs again, alone, under the built overrides and is blended
+    with the probe's unconditional pass, which has the same inputs and takes
+    no hooks.  The rerun is skipped when the override plan comes out empty,
+    since the probe's conditional pass already is the constrained one.  A
+    pass whose guidance weight keeps it out of the result is not run, unless
+    it captures; with ``mu_tar`` of 0 nothing is captured and the target is
+    one plain unconditional pass.
     """
     if x_src_t.shape != x_tar_t.shape:
         raise ShapeMismatchError(
             f"state shapes differ: {x_src_t.shape} vs {x_tar_t.shape}"
         )
-    mu = guidance.mu_tar
-    capture = plan_capture(cfg, model.cfg) if mu != 0.0 else HookPlan()
-    v_src, src_packets = model.velocity(
-        x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture
+    mu_src, mu = guidance.mu_src, guidance.mu_tar
+    capture = plan_capture(cfg, model.cfg) if mu != 0.0 else EMPTY_PLAN
+    # source cond, target cond, source uncond, target uncond: conditional first
+    runs = (mu_src != 0.0 or bool(capture.capture), mu != 0.0, mu_src != 1.0, mu != 1.0)
+    latents = [x for x, run in zip((x_src_t, x_tar_t) * 2, runs) if run]
+    prompts = [p for p, run in zip((p_src, p_tar), runs) if run]
+    out, packets = model._forward(
+        np.stack(latents), prompts, sigma_t, [capture] * len(prompts)
     )
-    if not capture.capture:
-        v_tar, _ = model.velocity(x_tar_t, p_tar, sigma_t, mu)
-        return v_src, v_tar
-
-    v_cond, tar_packets = model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
-    v_uncond = None if mu == 1.0 else model.velocity(x_tar_t, p_tar, sigma_t, 0.0)[0]
-    grid = x_src_t.shape[-2:]
-    plan = build_target_overrides(
-        cfg, step_index, total_steps, src_packets, tar_packets, grid, model.cfg
-    )
-    if plan.overrides:
-        v_cond, _ = model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=plan)
-    return v_src, guide(v_cond, v_uncond, mu)
+    rows = iter(out)
+    src_cond, tar_cond, src_uncond, tar_uncond = (next(rows) if run else None for run in runs)
+    v_src = guide(src_cond, src_uncond, mu_src)
+    if capture.capture:
+        grid = x_src_t.shape[-2:]
+        plan = build_target_overrides(
+            cfg, step_index, total_steps, packets[0], packets[1], grid, model.cfg
+        )
+        if plan.overrides:
+            tar_cond = model._forward(x_tar_t[None], [p_tar], sigma_t, [plan])[0][0]
+    return v_src, guide(tar_cond, tar_uncond, mu)

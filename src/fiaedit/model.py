@@ -7,6 +7,12 @@ block ends in a small gated MLP.  Latent pixels are the token grid; channels
 project to the model width.  All weights come from one seeded generator in a
 fixed order, so a config is a complete description of the network.
 
+One forward call runs a batch of branches (latents with their own prompt
+and hooks, or unconditional).  Token-wise work is shared by the batch, and
+only the attention core runs branch by branch, so a branch's output does
+not depend on its batch.  An unconditional branch attends to the single
+null token, which reduces its cross-attention to a constant row.
+
 Hooks observe and override attention inputs: a ``HookPlan`` names the
 ``(block, kind)`` sites whose effective Q/K/V (and text embedding) should be
 captured, and the sites whose inputs are replaced before attention runs.
@@ -18,8 +24,9 @@ what the attention actually consumed.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -151,6 +158,13 @@ def guide(v_cond: np.ndarray | None, v_uncond: np.ndarray | None, mu: float) -> 
     return v_uncond + mu * (v_cond - v_uncond)
 
 
+@functools.lru_cache(maxsize=None)
+def _time_frequencies(d_model: int) -> np.ndarray:
+    freqs = np.geomspace(1.0, 10.0, d_model // 2)
+    freqs.setflags(write=False)
+    return freqs
+
+
 def time_embedding(sigma_t: float, d_model: int) -> np.ndarray:
     """Sinusoidal features of the noise level at geometrically spaced frequencies.
 
@@ -159,8 +173,7 @@ def time_embedding(sigma_t: float, d_model: int) -> np.ndarray:
     """
     if d_model % 2 != 0:
         raise ValueError(f"d_model must be even, got {d_model}")
-    n_freq = d_model // 2
-    freqs = np.geomspace(1.0, 10.0, n_freq) if n_freq > 1 else np.array([1.0])
+    freqs = _time_frequencies(d_model)
     out = np.empty(d_model)
     out[0::2] = np.sin(freqs * sigma_t)
     out[1::2] = np.cos(freqs * sigma_t)
@@ -195,14 +208,23 @@ def _snapshot(arr: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(h: np.ndarray) -> np.ndarray:
-    centered = h - h.mean(axis=-1, keepdims=True)
-    scale = np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + _LN_EPS)
+    # add.reduce / d is what mean computes, without mean's Python wrapper
+    d = h.shape[-1]
+    centered = h - np.add.reduce(h, axis=-1, keepdims=True) / d
+    scale = np.sqrt(np.add.reduce(np.square(centered), axis=-1, keepdims=True) / d + _LN_EPS)
     return centered / scale
 
 
 def _gelu_like(g: np.ndarray) -> np.ndarray:
     # sigmoid-gated smooth activation, x * sigma(1.702 x)
     return g / (1.0 + np.exp(-1.702 * g))
+
+
+@functools.lru_cache(maxsize=None)
+def _ones_column(n: int) -> np.ndarray:
+    ones = np.ones((n, 1))
+    ones.setflags(write=False)
+    return ones
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -212,12 +234,13 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     scores all lie far below -_SOFTMAX_GUARD would underflow to 0/0; when
     any score leaves the guard band every row is shifted by its maximum.
     The band test uses the global extremes because a reduction along short
-    rows costs several times a whole-array one.
+    rows costs several times a whole-array one; row sums are a product with
+    a ones vector for the same reason.
     """
     if scores.max() > _SOFTMAX_GUARD or scores.min() < -_SOFTMAX_GUARD:
         scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    sums = scores.sum(axis=-1, keepdims=True)
+    sums = scores @ _ones_column(scores.shape[-1])
     np.reciprocal(sums, out=sums)
     scores *= sums
     return scores
@@ -238,6 +261,25 @@ def _weight_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
+def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
+    """(..., tokens, d) -> (..., heads, tokens, d_head), a view of ``z``."""
+    return z.reshape(*z.shape[:-1], heads, z.shape[-1] // heads).swapaxes(-3, -2)
+
+
+def _attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scores: np.ndarray | None, out: np.ndarray
+) -> None:
+    """One branch's attention core, heads stacked: softmax(q k^T / sqrt(d_head)) v.
+
+    ``scores`` is the (heads, queries, keys) scratch buffer, or None to
+    allocate one; the result is written to ``out``.
+    """
+    # fold the 1/sqrt(d_head) scale into q: one small pass instead of a
+    # full pass over the score matrix
+    scores = np.matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.swapaxes(-1, -2), out=scores)
+    np.matmul(_softmax_rows(scores), v, out=out)
+
+
 class VelocityModel:
     """Seeded toy velocity network; weights are immutable after init."""
 
@@ -250,113 +292,120 @@ class VelocityModel:
         }
         for arr in self.weights.values():
             arr.setflags(write=False)
+        W = self.weights
+        # softmax over the single null key is 1, so an unconditional branch's
+        # cross-attention adds the same projected value row at every token
+        self._null_cross = [
+            W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]
+            for b in range(cfg.n_blocks)
+        ]
         self._position_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # -- forward machinery ---------------------------------------------------
 
-    def _split_heads(self, z: np.ndarray) -> np.ndarray:
-        n, d = z.shape
-        heads = self.cfg.n_heads
-        return np.ascontiguousarray(
-            z.reshape(n, heads, d // heads).transpose(1, 0, 2)
-        )
-
-    def _merge_heads(self, z: np.ndarray) -> np.ndarray:
-        heads, n, dh = z.shape
-        return z.transpose(1, 0, 2).reshape(n, heads * dh)
-
-    def _attend(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        w_o: np.ndarray,
-        scratch: dict[tuple[int, ...], np.ndarray],
-    ) -> np.ndarray:
-        d_head = q.shape[-1]
-        shape = (q.shape[0], q.shape[1], k.shape[1])
-        buf = scratch.get(shape)
-        if buf is None:
-            buf = scratch[shape] = np.empty(shape)
-        # fold the 1/sqrt(d_head) scale into q: one small pass instead of a
-        # full pass over the score matrix
-        np.matmul(q * (1.0 / np.sqrt(d_head)), k.transpose(0, 2, 1), out=buf)
-        attn = _softmax_rows(buf)
-        return self._merge_heads(attn @ v) @ w_o
-
     def _forward(
         self,
         x: np.ndarray,
-        text: np.ndarray,
-        text_ref: PromptEmbedding | None,
+        prompts: Sequence[PromptEmbedding],
         sigma_t: float,
-        hooks: HookPlan,
-        captured: dict[Site, AttentionPacket],
-        scratch: dict[tuple[int, ...], np.ndarray],
-    ) -> np.ndarray:
+        hooks: Sequence[HookPlan],
+    ) -> tuple[np.ndarray, list[dict[Site, AttentionPacket]]]:
+        """Velocities of a batch of branches ``x``, (B, C, H, W), at one noise level.
+
+        The first ``len(prompts)`` branches are conditional: branch ``i``
+        attends to ``prompts[i]`` under ``hooks[i]``, and the i-th returned
+        table holds the packets it captured.  The other branches are
+        unconditional.  Token-wise work runs once for the whole batch; only
+        the attention core loops over branches, so a branch's output does
+        not depend on the batch it runs in.
+        """
         cfg = self.cfg
         W = self.weights
-        c, h_grid, w_grid = x.shape
+        if x.ndim != 4 or x.shape[1] != cfg.channels:
+            raise ShapeMismatchError(
+                f"latents must be (branches, {cfg.channels}, H, W), got {x.shape}"
+            )
+        for p in prompts:
+            if p.d_model != cfg.d_model:
+                raise ShapeMismatchError(
+                    f"prompt width {p.d_model} != model width {cfg.d_model}"
+                )
+        n_b, c, h_grid, w_grid = x.shape
+        n_cond = len(prompts)
         n_tok = h_grid * w_grid
+        heads = cfg.n_heads
         pos = self._position_cache.get((h_grid, w_grid))
         if pos is None:
             pos = position_features(h_grid, w_grid, cfg.d_model)
             pos.setflags(write=False)
             self._position_cache[(h_grid, w_grid)] = pos
-        tokens = x.reshape(c, n_tok).T
-        h = tokens @ W["w_in"]
-        h = h + pos
-        h = h + time_embedding(sigma_t, cfg.d_model)[None, :]
+        h = x.reshape(n_b, c, n_tok).swapaxes(1, 2) @ W["w_in"]
+        h += pos
+        h += time_embedding(sigma_t, cfg.d_model)
 
+        captured: list[dict[Site, AttentionPacket]] = [{} for _ in prompts]
+        scores = np.empty((heads, n_tok, n_tok))
+        attn = np.empty((n_b, n_tok, cfg.d_model))  # attention outputs, heads merged
+        attn_heads = _head_view(attn, heads)
         for b in range(cfg.n_blocks):
             if cfg.has_self(b):
-                hn = _layer_norm(h)
-                q = self._split_heads(hn @ W[f"b{b}.self.wq"])
-                k = self._split_heads(hn @ W[f"b{b}.self.wk"])
-                v = self._split_heads(hn @ W[f"b{b}.self.wv"])
                 site = (b, AttnKind.SELF)
-                action = hooks.overrides.get(site)
-                if isinstance(action, ReplaceQK):
-                    if action.q.shape != q.shape or action.k.shape != k.shape:
-                        raise ShapeMismatchError(
-                            f"override at {site} has shape "
-                            f"{action.q.shape}, expected {q.shape}"
-                        )
-                    q, k = action.q, action.k
-                if site in hooks.capture:
-                    captured[site] = AttentionPacket(
-                        b, AttnKind.SELF, _snapshot(q), _snapshot(k), _snapshot(v)
-                    )
-                h = h + self._attend(q, k, v, W[f"b{b}.self.wo"], scratch)
-
-            hn = _layer_norm(h)
-            q = self._split_heads(hn @ W[f"b{b}.cross.wq"])
-            k = self._split_heads(text @ W[f"b{b}.cross.wk"])
-            v = self._split_heads(text @ W[f"b{b}.cross.wv"])
-            site_text = text_ref
-            site = (b, AttnKind.CROSS)
-            action = hooks.overrides.get(site)
-            if isinstance(action, ReplaceQKVE):
-                pkt = action.packet
-                if pkt.q.shape != q.shape:
-                    raise ShapeMismatchError(
-                        f"override at {site} has shape {pkt.q.shape}, "
-                        f"expected {q.shape}"
-                    )
-                q, k, v = pkt.q, pkt.k, pkt.v
-                site_text = pkt.text_embedding
-            if site in hooks.capture:
-                captured[site] = AttentionPacket(
-                    b, AttnKind.CROSS, _snapshot(q), _snapshot(k), _snapshot(v), site_text
+                hn = _layer_norm(h)
+                q, k, v = (
+                    _head_view(hn @ W[f"b{b}.self.{name}"], heads)
+                    for name in ("wq", "wk", "wv")
                 )
-            h = h + self._attend(q, k, v, W[f"b{b}.cross.wo"], scratch)
+                for i in range(n_b):
+                    qi, ki = q[i], k[i]
+                    if i < n_cond:
+                        action = hooks[i].overrides.get(site)
+                        if isinstance(action, ReplaceQK):
+                            if action.q.shape != qi.shape or action.k.shape != ki.shape:
+                                raise ShapeMismatchError(
+                                    f"override at {site} has shape "
+                                    f"{action.q.shape}, expected {qi.shape}"
+                                )
+                            qi, ki = action.q, action.k
+                        if site in hooks[i].capture:
+                            captured[i][site] = AttentionPacket(
+                                b, AttnKind.SELF, _snapshot(qi), _snapshot(ki), _snapshot(v[i])
+                            )
+                    _attend(qi, ki, v[i], scores, attn_heads[i])
+                h += attn @ W[f"b{b}.self.wo"]
+
+            site = (b, AttnKind.CROSS)
+            if n_cond:
+                q = _head_view(_layer_norm(h[:n_cond]) @ W[f"b{b}.cross.wq"], heads)
+                for i, p in enumerate(prompts):
+                    qi = q[i]
+                    ki = _head_view(p.matrix @ W[f"b{b}.cross.wk"], heads)
+                    vi = _head_view(p.matrix @ W[f"b{b}.cross.wv"], heads)
+                    site_text = p
+                    action = hooks[i].overrides.get(site)
+                    if isinstance(action, ReplaceQKVE):
+                        pkt = action.packet
+                        if pkt.q.shape != qi.shape:
+                            raise ShapeMismatchError(
+                                f"override at {site} has shape {pkt.q.shape}, "
+                                f"expected {qi.shape}"
+                            )
+                        qi, ki, vi = pkt.q, pkt.k, pkt.v
+                        site_text = pkt.text_embedding
+                    if site in hooks[i].capture:
+                        captured[i][site] = AttentionPacket(
+                            b, AttnKind.CROSS, _snapshot(qi), _snapshot(ki), _snapshot(vi),
+                            site_text,
+                        )
+                    _attend(qi, ki, vi, None, attn_heads[i])
+                h[:n_cond] += attn[:n_cond] @ W[f"b{b}.cross.wo"]
+            if n_cond < n_b:
+                h[n_cond:] += self._null_cross[b]
 
             hn = _layer_norm(h)
-            g = _gelu_like(hn @ W[f"b{b}.mlp.w1"])
-            h = h + g @ W[f"b{b}.mlp.w2"]
+            h += _gelu_like(hn @ W[f"b{b}.mlp.w1"]) @ W[f"b{b}.mlp.w2"]
 
         out = _layer_norm(h) @ W["w_out"]
-        return out.T.reshape(c, h_grid, w_grid)
+        return out.swapaxes(1, 2).reshape(n_b, c, h_grid, w_grid), captured
 
     def _validate_hooks(self, hooks: HookPlan) -> None:
         cfg = self.cfg
@@ -384,29 +433,19 @@ class VelocityModel:
         """Guided velocity at state ``x`` and the packets captured by site.
 
         Hooks act on the conditional pass.  The conditional and
-        unconditional passes are blended by :func:`guide`; with ``mu`` of
-        exactly 1 or 0 only the pass that enters the result runs (the
-        conditional one also runs whenever the hooks capture).
+        unconditional passes run as one batch and are blended by
+        :func:`guide`; with ``mu`` of exactly 1 or 0 only the pass that
+        enters the result runs (the conditional one also runs whenever the
+        hooks capture).
         """
-        if x.ndim != 3 or x.shape[0] != self.cfg.channels:
-            raise ShapeMismatchError(
-                f"latent must be ({self.cfg.channels}, H, W), got {x.shape}"
-            )
-        if p.d_model != self.cfg.d_model:
-            raise ShapeMismatchError(
-                f"prompt width {p.d_model} != model width {self.cfg.d_model}"
-            )
         if not np.isfinite(mu):
             raise ValueError("guidance scale must be finite")
         self._validate_hooks(hooks)
-
-        scratch: dict[tuple[int, ...], np.ndarray] = {}
-        captured: dict[Site, AttentionPacket] = {}
-        v_cond = v_uncond = None
-        if mu != 0.0 or hooks.capture:
-            v_cond = self._forward(x, p.matrix, p, sigma_t, hooks, captured, scratch)
-        if mu != 1.0:
-            v_uncond = self._forward(
-                x, self.weights["null_token"], None, sigma_t, EMPTY_PLAN, {}, scratch
-            )
-        return guide(v_cond, v_uncond, mu), captured
+        cond = mu != 0.0 or bool(hooks.capture)
+        uncond = mu != 1.0
+        out, captured = self._forward(
+            np.stack([x] * (cond + uncond)), [p] * cond, sigma_t, [hooks] * cond
+        )
+        v_cond = out[0] if cond else None
+        v_uncond = out[-1] if uncond else None
+        return guide(v_cond, v_uncond, mu), captured[0] if cond else {}

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 
+# the noise grid is materialized, so its length is bounded
+MAX_STEPS = 10_000
+
 
 class NoiseMode(enum.Enum):
     """How the stepping rule injects noise after the velocity update."""
@@ -54,8 +57,10 @@ class NoiseSchedule:
 
 def make_linear_schedule(step_count: int, skip_fraction: float = 0.0) -> NoiseSchedule:
     """Evenly spaced noise levels from ``1 - skip_fraction`` down to 0."""
-    if not isinstance(step_count, int) or step_count < 1:
-        raise ValueError(f"step_count must be a positive integer, got {step_count!r}")
+    if not isinstance(step_count, int) or not 1 <= step_count <= MAX_STEPS:
+        raise ValueError(
+            f"step_count must be an integer in [1, {MAX_STEPS}], got {step_count!r}"
+        )
     if not math.isfinite(skip_fraction) or not 0.0 <= skip_fraction < 1.0:
         raise ValueError(f"skip_fraction must be in [0, 1), got {skip_fraction!r}")
     sigmas = np.linspace(1.0 - skip_fraction, 0.0, step_count + 1)

@@ -128,6 +128,31 @@ class TestEdit:
         assert "16x16 image not divisible by patch 3" in capsys.readouterr().err
 
 
+class TestExtremeGuidance:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "mu_src, mu_tar, code",
+        [(3.5, 1e6, 0), (1e6, 13.5, 0), (1e6, 1e6, 0), (3.5, 1e300, 3), (1e300, 1e300, 3)],
+    )
+    def test_edit_is_finite_or_exit_3(self, tmp_path, capsys, mu_src, mu_tar, code):
+        image, _ = load_fixture("blob16")
+        src = str(tmp_path / "blob16.ppm")
+        write_ppm(image, src)
+        cfg = write_config(
+            tmp_path,
+            "prompts.source = a small bright blob\nprompts.target = a dark square\n"
+            f"guidance.mu_src = {mu_src!r}\nguidance.mu_tar = {mu_tar!r}\n",
+        )
+        out = str(tmp_path / "out.ppm")
+        assert main(["edit", src, "--config", cfg, "--out", out]) == code
+        if code == 3:
+            assert "not finite or its norm overflows" in capsys.readouterr().err
+            return
+        with open(out + ".trace", encoding="utf-8") as fh:
+            values = [line.split("=", 1)[1] for line in fh if line.startswith(("step.", "final."))]
+        assert all(np.isfinite(float(v)) for v in values)
+
+
 class TestMetrics:
     def test_identity_ideals(self, tmp_path, scene, capsys):
         src, _ = scene

@@ -6,7 +6,7 @@ from fiaedit.config import RunConfig, load_config, parse_config, with_overrides
 from fiaedit.errors import ConfigError
 from fiaedit.fia import FiaConfig, FriMode
 from fiaedit.model import GuidanceConfig, ModelConfig
-from fiaedit.schedule import NoiseMode
+from fiaedit.schedule import MAX_STEPS, NoiseMode
 
 SAMPLE = """
 # sample run
@@ -105,6 +105,14 @@ class TestValidation:
     def test_block_range_resolves(self):
         cfg = parse_config("fia.fij_block_lo = 1\nfia.fij_block_hi = 3\n")
         assert cfg.make_fia().fij_block_range == (1, 3)
+
+    def test_step_count_is_bounded_before_the_grid_is_built(self):
+        # a trillion steps once tried to allocate the whole noise grid
+        with pytest.raises(ConfigError, match="step_count"):
+            parse_config(f"schedule.steps = {10**12}")
+        assert parse_config(f"schedule.steps = {MAX_STEPS}").schedule_steps == MAX_STEPS
+        with pytest.raises(ConfigError, match="step_count"):
+            parse_config(f"schedule.steps = {MAX_STEPS + 1}")
 
     def test_with_overrides_validates(self):
         cfg = RunConfig()

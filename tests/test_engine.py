@@ -6,23 +6,30 @@ import pytest
 from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import EditRunError, NumericFailure
 from fiaedit.fia import FiaConfig, constrained_velocity_pair
-from fiaedit.model import GuidanceConfig, ModelConfig
+from fiaedit.model import GuidanceConfig, ModelConfig, VelocityModel
 from fiaedit.prompts import embed_prompt
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 
 from conftest import dyadic
 
 
-class ConstantVelocityModel:
-    """Velocity fixture: a constant field per prompt text, hook-oblivious."""
+class ConstantVelocityModel(VelocityModel):
+    """Velocity fixture: a constant field per prompt text, hook-oblivious.
+
+    It replaces the batched forward: a conditional branch gets its prompt's
+    constant and an unconditional branch gets zero.
+    """
 
     cfg = ModelConfig(n_blocks_dual=1, n_blocks_cross_only=1, channels=4)
 
     def __init__(self, table: dict[str, float]):
         self.table = table
 
-    def velocity(self, x, p, sigma_t, mu, hooks=None):
-        return np.full_like(x, self.table[p.text]), {}
+    def _forward(self, x, prompts, sigma_t, hooks):
+        out = np.zeros_like(x)
+        for i, p in enumerate(prompts):
+            out[i] = self.table[p.text]
+        return out, [{} for _ in prompts]
 
 
 def base_request(x, p_src, p_tar, steps=10, mu=(1.5, 3.0), fia=None, **kw):
@@ -199,7 +206,7 @@ class TestFailureSemantics:
         class Exploding:
             cfg = ConstantVelocityModel.cfg
 
-            def velocity(self, x, p, sigma_t, mu, hooks=None):
+            def _forward(self, x, prompts, sigma_t, hooks):
                 raise RuntimeError("boom")
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
@@ -213,8 +220,8 @@ class TestFailureSemantics:
         class Infinite:
             cfg = ConstantVelocityModel.cfg
 
-            def velocity(self, x, p, sigma_t, mu, hooks=None):
-                return np.full_like(x, np.inf), {}
+            def _forward(self, x, prompts, sigma_t, hooks):
+                return np.full_like(x, np.inf), [{} for _ in prompts]
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
         with pytest.raises(EditRunError) as err:

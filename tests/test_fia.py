@@ -272,17 +272,18 @@ class TestConstrainedPair:
         assert np.array_equal(v_tar, expected)
 
     @pytest.mark.parametrize(
-        "fia, bypass, mu_tar, per_step",
+        "fia, bypass, mu_tar, batches",
         [
-            (FiaConfig(), False, 3.0, 5),
-            (FiaConfig.disabled(), False, 3.0, 4),
-            (FiaConfig(), True, 3.0, 4),
-            (FiaConfig(), False, 0.0, 3),
+            (FiaConfig(), False, 3.0, (4, 1)),
+            (FiaConfig.disabled(), False, 3.0, (4,)),
+            (FiaConfig(), True, 3.0, (2, 2)),
+            (FiaConfig(), False, 0.0, (3,)),
         ],
+        # the number is the branch count per step
         ids=["fia0-False-5", "fia1-False-4", "fia2-True-4", "mu_tar0-False-3"],
     )
     def test_forwards_per_guided_step(
-        self, tiny_model, prompt_pair, monkeypatch, fia, bypass, mu_tar, per_step
+        self, tiny_model, prompt_pair, monkeypatch, fia, bypass, mu_tar, batches
     ):
         p_src, p_tar = prompt_pair
         forward = tiny_model._forward
@@ -290,7 +291,8 @@ class TestConstrainedPair:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(signature.bind(*args, **kwargs).arguments["hooks"])
+            bound = signature.bind(*args, **kwargs).arguments
+            calls.append((bound["x"].shape[0], bound["hooks"]))
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(tiny_model, "_forward", counting)
@@ -301,9 +303,10 @@ class TestConstrainedPair:
             noise_mode=NoiseMode.REUSED_EPSILON,
         )
         run_edit(tiny_model, req, bypass_fia=bypass)
-        assert len(calls) == 3 * per_step
+        assert [n_branches for n_branches, _ in calls] == list(batches) * 3
         # the constrained forward runs at every step with a non-empty plan
-        assert sum(bool(plan.overrides) for plan in calls) == (3 if per_step == 5 else 0)
+        constrained = [n for n, hooks in calls if any(plan.overrides for plan in hooks)]
+        assert constrained == ([1] * 3 if batches == (4, 1) else [])
 
     def test_constraint_changes_target_velocity(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair

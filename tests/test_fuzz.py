@@ -1,8 +1,9 @@
-"""Property tests at the input boundaries: PPM bytes and grid text.
+"""Property tests at the input boundaries: PPM bytes, grid and config text.
 
 Whatever the input, the only outcomes allowed are a result or a package
 error (``FiaEditError``) or ``ValueError``; the CLI always returns an exit
-code and never raises.
+code and never raises.  A config document may only parse or raise
+``FiaEditError``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from fiaedit.ablation import _GRID_AXES, GridSpec, parse_grid
 from fiaedit.cli import main
 from fiaedit.codec import ImageBuffer, read_ppm
+from fiaedit.config import _SCHEMA, RunConfig, parse_config
 from fiaedit.errors import FiaEditError
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -75,3 +77,29 @@ def test_parse_grid_gives_a_grid_or_a_value_error(spec):
         return
     assert isinstance(grid, GridSpec)
     assert grid.cells()
+
+
+_VALUE_TEXT = (
+    st.integers(min_value=-3, max_value=60).map(str)
+    | st.integers(min_value=-10**30, max_value=10**30).map(str)
+    | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    | st.sampled_from(["true", "false", "freq", "add", "none", "reused", "fresh",
+                       "mse,psnr", "ssim,bogus", '"quoted"', '"', "", "1e309", "0x10"])
+    | st.text(max_size=12)
+)
+_CONFIG_LINE = (
+    st.tuples(st.sampled_from(sorted(_SCHEMA)) | st.text(max_size=10), _VALUE_TEXT).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"
+    )
+    | st.text(max_size=20)
+)
+
+
+@FUZZ
+@given(lines=st.lists(_CONFIG_LINE, max_size=8))
+def test_parse_config_gives_a_config_or_a_package_error(lines):
+    try:
+        cfg = parse_config("\n".join(lines))
+    except FiaEditError:
+        return
+    assert isinstance(cfg, RunConfig)

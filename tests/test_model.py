@@ -12,10 +12,11 @@ from fiaedit.model import (
     ReplaceQK,
     ReplaceQKVE,
     VelocityModel,
+    _layer_norm,
     _softmax_rows,
     time_embedding,
 )
-from fiaedit.prompts import embed_prompt
+from fiaedit.prompts import PromptEmbedding, embed_prompt, embeddings_equal
 
 
 def latent(seed=0, shape=(4, 6, 6)):
@@ -204,6 +205,16 @@ class TestSoftmax:
         assert np.array_equal(_softmax_rows(scores.copy()), expected)
 
 
+    def test_wide_rows_match_a_summed_reference(self):
+        # row sums come from a product with a ones vector, which may add in
+        # another order than a reduction: allow n * eps relative
+        scores = np.random.default_rng(1).uniform(-50.0, 50.0, (2, 256, 256))
+        expected = np.exp(scores)
+        expected /= expected.sum(axis=-1, keepdims=True)
+        got = _softmax_rows(scores.copy())
+        assert np.all(np.abs(got - expected) <= 256 * np.finfo(float).eps * expected)
+
+
 class TestTimeEmbedding:
     def test_sigma_zero_alternates(self):
         emb = time_embedding(0.0, 8)
@@ -221,3 +232,93 @@ class TestTimeEmbedding:
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             time_embedding(0.5, 5)
+
+    @pytest.mark.parametrize("d_model", [2, 4, 8, 16])
+    def test_geometric_frequencies(self, d_model):
+        n_freq = d_model // 2
+        freqs = np.geomspace(1.0, 10.0, n_freq) if n_freq > 1 else np.array([1.0])
+        for sigma in (0.0, 0.37, 1.0):
+            emb = time_embedding(sigma, d_model)
+            assert np.array_equal(emb[0::2], np.sin(freqs * sigma))
+            assert np.array_equal(emb[1::2], np.cos(freqs * sigma))
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(64, 8), (256, 8), (4, 64, 8)])
+    def test_bit_identical_to_mean(self, shape):
+        h = 3.0 * np.random.default_rng(0).standard_normal(shape) + 1.0
+        centered = h - h.mean(axis=-1, keepdims=True)
+        expected = centered / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + 1e-6)
+        assert np.array_equal(_layer_norm(h), expected)
+
+
+def all_sites(cfg):
+    return frozenset(
+        (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
+    )
+
+
+class TestBatchedForward:
+    def test_branch_does_not_depend_on_its_batch(self, tiny_model, prompt_pair):
+        p_src, p_tar = prompt_pair
+        sites = all_sites(tiny_model.cfg)
+        x = np.stack([latent(0), latent(1), latent(2), 1e3 * latent(0)])
+        site = (0, AttnKind.SELF)
+        _, own = tiny_model.velocity(x[1], p_tar, 0.5, 1.0, hooks=HookPlan(capture=sites))
+        loud = ReplaceQK(q=1e3 * own[site].q, k=own[site].k)
+        # the loud branch's scores leave the softmax guard band, so its rows
+        # are shifted; the other branches' rows must not be
+        scores = loud.q @ loud.k.swapaxes(-1, -2) / np.sqrt(loud.q.shape[-1])
+        assert np.abs(scores).max() > 60.0
+        prompts = [p_src, p_tar]
+        hooks = [HookPlan(capture=sites), HookPlan(capture=sites, overrides={site: loud})]
+        out, packets = tiny_model._forward(x, prompts, 0.5, hooks)
+        assert len(packets) == 2
+        for i in range(4):
+            # branches 2 and 3 are unconditional: no prompt, no hooks
+            alone, alone_packets = tiny_model._forward(
+                x[i : i + 1], prompts[i : i + 1], 0.5, hooks[i : i + 1]
+            )
+            assert np.array_equal(out[i], alone[0])
+            if i < 2:
+                assert packets[i].keys() == alone_packets[0].keys() == sites
+                for key, pkt in packets[i].items():
+                    ref = alone_packets[0][key]
+                    assert np.array_equal(pkt.q, ref.q)
+                    assert np.array_equal(pkt.k, ref.k)
+                    assert np.array_equal(pkt.v, ref.v)
+                    assert (pkt.text_embedding is None) == (key[1] is AttnKind.SELF)
+                    if pkt.text_embedding is not None:
+                        assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
+
+    def test_velocity_is_the_batched_forward(self, tiny_model, prompt_pair):
+        p, _ = prompt_pair
+        x = latent(4)
+        out, _ = tiny_model._forward(np.stack([x, x]), [p], 0.5, [HookPlan()])
+        v, _ = tiny_model.velocity(x, p, 0.5, 2.5)
+        assert np.array_equal(v, out[1] + 2.5 * (out[0] - out[1]))
+
+    def test_null_key_row_is_softmax_over_one_key(self, tiny_model):
+        W = tiny_model.weights
+        d, heads = tiny_model.cfg.d_model, tiny_model.cfg.n_heads
+        d_head = d // heads
+        hn = np.random.default_rng(9).standard_normal((10, d))
+        null = W["null_token"]
+        for b in range(tiny_model.cfg.n_blocks):
+            q, k, v = (
+                (z @ W[f"b{b}.cross.{name}"]).reshape(-1, heads, d_head).transpose(1, 0, 2)
+                for z, name in ((hn, "wq"), (null, "wk"), (null, "wv"))
+            )
+            scores = q @ k.transpose(0, 2, 1) / np.sqrt(d_head)  # (heads, 10, 1)
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights /= weights.sum(axis=-1, keepdims=True)
+            ref = (weights @ v).transpose(1, 0, 2).reshape(10, d) @ W[f"b{b}.cross.wo"]
+            assert np.abs(ref - tiny_model._null_cross[b]).max() <= 1e-12
+
+    def test_unconditional_branch_matches_a_null_token_prompt(self, tiny_model):
+        null_prompt = PromptEmbedding(
+            tokens=(0,), matrix=tiny_model.weights["null_token"], d_model=8
+        )
+        x = latent(5)
+        out, _ = tiny_model._forward(np.stack([x, x]), [null_prompt], 0.5, [HookPlan()])
+        assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[1]).max()
