@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 configuration or usage error, 2 I/O error,
 3 numeric failure (non-finite values detected mid-run).  All outputs are
 byte-reproducible for a fixed seed except ``*.timings`` sidecars, which
-carry wall-clock measurements and are excluded from reproducibility checks.
+carry wall-clock measurements and are excluded from reproducibility checks;
+an ablation's sidecar (``ablation-timings/2``) holds one wall time for the
+whole grid, whose cells run in lockstep.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .config import (
     parse_config,
     with_overrides,
 )
-from .engine import EditTrace, run_edit
+from .engine import EditTrace, check_budget, run_edit
 from .errors import ConfigError, EditRunError, FiaEditError, NumericFailure
 from .fixtures import load_fixture
 from .metrics import compute_report
@@ -60,7 +62,9 @@ def cmd_edit(args: argparse.Namespace) -> int:
         cfg = with_overrides(cfg, edit_snapshot_stride=args.snapshot_stride)
     image = read_ppm(args.image)
     latent = encode(image, cfg.codec_patch)
-    model = VelocityModel(cfg.make_model_config())
+    model_cfg = cfg.make_model_config()
+    check_budget(model_cfg, latent.shape[-2:], 1)
+    model = VelocityModel(model_cfg)
     trace = run_edit(model, build_edit_request(cfg, latent))
     edited = decode(trace.final_latent, cfg.codec_patch)
     write_ppm(edited, args.out)

@@ -8,10 +8,12 @@ Two mechanisms feed a hook plan for the constrained target pass:
   and text embedding) in a chosen block range during the early steps.
 
 Target features come from an unconstrained probe of the target branch.
-The source passes and the probe run as one batched model call; the
-constrained pass reuses the probe's unconditional forward, so a guided step
-with a non-empty override plan costs two calls of 4 and 1 branches, against
-one call of 4 branches with the constraints off.  Sites are read from the
+One step serves one source and any number of targets (the cells of a
+grid): the source passes and every target's probe run as one batched model
+call, and the constrained passes as a second.  A constrained pass reuses
+its probe's unconditional forward, so a guided one-target step with a
+non-empty override plan costs two calls of 4 and 1 branches, against one
+call of 4 branches with the constraints off.  Sites are read from the
 model's ``ModelConfig``, and packets travel as ``{site: packet}`` tables,
 the form ``VelocityModel.velocity`` returns.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -115,14 +118,24 @@ class FiaConfig:
         return self.fij_enabled and step_index < self.resolved_cutoff(total_steps)
 
 
-def plan_capture(cfg: FiaConfig, model_cfg: ModelConfig) -> HookPlan:
-    """Capture plan for the source and probe passes: every site FIA consumes."""
+def plan_capture(
+    cfg: FiaConfig,
+    model_cfg: ModelConfig,
+    step_index: int = 0,
+    total_steps: int | None = None,
+) -> HookPlan:
+    """Capture plan for the source and probe passes: every site FIA consumes.
+
+    Given the run's ``total_steps``, the plan is the one step ``step_index``
+    reads: the cross sites drop out once the injection window has closed.
+    """
     sites: set[Site] = set()
     if cfg.fri_enabled:
         sites.update(model_cfg.self_sites())
     if cfg.fij_enabled:
         lo, hi = cfg.resolved_block_range(model_cfg)
-        sites.update((b, AttnKind.CROSS) for b in range(lo, hi + 1))
+        if total_steps is None or cfg.fij_active(step_index, total_steps):
+            sites.update((b, AttnKind.CROSS) for b in range(lo, hi + 1))
     return HookPlan(capture=frozenset(sites))
 
 
@@ -249,6 +262,111 @@ def build_target_overrides(
     return HookPlan(overrides=overrides)
 
 
+def constrained_velocities(
+    model: VelocityModel,
+    x_src_t: np.ndarray,
+    x_tar_ts: Sequence[np.ndarray],
+    p_src: PromptEmbedding,
+    p_tars: Sequence[PromptEmbedding],
+    sigma_t: float,
+    step_index: int,
+    total_steps: int,
+    guidance: GuidanceConfig,
+    cfgs: Sequence[FiaConfig],
+) -> tuple[np.ndarray | None, list[np.ndarray | Exception]]:
+    """The source velocity and each target's source-constrained velocity at one step.
+
+    Target ``j`` has its own state, prompt and constraint; the source is
+    shared.  One batched forward runs the source's conditional pass,
+    capturing the union of the targets' capture sets, its unconditional
+    pass, and every target's unconstrained probe: a conditional pass
+    capturing its own set and an unconditional pass.  A second call reruns
+    each target's conditional pass under its overrides; the probe's
+    unconditional pass has the same inputs and takes no hooks, so it is
+    reused.  A target whose plan comes out empty is not rerun.  A pass
+    whose guidance weight keeps it out of the result is not run, unless it
+    captures; with ``mu_tar`` of 0 nothing is captured.
+
+    A failure becomes the returned entry of each target it concerns (a
+    target's own settings or packets, or a call that serves it) and the
+    other targets carry on.  The source velocity is None when no target
+    got as far as the first call.
+    """
+    mu_src, mu = guidance.mu_src, guidance.mu_tar
+    results: list[np.ndarray | Exception | None] = [None] * len(x_tar_ts)
+    captures: dict[int, HookPlan] = {}  # live target -> its capture plan
+    for j, (x_tar_t, cfg) in enumerate(zip(x_tar_ts, cfgs)):
+        try:
+            if x_tar_t.shape != x_src_t.shape:
+                raise ShapeMismatchError(
+                    f"state shapes differ: {x_src_t.shape} vs {x_tar_t.shape}"
+                )
+            captures[j] = (
+                plan_capture(cfg, model.cfg, step_index, total_steps)
+                if mu != 0.0
+                else EMPTY_PLAN
+            )
+        except Exception as exc:
+            results[j] = exc
+    live = list(captures)
+    if not live:
+        return None, results
+    union = frozenset().union(*(plan.capture for plan in captures.values()))
+    src_cond, src_uncond = mu_src != 0.0 or bool(union), mu_src != 1.0
+    tar_cond, tar_uncond = mu != 0.0, mu != 1.0
+    # conditional branches first: source, then each target; unconditional after
+    tar_xs = [x_tar_ts[j] for j in live]
+    latents = [x_src_t] * src_cond + tar_xs * tar_cond
+    latents += [x_src_t] * src_uncond + tar_xs * tar_uncond
+    prompts = [p_src] * src_cond + [p_tars[j] for j in live] * tar_cond
+    hooks = [HookPlan(capture=union)] * src_cond + [captures[j] for j in live] * tar_cond
+    try:
+        out, packets = model._forward(np.stack(latents), prompts, sigma_t, hooks)
+    except Exception as exc:
+        for j in live:
+            results[j] = exc
+        return None, results
+    rows = iter(out)
+    v_src_cond = next(rows) if src_cond else None
+    conds = {j: next(rows) for j in live} if tar_cond else {}
+    v_src_uncond = next(rows) if src_uncond else None
+    unconds = {j: next(rows) for j in live} if tar_uncond else {}
+    v_src = guide(v_src_cond, v_src_uncond, mu_src)
+
+    grid = x_src_t.shape[-2:]
+    src_packets = packets[0] if src_cond else {}
+    reruns: dict[int, HookPlan] = {}
+    for j, tar_packets in zip(live, packets[int(src_cond):]):
+        if not captures[j].capture:
+            continue
+        try:
+            plan = build_target_overrides(
+                cfgs[j], step_index, total_steps, src_packets, tar_packets, grid, model.cfg
+            )
+        except Exception as exc:
+            results[j] = exc
+            continue
+        if plan.overrides:
+            reruns[j] = plan
+    if reruns:
+        try:
+            out, _ = model._forward(
+                np.stack([x_tar_ts[j] for j in reruns]),
+                [p_tars[j] for j in reruns],
+                sigma_t,
+                list(reruns.values()),
+            )
+        except Exception as exc:
+            for j in reruns:
+                results[j] = exc
+        else:
+            conds.update(zip(reruns, out))
+    for j in live:
+        if results[j] is None:
+            results[j] = guide(conds.get(j), unconds.get(j), mu)
+    return v_src, results
+
+
 def constrained_velocity_pair(
     model: VelocityModel,
     x_src_t: np.ndarray,
@@ -263,38 +381,13 @@ def constrained_velocity_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Source velocity and the source-constrained target velocity at one step.
 
-    One batched forward runs the source's conditional (capturing) and
-    unconditional passes and an unconstrained target probe: its conditional
-    pass (capturing) and its unconditional pass.  The target's conditional
-    pass then runs again, alone, under the built overrides and is blended
-    with the probe's unconditional pass, which has the same inputs and takes
-    no hooks.  The rerun is skipped when the override plan comes out empty,
-    since the probe's conditional pass already is the constrained one.  A
-    pass whose guidance weight keeps it out of the result is not run, unless
-    it captures; with ``mu_tar`` of 0 nothing is captured and the target is
-    one plain unconditional pass.
+    The one-target case of :func:`constrained_velocities`: a guided step
+    with a non-empty override plan is one call of 4 branches and one of 1.
     """
-    if x_src_t.shape != x_tar_t.shape:
-        raise ShapeMismatchError(
-            f"state shapes differ: {x_src_t.shape} vs {x_tar_t.shape}"
-        )
-    mu_src, mu = guidance.mu_src, guidance.mu_tar
-    capture = plan_capture(cfg, model.cfg) if mu != 0.0 else EMPTY_PLAN
-    # source cond, target cond, source uncond, target uncond: conditional first
-    runs = (mu_src != 0.0 or bool(capture.capture), mu != 0.0, mu_src != 1.0, mu != 1.0)
-    latents = [x for x, run in zip((x_src_t, x_tar_t) * 2, runs) if run]
-    prompts = [p for p, run in zip((p_src, p_tar), runs) if run]
-    out, packets = model._forward(
-        np.stack(latents), prompts, sigma_t, [capture] * len(prompts)
+    v_src, (v_tar,) = constrained_velocities(
+        model, x_src_t, [x_tar_t], p_src, [p_tar], sigma_t,
+        step_index, total_steps, guidance, [cfg],
     )
-    rows = iter(out)
-    src_cond, tar_cond, src_uncond, tar_uncond = (next(rows) if run else None for run in runs)
-    v_src = guide(src_cond, src_uncond, mu_src)
-    if capture.capture:
-        grid = x_src_t.shape[-2:]
-        plan = build_target_overrides(
-            cfg, step_index, total_steps, packets[0], packets[1], grid, model.cfg
-        )
-        if plan.overrides:
-            tar_cond = model._forward(x_tar_t[None], [p_tar], sigma_t, [plan])[0][0]
-    return v_src, guide(tar_cond, tar_uncond, mu)
+    if isinstance(v_tar, Exception):
+        raise v_tar
+    return v_src, v_tar

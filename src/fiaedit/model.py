@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -261,6 +262,23 @@ def _weight_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return layout
 
 
+# bound on peak_bytes: a model and grid beyond it are refused before any
+# allocation, as schedule.MAX_STEPS bounds the noise grid
+MAX_PEAK_BYTES = 2 << 30
+
+
+def peak_bytes(cfg: ModelConfig, grid: tuple[int, int], branches: int) -> int:
+    """Estimated peak float64 bytes of a forward of ``branches`` latents on ``grid``.
+
+    Counts the weights, the widest activations (the MLP's four model widths
+    per token and branch) and the one head-stacked self-attention score
+    buffer.  Python integers, so absurd sizes give exact large counts.
+    """
+    n_tok = grid[0] * grid[1]
+    weights = sum(math.prod(shape) for _, shape in _weight_layout(cfg))
+    return 8 * (weights + branches * n_tok * 4 * cfg.d_model + cfg.n_heads * n_tok**2)
+
+
 def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
     """(..., tokens, d) -> (..., heads, tokens, d_head), a view of ``z``."""
     return z.reshape(*z.shape[:-1], heads, z.shape[-1] // heads).swapaxes(-3, -2)
@@ -343,6 +361,7 @@ class VelocityModel:
         h += pos
         h += time_embedding(sigma_t, cfg.d_model)
 
+        distinct = {id(p): p for p in prompts}
         captured: list[dict[Site, AttentionPacket]] = [{} for _ in prompts]
         scores = np.empty((heads, n_tok, n_tok))
         attn = np.empty((n_b, n_tok, cfg.d_model))  # attention outputs, heads merged
@@ -376,10 +395,15 @@ class VelocityModel:
             site = (b, AttnKind.CROSS)
             if n_cond:
                 q = _head_view(_layer_norm(h[:n_cond]) @ W[f"b{b}.cross.wq"], heads)
+                # K and V depend only on the prompt: project each distinct one once
+                wk, wv = W[f"b{b}.cross.wk"], W[f"b{b}.cross.wv"]
+                kv = {
+                    key: (_head_view(p.matrix @ wk, heads), _head_view(p.matrix @ wv, heads))
+                    for key, p in distinct.items()
+                }
                 for i, p in enumerate(prompts):
                     qi = q[i]
-                    ki = _head_view(p.matrix @ W[f"b{b}.cross.wk"], heads)
-                    vi = _head_view(p.matrix @ W[f"b{b}.cross.wv"], heads)
+                    ki, vi = kv[id(p)]
                     site_text = p
                     action = hooks[i].overrides.get(site)
                     if isinstance(action, ReplaceQKVE):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import fiaedit.config
 from fiaedit.ablation import (
     apply_cell,
     format_report,
@@ -20,6 +22,7 @@ from fiaedit.errors import ConfigError
 from fiaedit.fixtures import load_fixture
 from fiaedit.metrics import compute_report
 from fiaedit.model import VelocityModel
+from fiaedit.prompts import embed_prompt
 
 BASE = parse_config(
     """
@@ -159,6 +162,101 @@ codec.patch = 2
         assert on.metrics["mse"] < off.metrics["mse"]
 
 
+# the base configs of scripts/run_component_grid.py and scripts/run_noise_modes.py
+COMPONENT_BASE = parse_config(
+    """
+model.channels = 12
+model.seed = 11
+schedule.steps = 12
+guidance.mu_src = 1.0
+guidance.mu_tar = 1.0
+prompts.source = a small bright blob on a striped background
+prompts.target = a dark square on a plain background
+edit.noise_mode = none
+fia.fij_block_lo = 0
+fia.fij_block_hi = 5
+codec.patch = 2
+"""
+)
+NOISE_BASE = dataclasses.replace(
+    COMPONENT_BASE,
+    guidance_mu_src=1.5,
+    guidance_mu_tar=3.0,
+    fia_fij_block_lo=-1,
+    fia_fij_block_hi=-1,
+)
+
+
+def solo_rows(base, grid, fixture="blob16"):
+    """Each cell's metrics from its own run_edit, None for a cell that fails."""
+    image, mask = load_fixture(fixture)
+    latent = encode(image, base.codec_patch)
+    model = VelocityModel(base.make_model_config())
+    rows = []
+    for delta in grid.cells():
+        cfg = apply_cell(base, delta)
+        try:
+            trace = run_edit(model, build_edit_request(cfg, latent))
+        except Exception:
+            rows.append(None)
+            continue
+        report = compute_report(decode(trace.final_latent, cfg.codec_patch), image, mask)
+        rows.append({"mse": report.mse, "psnr": report.psnr, "ssim": report.ssim,
+                     "ssd": report.spectral_structure_distance})
+    return rows
+
+
+class TestLockstep:
+    @pytest.mark.parametrize(
+        "base, spec, per_step",
+        [
+            # 6 cells, unguided: the source and 6 probes, then the reruns of the
+            # cells with a non-empty plan; injection closes after step 6, which
+            # empties the plan of the injection-only cell
+            (COMPONENT_BASE, "fij_enabled=false,true;fri_mode=off,add,freq",
+             [(7, 5)] * 7 + [(7, 4)] * 5),
+            # 3 cells, guided: source cond + 3 probes cond + source and 3 probes uncond
+            (NOISE_BASE, "noise_mode=none,fresh,reused", [(8, 3)] * 12),
+        ],
+        ids=["component-grid", "noise-modes"],
+    )
+    def test_two_calls_per_step_and_prompts_embedded_once(
+        self, monkeypatch, base, spec, per_step
+    ):
+        forward = VelocityModel._forward
+        signature = inspect.signature(forward)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments["x"].shape[0])
+            return forward(*args, **kwargs)
+
+        embeds = []
+
+        def counting_embed(*args, **kwargs):
+            embeds.append(args[0])
+            return embed_prompt(*args, **kwargs)
+
+        monkeypatch.setattr(VelocityModel, "_forward", counting)
+        monkeypatch.setattr(fiaedit.config, "embed_prompt", counting_embed)
+        report = run_ablation(base, parse_grid(spec), fixture="blob16")
+        assert all(row.status == "ok" for row in report.rows)
+        assert calls == [n for pair in per_step for n in pair]
+        assert embeds == [base.prompts_source, base.prompts_target]
+
+    def test_failed_cell_keeps_its_row_and_spares_the_others(self):
+        grid = parse_grid("fij_block_range=0-3,0-9,4-5")
+        report = run_ablation(BASE, grid, fixture="blob16")
+        assert [r.status for r in report.rows] == ["ok", "error", "ok"]
+        assert report.rows[1].error == (
+            "EditRunError: edit aborted at step 0: "
+            "fij_block_range (0, 9) outside a model of 6 blocks"
+        )
+        solo = solo_rows(BASE, grid)
+        assert solo[1] is None
+        assert [report.rows[i].metrics for i in (0, 2)] == [solo[0], solo[2]]
+
+
 class TestReportFormat:
     def test_roundtrip_is_lossless(self):
         grid = parse_grid("filter_sigma=0.5,0.9;fij_enabled=true,false")
@@ -175,8 +273,11 @@ class TestReportFormat:
     def test_timings_sidecar_lists_every_cell(self):
         grid = parse_grid("filter_sigma=0.5,0.9")
         report = run_ablation(BASE, grid, fixture="blob16")
-        timings = format_timings(report)
-        assert "cell.0.wall_s=" in timings and "cell.1.wall_s=" in timings
+        lines = format_timings(report).splitlines()
+        # the cells run in lockstep, so the grid has one wall time
+        assert lines[:2] == ["schema=ablation-timings/2", "cells=2"]
+        assert len(lines) == 3 and lines[2].startswith("wall_s=")
+        assert float(lines[2].partition("=")[2]) > 0.0
 
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ConfigError):

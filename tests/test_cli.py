@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import filecmp
 import os
+import resource
 import subprocess
 import sys
 
@@ -126,6 +127,41 @@ class TestEdit:
         rc = main(["edit", src, "--config", bad, "--out", str(tmp_path / "x.ppm")])
         assert rc == 1
         assert "16x16 image not divisible by patch 3" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    # the child alone: a missing bound ends in MemoryError, not a swapping host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestResourceBudget:
+    @pytest.mark.parametrize(
+        "command", ["edit-wide-model", "edit-large-image", "ablate-wide-model"]
+    )
+    def test_over_budget_is_exit_1_before_allocating(self, tmp_path, scene, command):
+        src, _ = scene
+        cfg = write_config(tmp_path, EDIT_CONFIG)
+        if command == "edit-large-image":
+            # a valid 512x512 PPM: 65536 tokens, so a 64 GiB score buffer
+            src = str(tmp_path / "large.ppm")
+            write_ppm(gradient_image(512, 512), src)
+        else:
+            cfg = write_config(tmp_path, EDIT_CONFIG + "model.d_model = 200000\n")
+        out = str(tmp_path / "out")
+        argv = (
+            ["ablate", "--config", cfg, "--grid", "filter_sigma=0.9", "--out", out]
+            if command.startswith("ablate")
+            else ["edit", src, "--config", cfg, "--out", out]
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "fiaedit", *argv],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=_limit_address_space,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert result.returncode == 1, result.stderr
+        assert "GiB bound" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestExtremeGuidance:

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fiaedit.engine import EditRequest, run_edit
+from fiaedit.engine import EditRequest, run_edit, run_edits
 from fiaedit.errors import EditRunError, NumericFailure
-from fiaedit.fia import FiaConfig, constrained_velocity_pair
+from fiaedit.fia import FiaConfig, FriMode, constrained_velocity_pair
 from fiaedit.model import GuidanceConfig, ModelConfig, VelocityModel
 from fiaedit.prompts import embed_prompt
 from fiaedit.schedule import NoiseMode, make_linear_schedule
@@ -227,3 +227,55 @@ class TestFailureSemantics:
         with pytest.raises(EditRunError) as err:
             run_edit(Infinite(), req)
         assert isinstance(err.value.__cause__, NumericFailure)
+
+
+class TestLockstep:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad_step", [0, 3])
+    def test_one_request_failing_at_step_k_spares_the_others(
+        self, tiny_model, source_latent, prompt_pair, bad_step
+    ):
+        p_src, p_tar = prompt_pair
+        poisoned = embed_prompt("a prompt that poisons its branch", 8, seed=1)
+        sigmas = make_linear_schedule(6, 0.0).sigmas
+
+        class Poisoned(VelocityModel):
+            """The real model, fed inf latents on the poisoned prompt's branches at one step."""
+
+            def _forward(self, x, prompts, sigma_t, hooks):
+                if sigma_t == sigmas[bad_step]:
+                    x = x.copy()
+                    for i, p in enumerate(prompts):
+                        if p is poisoned:
+                            x[i] = np.inf
+                return super()._forward(x, prompts, sigma_t, hooks)
+
+        model = Poisoned(tiny_model.cfg)
+        reqs = [
+            base_request(source_latent, p_src, p_tar, steps=6, record_velocities=True,
+                         noise_mode=NoiseMode.REUSED_EPSILON),
+            # ADD averaging lets the non-finite features reach the velocity
+            base_request(source_latent, p_src, poisoned, steps=6, record_velocities=True,
+                         fia=FiaConfig(fri_mode=FriMode.ADD)),
+            base_request(source_latent, p_src, p_tar, steps=6, record_velocities=True,
+                         fia=FiaConfig(fri_mode=FriMode.ADD), noise_mode=NoiseMode.FRESH_GAUSSIAN),
+        ]
+        results = run_edits(model, reqs)
+        assert isinstance(results[1], EditRunError)
+        assert str(results[1]).startswith(f"edit aborted at step {bad_step}:")
+        assert isinstance(results[1].__cause__, NumericFailure)
+        for req, got in zip(reqs[::2], results[::2]):
+            solo = run_edit(model, req)
+            assert np.array_equal(got.final_latent, solo.final_latent)
+            for a, b in zip(got.records, solo.records, strict=True):
+                assert a.vdelta_norm == b.vdelta_norm
+                assert np.array_equal(a.v_src, b.v_src)
+                assert np.array_equal(a.v_tar, b.v_tar)
+
+    def test_requests_must_share_their_source(self, tiny_model, source_latent, prompt_pair):
+        p_src, p_tar = prompt_pair
+        req = base_request(source_latent, p_src, p_tar, steps=2)
+        with pytest.raises(ValueError, match="share"):
+            run_edits(tiny_model, [req, base_request(source_latent, p_tar, p_tar, steps=2)])
+        with pytest.raises(ValueError, match="share"):
+            run_edits(tiny_model, [req, base_request(source_latent, p_src, p_tar, steps=3)])

@@ -84,6 +84,35 @@ class TestPlanCapture:
         }
         assert plan.capture == frozenset(expected)
 
+    def test_cross_sites_drop_once_the_injection_window_closes(
+        self, tiny_model, prompt_pair, monkeypatch
+    ):
+        cfg = FiaConfig(fij_step_cutoff=2)
+        selfs = frozenset(tiny_model.cfg.self_sites())
+        everything = plan_capture(cfg, tiny_model.cfg).capture
+        assert everything == selfs | {(4, AttnKind.CROSS), (5, AttnKind.CROSS)}
+        assert [plan_capture(cfg, tiny_model.cfg, i, 5).capture for i in range(5)] == (
+            [everything] * 2 + [selfs] * 3
+        )
+        # the engine's probe captures the per-step set
+        forward = tiny_model._forward
+        captured = []
+
+        def spying(x, prompts, sigma_t, hooks):
+            captured.append(frozenset().union(*(plan.capture for plan in hooks)))
+            return forward(x, prompts, sigma_t, hooks)
+
+        monkeypatch.setattr(tiny_model, "_forward", spying)
+        p_src, p_tar = prompt_pair
+        req = EditRequest(
+            source_latent=np.random.default_rng(5).standard_normal((4, 6, 6)),
+            p_src=p_src, p_tar=p_tar, schedule=make_linear_schedule(5, 0.0),
+            guidance=GuidanceConfig(mu_src=1.5, mu_tar=3.0), fia=cfg,
+        )
+        run_edit(tiny_model, req)
+        # per step: the probe call, then the rerun, which captures nothing
+        assert captured == [everything, frozenset()] * 2 + [selfs, frozenset()] * 3
+
 
 class TestFoldUnfold:
     def test_roundtrip(self):

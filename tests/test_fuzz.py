@@ -1,22 +1,53 @@
-"""Property tests at the input boundaries: PPM bytes, grid and config text.
+"""Property tests at the input boundaries, and of the lockstep engine.
 
 Whatever the input, the only outcomes allowed are a result or a package
 error (``FiaEditError``) or ``ValueError``; the CLI always returns an exit
 code and never raises.  A config document may only parse or raise
 ``FiaEditError``.
+
+Lockstep grids rest on batch independence: on random small models, a
+branch's velocity and packets are bit-identical alone and inside a batch
+of random siblings, and a grid run in lockstep reports the same bytes as
+its cells run one by one.
 """
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fiaedit.ablation import _GRID_AXES, GridSpec, parse_grid
+from fiaedit.ablation import (
+    _GRID_AXES,
+    AblationReport,
+    AblationRow,
+    GridSpec,
+    apply_cell,
+    format_report,
+    parse_grid,
+    run_ablation,
+    selected_metric_values,
+)
 from fiaedit.cli import main
-from fiaedit.codec import ImageBuffer, read_ppm
-from fiaedit.config import _SCHEMA, RunConfig, parse_config
+from fiaedit.codec import ImageBuffer, decode, encode, read_ppm
+from fiaedit.config import _SCHEMA, RunConfig, build_edit_request, parse_config
+from fiaedit.engine import run_edit
 from fiaedit.errors import FiaEditError
+from fiaedit.fixtures import load_fixture
+from fiaedit.metrics import compute_report
+from fiaedit.model import (
+    AttentionPacket,
+    AttnKind,
+    HookPlan,
+    ModelConfig,
+    ReplaceQK,
+    ReplaceQKVE,
+    VelocityModel,
+)
+from fiaedit.prompts import embed_prompt, embeddings_equal
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -103,3 +134,166 @@ def test_parse_config_gives_a_config_or_a_package_error(lines):
     except FiaEditError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+# -- lockstep: batch independence and grid equivalence ------------------------
+
+LOCKSTEP_FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+_TEXTS = ("a small bright blob", "a dark square on a plain background", "stripes")
+
+
+@st.composite
+def _model_configs(draw, channels=st.integers(min_value=1, max_value=4)):
+    d_model = draw(st.sampled_from([4, 8]))  # embed_prompt needs 4 or more
+    return ModelConfig(
+        n_blocks_dual=draw(st.integers(min_value=1, max_value=3)),
+        n_blocks_cross_only=draw(st.integers(min_value=0, max_value=2)),
+        d_model=d_model,
+        n_heads=draw(st.sampled_from([h for h in (1, 2, 4) if d_model % h == 0])),
+        seed=draw(st.integers(min_value=0, max_value=1000)),
+        channels=draw(channels),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _prompt(text: str, d_model: int):
+    return embed_prompt(text, d_model)
+
+
+def _random_overrides(cfg, rng, n_tok, loud):
+    """Q/K and full-packet overrides at random sites; ``loud`` Q leaves the ±60 band."""
+    heads, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
+    scale = 1e3 if loud else 1.0
+    overrides = {}
+    for b in range(cfg.n_blocks):
+        if cfg.has_self(b) and rng.random() < 0.5:
+            q, k = rng.standard_normal((2, heads, n_tok, d_head))
+            overrides[(b, AttnKind.SELF)] = ReplaceQK(q=scale * q, k=k)
+        if rng.random() < 0.3:
+            q = rng.standard_normal((heads, n_tok, d_head))
+            k, v = rng.standard_normal((2, heads, 3, d_head))
+            text = _prompt("stripes", cfg.d_model)
+            pkt = AttentionPacket(b, AttnKind.CROSS, scale * q, k, v, text)
+            overrides[(b, AttnKind.CROSS)] = ReplaceQKVE(packet=pkt)
+    return overrides
+
+
+@LOCKSTEP_FUZZ
+@given(
+    cfg=_model_configs(),
+    grid=st.tuples(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=6)),
+    data=st.data(),
+)
+def test_branch_is_bit_identical_alone_and_among_random_siblings(cfg, grid, data):
+    model = VelocityModel(cfg)
+    n_cond = data.draw(st.integers(min_value=0, max_value=4), label="conditional")
+    n_uncond = data.draw(st.integers(min_value=0 if n_cond else 1, max_value=3), label="uncond")
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_b = n_cond + n_uncond
+    x = rng.standard_normal((n_b, cfg.channels, *grid))
+    x *= np.where(rng.random(n_b) < 0.3, 1e3, 1.0)[:, None, None, None]
+    # repeated texts give the same embedding object, as the cells of a grid share one
+    prompts = [_prompt(_TEXTS[t], cfg.d_model) for t in rng.integers(0, len(_TEXTS), n_cond)]
+    sites = frozenset(
+        (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
+    )
+    hooks = [
+        HookPlan(
+            capture=sites if rng.random() < 0.7 else frozenset(),
+            overrides=_random_overrides(cfg, rng, grid[0] * grid[1], loud=rng.random() < 0.5),
+        )
+        for _ in range(n_cond)
+    ]
+    out, packets = model._forward(x, prompts, 0.5, hooks)
+    for i in range(n_b):
+        alone, alone_packets = model._forward(
+            x[i : i + 1], prompts[i : i + 1], 0.5, hooks[i : i + 1]
+        )
+        assert np.array_equal(out[i], alone[0])
+        if i < n_cond:
+            assert packets[i].keys() == alone_packets[0].keys() == hooks[i].capture
+            for site, pkt in packets[i].items():
+                ref = alone_packets[0][site]
+                assert np.array_equal(pkt.q, ref.q)
+                assert np.array_equal(pkt.k, ref.k)
+                assert np.array_equal(pkt.v, ref.v)
+                if pkt.text_embedding is not None:
+                    assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
+
+
+_AXIS_VALUES = {
+    "fri_mode": ("off", "add", "freq"),
+    "fij_enabled": ("true", "false"),
+    "noise_mode": ("none", "fresh", "reused"),
+    "filter_sigma": ("0.2", "0.9", "5.0", "-1.0"),
+    "fij_block_range": ("auto", "0-0", "0-1", "1-2", "0-9"),
+}
+
+
+@st.composite
+def _grids(draw):
+    names = draw(
+        st.lists(st.sampled_from(sorted(_AXIS_VALUES)), min_size=1, max_size=2, unique=True)
+    )
+    axes = []
+    for name in names:
+        values = draw(
+            st.lists(st.sampled_from(_AXIS_VALUES[name]), min_size=1, max_size=3, unique=True)
+        )
+        axes.append(f"{name}={','.join(values)}")
+    return parse_grid(";".join(axes))
+
+
+def _cell_by_cell_report(base: RunConfig, grid: GridSpec, fixture: str) -> str:
+    """The grid run one ``run_edit`` per cell, each cell's request built alone."""
+    image, mask = load_fixture(fixture)
+    latent = encode(image, base.codec_patch)
+    model = VelocityModel(base.make_model_config())
+    rows = []
+    for delta in grid.cells():
+        try:
+            cfg = apply_cell(base, delta)
+            trace = run_edit(model, build_edit_request(cfg, latent))
+            report = compute_report(decode(trace.final_latent, cfg.codec_patch), image, mask)
+            metrics = selected_metric_values(report, cfg.selected_metrics())
+            rows.append(AblationRow(delta, "ok", metrics))
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}".splitlines()[0]
+            rows.append(AblationRow(delta, "error", error=error))
+    return format_report(AblationReport(base.edit_seed, fixture, grid.axis_names, tuple(rows)))
+
+
+@LOCKSTEP_FUZZ
+@given(
+    cfg=_model_configs(channels=st.just(12)),  # channels come from the patch
+    patch=st.sampled_from([2, 4, 8]),
+    steps=st.integers(min_value=1, max_value=4),
+    mu=st.tuples(st.sampled_from([0.0, 1.0, 1.5, 13.5]), st.sampled_from([0.0, 1.0, 1.5, 13.5])),
+    prompts=st.tuples(st.sampled_from(_TEXTS), st.sampled_from(_TEXTS)),
+    grid=_grids(),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_lockstep_grid_reports_the_bytes_of_its_cells_run_one_by_one(
+    cfg, patch, steps, mu, prompts, grid, seed
+):
+    base = parse_config(
+        f"""
+model.channels = {3 * patch**2}
+model.blocks_dual = {cfg.n_blocks_dual}
+model.blocks_cross_only = {cfg.n_blocks_cross_only}
+model.d_model = {cfg.d_model}
+model.n_heads = {cfg.n_heads}
+model.seed = {cfg.seed}
+schedule.steps = {steps}
+guidance.mu_src = {mu[0]}
+guidance.mu_tar = {mu[1]}
+prompts.source = {prompts[0]}
+prompts.target = {prompts[1]}
+edit.seed = {seed}
+codec.patch = {patch}
+"""
+    )
+    lockstep = format_report(run_ablation(base, grid, "blob16"))
+    assert lockstep == _cell_by_cell_report(base, grid, "blob16")

@@ -291,6 +291,23 @@ class TestBatchedForward:
                     if pkt.text_embedding is not None:
                         assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
 
+    def test_cross_kv_projected_once_per_distinct_prompt(self, tiny_model, prompt_pair):
+        class CountingMatrix(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                CountingMatrix.products += 1
+                return np.asarray(self) @ other
+
+        p_src, p_tar = prompt_pair
+        shared = PromptEmbedding(p_tar.tokens, p_tar.matrix.view(CountingMatrix), 8)
+        x = np.stack([latent(i) for i in range(7)])
+        # a grid step: the source and six probes on one target prompt
+        out, _ = tiny_model._forward(x, [p_src] + [shared] * 6, 0.5, [HookPlan()] * 7)
+        assert CountingMatrix.products == 2 * tiny_model.cfg.n_blocks  # K and V per block
+        alone, _ = tiny_model._forward(x[3:4], [p_tar], 0.5, [HookPlan()])
+        assert np.array_equal(out[3], alone[0])
+
     def test_velocity_is_the_batched_forward(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(4)
