@@ -13,8 +13,7 @@ def main():
     wins = 0
     print(f"{'seed':>5} {'mse (inject on)':>16} {'mse (inject off)':>17} {'better':>7}")
     for seed in args.seeds:
-        on = run_steering_trial(seed, fij_enabled=True)
-        off = run_steering_trial(seed, fij_enabled=False)
+        on, off = run_steering_trial(seed)
         wins += on < off
         print(f"{seed:>5} {on:16.6f} {off:17.6f} {str(on < off):>7}")
     print(f"injection improved background preservation on {wins}/{len(args.seeds)} seeds")

@@ -18,20 +18,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .codec import decode, encode
-from .config import (
-    _NOISE_MODES,
-    RunConfig,
-    _parse_bool,
-    _parse_choice,
-    _parse_float,
-    _parse_int,
-    build_edit_request,
-    with_overrides,
-)
+from .config import _SCHEMA, RunConfig, _parse_int, build_edit_request, with_overrides
 from .engine import EditRequest, EditRunError, check_budget, run_edits
 from .errors import ConfigError
 from .fixtures import load_fixture
-from .metrics import MetricReport, compute_report
+from .metrics import METRIC_COLUMNS, compute_report
 from .model import VelocityModel
 
 REPORT_SCHEMA = "ablation-report/1"
@@ -55,16 +46,21 @@ def _block_range_fields(value: str) -> dict[str, object]:
     }
 
 
+def _key_axis(key: str):
+    """The axis setting config ``key`` alone, its value parsed as in a config."""
+    attr, parse = _SCHEMA[key]
+    axis = key.partition(".")[2]
+    return lambda value: {attr: parse(value, axis)}
+
+
 # grid axis -> the RunConfig fields one of its values sets; raises
 # ConfigError for a value of the wrong form.  Every axis sets constraint or
 # noise-mode fields only, which run_ablation's lockstep rests on
 _GRID_AXES = {
     "fri_mode": _fri_mode_fields,
-    "fij_enabled": lambda v: {"fia_fij_enabled": _parse_bool(v, "fij_enabled")},
-    "noise_mode": lambda v: {
-        "edit_noise_mode": _parse_choice(tuple(_NOISE_MODES))(v, "noise_mode")
-    },
-    "filter_sigma": lambda v: {"fia_filter_sigma": _parse_float(v, "filter_sigma")},
+    "fij_enabled": _key_axis("fia.fij_enabled"),
+    "noise_mode": _key_axis("edit.noise_mode"),
+    "filter_sigma": _key_axis("fia.filter_sigma"),
     "fij_block_range": _block_range_fields,
 }
 
@@ -143,18 +139,6 @@ class AblationReport:
     wall_s: float = 0.0  # the whole grid's; not part of the text form
 
 
-_METRIC_GETTERS = {
-    "mse": lambda r: r.mse,
-    "psnr": lambda r: r.psnr,
-    "ssim": lambda r: r.ssim,
-    "ssd": lambda r: r.spectral_structure_distance,
-}
-
-
-def selected_metric_values(report: MetricReport, select: tuple[str, ...]) -> dict[str, float]:
-    return {name: float(_METRIC_GETTERS[name](report)) for name in select}
-
-
 def _error_row(delta: tuple[tuple[str, str], ...], exc: Exception) -> AblationRow:
     return AblationRow(
         delta=delta, status="error", error=f"{type(exc).__name__}: {exc}".splitlines()[0]
@@ -202,9 +186,7 @@ def run_ablation(
         try:
             edited = decode(result.final_latent, base.codec_patch)
             report = compute_report(edited, image, mask)
-            rows[i] = AblationRow(
-                delta=cells[i], status="ok", metrics=selected_metric_values(report, select)
-            )
+            rows[i] = AblationRow(delta=cells[i], status="ok", metrics=report.columns(select))
         except Exception as exc:
             rows[i] = _error_row(cells[i], exc)
 
@@ -278,7 +260,7 @@ def parse_report(text: str) -> AblationReport:
         metrics = {}
         error = ""
         if status == "ok":
-            for name in _METRIC_GETTERS:
+            for name in METRIC_COLUMNS:
                 key = f"cell.{i}.{name}"
                 if key in entries:
                     metrics[name] = float(entries[key])

@@ -139,10 +139,8 @@ def _selftest_pass(root: str, seed: int) -> list[str]:
 
     metric_report = compute_report(read_ppm(edited_path), read_ppm(source_path), None)
     with open(os.path.join(root, "metrics.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"mse={metric_report.mse!r}\n")
-        fh.write(f"psnr={metric_report.psnr!r}\n")
-        fh.write(f"ssim={metric_report.ssim!r}\n")
-        fh.write(f"ssd={metric_report.spectral_structure_distance!r}\n")
+        for name, value in metric_report.columns().items():
+            fh.write(f"{name}={value!r}\n")
 
     return [
         source_path,

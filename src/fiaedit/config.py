@@ -10,23 +10,25 @@ override anything, so a config file plus a seed pins a run completely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .engine import EditRequest
 from .errors import ConfigError
-from .fia import DEFAULT_FILTER_SIGMA, FiaConfig, FriMode
+from .fia import FiaConfig, FriMode
+from .metrics import METRIC_COLUMNS
 from .model import GuidanceConfig, ModelConfig
 from .prompts import embed_prompt
 from .schedule import NoiseMode, NoiseSchedule, make_linear_schedule
 from .spectral import FusionWeights
 
-_NOISE_MODES = {m.value: m for m in NoiseMode}
-_FRI_MODES = {m.value: m for m in FriMode}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat view of every config key; defaults come from the owning classes."""
+    """Flat view of every config key; defaults come from the owning classes.
+
+    Field ``section_name`` is the key ``section.name``, and its annotation
+    picks the value parser (see ``_SCHEMA``).
+    """
 
     model_channels: int = ModelConfig.channels
     model_blocks_dual: int = ModelConfig.n_blocks_dual
@@ -45,17 +47,16 @@ class RunConfig:
     fia_fri_mode: str = FiaConfig.fri_mode.value
     fia_lambda1: float = FusionWeights.lambda1
     fia_lambda2: float = FusionWeights.lambda2
-    fia_filter_sigma: float = DEFAULT_FILTER_SIGMA
-    fia_filter_normalized: bool = FiaConfig.filter_normalized
+    fia_filter_sigma: float = FiaConfig.filter_sigma
     fia_fij_enabled: bool = FiaConfig.fij_enabled
     fia_fij_step_cutoff: int = -1  # -1: first ceil(0.54 * steps)
     fia_fij_block_lo: int = -1  # -1: the cross-only tail
     fia_fij_block_hi: int = -1
-    edit_seed: int = 0
-    edit_noise_mode: str = "reused"
-    edit_snapshot_stride: int = 0
+    edit_seed: int = EditRequest.seed
+    edit_noise_mode: str = EditRequest.noise_mode.value
+    edit_snapshot_stride: int = EditRequest.snapshot_stride
     codec_patch: int = 2
-    metrics_select: str = "mse,psnr,ssim,ssd"
+    metrics_select: str = ",".join(METRIC_COLUMNS)
 
     def make_model_config(self) -> ModelConfig:
         expected_channels = 3 * self.codec_patch**2
@@ -87,10 +88,9 @@ class RunConfig:
             block_range = (self.fia_fij_block_lo, self.fia_fij_block_hi)
         return FiaConfig(
             fri_enabled=self.fia_fri_enabled,
-            fri_mode=_FRI_MODES[self.fia_fri_mode],
+            fri_mode=FriMode(self.fia_fri_mode),
             fusion=FusionWeights(self.fia_lambda1, self.fia_lambda2),
             filter_sigma=self.fia_filter_sigma,
-            filter_normalized=self.fia_filter_normalized,
             fij_enabled=self.fia_fij_enabled,
             fij_step_cutoff=(
                 None if self.fia_fij_step_cutoff < 0 else self.fia_fij_step_cutoff
@@ -99,7 +99,7 @@ class RunConfig:
         )
 
     def noise_mode(self) -> NoiseMode:
-        return _NOISE_MODES[self.edit_noise_mode]
+        return NoiseMode(self.edit_noise_mode)
 
     def selected_metrics(self) -> tuple[str, ...]:
         return tuple(m.strip() for m in self.metrics_select.split(",") if m.strip())
@@ -162,38 +162,20 @@ def _parse_str(raw: str, key: str) -> str:
     return raw
 
 
-_SCHEMA = {
-    "model.channels": ("model_channels", _parse_int),
-    "model.blocks_dual": ("model_blocks_dual", _parse_int),
-    "model.blocks_cross_only": ("model_blocks_cross_only", _parse_int),
-    "model.d_model": ("model_d_model", _parse_int),
-    "model.n_heads": ("model_n_heads", _parse_int),
-    "model.seed": ("model_seed", _parse_int),
-    "schedule.steps": ("schedule_steps", _parse_int),
-    "schedule.skip_fraction": ("schedule_skip_fraction", _parse_float),
-    "guidance.mu_src": ("guidance_mu_src", _parse_float),
-    "guidance.mu_tar": ("guidance_mu_tar", _parse_float),
-    "prompts.source": ("prompts_source", _parse_str),
-    "prompts.target": ("prompts_target", _parse_str),
-    "prompts.seed": ("prompts_seed", _parse_int),
-    "fia.fri_enabled": ("fia_fri_enabled", _parse_bool),
-    "fia.fri_mode": ("fia_fri_mode", _parse_choice(tuple(_FRI_MODES))),
-    "fia.lambda1": ("fia_lambda1", _parse_float),
-    "fia.lambda2": ("fia_lambda2", _parse_float),
-    "fia.filter_sigma": ("fia_filter_sigma", _parse_float),
-    "fia.filter_normalized": ("fia_filter_normalized", _parse_bool),
-    "fia.fij_enabled": ("fia_fij_enabled", _parse_bool),
-    "fia.fij_step_cutoff": ("fia_fij_step_cutoff", _parse_int),
-    "fia.fij_block_lo": ("fia_fij_block_lo", _parse_int),
-    "fia.fij_block_hi": ("fia_fij_block_hi", _parse_int),
-    "edit.seed": ("edit_seed", _parse_int),
-    "edit.noise_mode": ("edit_noise_mode", _parse_choice(tuple(_NOISE_MODES))),
-    "edit.snapshot_stride": ("edit_snapshot_stride", _parse_int),
-    "codec.patch": ("codec_patch", _parse_int),
-    "metrics.select": ("metrics_select", _parse_str),
-}
+_PARSERS = {"int": _parse_int, "float": _parse_float, "bool": _parse_bool, "str": _parse_str}
+# the string fields that take one of an enum's values
+_CHOICES = {"fia_fri_mode": FriMode, "edit_noise_mode": NoiseMode}
 
-_VALID_METRICS = ("mse", "psnr", "ssim", "ssd")
+# config key -> (RunConfig field, value parser)
+_SCHEMA = {
+    f.name.replace("_", ".", 1): (
+        f.name,
+        _parse_choice(tuple(m.value for m in _CHOICES[f.name]))
+        if f.name in _CHOICES
+        else _PARSERS[f.type],
+    )
+    for f in fields(RunConfig)
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -244,9 +226,9 @@ def _validate(cfg: RunConfig) -> None:
         if value < -1:
             raise ConfigError(f"{name} must be >= -1 (-1 means the default), got {value}")
     for metric in cfg.selected_metrics():
-        if metric not in _VALID_METRICS:
+        if metric not in METRIC_COLUMNS:
             raise ConfigError(
-                f"metrics.select: unknown metric {metric!r}, valid: {_VALID_METRICS}"
+                f"metrics.select: unknown metric {metric!r}, valid: {tuple(METRIC_COLUMNS)}"
             )
 
 

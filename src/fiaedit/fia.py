@@ -45,7 +45,6 @@ from .prompts import PromptEmbedding, embeddings_equal
 from .spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
 DEFAULT_FIJ_STEP_FRACTION = 0.54
-DEFAULT_FILTER_SIGMA = 0.9
 
 
 class FriMode(enum.Enum):
@@ -70,8 +69,7 @@ class FiaConfig:
     fri_enabled: bool = True
     fri_mode: FriMode = FriMode.FREQ
     fusion: FusionWeights = field(default_factory=FusionWeights)
-    filter_sigma: float = DEFAULT_FILTER_SIGMA
-    filter_normalized: bool = True
+    filter_sigma: float = 0.9
     fij_enabled: bool = True
     fij_step_cutoff: int | None = None
     fij_block_range: tuple[int, int] | None = None
@@ -119,22 +117,20 @@ class FiaConfig:
 
 
 def plan_capture(
-    cfg: FiaConfig,
-    model_cfg: ModelConfig,
-    step_index: int = 0,
-    total_steps: int | None = None,
+    cfg: FiaConfig, model_cfg: ModelConfig, step_index: int, total_steps: int
 ) -> HookPlan:
-    """Capture plan for the source and probe passes: every site FIA consumes.
+    """Capture plan for the source and probe passes at one step.
 
-    Given the run's ``total_steps``, the plan is the one step ``step_index``
-    reads: the cross sites drop out once the injection window has closed.
+    Every site that step's overrides read: the self sites under frequency
+    interaction, and the injected cross sites while the injection window is
+    open.
     """
     sites: set[Site] = set()
     if cfg.fri_enabled:
         sites.update(model_cfg.self_sites())
     if cfg.fij_enabled:
         lo, hi = cfg.resolved_block_range(model_cfg)
-        if total_steps is None or cfg.fij_active(step_index, total_steps):
+        if cfg.fij_active(step_index, total_steps):
             sites.update((b, AttnKind.CROSS) for b in range(lo, hi + 1))
     return HookPlan(capture=frozenset(sites))
 
@@ -189,7 +185,7 @@ def _fuse_self_sites(
     feats = [(src.q, tar.q) for _, src, tar in pairs] + [
         (src.k, tar.k) for _, src, tar in pairs
     ]
-    filt = make_gaussian_lowpass(*grid, cfg.filter_sigma, cfg.filter_normalized)
+    filt = make_gaussian_lowpass(*grid, cfg.filter_sigma)
     fused = fri_fuse(
         np.concatenate([fold_heads_to_grid(s, *grid) for s, _ in feats]),
         np.concatenate([fold_heads_to_grid(t, *grid) for _, t in feats]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -24,12 +25,25 @@ SSIM_L = 1.0
 PSNR_INFINITE = float("inf")
 
 
+# report column -> MetricReport field, in report order
+METRIC_COLUMNS = {
+    "mse": "mse",
+    "psnr": "psnr",
+    "ssim": "ssim",
+    "ssd": "spectral_structure_distance",
+}
+
+
 @dataclass(frozen=True)
 class MetricReport:
     mse: float
     psnr: float
     ssim: float
     spectral_structure_distance: float
+
+    def columns(self, select: Iterable[str] = METRIC_COLUMNS) -> dict[str, float]:
+        """The selected report columns by name, in ``select`` order."""
+        return {name: float(getattr(self, METRIC_COLUMNS[name])) for name in select}
 
 
 def _check_pair(a: ImageBuffer, b: ImageBuffer) -> None:

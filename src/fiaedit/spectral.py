@@ -52,11 +52,9 @@ class FusionWeights:
 
 @dataclass(frozen=True)
 class LowPassFilter:
-    """Radially symmetric mask in [0, 1]; DC gain is 1 when normalized."""
+    """Radially symmetric mask in [0, 1] with DC gain 1."""
 
     mask: np.ndarray
-    sigma: float
-    normalized: bool
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -74,7 +72,7 @@ def fft2(f: np.ndarray) -> Spectrum:
     if f.ndim != 3:
         raise ShapeMismatchError(f"expected (C, H, W), got shape {f.shape}")
     if not np.all(np.isfinite(f)):
-        raise ValueError("input contains non-finite values")
+        raise NumericFailure("input contains non-finite values")
     return Spectrum(np.fft.fftshift(np.fft.fft2(f, axes=(-2, -1)), axes=(-2, -1)))
 
 
@@ -89,37 +87,32 @@ def ifft2(s: Spectrum) -> np.ndarray:
     return re
 
 
-def lowpass_profile(r: np.ndarray | float, sigma: float, normalized: bool) -> np.ndarray | float:
-    """Gaussian radial profile ``exp(-r^2 / (2 sigma^2)) / (2 pi sigma^2)``.
+def lowpass_profile(r: np.ndarray | float, sigma: float) -> np.ndarray | float:
+    """Gaussian radial profile ``exp(-r^2 / (2 sigma^2))``, exactly 1 at r = 0.
 
-    With ``normalized`` the 1/(2 pi sigma^2) amplitude is divided out so the
-    profile peaks at exactly 1 at r = 0.
+    The Gaussian's 1/(2 pi sigma^2) amplitude is left out: band splitting
+    needs a mask in [0, 1], and that amplitude exceeds 1 for sigma < 0.4.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    gauss = np.exp(-np.square(r) / (2.0 * sigma * sigma))
-    if normalized:
-        return gauss
-    return gauss / (2.0 * np.pi * sigma * sigma)
+    return np.exp(-np.square(r) / (2.0 * sigma * sigma))
 
 
 @functools.lru_cache(maxsize=64)
-def make_gaussian_lowpass(
-    h: int, w: int, sigma: float, normalized: bool = True
-) -> LowPassFilter:
+def make_gaussian_lowpass(h: int, w: int, sigma: float) -> LowPassFilter:
     """Gaussian low-pass mask on an h-by-w centered frequency grid.
 
-    Built once per ``(h, w, sigma, normalized)``; every caller shares the
-    cached filter, so its mask is read-only.
+    Built once per ``(h, w, sigma)``; every caller shares the cached filter,
+    so its mask is read-only.
     """
     if h < 1 or w < 1:
         raise ValueError("grid dimensions must be positive")
     v = centered_frequencies(h)[:, None]
     u = centered_frequencies(w)[None, :]
     r = np.sqrt(u * u + v * v)
-    mask = lowpass_profile(r, sigma, normalized)
+    mask = lowpass_profile(r, sigma)
     mask.setflags(write=False)
-    return LowPassFilter(mask=mask, sigma=sigma, normalized=normalized)
+    return LowPassFilter(mask=mask)
 
 
 def decompose(s: Spectrum, filt: LowPassFilter) -> tuple[Spectrum, Spectrum]:
@@ -176,7 +169,7 @@ def fri_fuse(
             f"filter grid {filt.grid} does not match feature grid {f_src.shape[-2:]}"
         )
     if not (np.all(np.isfinite(f_src)) and np.all(np.isfinite(f_tar))):
-        raise ValueError("input contains non-finite values")
+        raise NumericFailure("input contains non-finite values")
     h, w = filt.grid
     # rfft2 keeps the non-negative frequencies of the last axis, DC first
     half_mask = np.fft.ifftshift(filt.mask)[:, : w // 2 + 1]

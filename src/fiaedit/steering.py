@@ -5,57 +5,37 @@ the target prompt drifts the whole image.  Guidance is symmetric and noise
 injection is off, so the two arms differ only in whether cross-attention
 packet injection is active; injection spans every block here, where its
 pull toward the source pass is strongest.  The measured quantity is the
-background-masked MSE between the decoded edit and the source scene.
+background-masked MSE between the decoded edit and the source scene.  Both
+arms run as one two-cell lockstep grid on the ``blob16`` fixture.
 """
 
 from __future__ import annotations
 
-from .codec import decode, encode
-from .engine import EditRequest, run_edit
-from .fia import FiaConfig
-from .fixtures import blob_scene
-from .metrics import mse
-from .model import GuidanceConfig, ModelConfig, VelocityModel
-from .prompts import embed_prompt
-from .schedule import NoiseMode, make_linear_schedule
+from .ablation import parse_grid, run_ablation
+from .config import parse_config
+from .errors import EditRunError
 
 STEERING_SEEDS = (0, 1, 2, 3, 4, 5, 6)
-STEERING_STEPS = 12
-STEERING_PATCH = 2
-_SOURCE_PROMPT = "a small bright blob on a striped background"
-_TARGET_PROMPT = "a dark square on a plain background"
+# the stock 6-block model on 12 latent channels (codec.patch = 2)
+STEERING_CONFIG = """
+schedule.steps = 12
+guidance.mu_src = 1.0
+guidance.mu_tar = 1.0
+prompts.source = a small bright blob on a striped background
+prompts.target = a dark square on a plain background
+fia.fri_enabled = false
+fia.fij_block_lo = 0
+fia.fij_block_hi = 5
+edit.noise_mode = none
+"""
 
 
-def steering_model_config(model_seed: int) -> ModelConfig:
-    return ModelConfig(
-        n_blocks_dual=4,
-        n_blocks_cross_only=2,
-        d_model=8,
-        n_heads=2,
-        seed=model_seed,
-        channels=3 * STEERING_PATCH**2,
-    )
-
-
-def run_steering_trial(model_seed: int, fij_enabled: bool) -> float:
-    """Background-masked MSE of one steering run."""
-    image, background = blob_scene(16, 16)
-    latent = encode(image, STEERING_PATCH)
-    model = VelocityModel(steering_model_config(model_seed))
-    req = EditRequest(
-        source_latent=latent,
-        p_src=embed_prompt(_SOURCE_PROMPT, 8, seed=0),
-        p_tar=embed_prompt(_TARGET_PROMPT, 8, seed=0),
-        schedule=make_linear_schedule(STEERING_STEPS, 0.0),
-        guidance=GuidanceConfig(mu_src=1.0, mu_tar=1.0),
-        fia=FiaConfig(
-            fri_enabled=False,
-            fij_enabled=fij_enabled,
-            fij_block_range=(0, 5),
-        ),
-        seed=0,
-        noise_mode=NoiseMode.NONE,
-    )
-    trace = run_edit(model, req)
-    edited = decode(trace.final_latent, STEERING_PATCH)
-    return mse(edited, image, background)
+def run_steering_trial(model_seed: int) -> tuple[float, float]:
+    """Background-masked MSE with injection on and off, for one model seed."""
+    cfg = parse_config(STEERING_CONFIG + f"model.seed = {model_seed}\n")
+    report = run_ablation(cfg, parse_grid("fij_enabled=true,false"))
+    for row in report.rows:
+        if row.status != "ok":
+            raise EditRunError(f"steering arm {row.delta} failed: {row.error}")
+    on, off = (row.metrics["mse"] for row in report.rows)
+    return on, off

@@ -35,15 +35,13 @@ def oracle_ifft2_centered(spec: np.ndarray) -> np.ndarray:
     return out.real
 
 
-def oracle_gaussian_mask(h: int, w: int, sigma: float, normalized: bool) -> np.ndarray:
+def oracle_gaussian_mask(h: int, w: int, sigma: float) -> np.ndarray:
     mask = np.empty((h, w))
     for i in range(h):
         for j in range(w):
             u = (i - h // 2) / h
             v = (j - w // 2) / w
             mask[i, j] = np.exp(-(u * u + v * v) / (2.0 * sigma * sigma))
-    if not normalized:
-        mask = mask / (2.0 * np.pi * sigma * sigma)
     return mask
 
 
@@ -51,13 +49,12 @@ def oracle_fri_fuse(
     f_src: np.ndarray,
     f_tar: np.ndarray,
     sigma: float,
-    normalized: bool,
     lambda1: float,
     lambda2: float,
 ) -> np.ndarray:
     """The whole decompose-and-blend chain over the direct transforms."""
     _, h, w = f_src.shape
-    mask = oracle_gaussian_mask(h, w, sigma, normalized)
+    mask = oracle_gaussian_mask(h, w, sigma)
     fs = oracle_fft2_centered(f_src)
     ft = oracle_fft2_centered(f_tar)
     fused = lambda1 * (fs * (1.0 - mask) + ft * mask) + lambda2 * (

@@ -116,9 +116,9 @@ def test_c03_spectral_oracle_equivalence():
         w = int(rng_shapes.integers(2, 9))
         f_src = rng.standard_normal((c, h, w))
         f_tar = rng.standard_normal((c, h, w))
-        filt = make_gaussian_lowpass(h, w, 0.9, normalized=True)
+        filt = make_gaussian_lowpass(h, w, 0.9)
         got = fri_fuse(f_src, f_tar, filt, FusionWeights(0.8, 0.2))
-        expected = oracle_fri_fuse(f_src, f_tar, 0.9, True, 0.8, 0.2)
+        expected = oracle_fri_fuse(f_src, f_tar, 0.9, 0.8, 0.2)
         assert np.abs(got - expected).max() < 1e-9
         high, low = decompose(fft2(f_src), filt)
         assert np.array_equal(high.coeffs + low.coeffs, fft2(f_src).coeffs)
@@ -153,8 +153,8 @@ def test_c05_fij_exactness(tiny_model, prompt_pair):
     x_fe = x_src.copy()
     guidance = GuidanceConfig(mu_src=3.5, mu_tar=13.5)
     injected_sites = {(4, AttnKind.CROSS), (5, AttnKind.CROSS)}
-    capture = plan_capture(cfg, tiny_model.cfg)
     for i in range(total):
+        capture = plan_capture(cfg, tiny_model.cfg, i, total)
         sigma_t = sched.sigmas[i]
         draw = draw_step_noise(x_src.shape, 0, i)
         x_src_t = interpolate_source(x_src, sigma_t, draw)
@@ -270,8 +270,7 @@ def test_c08_noise_mode_structure(tiny_model, prompt_pair):
 def test_c09_directional_fij_trend():
     assert len(STEERING_SEEDS) >= 5
     for seed in STEERING_SEEDS:
-        with_fij = run_steering_trial(seed, fij_enabled=True)
-        without_fij = run_steering_trial(seed, fij_enabled=False)
+        with_fij, without_fij = run_steering_trial(seed)
         assert with_fij < without_fij, (
             f"seed {seed}: {with_fij:.6f} !< {without_fij:.6f}"
         )

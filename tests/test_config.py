@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from fiaedit.config import RunConfig, load_config, parse_config, with_overrides
+from fiaedit.config import _SCHEMA, RunConfig, load_config, parse_config, with_overrides
 from fiaedit.errors import ConfigError
 from fiaedit.fia import FiaConfig, FriMode
 from fiaedit.model import GuidanceConfig, ModelConfig
@@ -49,6 +53,62 @@ class TestDefaults:
         assert cfg.make_fia() == FiaConfig()
 
 
+# every field away from its default, and valid
+NON_DEFAULT = RunConfig(
+    model_channels=48,
+    model_blocks_dual=2,
+    model_blocks_cross_only=1,
+    model_d_model=16,
+    model_n_heads=4,
+    model_seed=7,
+    schedule_steps=20,
+    schedule_skip_fraction=0.25,
+    guidance_mu_src=2.0,
+    guidance_mu_tar=7.5,
+    prompts_source="a red blob",
+    prompts_target="a blue square",
+    prompts_seed=3,
+    fia_fri_enabled=False,
+    fia_fri_mode="add",
+    fia_lambda1=0.6,
+    fia_lambda2=0.4,
+    fia_filter_sigma=0.2,
+    fia_fij_enabled=False,
+    fia_fij_step_cutoff=9,
+    fia_fij_block_lo=0,
+    fia_fij_block_hi=2,
+    edit_seed=5,
+    edit_noise_mode="fresh",
+    edit_snapshot_stride=2,
+    codec_patch=4,
+    metrics_select="ssd,mse",
+)
+
+
+class TestSchema:
+    def test_every_field_round_trips_through_its_key(self):
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(NON_DEFAULT, f.name) != f.default, f.name
+        lines = []
+        for key, (attr, _) in _SCHEMA.items():
+            value = getattr(NON_DEFAULT, attr)
+            text = str(value).lower() if isinstance(value, bool) else str(value)
+            lines.append(f"{key} = {text}")
+        assert len(lines) == len(dataclasses.fields(RunConfig))
+        assert parse_config("\n".join(lines)) == NON_DEFAULT
+
+    def test_readme_config_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        table = readme.read_text(encoding="utf-8").split("## Config format", 1)[1]
+        table = table.split("\n## ", 1)[0]
+        documented = []
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                first_cell = line.split("|")[1]
+                documented += re.findall(r"`([a-z_]+\.[a-z_0-9]+)`", first_cell)
+        assert sorted(documented) == sorted(_SCHEMA)
+
+
 class TestParsing:
     def test_sample_document(self):
         cfg = parse_config(SAMPLE)
@@ -63,6 +123,9 @@ class TestParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("model.depth = 3\n")
+        # the mask is always peak-1: a raw Gaussian amplitude is no band split
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("fia.filter_normalized = true\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -231,9 +231,18 @@ class TestFailureSemantics:
 
 class TestLockstep:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.parametrize("bad_step", [0, 3])
+    @pytest.mark.parametrize(
+        "fusion, bad_step",
+        [
+            pytest.param(FriMode.ADD, 0, id="0"),
+            pytest.param(FriMode.ADD, 3, id="3"),
+            # FREQ fusion meets the non-finite features before the velocity does
+            pytest.param(FriMode.FREQ, 0, id="freq-0"),
+            pytest.param(FriMode.FREQ, 3, id="freq-3"),
+        ],
+    )
     def test_one_request_failing_at_step_k_spares_the_others(
-        self, tiny_model, source_latent, prompt_pair, bad_step
+        self, tiny_model, source_latent, prompt_pair, fusion, bad_step
     ):
         p_src, p_tar = prompt_pair
         poisoned = embed_prompt("a prompt that poisons its branch", 8, seed=1)
@@ -254,9 +263,8 @@ class TestLockstep:
         reqs = [
             base_request(source_latent, p_src, p_tar, steps=6, record_velocities=True,
                          noise_mode=NoiseMode.REUSED_EPSILON),
-            # ADD averaging lets the non-finite features reach the velocity
             base_request(source_latent, p_src, poisoned, steps=6, record_velocities=True,
-                         fia=FiaConfig(fri_mode=FriMode.ADD)),
+                         fia=FiaConfig(fri_mode=fusion)),
             base_request(source_latent, p_src, p_tar, steps=6, record_velocities=True,
                          fia=FiaConfig(fri_mode=FriMode.ADD), noise_mode=NoiseMode.FRESH_GAUSSIAN),
         ]

@@ -9,10 +9,15 @@ Lockstep grids rest on batch independence: on random small models, a
 branch's velocity and packets are bit-identical alone and inside a batch
 of random siblings, and a grid run in lockstep reports the same bytes as
 its cells run one by one.
+
+The acceptance invariants hold on random small configs too: a zero edit
+returns its source bit for bit, a disabled constraint is bit-identical to
+the bypassed engine, and every run ends finite or in a ``FiaEditError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -29,18 +34,19 @@ from fiaedit.ablation import (
     format_report,
     parse_grid,
     run_ablation,
-    selected_metric_values,
 )
 from fiaedit.cli import main
 from fiaedit.codec import ImageBuffer, decode, encode, read_ppm
 from fiaedit.config import _SCHEMA, RunConfig, build_edit_request, parse_config
-from fiaedit.engine import run_edit
+from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import FiaEditError
+from fiaedit.fia import FiaConfig, FriMode
 from fiaedit.fixtures import load_fixture
 from fiaedit.metrics import compute_report
 from fiaedit.model import (
     AttentionPacket,
     AttnKind,
+    GuidanceConfig,
     HookPlan,
     ModelConfig,
     ReplaceQK,
@@ -48,6 +54,7 @@ from fiaedit.model import (
     VelocityModel,
 )
 from fiaedit.prompts import embed_prompt, embeddings_equal
+from fiaedit.schedule import NoiseMode, make_linear_schedule
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -257,7 +264,7 @@ def _cell_by_cell_report(base: RunConfig, grid: GridSpec, fixture: str) -> str:
             cfg = apply_cell(base, delta)
             trace = run_edit(model, build_edit_request(cfg, latent))
             report = compute_report(decode(trace.final_latent, cfg.codec_patch), image, mask)
-            metrics = selected_metric_values(report, cfg.selected_metrics())
+            metrics = report.columns(cfg.selected_metrics())
             rows.append(AblationRow(delta, "ok", metrics))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}".splitlines()[0]
@@ -297,3 +304,147 @@ codec.patch = {patch}
     )
     lockstep = format_report(run_ablation(base, grid, "blob16"))
     assert lockstep == _cell_by_cell_report(base, grid, "blob16")
+
+
+# -- acceptance invariants on random small configs ----------------------------
+
+_MUS = st.sampled_from([0.0, 1.0, 1.5, 13.5])
+_LATENT_GRIDS = st.tuples(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=6))
+
+
+@st.composite
+def _fia_configs(draw, model_cfg: ModelConfig, total_steps: int):
+    """Every FRI mode (off, add, freq), and FIJ windows and ranges inside the model.
+
+    The default range, the cross-only tail, exists only when the model has one.
+    """
+    lo = draw(st.integers(min_value=0, max_value=model_cfg.n_blocks - 1))
+    hi = draw(st.integers(min_value=lo, max_value=model_cfg.n_blocks - 1))
+    ranges = st.just((lo, hi))
+    if model_cfg.n_blocks_cross_only:
+        ranges |= st.none()
+    return FiaConfig(
+        fri_enabled=draw(st.booleans()),
+        fri_mode=draw(st.sampled_from(FriMode)),
+        filter_sigma=draw(st.sampled_from([0.2, 0.9, 5.0])),
+        fij_enabled=draw(st.booleans()),
+        fij_step_cutoff=draw(st.none() | st.integers(min_value=0, max_value=total_steps)),
+        fij_block_range=draw(ranges),
+    )
+
+
+@LOCKSTEP_FUZZ
+@given(
+    cfg=_model_configs(),
+    grid=_LATENT_GRIDS,
+    steps=st.integers(min_value=1, max_value=4),
+    mu=_MUS,
+    text=st.sampled_from(_TEXTS),
+    data=st.data(),
+)
+def test_zero_edit_returns_the_source_bit_for_bit(cfg, grid, steps, mu, text, data):
+    prompt = _prompt(text, cfg.d_model)
+    source = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (cfg.channels, *grid)
+    )
+    req = EditRequest(
+        source_latent=source,
+        p_src=prompt,
+        p_tar=prompt,
+        schedule=make_linear_schedule(steps, 0.0),
+        guidance=GuidanceConfig(mu_src=mu, mu_tar=mu),
+        fia=data.draw(_fia_configs(cfg, steps)),
+        seed=data.draw(st.integers(0, 1000)),
+        noise_mode=NoiseMode.NONE,
+    )
+    assert np.array_equal(run_edit(VelocityModel(cfg), req).final_latent, source)
+
+
+@LOCKSTEP_FUZZ
+@given(
+    cfg=_model_configs(),
+    grid=_LATENT_GRIDS,
+    steps=st.integers(min_value=1, max_value=4),
+    mu=st.tuples(_MUS, _MUS),
+    texts=st.tuples(st.sampled_from(_TEXTS), st.sampled_from(_TEXTS)),
+    noise_mode=st.sampled_from(NoiseMode),
+    data=st.data(),
+)
+def test_disabled_fia_equals_the_bypassed_engine(cfg, grid, steps, mu, texts, noise_mode, data):
+    fia = dataclasses.replace(
+        data.draw(_fia_configs(cfg, steps)), fri_enabled=False, fij_enabled=False
+    )
+    req = EditRequest(
+        source_latent=np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        .standard_normal((cfg.channels, *grid)),
+        p_src=_prompt(texts[0], cfg.d_model),
+        p_tar=_prompt(texts[1], cfg.d_model),
+        schedule=make_linear_schedule(steps, 0.0),
+        guidance=GuidanceConfig(mu_src=mu[0], mu_tar=mu[1]),
+        fia=fia,
+        seed=data.draw(st.integers(0, 1000)),
+        noise_mode=noise_mode,
+        record_velocities=True,
+    )
+    model = VelocityModel(cfg)
+    via_fia = run_edit(model, req)
+    bypassed = run_edit(model, req, bypass_fia=True)
+    assert np.array_equal(via_fia.final_latent, bypassed.final_latent)
+    for a, b in zip(via_fia.records, bypassed.records, strict=True):
+        assert np.array_equal(a.v_src, b.v_src)
+        assert np.array_equal(a.v_tar, b.v_tar)
+
+
+@LOCKSTEP_FUZZ
+@given(
+    cfg=_model_configs(channels=st.just(3)),  # codec.patch = 1
+    grid=_LATENT_GRIDS,
+    steps=st.integers(min_value=1, max_value=4),
+    mu=st.tuples(*[st.sampled_from([0.0, 1.0, 1.5, 13.5, 1e150, 1e300])] * 2),
+    scale=st.sampled_from([1.0, 1e3, 1e150]),
+    texts=st.tuples(st.sampled_from(_TEXTS), st.sampled_from(_TEXTS)),
+    fia=st.fixed_dictionaries(
+        {
+            "fri_enabled": st.sampled_from(["true", "false"]),
+            "fri_mode": st.sampled_from(["freq", "add"]),
+            "lambda1": st.sampled_from([0.8, 0.5, 2.0]),
+            "filter_sigma": st.sampled_from([0.2, 0.9, 5.0]),
+            "fij_enabled": st.sampled_from(["true", "false"]),
+            "fij_step_cutoff": st.integers(min_value=-1, max_value=5),
+        }
+    ),
+    # the default tail, or a range that may run past the model's last block
+    block_range=st.just((-1, -1)) | st.lists(st.integers(0, 5), min_size=2, max_size=2).map(sorted),
+    noise_mode=st.sampled_from(["none", "fresh", "reused"]),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_run_ends_finite_or_in_a_package_error(
+    cfg, grid, steps, mu, scale, texts, fia, block_range, noise_mode, seed
+):
+    fia = {**fia, "fij_block_lo": block_range[0], "fij_block_hi": block_range[1]}
+    fia_lines = "".join(f"fia.{key} = {value}\n" for key, value in fia.items())
+    text = f"""
+model.channels = 3
+model.blocks_dual = {cfg.n_blocks_dual}
+model.blocks_cross_only = {cfg.n_blocks_cross_only}
+model.d_model = {cfg.d_model}
+model.n_heads = {cfg.n_heads}
+model.seed = {cfg.seed}
+schedule.steps = {steps}
+guidance.mu_src = {mu[0]!r}
+guidance.mu_tar = {mu[1]!r}
+prompts.source = {texts[0]}
+prompts.target = {texts[1]}
+edit.seed = {seed}
+edit.noise_mode = {noise_mode}
+codec.patch = 1
+""" + fia_lines
+    latent = scale * np.random.default_rng(seed).standard_normal((3, *grid))
+    try:
+        run_cfg = parse_config(text)
+        model = VelocityModel(run_cfg.make_model_config())
+        trace = run_edit(model, build_edit_request(run_cfg, latent))
+    except FiaEditError:
+        return
+    assert np.all(np.isfinite(trace.final_latent))

@@ -64,7 +64,7 @@ class TestFft2:
     def test_rejects_non_finite(self):
         bad = np.zeros((1, 4, 4))
         bad[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericFailure):
             fft2(bad)
 
 
@@ -98,22 +98,17 @@ class TestIfft2:
 class TestGaussianLowpass:
     def test_normalized_dc_is_one(self):
         for sigma in (0.2, 0.9, 5.0):
-            filt = make_gaussian_lowpass(8, 8, sigma, normalized=True)
+            filt = make_gaussian_lowpass(8, 8, sigma)
             assert filt.mask[4, 4] == 1.0
 
-    def test_unnormalized_dc_value(self):
-        filt = make_gaussian_lowpass(8, 8, 0.9, normalized=False)
-        assert filt.mask[4, 4] == pytest.approx(1.0 / (2.0 * np.pi * 0.81), rel=1e-12)
-
     def test_profile_at_r_equal_sigma(self):
-        assert lowpass_profile(0.9, 0.9, normalized=True) == pytest.approx(
+        assert lowpass_profile(0.9, 0.9) == pytest.approx(
             np.exp(-0.5), rel=1e-12
         )
 
     def test_matches_oracle_mask(self):
-        for normalized in (True, False):
-            filt = make_gaussian_lowpass(6, 9, 0.9, normalized=normalized)
-            assert np.abs(filt.mask - oracle_gaussian_mask(6, 9, 0.9, normalized)).max() < 1e-12
+        filt = make_gaussian_lowpass(6, 9, 0.9)
+        assert np.abs(filt.mask - oracle_gaussian_mask(6, 9, 0.9)).max() < 1e-12
 
     def test_radially_symmetric(self):
         filt = make_gaussian_lowpass(8, 8, 0.7)
@@ -126,7 +121,7 @@ class TestGaussianLowpass:
     def test_built_once_and_read_only(self):
         filt = make_gaussian_lowpass(6, 5, 0.9)
         assert make_gaussian_lowpass(6, 5, 0.9) is filt
-        assert make_gaussian_lowpass(6, 5, 0.9, False) is not filt
+        assert make_gaussian_lowpass(6, 5, 0.8) is not filt
         with pytest.raises(ValueError):
             filt.mask[0, 0] = 0.0
 
@@ -148,14 +143,14 @@ class TestDecompose:
 
     def test_all_pass_mask(self):
         spec = fft2(random_tensor((1, 4, 4), 0))
-        filt = LowPassFilter(mask=np.ones((4, 4)), sigma=1.0, normalized=True)
+        filt = LowPassFilter(mask=np.ones((4, 4)))
         high, low = decompose(spec, filt)
         assert np.array_equal(low.coeffs, spec.coeffs)
         assert np.all(high.coeffs == 0.0)
 
     def test_half_mask_splits_evenly(self):
         spec = fft2(random_tensor((1, 4, 4), 1))
-        filt = LowPassFilter(mask=np.full((4, 4), 0.5), sigma=1.0, normalized=True)
+        filt = LowPassFilter(mask=np.full((4, 4), 0.5))
         high, low = decompose(spec, filt)
         assert np.array_equal(low.coeffs, spec.coeffs / 2)
         assert np.array_equal(high.coeffs, spec.coeffs / 2)
@@ -188,7 +183,7 @@ class TestFriFuse:
         f_tar = random_tensor((1, 8, 8), 12)
         filt = make_gaussian_lowpass(8, 8, 0.9)
         out = fri_fuse(f_src, f_tar, filt, FusionWeights(0.8, 0.2))
-        expected = oracle_fri_fuse(f_src, f_tar, 0.9, True, 0.8, 0.2)
+        expected = oracle_fri_fuse(f_src, f_tar, 0.9, 0.8, 0.2)
         assert np.abs(out - expected).max() < 1e-9
 
     @settings(max_examples=20, deadline=None)
@@ -230,9 +225,9 @@ class TestFriFuse:
         bad = f.copy()
         bad[0, 1, 2] = np.inf
         filt = make_gaussian_lowpass(4, 4, 0.9)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericFailure):
             fri_fuse(f, bad, filt, FusionWeights())
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericFailure):
             fri_fuse(bad, f, filt, FusionWeights())
 
     def test_rejects_negative_weights(self):
