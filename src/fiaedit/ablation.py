@@ -161,7 +161,6 @@ def run_ablation(
     model_cfg = base.make_model_config()
     check_budget(model_cfg, latent.shape[-2:], len(cells))
     model = VelocityModel(model_cfg)
-    select = base.selected_metrics()
 
     rows: dict[int, AblationRow] = {}
     reqs: dict[int, EditRequest] = {}
@@ -186,7 +185,7 @@ def run_ablation(
         try:
             edited = decode(result.final_latent, base.codec_patch)
             report = compute_report(edited, image, mask)
-            rows[i] = AblationRow(delta=cells[i], status="ok", metrics=report.columns(select))
+            rows[i] = AblationRow(delta=cells[i], status="ok", metrics=report.columns())
         except Exception as exc:
             rows[i] = _error_row(cells[i], exc)
 

@@ -27,7 +27,7 @@ from .config import (
 from .engine import EditTrace, check_budget, run_edit
 from .errors import ConfigError, EditRunError, FiaEditError, NumericFailure
 from .fixtures import load_fixture
-from .metrics import compute_report
+from .metrics import METRIC_COLUMNS, compute_report
 from .model import VelocityModel
 
 TRACE_SCHEMA = "edit-trace/1"
@@ -91,10 +91,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     b = read_ppm(args.image_b)
     mask = read_mask(args.mask) if args.mask else None
     report = compute_report(a, b, mask)
-    print(f"mse={report.mse:.6g}")
-    print(f"psnr={report.psnr:.6g}")
-    print(f"ssim={report.ssim:.6g}")
-    print(f"spectral_structure_distance={report.spectral_structure_distance:.6g}")
+    for attr in METRIC_COLUMNS.values():
+        print(f"{attr}={getattr(report, attr):.6g}")
     return 0
 
 

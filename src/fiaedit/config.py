@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields, replace
 from .engine import EditRequest
 from .errors import ConfigError
 from .fia import FiaConfig, FriMode
-from .metrics import METRIC_COLUMNS
 from .model import GuidanceConfig, ModelConfig
 from .prompts import embed_prompt
 from .schedule import NoiseMode, NoiseSchedule, make_linear_schedule
@@ -56,7 +55,6 @@ class RunConfig:
     edit_noise_mode: str = EditRequest.noise_mode.value
     edit_snapshot_stride: int = EditRequest.snapshot_stride
     codec_patch: int = 2
-    metrics_select: str = ",".join(METRIC_COLUMNS)
 
     def make_model_config(self) -> ModelConfig:
         expected_channels = 3 * self.codec_patch**2
@@ -100,9 +98,6 @@ class RunConfig:
 
     def noise_mode(self) -> NoiseMode:
         return NoiseMode(self.edit_noise_mode)
-
-    def selected_metrics(self) -> tuple[str, ...]:
-        return tuple(m.strip() for m in self.metrics_select.split(",") if m.strip())
 
 
 def build_edit_request(cfg: RunConfig, source_latent) -> EditRequest:
@@ -211,7 +206,9 @@ def _validate(cfg: RunConfig) -> None:
         cfg.make_model_config()
         cfg.make_schedule()
         cfg.make_guidance()
-        cfg.make_fia()
+        fia = cfg.make_fia()
+        if fia.fij_enabled:
+            fia.resolved_cutoff(cfg.schedule_steps)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.edit_seed < 0:
@@ -225,11 +222,6 @@ def _validate(cfg: RunConfig) -> None:
     ):
         if value < -1:
             raise ConfigError(f"{name} must be >= -1 (-1 means the default), got {value}")
-    for metric in cfg.selected_metrics():
-        if metric not in METRIC_COLUMNS:
-            raise ConfigError(
-                f"metrics.select: unknown metric {metric!r}, valid: {tuple(METRIC_COLUMNS)}"
-            )
 
 
 def load_config(path: str) -> RunConfig:

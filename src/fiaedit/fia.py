@@ -41,7 +41,7 @@ from .model import (
     VelocityModel,
     guide,
 )
-from .prompts import PromptEmbedding, embeddings_equal
+from .prompts import PromptEmbedding
 from .spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
 DEFAULT_FIJ_STEP_FRACTION = 0.54
@@ -135,35 +135,6 @@ def plan_capture(
     return HookPlan(capture=frozenset(sites))
 
 
-def fold_heads_to_grid(a: np.ndarray, h: int, w: int) -> np.ndarray:
-    """(heads, h*w, d_head) -> (heads*d_head, h, w), heads folded as channels."""
-    heads, n_tok, d_head = a.shape
-    if n_tok != h * w:
-        raise ShapeMismatchError(f"{n_tok} tokens do not tile a {h}x{w} grid")
-    return a.transpose(0, 2, 1).reshape(heads * d_head, h, w)
-
-
-def unfold_grid_to_heads(g: np.ndarray, heads: int) -> np.ndarray:
-    """Inverse of :func:`fold_heads_to_grid`."""
-    c, h, w = g.shape
-    d_head = c // heads
-    return g.reshape(heads, d_head, h * w).transpose(0, 2, 1)
-
-
-def _packets_identical(a: AttentionPacket, b: AttentionPacket) -> bool:
-    if (a.text_embedding is None) != (b.text_embedding is None):
-        return False
-    if a.text_embedding is not None and not embeddings_equal(
-        a.text_embedding, b.text_embedding
-    ):
-        return False
-    return (
-        np.array_equal(a.q, b.q)
-        and np.array_equal(a.k, b.k)
-        and np.array_equal(a.v, b.v)
-    )
-
-
 def _fuse_self_sites(
     pairs: list[tuple[Site, AttentionPacket, AttentionPacket]],
     cfg: FiaConfig,
@@ -171,9 +142,10 @@ def _fuse_self_sites(
 ) -> dict[Site, ReplaceQK]:
     """Fused Q/K overrides for the given (site, source, target) triples.
 
-    In ``FREQ`` mode the Q and K of every site are folded to channel grids,
-    stacked, and fused by one :func:`fri_fuse` call; fusion acts on each
-    channel alone, so this equals fusing site by site.
+    In ``FREQ`` mode every site's Q, then every site's K, is stacked and
+    reshaped to channel grids, one per head and feature, for one
+    :func:`fri_fuse` call; fusion acts on each channel alone, so this
+    equals fusing site by site.
     """
     if cfg.fri_mode is FriMode.ADD:
         return {
@@ -182,21 +154,16 @@ def _fuse_self_sites(
         }
     if not pairs:
         return {}
-    feats = [(src.q, tar.q) for _, src, tar in pairs] + [
-        (src.k, tar.k) for _, src, tar in pairs
-    ]
+    # (source/target, features, heads, tokens, d_head), Q features first
+    feats = np.stack([
+        [src.q for _, src, _ in pairs] + [src.k for _, src, _ in pairs],
+        [tar.q for _, _, tar in pairs] + [tar.k for _, _, tar in pairs],
+    ])
+    heads, n_tok, d_head = feats.shape[2:]
+    grids = feats.swapaxes(-1, -2).reshape(2, -1, *grid)
     filt = make_gaussian_lowpass(*grid, cfg.filter_sigma)
-    fused = fri_fuse(
-        np.concatenate([fold_heads_to_grid(s, *grid) for s, _ in feats]),
-        np.concatenate([fold_heads_to_grid(t, *grid) for _, t in feats]),
-        filt,
-        cfg.fusion,
-    )
-    ends = np.cumsum([s.shape[0] * s.shape[2] for s, _ in feats])
-    out = [
-        unfold_grid_to_heads(part, s.shape[0])
-        for part, (s, _) in zip(np.split(fused, ends[:-1]), feats)
-    ]
+    fused = fri_fuse(grids[0], grids[1], filt, cfg.fusion)
+    out = fused.reshape(-1, heads, d_head, n_tok).swapaxes(-1, -2)
     n = len(pairs)
     return {site: ReplaceQK(q=out[i], k=out[n + i]) for i, (site, _, _) in enumerate(pairs)}
 
@@ -212,49 +179,36 @@ def build_target_overrides(
 ) -> HookPlan:
     """Turn captured source/target packets into the constrained pass's plan.
 
-    ``topology`` is the model's config, which lists the self sites.
-
-    Frequency fusion overrides every self-attention site at every step;
-    packet injection overrides the configured cross sites only while the
-    step index is below the cutoff.  Substitutions that would be exact
-    no-ops are dropped: fusing bit-identical features under weights that
-    sum to 1 is the identity, and injecting a packet the target already
-    computed replaces values with themselves.  Skipping them changes no
-    bits and keeps fully symmetric runs exactly symmetric.
+    ``topology`` is the model's config.  The plan overrides the sites
+    :func:`plan_capture` captures at this step: a self site takes the fused
+    source/target Q/K, and a cross site the source packet.  Substitutions
+    that would be exact no-ops are dropped: fusing bit-identical features
+    under weights that sum to 1 is the identity, and injecting the Q/K/V the
+    target already computed replaces values with themselves.  Skipping them
+    changes no bits and keeps fully symmetric runs exactly symmetric.
     """
+    unit_weights = cfg.fusion.lambda1 + cfg.fusion.lambda2 == 1.0
     overrides: dict[Site, ReplaceQK | ReplaceQKVE] = {}
-
-    if cfg.fri_enabled:
-        unit_weights = cfg.fusion.lambda1 + cfg.fusion.lambda2 == 1.0
-        to_fuse = []
-        for site in topology.self_sites():
-            src = src_packets.get(site)
-            tar = tar_packets.get(site)
-            if src is None or tar is None:
-                raise PacketAlignmentError(f"missing self-attention packets at {site}")
-            if src.q.shape != tar.q.shape or src.k.shape != tar.k.shape:
-                raise ShapeMismatchError(f"packet shapes differ at {site}")
-            if (
-                unit_weights
-                and np.array_equal(src.q, tar.q)
-                and np.array_equal(src.k, tar.k)
-            ):
-                continue
+    to_fuse = []
+    # block order, so the fused stack does not depend on set iteration order
+    sites = plan_capture(cfg, topology, step_index, total_steps).capture
+    for site in sorted(sites, key=lambda s: (s[0], s[1].value)):
+        src, tar = src_packets.get(site), tar_packets.get(site)
+        is_self = site[1] is AttnKind.SELF
+        if src is None or (is_self and tar is None):
+            raise PacketAlignmentError(f"missing packets at {site}")
+        same_qk = (
+            tar is not None and np.array_equal(src.q, tar.q) and np.array_equal(src.k, tar.k)
+        )
+        if not is_self:
+            # a cross site is injected even when its target packet is missing
+            if not (same_qk and np.array_equal(src.v, tar.v)):
+                overrides[site] = ReplaceQKVE(packet=src)
+        elif src.q.shape != tar.q.shape or src.k.shape != tar.k.shape:
+            raise ShapeMismatchError(f"packet shapes differ at {site}")
+        elif not (unit_weights and same_qk):
             to_fuse.append((site, src, tar))
-        overrides.update(_fuse_self_sites(to_fuse, cfg, grid))
-
-    if cfg.fij_active(step_index, total_steps):
-        lo, hi = cfg.resolved_block_range(topology)
-        for b in range(lo, hi + 1):
-            site = (b, AttnKind.CROSS)
-            src = src_packets.get(site)
-            if src is None:
-                raise PacketAlignmentError(f"missing cross-attention packet at {site}")
-            tar = tar_packets.get(site)
-            if tar is not None and _packets_identical(src, tar):
-                continue
-            overrides[site] = ReplaceQKVE(packet=src)
-
+    overrides.update(_fuse_self_sites(to_fuse, cfg, grid))
     return HookPlan(overrides=overrides)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -41,9 +40,9 @@ class MetricReport:
     ssim: float
     spectral_structure_distance: float
 
-    def columns(self, select: Iterable[str] = METRIC_COLUMNS) -> dict[str, float]:
-        """The selected report columns by name, in ``select`` order."""
-        return {name: float(getattr(self, METRIC_COLUMNS[name])) for name in select}
+    def columns(self) -> dict[str, float]:
+        """The report columns by name, in report order."""
+        return {name: float(getattr(self, attr)) for name, attr in METRIC_COLUMNS.items()}
 
 
 def _check_pair(a: ImageBuffer, b: ImageBuffer) -> None:

@@ -95,18 +95,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class AttentionPacket:
-    """Immutable snapshot of one attention site's effective inputs."""
+    """Immutable snapshot of one attention site's effective inputs.
 
-    block_index: int
-    kind: AttnKind
+    A packet carries no site: it is the value under its site's key in a
+    ``{site: packet}`` table.
+    """
+
     q: np.ndarray  # (heads, queries, d_head)
     k: np.ndarray  # (heads, keys, d_head)
     v: np.ndarray  # (heads, keys, d_head)
     text_embedding: PromptEmbedding | None = None
-
-    @property
-    def site(self) -> Site:
-        return (self.block_index, self.kind)
 
 
 @dataclass(frozen=True)
@@ -298,6 +296,41 @@ def _attend(
     np.matmul(_softmax_rows(scores), v, out=out)
 
 
+def _hook_site(
+    hooks: HookPlan,
+    site: Site,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    text: PromptEmbedding | None,
+    captured: dict[Site, AttentionPacket],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One branch's Q, K, V at ``site`` after its override, captured if asked.
+
+    ``ReplaceQK`` applies at self sites and ``ReplaceQKVE`` at cross sites;
+    ``text`` is the prompt a cross site reads, None at a self site.
+    """
+    action = hooks.overrides.get(site)
+    if isinstance(action, ReplaceQK) and site[1] is AttnKind.SELF:
+        if action.q.shape != q.shape or action.k.shape != k.shape:
+            raise ShapeMismatchError(
+                f"override at {site} has shape {action.q.shape}, expected {q.shape}"
+            )
+        q, k = action.q, action.k
+    elif isinstance(action, ReplaceQKVE) and site[1] is AttnKind.CROSS:
+        pkt = action.packet
+        if pkt.q.shape != q.shape:
+            raise ShapeMismatchError(
+                f"override at {site} has shape {pkt.q.shape}, expected {q.shape}"
+            )
+        q, k, v, text = pkt.q, pkt.k, pkt.v, pkt.text_embedding
+    elif action is not None:
+        raise TopologyError(f"{type(action).__name__} does not apply at {site}")
+    if site in hooks.capture:
+        captured[site] = AttentionPacket(_snapshot(q), _snapshot(k), _snapshot(v), text)
+    return q, k, v
+
+
 class VelocityModel:
     """Seeded toy velocity network; weights are immutable after init."""
 
@@ -375,21 +408,10 @@ class VelocityModel:
                     for name in ("wq", "wk", "wv")
                 )
                 for i in range(n_b):
-                    qi, ki = q[i], k[i]
+                    qkv = q[i], k[i], v[i]
                     if i < n_cond:
-                        action = hooks[i].overrides.get(site)
-                        if isinstance(action, ReplaceQK):
-                            if action.q.shape != qi.shape or action.k.shape != ki.shape:
-                                raise ShapeMismatchError(
-                                    f"override at {site} has shape "
-                                    f"{action.q.shape}, expected {qi.shape}"
-                                )
-                            qi, ki = action.q, action.k
-                        if site in hooks[i].capture:
-                            captured[i][site] = AttentionPacket(
-                                b, AttnKind.SELF, _snapshot(qi), _snapshot(ki), _snapshot(v[i])
-                            )
-                    _attend(qi, ki, v[i], scores, attn_heads[i])
+                        qkv = _hook_site(hooks[i], site, *qkv, None, captured[i])
+                    _attend(*qkv, scores, attn_heads[i])
                 h += attn @ W[f"b{b}.self.wo"]
 
             site = (b, AttnKind.CROSS)
@@ -402,25 +424,8 @@ class VelocityModel:
                     for key, p in distinct.items()
                 }
                 for i, p in enumerate(prompts):
-                    qi = q[i]
-                    ki, vi = kv[id(p)]
-                    site_text = p
-                    action = hooks[i].overrides.get(site)
-                    if isinstance(action, ReplaceQKVE):
-                        pkt = action.packet
-                        if pkt.q.shape != qi.shape:
-                            raise ShapeMismatchError(
-                                f"override at {site} has shape {pkt.q.shape}, "
-                                f"expected {qi.shape}"
-                            )
-                        qi, ki, vi = pkt.q, pkt.k, pkt.v
-                        site_text = pkt.text_embedding
-                    if site in hooks[i].capture:
-                        captured[i][site] = AttentionPacket(
-                            b, AttnKind.CROSS, _snapshot(qi), _snapshot(ki), _snapshot(vi),
-                            site_text,
-                        )
-                    _attend(qi, ki, vi, None, attn_heads[i])
+                    qkv = _hook_site(hooks[i], site, q[i], *kv[id(p)], p, captured[i])
+                    _attend(*qkv, None, attn_heads[i])
                 h[:n_cond] += attn[:n_cond] @ W[f"b{b}.cross.wo"]
             if n_cond < n_b:
                 h[n_cond:] += self._null_cross[b]
@@ -432,19 +437,9 @@ class VelocityModel:
         return out.swapaxes(1, 2).reshape(n_b, c, h_grid, w_grid), captured
 
     def _validate_hooks(self, hooks: HookPlan) -> None:
-        cfg = self.cfg
-        for site in hooks.capture:
-            if not cfg.contains(site):
-                raise TopologyError(f"capture site {site} not in the model")
-        for site, action in hooks.overrides.items():
-            if not cfg.contains(site):
-                raise TopologyError(f"override site {site} not in the model")
-            if isinstance(action, ReplaceQKVE) and site[1] is not AttnKind.CROSS:
-                raise TopologyError(
-                    f"full packet substitution only applies to cross sites, got {site}"
-                )
-            if isinstance(action, ReplaceQK) and site[1] is not AttnKind.SELF:
-                raise TopologyError(f"Q/K replacement only applies to self sites, got {site}")
+        for site in hooks.capture | hooks.overrides.keys():
+            if not self.cfg.contains(site):
+                raise TopologyError(f"hook site {site} not in the model")
 
     def velocity(
         self,

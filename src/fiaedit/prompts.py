@@ -16,9 +16,12 @@ import numpy as np
 @dataclass(frozen=True)
 class PromptEmbedding:
     tokens: tuple[int, ...]
-    matrix: np.ndarray
-    d_model: int
+    matrix: np.ndarray  # (tokens, d_model)
     text: str = field(default="", compare=False)
+
+    @property
+    def d_model(self) -> int:
+        return self.matrix.shape[1]
 
 
 def _token_id(token: str) -> int:
@@ -47,12 +50,7 @@ def embed_prompt(text: str, d_model: int, seed: int = 0) -> PromptEmbedding:
         row = _row_rng(word, seed).standard_normal(d_model)
         rows[i] = row / np.linalg.norm(row)
     rows.setflags(write=False)
-    return PromptEmbedding(
-        tokens=tuple(_token_id(w) for w in words),
-        matrix=rows,
-        d_model=d_model,
-        text=text,
-    )
+    return PromptEmbedding(tokens=tuple(_token_id(w) for w in words), matrix=rows, text=text)
 
 
 def embeddings_equal(a: PromptEmbedding, b: PromptEmbedding) -> bool:

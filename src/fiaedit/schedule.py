@@ -33,18 +33,13 @@ class NoiseMode(enum.Enum):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Strictly decreasing noise levels; ``len(sigmas) == step_count + 1``."""
+    """Strictly decreasing noise levels, one per step and a final 0.0."""
 
     sigmas: tuple[float, ...]
-    step_count: int
 
     def __post_init__(self) -> None:
-        if self.step_count < 1:
-            raise ValueError(f"step_count must be >= 1, got {self.step_count}")
-        if len(self.sigmas) != self.step_count + 1:
-            raise ValueError(
-                f"need {self.step_count + 1} sigma values, got {len(self.sigmas)}"
-            )
+        if len(self.sigmas) < 2:
+            raise ValueError(f"need at least 2 sigma values, got {len(self.sigmas)}")
         if not all(math.isfinite(s) for s in self.sigmas):
             raise ValueError("sigma values must be finite")
         if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
@@ -53,6 +48,10 @@ class NoiseSchedule:
             raise ValueError(f"last sigma must be 0.0, got {self.sigmas[-1]}")
         if not 0.0 < self.sigmas[0] <= 1.0:
             raise ValueError(f"first sigma must be in (0, 1], got {self.sigmas[0]}")
+
+    @property
+    def step_count(self) -> int:
+        return len(self.sigmas) - 1
 
 
 def make_linear_schedule(step_count: int, skip_fraction: float = 0.0) -> NoiseSchedule:
@@ -64,7 +63,7 @@ def make_linear_schedule(step_count: int, skip_fraction: float = 0.0) -> NoiseSc
     if not math.isfinite(skip_fraction) or not 0.0 <= skip_fraction < 1.0:
         raise ValueError(f"skip_fraction must be in [0, 1), got {skip_fraction!r}")
     sigmas = np.linspace(1.0 - skip_fraction, 0.0, step_count + 1)
-    return NoiseSchedule(sigmas=tuple(float(s) for s in sigmas), step_count=step_count)
+    return NoiseSchedule(sigmas=tuple(float(s) for s in sigmas))
 
 
 def step_rng(run_seed: int, step_index: int, salt: int = 0) -> np.random.Generator:

@@ -61,3 +61,31 @@ def oracle_fri_fuse(
         fs * mask + ft * (1.0 - mask)
     )
     return oracle_ifft2_centered(fused)
+
+
+def heads_to_grid(a: np.ndarray, h: int, w: int) -> np.ndarray:
+    """(heads, h*w, d_head) features as (heads*d_head, h, w) channel grids.
+
+    Channel ``head * d_head + j`` holds feature ``j`` of ``head``, and token
+    ``y * w + x`` sits at row ``y``, column ``x``.
+    """
+    heads, n_tok, d_head = a.shape
+    assert n_tok == h * w
+    out = np.empty((heads * d_head, h, w))
+    for head in range(heads):
+        for j in range(d_head):
+            for t in range(n_tok):
+                out[head * d_head + j, t // w, t % w] = a[head, t, j]
+    return out
+
+
+def grid_to_heads(g: np.ndarray, heads: int) -> np.ndarray:
+    """Inverse of :func:`heads_to_grid`."""
+    c, h, w = g.shape
+    d_head = c // heads
+    out = np.empty((heads, h * w, d_head))
+    for head in range(heads):
+        for j in range(d_head):
+            for t in range(h * w):
+                out[head, t, j] = g[head * d_head + j, t // w, t % w]
+    return out

@@ -138,29 +138,6 @@ class TestRunAblation:
         with pytest.raises(ConfigError, match="channels"):
             run_ablation(bad, parse_grid("filter_sigma=0.9"), fixture="blob16")
 
-    def test_directional_injection_row_pair(self):
-        # steering regime through the grid harness: the injection-on row
-        # must beat the injection-off row on background-masked error
-        steering = parse_config(
-            """
-model.channels = 12
-model.seed = 0
-schedule.steps = 12
-guidance.mu_src = 1.0
-guidance.mu_tar = 1.0
-prompts.source = a small bright blob on a striped background
-prompts.target = a dark square on a plain background
-edit.noise_mode = none
-fia.fri_enabled = false
-fia.fij_block_lo = 0
-fia.fij_block_hi = 5
-codec.patch = 2
-"""
-        )
-        report = run_ablation(steering, parse_grid("fij_enabled=true,false"), "blob16")
-        on, off = report.rows
-        assert on.metrics["mse"] < off.metrics["mse"]
-
 
 # the base configs of scripts/run_component_grid.py and scripts/run_noise_modes.py
 COMPONENT_BASE = parse_config(

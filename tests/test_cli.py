@@ -255,6 +255,14 @@ class TestAblate:
         assert "fij_enabled" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fij_cutoff_beyond_the_steps_is_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, EDIT_CONFIG + "fia.fij_step_cutoff = 5\n")
+        out = tmp_path / "x"
+        rc = main(["ablate", "--config", cfg, "--grid", "fri_mode=off,freq", "--out", str(out)])
+        assert rc == 1
+        assert "fij_step_cutoff 5 exceeds total steps 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_fixture_is_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, EDIT_CONFIG)
         with pytest.raises(ConfigError):

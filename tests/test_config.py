@@ -43,7 +43,6 @@ class TestDefaults:
         assert cfg.make_model_config().n_blocks_dual == 4
         assert cfg.make_schedule().sigmas[0] == 1.0
         assert cfg.make_fia().fri_mode is FriMode.FREQ
-        assert cfg.selected_metrics() == ("mse", "psnr", "ssim", "ssd")
 
 
     def test_defaults_match_the_owning_classes(self):
@@ -81,7 +80,6 @@ NON_DEFAULT = RunConfig(
     edit_noise_mode="fresh",
     edit_snapshot_stride=2,
     codec_patch=4,
-    metrics_select="ssd,mse",
 )
 
 
@@ -158,8 +156,21 @@ class TestValidation:
             parse_config("fia.filter_sigma = -1\n")
         with pytest.raises(ConfigError):
             parse_config("codec.patch = 0\n")
-        with pytest.raises(ConfigError):
-            parse_config("metrics.select = mse,vibes\n")
+
+    def test_metrics_select_is_not_a_key(self):
+        # reports always carry every metric column
+        with pytest.raises(ConfigError, match="unknown key 'metrics.select'"):
+            parse_config("metrics.select = mse\n")
+
+    def test_fij_cutoff_beyond_the_steps_rejected(self):
+        with pytest.raises(ConfigError, match="fij_step_cutoff 5 exceeds total steps 4"):
+            parse_config("schedule.steps = 4\nfia.fij_step_cutoff = 5\n")
+        assert parse_config("schedule.steps = 4\nfia.fij_step_cutoff = 4\n").fia_fij_step_cutoff == 4
+        # the cutoff is read only while injection is on
+        off = parse_config("schedule.steps = 4\nfia.fij_step_cutoff = 5\nfia.fij_enabled = false\n")
+        assert off.fia_fij_step_cutoff == 5
+        with pytest.raises(ConfigError, match="exceeds total steps"):
+            with_overrides(off, fia_fij_enabled=True)
 
     def test_half_specified_block_range_rejected(self):
         with pytest.raises(ConfigError, match="fij_block_lo"):

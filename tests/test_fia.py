@@ -4,6 +4,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import PacketAlignmentError, TopologyError
@@ -13,9 +15,7 @@ from fiaedit.fia import (
     build_target_overrides,
     constrained_velocity_pair,
     default_fij_cutoff,
-    fold_heads_to_grid,
     plan_capture,
-    unfold_grid_to_heads,
 )
 from fiaedit.model import (
     AttentionPacket,
@@ -29,20 +29,20 @@ from fiaedit.model import (
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
-from oracle_dft import oracle_fri_fuse
+from oracle_dft import grid_to_heads, heads_to_grid, oracle_fri_fuse
 
 
-def make_self_packet(block, seed, heads=2, tokens=4, d_head=2):
+def make_self_packet(seed, heads=2, tokens=4, d_head=2):
     rng = np.random.default_rng(seed)
     q, k, v = rng.standard_normal((3, heads, tokens, d_head))
-    return AttentionPacket(block, AttnKind.SELF, q, k, v)
+    return AttentionPacket(q, k, v)
 
 
-def make_cross_packet(block, seed, heads=2, tokens=4, d_head=2):
+def make_cross_packet(seed, heads=2, tokens=4, d_head=2):
     rng = np.random.default_rng(seed)
     q = rng.standard_normal((heads, tokens, d_head))
     k, v = rng.standard_normal((2, heads, 3, d_head))
-    return AttentionPacket(block, AttnKind.CROSS, q, k, v)
+    return AttentionPacket(q, k, v)
 
 
 class TestDefaults:
@@ -114,30 +114,19 @@ class TestPlanCapture:
         assert captured == [everything, frozenset()] * 2 + [selfs, frozenset()] * 3
 
 
-class TestFoldUnfold:
-    def test_roundtrip(self):
-        a = np.random.default_rng(0).standard_normal((3, 12, 5))
-        assert np.array_equal(unfold_grid_to_heads(fold_heads_to_grid(a, 3, 4), 3), a)
-
-    def test_heads_fold_into_channels(self):
-        a = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
-        g = fold_heads_to_grid(a, 2, 2)
-        assert g.shape == (6, 2, 2)
-        # head 0, feature 0 occupies the first channel, scanned row-major
-        assert np.array_equal(g[0].ravel(), a[0, :, 0])
-        assert np.array_equal(g[3].ravel(), a[1, :, 0])
-
-
 class TestBuildOverrides:
     topo = ModelConfig(n_blocks_dual=2, n_blocks_cross_only=1)
 
     def packets(self, seed_base):
         """Source and target packets keyed by site: self 0-1, cross 0-2."""
         def table(base):
-            pkts = [make_self_packet(0, base), make_self_packet(1, base + 1),
-                    make_cross_packet(0, base + 2), make_cross_packet(1, base + 3),
-                    make_cross_packet(2, base + 4)]
-            return {p.site: p for p in pkts}
+            return {
+                (0, AttnKind.SELF): make_self_packet(base),
+                (1, AttnKind.SELF): make_self_packet(base + 1),
+                (0, AttnKind.CROSS): make_cross_packet(base + 2),
+                (1, AttnKind.CROSS): make_cross_packet(base + 3),
+                (2, AttnKind.CROSS): make_cross_packet(base + 4),
+            }
 
         return table(seed_base), table(seed_base + 10)
 
@@ -179,10 +168,10 @@ class TestBuildOverrides:
         cfg = FiaConfig(fij_enabled=False)
         plan = build_target_overrides(cfg, 0, 10, src, tar, (2, 2), self.topo)
         got = plan.overrides[(0, AttnKind.SELF)]
-        expected_q = unfold_grid_to_heads(
+        expected_q = grid_to_heads(
             oracle_fri_fuse(
-                fold_heads_to_grid(src[(0, AttnKind.SELF)].q, 2, 2),
-                fold_heads_to_grid(tar[(0, AttnKind.SELF)].q, 2, 2),
+                heads_to_grid(src[(0, AttnKind.SELF)].q, 2, 2),
+                heads_to_grid(tar[(0, AttnKind.SELF)].q, 2, 2),
                 0.9, 0.8, 0.2,
             ),
             2,
@@ -197,12 +186,12 @@ class TestBuildOverrides:
         for site in ((0, AttnKind.SELF), (1, AttnKind.SELF)):
             got = plan.overrides[site]
             for name in ("q", "k"):
-                s_grid = fold_heads_to_grid(getattr(src[site], name), 2, 2)
-                t_grid = fold_heads_to_grid(getattr(tar[site], name), 2, 2)
+                s_grid = heads_to_grid(getattr(src[site], name), 2, 2)
+                t_grid = heads_to_grid(getattr(tar[site], name), 2, 2)
                 alone = fri_fuse(s_grid, t_grid, filt, cfg.fusion)
-                assert np.array_equal(getattr(got, name), unfold_grid_to_heads(alone, 2))
+                assert np.array_equal(getattr(got, name), grid_to_heads(alone, 2))
                 oracle = oracle_fri_fuse(s_grid, t_grid, 0.9, 0.8, 0.2)
-                assert np.abs(fold_heads_to_grid(getattr(got, name), 2, 2) - oracle).max() < 1e-9
+                assert np.abs(heads_to_grid(getattr(got, name), 2, 2) - oracle).max() < 1e-9
 
     def test_add_mode_is_the_mean(self):
         src, tar = self.packets(3)
@@ -229,6 +218,44 @@ class TestBuildOverrides:
             assert (0, AttnKind.SELF) in plan.overrides
             has_fij = any(isinstance(a, ReplaceQKVE) for a in plan.overrides.values())
             assert has_fij == (step < 3)
+
+
+@st.composite
+def _plan_inputs(draw):
+    """A small model, a constraint config valid for it, a step and a step count."""
+    topo = ModelConfig(
+        n_blocks_dual=draw(st.integers(1, 3)), n_blocks_cross_only=draw(st.integers(0, 2))
+    )
+    total = draw(st.integers(1, 8))
+    blocks = st.integers(0, topo.n_blocks - 1)
+    explicit = st.tuples(blocks, blocks).map(lambda r: (min(r), max(r)))
+    cfg = FiaConfig(
+        fri_enabled=draw(st.booleans()),
+        fri_mode=draw(st.sampled_from(FriMode)),
+        fusion=FusionWeights(draw(st.sampled_from([0.8, 0.5, 2.0])), 0.2),
+        fij_enabled=draw(st.booleans()),
+        fij_step_cutoff=draw(st.none() | st.integers(0, total)),
+        # a model without a cross-only tail has no default injection range
+        fij_block_range=draw(st.none() | explicit if topo.n_blocks_cross_only else explicit),
+    )
+    return cfg, topo, draw(st.integers(0, total - 1)), total
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=_plan_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_override_sites_are_the_capture_sites(inputs, seed):
+    # with no identical source/target pair, no override is skipped as a no-op
+    cfg, topo, step, total = inputs
+    rng = np.random.default_rng(seed)
+    sites = [(b, kind) for b in range(topo.n_blocks) for kind in AttnKind if topo.contains((b, kind))]
+    src, tar = (
+        {site: AttentionPacket(*rng.standard_normal((3, 2, 4, 2))) for site in sites}
+        for _ in range(2)
+    )
+    plan = build_target_overrides(cfg, step, total, src, tar, (2, 2), topo)
+    assert set(plan.overrides) == plan_capture(cfg, topo, step, total).capture
+    for site, action in plan.overrides.items():
+        assert isinstance(action, ReplaceQK if site[1] is AttnKind.SELF else ReplaceQKVE)
 
 
 def public_plan(model, x_src, x_tar, p_src, p_tar, mu_src, cfg, step=0, total=10):

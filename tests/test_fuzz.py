@@ -182,7 +182,7 @@ def _random_overrides(cfg, rng, n_tok, loud):
             q = rng.standard_normal((heads, n_tok, d_head))
             k, v = rng.standard_normal((2, heads, 3, d_head))
             text = _prompt("stripes", cfg.d_model)
-            pkt = AttentionPacket(b, AttnKind.CROSS, scale * q, k, v, text)
+            pkt = AttentionPacket(scale * q, k, v, text)
             overrides[(b, AttnKind.CROSS)] = ReplaceQKVE(packet=pkt)
     return overrides
 
@@ -264,7 +264,7 @@ def _cell_by_cell_report(base: RunConfig, grid: GridSpec, fixture: str) -> str:
             cfg = apply_cell(base, delta)
             trace = run_edit(model, build_edit_request(cfg, latent))
             report = compute_report(decode(trace.final_latent, cfg.codec_patch), image, mask)
-            metrics = report.columns(cfg.selected_metrics())
+            metrics = report.columns()
             rows.append(AblationRow(delta, "ok", metrics))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}".splitlines()[0]

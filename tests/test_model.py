@@ -116,7 +116,11 @@ class TestHooks:
         sites = frozenset(cfg.self_sites()) | {(b, AttnKind.CROSS) for b in range(cfg.n_blocks)}
         _, packets = tiny_model.velocity(latent(4), p, 0.5, 1.0, hooks=HookPlan(capture=sites))
         assert set(packets) == sites
-        assert all(pkt.site == site for site, pkt in packets.items())
+        # a packet carries its site's kind: only a cross site reads a prompt
+        assert all(
+            (pkt.text_embedding is p) == (site[1] is AttnKind.CROSS)
+            for site, pkt in packets.items()
+        )
 
     def test_cross_packets_record_text_embedding(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
@@ -176,6 +180,17 @@ class TestHooks:
                 latent(10), p, 0.5, 1.0,
                 hooks=HookPlan(overrides={(0, AttnKind.CROSS): ReplaceQK(np.zeros(1), np.zeros(1))}),
             )
+
+    def test_batched_forward_rejects_a_packet_at_a_self_site(self, tiny_model, prompt_pair):
+        p, _ = prompt_pair
+        x = latent(10)
+        cross, self_site = (4, AttnKind.CROSS), (0, AttnKind.SELF)
+        _, packets = tiny_model.velocity(x, p, 0.5, 1.0, hooks=HookPlan(capture=frozenset({cross})))
+        hooks = HookPlan(overrides={self_site: ReplaceQKVE(packets[cross])})
+        with pytest.raises(TopologyError):
+            tiny_model._forward(x[None], [p], 0.5, [hooks])
+        with pytest.raises(TopologyError):
+            tiny_model.velocity(x, p, 0.5, 1.0, hooks=hooks)
 
 
 class TestShapes:
@@ -300,7 +315,7 @@ class TestBatchedForward:
                 return np.asarray(self) @ other
 
         p_src, p_tar = prompt_pair
-        shared = PromptEmbedding(p_tar.tokens, p_tar.matrix.view(CountingMatrix), 8)
+        shared = PromptEmbedding(p_tar.tokens, p_tar.matrix.view(CountingMatrix))
         x = np.stack([latent(i) for i in range(7)])
         # a grid step: the source and six probes on one target prompt
         out, _ = tiny_model._forward(x, [p_src] + [shared] * 6, 0.5, [HookPlan()] * 7)
@@ -333,9 +348,7 @@ class TestBatchedForward:
             assert np.abs(ref - tiny_model._null_cross[b]).max() <= 1e-12
 
     def test_unconditional_branch_matches_a_null_token_prompt(self, tiny_model):
-        null_prompt = PromptEmbedding(
-            tokens=(0,), matrix=tiny_model.weights["null_token"], d_model=8
-        )
+        null_prompt = PromptEmbedding(tokens=(0,), matrix=tiny_model.weights["null_token"])
         x = latent(5)
         out, _ = tiny_model._forward(np.stack([x, x]), [null_prompt], 0.5, [HookPlan()])
         assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[1]).max()

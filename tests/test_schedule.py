@@ -44,14 +44,17 @@ class TestLinearSchedule:
     def test_schedule_invariants(self, steps, skip):
         sched = make_linear_schedule(steps, skip)
         assert len(sched.sigmas) == steps + 1
+        assert sched.step_count == steps
         assert all(a > b for a, b in zip(sched.sigmas, sched.sigmas[1:]))
         assert sched.sigmas[-1] == 0.0
 
     def test_schedule_type_rejects_non_decreasing(self):
         with pytest.raises(ValueError):
-            NoiseSchedule(sigmas=(1.0, 0.5, 0.5, 0.0), step_count=3)
+            NoiseSchedule(sigmas=(1.0, 0.5, 0.5, 0.0))
         with pytest.raises(ValueError):
-            NoiseSchedule(sigmas=(1.0, 0.5, 0.1), step_count=3)
+            NoiseSchedule(sigmas=(1.0, 0.5, 0.1))
+        with pytest.raises(ValueError):
+            NoiseSchedule(sigmas=(0.0,))
 
 
 class TestNoiseDraws:
