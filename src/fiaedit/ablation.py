@@ -4,10 +4,11 @@ A grid names axes and values ("filter_sigma=0.2,0.9;fij_enabled=true,false");
 cells are the cartesian product in axis order.  Every cell runs the same
 pinned synthetic fixture, and no axis touches what a source pass computes,
 so the cells run in lockstep through one engine loop that evaluates the
-source once per step for all of them.  Failed cells are recorded without
-stopping the sweep, and the report round-trips losslessly through its text
-form.  The grid's wall time goes to a separate ``.timings`` sidecar because
-it is the one non-reproducible output.
+source once per step for all of them.  A fault in what every cell shares
+refuses the whole grid; a failed cell is recorded without stopping the
+sweep, and the report round-trips losslessly through its text form.  The
+grid's wall time goes to a separate ``.timings`` sidecar because it is the
+one non-reproducible output.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from .codec import decode, encode
-from .config import _SCHEMA, RunConfig, _parse_int, build_edit_request, with_overrides
-from .engine import EditRequest, EditRunError, check_budget, run_edits
+from .codec import decode
+from .config import _SCHEMA, RunConfig, _parse_int, build_run, with_overrides
+from .engine import EditRequest, EditRunError, run_edits
 from .errors import ConfigError
 from .fixtures import load_fixture
 from .metrics import METRIC_COLUMNS, compute_report
-from .model import VelocityModel
 
 REPORT_SCHEMA = "ablation-report/1"
 
@@ -148,34 +148,26 @@ def _error_row(delta: tuple[tuple[str, str], ...], exc: Exception) -> AblationRo
 def run_ablation(
     base: RunConfig, grid: GridSpec, fixture: str = "blob16"
 ) -> AblationReport:
-    """Run every grid cell against the fixture; never stop on a failed cell.
+    """Run every grid cell against the fixture; a fault the cells share raises.
 
-    The cells run in lockstep: per step, one model call holds the shared
-    source pass and every live cell's target probe, and a second holds the
-    cells' constrained passes.
+    A failed cell gets an error row.  The cells run in lockstep: per step, one
+    model call holds the shared source pass and every live cell's target
+    probe, and a second holds the cells' constrained passes.
     """
     start = time.perf_counter()
     image, mask = load_fixture(fixture)
-    latent = encode(image, base.codec_patch)
     cells = grid.cells()
-    model_cfg = base.make_model_config()
-    check_budget(model_cfg, latent.shape[-2:], len(cells))
-    model = VelocityModel(model_cfg)
+    model, shared = build_run(base, image, len(cells))
 
     rows: dict[int, AblationRow] = {}
     reqs: dict[int, EditRequest] = {}
-    first: EditRequest | None = None
     for i, delta in enumerate(cells):
         try:
             cfg = apply_cell(base, delta)
-            if first is None:
-                first = reqs[i] = build_edit_request(cfg, latent)
-            else:
-                # cells differ only in what the axes set: reuse the first
-                # request's prompt embeddings and schedule
-                reqs[i] = replace(first, fia=cfg.make_fia(), noise_mode=cfg.noise_mode())
         except Exception as exc:
             rows[i] = _error_row(delta, exc)
+            continue
+        reqs[i] = replace(shared, fia=cfg.make_fia(), noise_mode=cfg.noise_mode())
 
     results = run_edits(model, list(reqs.values())) if reqs else []
     for i, result in zip(reqs, results):

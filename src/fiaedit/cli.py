@@ -16,19 +16,12 @@ import os
 import sys
 
 from .ablation import parse_grid, run_ablation, write_report
-from .codec import decode, encode, read_mask, read_ppm, write_mask, write_ppm
-from .config import (
-    RunConfig,
-    build_edit_request,
-    load_config,
-    parse_config,
-    with_overrides,
-)
-from .engine import EditTrace, check_budget, run_edit
+from .codec import ImageBuffer, decode, read_mask, read_ppm, write_mask, write_ppm
+from .config import RunConfig, build_run, load_config, parse_config, with_overrides
+from .engine import EditTrace, run_edit
 from .errors import ConfigError, EditRunError, FiaEditError, NumericFailure
 from .fixtures import load_fixture
 from .metrics import METRIC_COLUMNS, compute_report
-from .model import VelocityModel
 
 TRACE_SCHEMA = "edit-trace/1"
 
@@ -54,22 +47,22 @@ def _format_trace(trace: EditTrace, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edit_to(cfg: RunConfig, image: ImageBuffer, out: str) -> None:
+    """Edit ``image`` per ``cfg``; write the edited PPM to ``out`` and its ``.trace``."""
+    model, req = build_run(cfg, image)
+    trace = run_edit(model, req)
+    write_ppm(decode(trace.final_latent, cfg.codec_patch), out)
+    with open(out + ".trace", "w", encoding="utf-8") as fh:
+        fh.write(_format_trace(trace, cfg))
+
+
 def cmd_edit(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = with_overrides(cfg, edit_seed=args.seed)
     if args.snapshot_stride is not None:
         cfg = with_overrides(cfg, edit_snapshot_stride=args.snapshot_stride)
-    image = read_ppm(args.image)
-    latent = encode(image, cfg.codec_patch)
-    model_cfg = cfg.make_model_config()
-    check_budget(model_cfg, latent.shape[-2:], 1)
-    model = VelocityModel(model_cfg)
-    trace = run_edit(model, build_edit_request(cfg, latent))
-    edited = decode(trace.final_latent, cfg.codec_patch)
-    write_ppm(edited, args.out)
-    with open(args.out + ".trace", "w", encoding="utf-8") as fh:
-        fh.write(_format_trace(trace, cfg))
+    _edit_to(cfg, read_ppm(args.image), args.out)
     print(f"wrote {args.out} and {args.out}.trace")
     return 0
 
@@ -124,13 +117,8 @@ def _selftest_pass(root: str, seed: int) -> list[str]:
     write_ppm(image, source_path)
     write_mask(mask, mask_path)
 
-    latent = encode(image, cfg.codec_patch)
-    model = VelocityModel(cfg.make_model_config())
-    trace = run_edit(model, build_edit_request(cfg, latent))
     edited_path = os.path.join(root, "edited.ppm")
-    write_ppm(decode(trace.final_latent, cfg.codec_patch), edited_path)
-    with open(edited_path + ".trace", "w", encoding="utf-8") as fh:
-        fh.write(_format_trace(trace, cfg))
+    _edit_to(cfg, image, edited_path)
 
     grid = parse_grid("fri_mode=off,freq;fij_enabled=true,false")
     report_path = write_report(run_ablation(cfg, grid, fixture="blob16"), root)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .engine import EditRequest
+from .codec import ImageBuffer, encode
+from .engine import EditRequest, check_budget
 from .errors import ConfigError
 from .fia import FiaConfig, FriMode
-from .model import GuidanceConfig, ModelConfig
+from .model import GuidanceConfig, ModelConfig, VelocityModel
 from .prompts import embed_prompt
 from .schedule import NoiseMode, NoiseSchedule, make_linear_schedule
 from .spectral import FusionWeights
@@ -117,6 +118,16 @@ def build_edit_request(cfg: RunConfig, source_latent) -> EditRequest:
     )
 
 
+def build_run(
+    cfg: RunConfig, image: ImageBuffer, n_requests: int = 1
+) -> tuple[VelocityModel, EditRequest]:
+    """The model and request to edit ``image``; checks ``n_requests``' budget first."""
+    latent = encode(image, cfg.codec_patch)
+    model_cfg = cfg.make_model_config()
+    check_budget(model_cfg, latent.shape[-2:], n_requests)
+    return VelocityModel(model_cfg), build_edit_request(cfg, latent)
+
+
 def _parse_bool(raw: str, key: str) -> bool:
     if raw == "true":
         return True
@@ -203,12 +214,13 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.codec_patch < 1:
         raise ConfigError(f"codec.patch must be >= 1, got {cfg.codec_patch}")
     try:
-        cfg.make_model_config()
+        model_cfg = cfg.make_model_config()
         cfg.make_schedule()
         cfg.make_guidance()
         fia = cfg.make_fia()
         if fia.fij_enabled:
             fia.resolved_cutoff(cfg.schedule_steps)
+            fia.resolved_block_range(model_cfg)
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.edit_seed < 0:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, EditRunError, NumericFailure
-from .fia import FiaConfig, constrained_velocities
+from .fia import FiaConfig, constrained_velocities, plan_capture
 from .model import MAX_PEAK_BYTES, GuidanceConfig, ModelConfig, VelocityModel, peak_bytes
 from .prompts import PromptEmbedding, embeddings_equal
 from .schedule import (
@@ -109,7 +109,9 @@ def run_edits(
     settings, noise mode and snapshots.  Each step evaluates the source
     once for all of them.  A request that fails gets its ``EditRunError``
     (naming the step) as its result and drops out; the others carry on,
-    with the same bits they would have alone.
+    with the same bits they would have alone.  A constraint that does not
+    fit the model or schedule fails its request at step 0, before any call;
+    a failed call that serves every request fails them all at that step.
 
     ``bypass_fia`` evaluates the velocities directly, with no capture pass
     and no constraint machinery at all; it exists as the plain-backbone
@@ -132,6 +134,13 @@ def run_edits(
     guidance = first.guidance
     x_src = first.source_latent
     runs = [_Run(req, x_src.copy()) for req in reqs]
+    if not bypass_fia:
+        # a constraint that fits at step 0 fits at every step
+        for run in runs:
+            try:
+                plan_capture(run.req.fia, model.cfg, 0, total_steps)
+            except ValueError as exc:
+                run.abort(0, exc)
 
     for i in range(total_steps):
         live = [run for run in runs if run.error is None]

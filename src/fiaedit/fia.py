@@ -75,8 +75,11 @@ class FiaConfig:
     fij_block_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.filter_sigma <= 0.0:
-            raise ValueError(f"filter_sigma must be positive, got {self.filter_sigma}")
+        # the low-pass profile divides by 2 sigma^2, which is 0 below about 1.6e-162
+        if self.filter_sigma <= 0.0 or 2.0 * self.filter_sigma * self.filter_sigma == 0.0:
+            raise ValueError(
+                f"filter_sigma must be positive with 2 sigma^2 > 0, got {self.filter_sigma}"
+            )
         if self.fij_step_cutoff is not None and self.fij_step_cutoff < 0:
             raise ValueError("fij_step_cutoff must be non-negative")
         if self.fij_block_range is not None:
@@ -223,7 +226,7 @@ def constrained_velocities(
     total_steps: int,
     guidance: GuidanceConfig,
     cfgs: Sequence[FiaConfig],
-) -> tuple[np.ndarray | None, list[np.ndarray | Exception]]:
+) -> tuple[np.ndarray, list[np.ndarray | Exception]]:
     """The source velocity and each target's source-constrained velocity at one step.
 
     Target ``j`` has its own state, prompt and constraint; the source is
@@ -237,56 +240,38 @@ def constrained_velocities(
     whose guidance weight keeps it out of the result is not run, unless it
     captures; with ``mu_tar`` of 0 nothing is captured.
 
-    A failure becomes the returned entry of each target it concerns (a
-    target's own settings or packets, or a call that serves it) and the
-    other targets carry on.  The source velocity is None when no target
-    got as far as the first call.
+    Every constraint must fit the model and the schedule (the engine checks
+    this before step 0), and a failure of the first call raises.  A failure
+    in building a target's overrides, or in the rerun, becomes the returned
+    entry of each target it concerns, and the others carry on.
     """
     mu_src, mu = guidance.mu_src, guidance.mu_tar
-    results: list[np.ndarray | Exception | None] = [None] * len(x_tar_ts)
-    captures: dict[int, HookPlan] = {}  # live target -> its capture plan
-    for j, (x_tar_t, cfg) in enumerate(zip(x_tar_ts, cfgs)):
-        try:
-            if x_tar_t.shape != x_src_t.shape:
-                raise ShapeMismatchError(
-                    f"state shapes differ: {x_src_t.shape} vs {x_tar_t.shape}"
-                )
-            captures[j] = (
-                plan_capture(cfg, model.cfg, step_index, total_steps)
-                if mu != 0.0
-                else EMPTY_PLAN
-            )
-        except Exception as exc:
-            results[j] = exc
-    live = list(captures)
-    if not live:
-        return None, results
-    union = frozenset().union(*(plan.capture for plan in captures.values()))
+    n = len(x_tar_ts)
+    captures = [
+        plan_capture(cfg, model.cfg, step_index, total_steps) if mu != 0.0 else EMPTY_PLAN
+        for cfg in cfgs
+    ]
+    union = frozenset().union(*(plan.capture for plan in captures))
     src_cond, src_uncond = mu_src != 0.0 or bool(union), mu_src != 1.0
     tar_cond, tar_uncond = mu != 0.0, mu != 1.0
     # conditional branches first: source, then each target; unconditional after
-    tar_xs = [x_tar_ts[j] for j in live]
-    latents = [x_src_t] * src_cond + tar_xs * tar_cond
-    latents += [x_src_t] * src_uncond + tar_xs * tar_uncond
-    prompts = [p_src] * src_cond + [p_tars[j] for j in live] * tar_cond
-    hooks = [HookPlan(capture=union)] * src_cond + [captures[j] for j in live] * tar_cond
-    try:
-        out, packets = model._forward(np.stack(latents), prompts, sigma_t, hooks)
-    except Exception as exc:
-        for j in live:
-            results[j] = exc
-        return None, results
+    latents = [x_src_t] * src_cond + [*x_tar_ts] * tar_cond
+    latents += [x_src_t] * src_uncond + [*x_tar_ts] * tar_uncond
+    prompts = [p_src] * src_cond + [*p_tars] * tar_cond
+    hooks = [HookPlan(capture=union)] * src_cond + captures * tar_cond
+    out, packets = model._forward(np.stack(latents), prompts, sigma_t, hooks)
     rows = iter(out)
     v_src_cond = next(rows) if src_cond else None
-    conds = {j: next(rows) for j in live} if tar_cond else {}
+    conds = {j: next(rows) for j in range(n)} if tar_cond else {}
     v_src_uncond = next(rows) if src_uncond else None
-    unconds = {j: next(rows) for j in live} if tar_uncond else {}
+    unconds = {j: next(rows) for j in range(n)} if tar_uncond else {}
     v_src = guide(v_src_cond, v_src_uncond, mu_src)
 
     grid = x_src_t.shape[-2:]
     src_packets = packets[0] if src_cond else {}
+    errors: dict[int, Exception] = {}
     reruns: dict[int, HookPlan] = {}
-    for j, tar_packets in zip(live, packets[int(src_cond):]):
+    for j, tar_packets in enumerate(packets[int(src_cond):]):
         if not captures[j].capture:
             continue
         try:
@@ -294,7 +279,7 @@ def constrained_velocities(
                 cfgs[j], step_index, total_steps, src_packets, tar_packets, grid, model.cfg
             )
         except Exception as exc:
-            results[j] = exc
+            errors[j] = exc
             continue
         if plan.overrides:
             reruns[j] = plan
@@ -307,14 +292,12 @@ def constrained_velocities(
                 list(reruns.values()),
             )
         except Exception as exc:
-            for j in reruns:
-                results[j] = exc
+            errors.update(dict.fromkeys(reruns, exc))
         else:
             conds.update(zip(reruns, out))
-    for j in live:
-        if results[j] is None:
-            results[j] = guide(conds.get(j), unconds.get(j), mu)
-    return v_src, results
+    return v_src, [
+        errors[j] if j in errors else guide(conds.get(j), unconds.get(j), mu) for j in range(n)
+    ]
 
 
 def constrained_velocity_pair(

@@ -351,6 +351,9 @@ class VelocityModel:
             for b in range(cfg.n_blocks)
         ]
         self._position_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._sites = frozenset(
+            (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
+        )
 
     # -- forward machinery ---------------------------------------------------
 
@@ -368,7 +371,8 @@ class VelocityModel:
         table holds the packets it captured.  The other branches are
         unconditional.  Token-wise work runs once for the whole batch; only
         the attention core loops over branches, so a branch's output does
-        not depend on the batch it runs in.
+        not depend on the batch it runs in.  A hook at a site the model
+        lacks raises ``TopologyError``.
         """
         cfg = self.cfg
         W = self.weights
@@ -381,6 +385,10 @@ class VelocityModel:
                 raise ShapeMismatchError(
                     f"prompt width {p.d_model} != model width {cfg.d_model}"
                 )
+        for plan in hooks:
+            if not (plan.capture <= self._sites and plan.overrides.keys() <= self._sites):
+                site = min((plan.capture | plan.overrides.keys()) - self._sites, key=str)
+                raise TopologyError(f"hook site {site} not in the model")
         n_b, c, h_grid, w_grid = x.shape
         n_cond = len(prompts)
         n_tok = h_grid * w_grid
@@ -436,11 +444,6 @@ class VelocityModel:
         out = _layer_norm(h) @ W["w_out"]
         return out.swapaxes(1, 2).reshape(n_b, c, h_grid, w_grid), captured
 
-    def _validate_hooks(self, hooks: HookPlan) -> None:
-        for site in hooks.capture | hooks.overrides.keys():
-            if not self.cfg.contains(site):
-                raise TopologyError(f"hook site {site} not in the model")
-
     def velocity(
         self,
         x: np.ndarray,
@@ -451,15 +454,14 @@ class VelocityModel:
     ) -> tuple[np.ndarray, dict[Site, AttentionPacket]]:
         """Guided velocity at state ``x`` and the packets captured by site.
 
-        Hooks act on the conditional pass.  The conditional and
-        unconditional passes run as one batch and are blended by
-        :func:`guide`; with ``mu`` of exactly 1 or 0 only the pass that
-        enters the result runs (the conditional one also runs whenever the
-        hooks capture).
+        Hooks act on, and are checked with, the conditional pass.  The
+        conditional and unconditional passes run as one batch and are
+        blended by :func:`guide`; with ``mu`` of exactly 1 or 0 only the
+        pass that enters the result runs (the conditional one also runs
+        whenever the hooks capture).
         """
         if not np.isfinite(mu):
             raise ValueError("guidance scale must be finite")
-        self._validate_hooks(hooks)
         cond = mu != 0.0 or bool(hooks.capture)
         uncond = mu != 1.0
         out, captured = self._forward(

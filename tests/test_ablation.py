@@ -129,6 +129,13 @@ class TestRunAblation:
         assert [r.status for r in report.rows] == ["error", "ok"]
         assert report.rows[0].error
 
+    def test_filter_sigma_whose_square_underflows_is_a_config_error_row(self):
+        grid = parse_grid("filter_sigma=1e-320,0.9")
+        report = run_ablation(BASE, grid, fixture="blob16")
+        assert [r.status for r in report.rows] == ["error", "ok"]
+        assert report.rows[0].error.startswith("ConfigError: filter_sigma must be positive")
+        assert report.rows[1].metrics == solo_rows(BASE, grid)[1]
+
     def test_channel_mismatch_rejected_upfront(self):
         with pytest.raises(ConfigError, match="channels"):
             parse_config("model.channels = 4\ncodec.patch = 2\n"
@@ -171,8 +178,8 @@ def solo_rows(base, grid, fixture="blob16"):
     model = VelocityModel(base.make_model_config())
     rows = []
     for delta in grid.cells():
-        cfg = apply_cell(base, delta)
         try:
+            cfg = apply_cell(base, delta)
             trace = run_edit(model, build_edit_request(cfg, latent))
         except Exception:
             rows.append(None)
@@ -226,8 +233,7 @@ class TestLockstep:
         report = run_ablation(BASE, grid, fixture="blob16")
         assert [r.status for r in report.rows] == ["ok", "error", "ok"]
         assert report.rows[1].error == (
-            "EditRunError: edit aborted at step 0: "
-            "fij_block_range (0, 9) outside a model of 6 blocks"
+            "ConfigError: fij_block_range (0, 9) outside a model of 6 blocks"
         )
         solo = solo_rows(BASE, grid)
         assert solo[1] is None

@@ -13,6 +13,7 @@ from fiaedit.cli import _exit_code_for, main, run_selftest
 from fiaedit.codec import write_mask, write_ppm
 from fiaedit.errors import ConfigError, EditRunError, NumericFailure
 from fiaedit.fixtures import blob_scene, checkerboard_image, gradient_image, load_fixture
+from fiaedit.model import VelocityModel
 
 ZERO_EDIT_CONFIG = """
 model.channels = 12
@@ -127,6 +128,34 @@ class TestEdit:
         rc = main(["edit", src, "--config", bad, "--out", str(tmp_path / "x.ppm")])
         assert rc == 1
         assert "16x16 image not divisible by patch 3" in capsys.readouterr().err
+
+    def test_block_range_outside_the_model_is_exit_1_before_the_model_is_built(
+        self, tmp_path, scene, capsys, monkeypatch
+    ):
+        src, _ = scene
+        built = []
+        init = VelocityModel.__init__
+
+        def spy(self, cfg):
+            built.append(cfg)
+            init(self, cfg)
+
+        monkeypatch.setattr(VelocityModel, "__init__", spy)
+        for mu_tar in ("3.0", "0"):
+            text = EDIT_CONFIG.replace("guidance.mu_tar = 3.0", f"guidance.mu_tar = {mu_tar}")
+            cfg = write_config(tmp_path, text + "fia.fij_block_lo = 0\nfia.fij_block_hi = 9\n")
+            out = tmp_path / "x.ppm"
+            assert main(["edit", src, "--config", cfg, "--out", str(out)]) == 1
+            assert "fij_block_range (0, 9) outside a model of 6 blocks" in capsys.readouterr().err
+            assert not out.exists()
+        assert built == []
+
+    def test_filter_sigma_whose_square_underflows_is_exit_1(self, tmp_path, scene, capsys):
+        src, _ = scene
+        cfg = write_config(tmp_path, EDIT_CONFIG + "fia.filter_sigma = 1e-320\n")
+        rc = main(["edit", src, "--config", cfg, "--out", str(tmp_path / "x.ppm")])
+        assert rc == 1
+        assert "filter_sigma must be positive" in capsys.readouterr().err
 
 
 def _limit_address_space():
@@ -261,6 +290,29 @@ class TestAblate:
         rc = main(["ablate", "--config", cfg, "--grid", "fri_mode=off,freq", "--out", str(out)])
         assert rc == 1
         assert "fij_step_cutoff 5 exceeds total steps 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "\n".join(ln for ln in EDIT_CONFIG.splitlines() if not ln.startswith("prompts.")),
+                "prompts.source and prompts.target are required",
+            ),
+            (EDIT_CONFIG + "model.d_model = 2\nmodel.n_heads = 1\n", "d_model must be >= 4, got 2"),
+            (
+                EDIT_CONFIG + "fia.fij_block_lo = 0\nfia.fij_block_hi = 9\n",
+                "fij_block_range (0, 9) outside a model of 6 blocks",
+            ),
+        ],
+        ids=["no-prompts", "d_model-2", "block-range"],
+    )
+    def test_fault_shared_by_every_cell_is_exit_1(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "x"
+        rc = main(["ablate", "--config", cfg, "--grid", "fij_enabled=true,false", "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_fixture_is_exit_1(self, tmp_path, capsys):

@@ -172,6 +172,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="exceeds total steps"):
             with_overrides(off, fia_fij_enabled=True)
 
+    def test_block_range_outside_the_model_rejected(self):
+        with pytest.raises(ConfigError, match=r"fij_block_range \(0, 9\) outside a model of 6 blocks"):
+            parse_config("fia.fij_block_lo = 0\nfia.fij_block_hi = 9\n")
+        with pytest.raises(ConfigError, match="no cross-only blocks"):
+            parse_config("model.blocks_cross_only = 0\n")
+        # the range is read only while injection is on
+        off = parse_config("model.blocks_cross_only = 0\nfia.fij_enabled = false\n")
+        with pytest.raises(ConfigError, match="no cross-only blocks"):
+            with_overrides(off, fia_fij_enabled=True)
+        pinned = with_overrides(off, fia_fij_block_lo=0, fia_fij_block_hi=3, fia_fij_enabled=True)
+        assert pinned.make_fia().fij_block_range == (0, 3)
+
     def test_half_specified_block_range_rejected(self):
         with pytest.raises(ConfigError, match="fij_block_lo"):
             parse_config("fia.fij_block_lo = 2\n")

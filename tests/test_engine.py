@@ -280,6 +280,55 @@ class TestLockstep:
                 assert np.array_equal(a.v_src, b.v_src)
                 assert np.array_equal(a.v_tar, b.v_tar)
 
+    @pytest.mark.parametrize("mu_tar", [13.5, 0.0])
+    def test_a_block_range_outside_the_model_fails_its_request_at_step_0(
+        self, tiny_model, source_latent, prompt_pair, mu_tar
+    ):
+        p_src, p_tar = prompt_pair
+        mu = (1.5, mu_tar)
+        reqs = [
+            base_request(source_latent, p_src, p_tar, steps=4, mu=mu, record_velocities=True),
+            base_request(source_latent, p_src, p_tar, steps=4, mu=mu,
+                         fia=FiaConfig(fij_block_range=(0, 9))),
+            base_request(source_latent, p_src, p_tar, steps=4, mu=mu, record_velocities=True,
+                         fia=FiaConfig(fri_mode=FriMode.ADD, fij_block_range=(0, 5))),
+        ]
+        results = run_edits(tiny_model, reqs)
+        assert isinstance(results[1], EditRunError)
+        assert str(results[1]) == (
+            "edit aborted at step 0: fij_block_range (0, 9) outside a model of 6 blocks"
+        )
+        for req, got in zip(reqs[::2], results[::2]):
+            solo = run_edit(tiny_model, req)
+            assert np.array_equal(got.final_latent, solo.final_latent)
+            for a, b in zip(got.records, solo.records, strict=True):
+                assert a.vdelta_norm == b.vdelta_norm
+                assert np.array_equal(a.v_src, b.v_src)
+                assert np.array_equal(a.v_tar, b.v_tar)
+
+    def test_a_failed_first_call_fails_every_request_at_its_step(
+        self, tiny_model, source_latent, prompt_pair
+    ):
+        p_src, p_tar = prompt_pair
+        sigmas = make_linear_schedule(4, 0.0).sigmas
+        boom = RuntimeError("the shared call failed")
+
+        class FailingAtStep2(VelocityModel):
+            def _forward(self, x, prompts, sigma_t, hooks):
+                if sigma_t == sigmas[2]:
+                    raise boom
+                return super()._forward(x, prompts, sigma_t, hooks)
+
+        model = FailingAtStep2(tiny_model.cfg)
+        reqs = [
+            base_request(source_latent, p_src, p_tar, steps=4, fia=fia)
+            for fia in (FiaConfig(), FiaConfig(fri_mode=FriMode.ADD), FiaConfig.disabled())
+        ]
+        for result in run_edits(model, reqs):
+            assert isinstance(result, EditRunError)
+            assert str(result) == "edit aborted at step 2: the shared call failed"
+            assert result.__cause__ is boom
+
     def test_requests_must_share_their_source(self, tiny_model, source_latent, prompt_pair):
         p_src, p_tar = prompt_pair
         req = base_request(source_latent, p_src, p_tar, steps=2)

@@ -39,7 +39,7 @@ from fiaedit.cli import main
 from fiaedit.codec import ImageBuffer, decode, encode, read_ppm
 from fiaedit.config import _SCHEMA, RunConfig, build_edit_request, parse_config
 from fiaedit.engine import EditRequest, run_edit
-from fiaedit.errors import FiaEditError
+from fiaedit.errors import ConfigError, FiaEditError
 from fiaedit.fia import FiaConfig, FriMode
 from fiaedit.fixtures import load_fixture
 from fiaedit.metrics import compute_report
@@ -285,8 +285,7 @@ def _cell_by_cell_report(base: RunConfig, grid: GridSpec, fixture: str) -> str:
 def test_lockstep_grid_reports_the_bytes_of_its_cells_run_one_by_one(
     cfg, patch, steps, mu, prompts, grid, seed
 ):
-    base = parse_config(
-        f"""
+    text = f"""
 model.channels = {3 * patch**2}
 model.blocks_dual = {cfg.n_blocks_dual}
 model.blocks_cross_only = {cfg.n_blocks_cross_only}
@@ -301,7 +300,12 @@ prompts.target = {prompts[1]}
 edit.seed = {seed}
 codec.patch = {patch}
 """
-    )
+    if not cfg.n_blocks_cross_only:
+        # the default injection range is the cross-only tail, which this model lacks
+        with pytest.raises(ConfigError, match="no cross-only blocks"):
+            parse_config(text)
+        text += f"fia.fij_block_lo = 0\nfia.fij_block_hi = {cfg.n_blocks - 1}\n"
+    base = parse_config(text)
     lockstep = format_report(run_ablation(base, grid, "blob16"))
     assert lockstep == _cell_by_cell_report(base, grid, "blob16")
 

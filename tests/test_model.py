@@ -192,6 +192,17 @@ class TestHooks:
         with pytest.raises(TopologyError):
             tiny_model.velocity(x, p, 0.5, 1.0, hooks=hooks)
 
+    @pytest.mark.parametrize("site", [(9, AttnKind.CROSS), (5, AttnKind.SELF)])
+    def test_batched_forward_rejects_a_site_the_model_lacks(self, tiny_model, prompt_pair, site):
+        p, _ = prompt_pair
+        x = latent(11)[None]
+        for hooks in (
+            HookPlan(capture=frozenset({site})),
+            HookPlan(overrides={site: ReplaceQK(np.zeros(1), np.zeros(1))}),
+        ):
+            with pytest.raises(TopologyError, match=r"hook site \(\d, .* not in the model"):
+                tiny_model._forward(x, [p], 0.5, [hooks])
+
 
 class TestShapes:
     def test_wrong_channel_count(self, tiny_model, prompt_pair):
