@@ -213,6 +213,9 @@ def parse_config(text: str) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.codec_patch < 1:
         raise ConfigError(f"codec.patch must be >= 1, got {cfg.codec_patch}")
+    # the model alone takes a width of 2, but prompt embeddings need 4
+    if cfg.model_d_model < 4:
+        raise ConfigError(f"model.d_model must be >= 4, got {cfg.model_d_model}")
     try:
         model_cfg = cfg.make_model_config()
         cfg.make_schedule()

@@ -13,6 +13,15 @@ only the attention core runs branch by branch, so a branch's output does
 not depend on its batch.  An unconditional branch attends to the single
 null token, which reduces its cross-attention to a constant row.
 
+Besides its overflow guard's max/min test, the attention core makes three
+passes over a call's (heads, n, n) scores: the score product, exp, and the
+product with ``[V | 1]``, V with a column of ones appended, whose last
+column holds the row sums.  The (heads, n, d_head) numerator is divided by
+them, as FlashAttention defers its normalisation, so the scores are never
+rescaled.  The score product reads a C-contiguous K^T.  Both operands are
+built once per block for the whole batch, and once per distinct prompt at
+cross sites, never per call.
+
 Hooks observe and override attention inputs: a ``HookPlan`` names the
 ``(block, kind)`` sites whose effective Q/K/V (and text embedding) should be
 captured, and the sites whose inputs are replaced before attention runs.
@@ -219,32 +228,6 @@ def _gelu_like(g: np.ndarray) -> np.ndarray:
     return g / (1.0 + np.exp(-1.702 * g))
 
 
-@functools.lru_cache(maxsize=None)
-def _ones_column(n: int) -> np.ndarray:
-    ones = np.ones((n, 1))
-    ones.setflags(write=False)
-    return ones
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row softmax, in place.  Shifts rows only when magnitudes require it.
-
-    A score beyond +_SOFTMAX_GUARD could overflow exp, and a row whose
-    scores all lie far below -_SOFTMAX_GUARD would underflow to 0/0; when
-    any score leaves the guard band every row is shifted by its maximum.
-    The band test uses the global extremes because a reduction along short
-    rows costs several times a whole-array one; row sums are a product with
-    a ones vector for the same reason.
-    """
-    if scores.max() > _SOFTMAX_GUARD or scores.min() < -_SOFTMAX_GUARD:
-        scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    sums = scores @ _ones_column(scores.shape[-1])
-    np.reciprocal(sums, out=sums)
-    scores *= sums
-    return scores
-
-
 def _weight_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     d = cfg.d_model
     layout: list[tuple[str, tuple[int, ...]]] = [
@@ -266,15 +249,25 @@ MAX_PEAK_BYTES = 2 << 30
 
 
 def peak_bytes(cfg: ModelConfig, grid: tuple[int, int], branches: int) -> int:
-    """Estimated peak float64 bytes of a forward of ``branches`` latents on ``grid``.
+    """Upper bound on the float64 bytes of a forward of ``branches`` latents on ``grid``.
 
-    Counts the weights, the widest activations (the MLP's four model widths
-    per token and branch) and the one head-stacked self-attention score
-    buffer.  Python integers, so absurd sizes give exact large counts.
+    Counts the weights, the head-stacked self-attention score buffer, one
+    attention call's scaled Q and ``[V | 1]`` product, and per token and
+    branch the arrays alive together at the widest point, the MLP:
+    three temporaries of four model widths, the residual stream, the
+    attention output, the layer-norm output, Q, and the last self site's
+    K^T and ``[V | 1]``.  On top come the input and output projections'
+    channel copies and packets captured at every site (Q, K and V at a self
+    site, Q at a cross site).  Python integers, so absurd sizes give exact
+    large counts.
     """
+    d, heads = cfg.d_model, cfg.n_heads
     n_tok = grid[0] * grid[1]
     weights = sum(math.prod(shape) for _, shape in _weight_layout(cfg))
-    return 8 * (weights + branches * n_tok * 4 * cfg.d_model + cfg.n_heads * n_tok**2)
+    packets = 3 * d * cfg.n_blocks_dual + d * cfg.n_blocks
+    tokenwise = 18 * d + heads + 2 * cfg.channels + packets
+    attention = heads * n_tok**2 + n_tok * (2 * d + heads)
+    return 8 * (weights + branches * n_tok * tokenwise + attention)
 
 
 def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
@@ -282,53 +275,89 @@ def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
     return z.reshape(*z.shape[:-1], heads, z.shape[-1] // heads).swapaxes(-3, -2)
 
 
+def _keys_transposed(k: np.ndarray, heads: int) -> np.ndarray:
+    """(..., tokens, d) -> (..., heads, d_head, tokens): K^T per head, C-contiguous.
+
+    BLAS runs the narrow score product about twice as fast on a contiguous
+    K^T as on a transposed view of K.
+    """
+    return np.ascontiguousarray(_head_view(k, heads).swapaxes(-1, -2))
+
+
+def _append_ones(v: np.ndarray) -> np.ndarray:
+    """(..., tokens, d_head) -> (..., tokens, d_head + 1): ``[V | 1]``."""
+    out = np.empty((*v.shape[:-1], v.shape[-1] + 1))
+    out[..., :-1] = v
+    out[..., -1] = 1.0
+    return out
+
+
 def _attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, scores: np.ndarray | None, out: np.ndarray
+    q: np.ndarray, kt: np.ndarray, v1: np.ndarray, scores: np.ndarray | None, out: np.ndarray
 ) -> None:
     """One branch's attention core, heads stacked: softmax(q k^T / sqrt(d_head)) v.
 
+    ``kt`` is K^T, (heads, d_head, keys), and ``v1`` is ``[V | 1]``,
+    (heads, keys, d_head + 1).  Besides the guard test, a call makes three
+    passes over the scores: the score product, exp, and the product with
+    ``[V | 1]``, whose last column holds the row sums that divide the rest
+    into ``out``.  A score beyond +_SOFTMAX_GUARD could overflow exp, and a
+    row whose scores all lie far below -_SOFTMAX_GUARD would underflow to
+    0/0; when any score leaves the guard band every row is shifted by its
+    maximum.  The band test uses the global extremes because a reduction
+    along short rows costs several times a whole-array one.
+
     ``scores`` is the (heads, queries, keys) scratch buffer, or None to
-    allocate one; the result is written to ``out``.
+    allocate one.
     """
     # fold the 1/sqrt(d_head) scale into q: one small pass instead of a
     # full pass over the score matrix
-    scores = np.matmul(q * (1.0 / np.sqrt(q.shape[-1])), k.swapaxes(-1, -2), out=scores)
-    np.matmul(_softmax_rows(scores), v, out=out)
+    scores = np.matmul(q * (1.0 / np.sqrt(q.shape[-1])), kt, out=scores)
+    if scores.max() > _SOFTMAX_GUARD or scores.min() < -_SOFTMAX_GUARD:
+        scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    weighted = scores @ v1
+    np.divide(weighted[..., :-1], weighted[..., -1:], out=out)
 
 
 def _hook_site(
     hooks: HookPlan,
     site: Site,
     q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
+    kt: np.ndarray,
+    v1: np.ndarray,
     text: PromptEmbedding | None,
     captured: dict[Site, AttentionPacket],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One branch's Q, K, V at ``site`` after its override, captured if asked.
+    """One branch's attention operands at ``site`` after its override, captured if asked.
 
-    ``ReplaceQK`` applies at self sites and ``ReplaceQKVE`` at cross sites;
-    ``text`` is the prompt a cross site reads, None at a self site.
+    Operands are Q, K^T and ``[V | 1]``, as :func:`_attend` takes them;
+    packets hold plain Q, K and V.  ``ReplaceQK`` applies at self sites and
+    ``ReplaceQKVE`` at cross sites; ``text`` is the prompt a cross site
+    reads, None at a self site.
     """
     action = hooks.overrides.get(site)
     if isinstance(action, ReplaceQK) and site[1] is AttnKind.SELF:
-        if action.q.shape != q.shape or action.k.shape != k.shape:
+        # self-attention keys are the query tokens: K has Q's shape
+        if action.q.shape != q.shape or action.k.shape != q.shape:
             raise ShapeMismatchError(
                 f"override at {site} has shape {action.q.shape}, expected {q.shape}"
             )
-        q, k = action.q, action.k
+        q, kt = action.q, action.k.swapaxes(-1, -2)
     elif isinstance(action, ReplaceQKVE) and site[1] is AttnKind.CROSS:
         pkt = action.packet
         if pkt.q.shape != q.shape:
             raise ShapeMismatchError(
                 f"override at {site} has shape {pkt.q.shape}, expected {q.shape}"
             )
-        q, k, v, text = pkt.q, pkt.k, pkt.v, pkt.text_embedding
+        q, kt, v1, text = pkt.q, pkt.k.swapaxes(-1, -2), _append_ones(pkt.v), pkt.text_embedding
     elif action is not None:
         raise TopologyError(f"{type(action).__name__} does not apply at {site}")
     if site in hooks.capture:
-        captured[site] = AttentionPacket(_snapshot(q), _snapshot(k), _snapshot(v), text)
-    return q, k, v
+        captured[site] = AttentionPacket(
+            _snapshot(q), _snapshot(kt.swapaxes(-1, -2)), _snapshot(v1[..., :-1]), text
+        )
+    return q, kt, v1
 
 
 class VelocityModel:
@@ -411,12 +440,11 @@ class VelocityModel:
             if cfg.has_self(b):
                 site = (b, AttnKind.SELF)
                 hn = _layer_norm(h)
-                q, k, v = (
-                    _head_view(hn @ W[f"b{b}.self.{name}"], heads)
-                    for name in ("wq", "wk", "wv")
-                )
+                q = _head_view(hn @ W[f"b{b}.self.wq"], heads)
+                kt = _keys_transposed(hn @ W[f"b{b}.self.wk"], heads)
+                v1 = _append_ones(_head_view(hn @ W[f"b{b}.self.wv"], heads))
                 for i in range(n_b):
-                    qkv = q[i], k[i], v[i]
+                    qkv = q[i], kt[i], v1[i]
                     if i < n_cond:
                         qkv = _hook_site(hooks[i], site, *qkv, None, captured[i])
                     _attend(*qkv, scores, attn_heads[i])
@@ -425,10 +453,13 @@ class VelocityModel:
             site = (b, AttnKind.CROSS)
             if n_cond:
                 q = _head_view(_layer_norm(h[:n_cond]) @ W[f"b{b}.cross.wq"], heads)
-                # K and V depend only on the prompt: project each distinct one once
+                # K^T and [V | 1] depend only on the prompt: build each distinct one once
                 wk, wv = W[f"b{b}.cross.wk"], W[f"b{b}.cross.wv"]
                 kv = {
-                    key: (_head_view(p.matrix @ wk, heads), _head_view(p.matrix @ wv, heads))
+                    key: (
+                        _keys_transposed(p.matrix @ wk, heads),
+                        _append_ones(_head_view(p.matrix @ wv, heads)),
+                    )
                     for key, p in distinct.items()
                 }
                 for i, p in enumerate(prompts):

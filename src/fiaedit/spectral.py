@@ -95,7 +95,10 @@ def lowpass_profile(r: np.ndarray | float, sigma: float) -> np.ndarray | float:
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return np.exp(-np.square(r) / (2.0 * sigma * sigma))
+    # for a sigma near 1e-160, r^2 / (2 sigma^2) overflows to inf away from
+    # r = 0, and exp(-inf) = 0 is the right limit
+    with np.errstate(over="ignore"):
+        return np.exp(-np.square(r) / (2.0 * sigma * sigma))
 
 
 @functools.lru_cache(maxsize=64)

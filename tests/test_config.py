@@ -157,6 +157,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config("codec.patch = 0\n")
 
+    def test_width_below_the_prompt_embedding_rejected(self):
+        # ModelConfig takes d_model = 2, but embed_prompt needs 4: refuse it
+        # at parse time, not once the model is built
+        with pytest.raises(ConfigError, match="model.d_model must be >= 4, got 2"):
+            parse_config("model.d_model = 2\nmodel.n_heads = 1\n")
+        assert parse_config("model.d_model = 4\nmodel.n_heads = 1\n").model_d_model == 4
+
     def test_metrics_select_is_not_a_key(self):
         # reports always carry every metric column
         with pytest.raises(ConfigError, match="unknown key 'metrics.select'"):

@@ -52,6 +52,8 @@ from fiaedit.model import (
     ReplaceQK,
     ReplaceQKVE,
     VelocityModel,
+    _append_ones,
+    _attend,
 )
 from fiaedit.prompts import embed_prompt, embeddings_equal
 from fiaedit.schedule import NoiseMode, make_linear_schedule
@@ -228,6 +230,35 @@ def test_branch_is_bit_identical_alone_and_among_random_siblings(cfg, grid, data
                 assert np.array_equal(pkt.v, ref.v)
                 if pkt.text_embedding is not None:
                     assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
+
+
+@FUZZ
+@given(
+    heads=st.integers(min_value=1, max_value=2),
+    queries=st.integers(min_value=1, max_value=64),
+    keys=st.integers(min_value=1, max_value=64),
+    d_head=st.integers(min_value=1, max_value=4),
+    q_scale=st.floats(min_value=0.0, max_value=1e3),
+    k_scale=st.floats(min_value=0.0, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_attention_core_matches_the_shifted_softmax(
+    heads, queries, keys, d_head, q_scale, k_scale, seed
+):
+    rng = np.random.default_rng(seed)
+    q = q_scale * rng.standard_normal((heads, queries, d_head))
+    k = k_scale * rng.standard_normal((heads, keys, d_head))
+    v = rng.standard_normal((heads, keys, d_head))
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    out = np.empty(q.shape)
+    _attend(q, kt, _append_ones(v), None, out)
+    # the reference reads the core's own scores: rounding in the score
+    # product belongs to the inputs, not to the normalisation under test
+    scores = np.matmul(q * (1.0 / np.sqrt(d_head)), kt)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    expected = (weights / weights.sum(axis=-1, keepdims=True)) @ v
+    assert np.all(np.isfinite(out))
+    assert np.abs(out - expected).max() <= keys * np.finfo(float).eps * np.abs(v).max()
 
 
 _AXIS_VALUES = {

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import dyadic
 
 from fiaedit.errors import ShapeMismatchError, TopologyError
 from fiaedit.model import (
@@ -12,8 +15,10 @@ from fiaedit.model import (
     ReplaceQK,
     ReplaceQKVE,
     VelocityModel,
+    _append_ones,
+    _attend,
     _layer_norm,
-    _softmax_rows,
+    peak_bytes,
     time_embedding,
 )
 from fiaedit.prompts import PromptEmbedding, embed_prompt, embeddings_equal
@@ -216,29 +221,85 @@ class TestShapes:
             tiny_model.velocity(latent(), p16, 0.5, 1.0)
 
 
+def attend(q, k, v):
+    """``_attend`` on plain Q, K and V, with K^T and ``[V | 1]`` as a forward builds them."""
+    out = np.empty(q.shape)
+    _attend(q, np.ascontiguousarray(k.swapaxes(-1, -2)), _append_ones(v), None, out)
+    return out
+
+
 class TestSoftmax:
     def test_far_negative_row_does_not_underflow(self):
-        scores = np.array([[-800.0, -801.0], [0.5, -0.5]])
-        weights = _softmax_rows(scores)
+        # d_head 4 scales scores by exactly 1/2: row 0 is (-800, -801), row 1
+        # (0.5, -0.5), and unit values make the outputs the softmax weights
+        q = np.array([[[2.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]])
+        k = np.array([[[-800.0, 0.5, 0.0, 0.0], [-801.0, -0.5, 0.0, 0.0]]])
+        weights = attend(q, k, np.eye(2, 4)[None])[0, :, :2]
         assert np.all(np.isfinite(weights))
         assert weights.sum(axis=-1) == pytest.approx([1.0, 1.0], abs=1e-15)
         assert weights[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), rel=1e-15)
 
     def test_in_band_scores_are_not_shifted(self):
-        scores = np.random.default_rng(0).uniform(-50.0, 50.0, (2, 5, 7))
-        expected = np.exp(scores)
-        expected *= 1.0 / expected.sum(axis=-1, keepdims=True)
-        assert np.array_equal(_softmax_rows(scores.copy()), expected)
-
+        rng = np.random.default_rng(0)
+        q, k = 4.0 * rng.uniform(-2.0, 2.0, (2, 2, 5, 4))
+        v1 = _append_ones(rng.standard_normal((2, 5, 4)))
+        # the core's own score product: d_head 4 scales q by exactly 1/2
+        scores = np.matmul(q * 0.5, np.ascontiguousarray(k.swapaxes(-1, -2)))
+        assert 30.0 < np.abs(scores).max() <= 60.0
+        unshifted = np.exp(scores) @ v1
+        shifted = np.exp(scores - scores.max(axis=-1, keepdims=True)) @ v1
+        expected = unshifted[..., :-1] / unshifted[..., -1:]
+        # a shift by the row maximum would have changed bits
+        assert not np.array_equal(shifted[..., :-1] / shifted[..., -1:], expected)
+        assert np.array_equal(attend(q, k, v1[..., :-1]), expected)
 
     def test_wide_rows_match_a_summed_reference(self):
-        # row sums come from a product with a ones vector, which may add in
-        # another order than a reduction: allow n * eps relative
-        scores = np.random.default_rng(1).uniform(-50.0, 50.0, (2, 256, 256))
-        expected = np.exp(scores)
-        expected /= expected.sum(axis=-1, keepdims=True)
-        got = _softmax_rows(scores.copy())
+        # row sums come from the product with [V | 1], which may add in
+        # another order than a reduction; with non-negative values every
+        # output is a positive sum, so allow n * eps relative
+        rng = np.random.default_rng(1)
+        q, k = 5.0 * rng.uniform(-1.0, 1.0, (2, 2, 256, 4))
+        v = rng.uniform(0.0, 1.0, (2, 256, 4))
+        weights = np.exp(q @ k.swapaxes(-1, -2) / 2.0)
+        expected = (weights @ v) / weights.sum(axis=-1, keepdims=True)
+        got = attend(q, k, v)
         assert np.all(np.abs(got - expected) <= 256 * np.finfo(float).eps * expected)
+
+    @pytest.mark.parametrize("keys", [256, 6], ids=["self", "cross"])
+    @pytest.mark.parametrize("q_scale", [1.0, 64.0], ids=["in-band", "shifted"])
+    def test_matches_a_float64_softmax_reference(self, keys, q_scale):
+        # dyadic inputs make every score exact in any summation order, so
+        # the core and the reference read the same scores
+        rng = np.random.default_rng(2)
+        q = q_scale * dyadic(rng, (2, 256, 4))
+        k, v = dyadic(rng, (2, 2, keys, 4))
+        scores = q @ k.swapaxes(-1, -2) / np.sqrt(4)
+        assert (np.abs(scores).max() > 60.0) == (q_scale > 1.0)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        expected = (weights / weights.sum(axis=-1, keepdims=True)) @ v
+        got = attend(q, k, v)
+        assert np.abs(got - expected).max() <= keys * np.finfo(float).eps * np.abs(v).max()
+
+
+class TestPeakBytes:
+    @pytest.mark.parametrize("grid, branches", [((32, 32), 2), ((16, 16), 4), ((8, 8), 4)])
+    def test_bounds_the_traced_peak_of_a_forward(self, prompt_pair, grid, branches):
+        cfg = ModelConfig()
+        model = VelocityModel(cfg)
+        x = np.random.default_rng(0).standard_normal((branches, cfg.channels, *grid))
+        half = branches // 2
+        for prompts, hooks in (
+            ([prompt_pair[0]] * half, [HookPlan()] * half),
+            ([prompt_pair[0]] * branches, [HookPlan(capture=all_sites(cfg))] * branches),
+        ):
+            model._forward(x, prompts, 0.5, hooks)  # caches the position features
+            tracemalloc.start()
+            try:
+                model._forward(x, prompts, 0.5, hooks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= peak_bytes(cfg, grid, branches)
 
 
 class TestTimeEmbedding:

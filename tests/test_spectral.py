@@ -125,6 +125,14 @@ class TestGaussianLowpass:
         with pytest.raises(ValueError):
             filt.mask[0, 0] = 0.0
 
+    @pytest.mark.parametrize("sigma", [1.6e-162, 1e-158, 1e-155])
+    def test_tiny_sigma_keeps_dc_alone_without_a_warning(self, sigma):
+        # r^2 / (2 sigma^2) overflows to inf off DC, and exp(-inf) = 0 is the
+        # limit; the suite turns any RuntimeWarning into an error
+        expected = np.zeros((8, 8))
+        expected[4, 4] = 1.0
+        assert np.array_equal(make_gaussian_lowpass(8, 8, sigma).mask, expected)
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             make_gaussian_lowpass(4, 4, 0.0)
