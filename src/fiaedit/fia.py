@@ -13,7 +13,11 @@ grid): the source passes and every target's probe run as one batched model
 call, and the constrained passes as a second.  A constrained pass reuses
 its probe's unconditional forward, so a guided one-target step with a
 non-empty override plan costs two calls of 4 and 1 branches, against one
-call of 4 branches with the constraints off.  Sites are read from the
+call of 4 branches with the constraints off.  A state's conditional and
+unconditional passes are handed the same latent array, so the model runs
+their shared prefix, up to block 0's self-attention, once per state: once
+for the source and once per target, while everything from block 0's
+output projection on runs once per branch.  Sites are read from the
 model's ``ModelConfig``, and packets travel as ``{site: packet}`` tables,
 the form ``VelocityModel.velocity`` returns.
 """
@@ -42,7 +46,7 @@ from .model import (
     guide,
 )
 from .prompts import PromptEmbedding
-from .spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
+from .spectral import FusionWeights, fri_fuse, lowpass_profile, make_gaussian_lowpass
 
 DEFAULT_FIJ_STEP_FRACTION = 0.54
 
@@ -75,11 +79,10 @@ class FiaConfig:
     fij_block_range: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        # the low-pass profile divides by 2 sigma^2, which is 0 below about 1.6e-162
-        if self.filter_sigma <= 0.0 or 2.0 * self.filter_sigma * self.filter_sigma == 0.0:
-            raise ValueError(
-                f"filter_sigma must be positive with 2 sigma^2 > 0, got {self.filter_sigma}"
-            )
+        try:
+            lowpass_profile(0.0, self.filter_sigma)  # the low-pass profile's own check
+        except ValueError as exc:
+            raise ValueError(f"filter_{exc}") from None
         if self.fij_step_cutoff is not None and self.fij_step_cutoff < 0:
             raise ValueError("fij_step_cutoff must be non-negative")
         if self.fij_block_range is not None:
@@ -254,12 +257,13 @@ def constrained_velocities(
     union = frozenset().union(*(plan.capture for plan in captures))
     src_cond, src_uncond = mu_src != 0.0 or bool(union), mu_src != 1.0
     tar_cond, tar_uncond = mu != 0.0, mu != 1.0
-    # conditional branches first: source, then each target; unconditional after
+    # conditional branches first: source, then each target; unconditional after.
+    # A state's passes get the same array, so its block-0 prefix runs once.
     latents = [x_src_t] * src_cond + [*x_tar_ts] * tar_cond
     latents += [x_src_t] * src_uncond + [*x_tar_ts] * tar_uncond
     prompts = [p_src] * src_cond + [*p_tars] * tar_cond
     hooks = [HookPlan(capture=union)] * src_cond + captures * tar_cond
-    out, packets = model._forward(np.stack(latents), prompts, sigma_t, hooks)
+    out, packets = model._forward(latents, prompts, sigma_t, hooks)
     rows = iter(out)
     v_src_cond = next(rows) if src_cond else None
     conds = {j: next(rows) for j in range(n)} if tar_cond else {}
@@ -286,7 +290,7 @@ def constrained_velocities(
     if reruns:
         try:
             out, _ = model._forward(
-                np.stack([x_tar_ts[j] for j in reruns]),
+                [x_tar_ts[j] for j in reruns],
                 [p_tars[j] for j in reruns],
                 sigma_t,
                 list(reruns.values()),

@@ -13,6 +13,14 @@ only the attention core runs branch by branch, so a branch's output does
 not depend on its batch.  An unconditional branch attends to the single
 null token, which reduces its cross-attention to a constant row.
 
+Branches handed the same latent array object are twins, as branches handed
+the same prompt object share its cross K/V.  Twins are identical up to
+block 0's cross-attention, so that prefix runs once per distinct latent:
+the input projection, the position and time embeddings, block 0's layer
+norm and Q/K/V, and block 0's self-attention core, which a branch that
+overrides ``(0, SELF)`` runs on its own.  From block 0's output projection
+on, every branch has its own row.
+
 Besides its overflow guard's max/min test, the attention core makes three
 passes over a call's (heads, n, n) scores: the score product, exp, and the
 product with ``[V | 1]``, V with a column of ones appended, whose last
@@ -388,26 +396,37 @@ class VelocityModel:
 
     def _forward(
         self,
-        x: np.ndarray,
+        latents: Sequence[np.ndarray],
         prompts: Sequence[PromptEmbedding],
         sigma_t: float,
         hooks: Sequence[HookPlan],
     ) -> tuple[np.ndarray, list[dict[Site, AttentionPacket]]]:
-        """Velocities of a batch of branches ``x``, (B, C, H, W), at one noise level.
+        """Velocities of a batch of branches, (B, C, H, W), at one noise level.
 
-        The first ``len(prompts)`` branches are conditional: branch ``i``
-        attends to ``prompts[i]`` under ``hooks[i]``, and the i-th returned
-        table holds the packets it captured.  The other branches are
-        unconditional.  Token-wise work runs once for the whole batch; only
-        the attention core loops over branches, so a branch's output does
-        not depend on the batch it runs in.  A hook at a site the model
-        lacks raises ``TopologyError``.
+        Branch ``i`` reads ``latents[i]``, a (C, H, W) array; branches handed
+        the same array object are twins, which run the prefix up to block
+        0's self-attention once, as the module docstring says.  The first
+        ``len(prompts)`` branches are conditional: branch ``i`` attends to
+        ``prompts[i]`` under ``hooks[i]``, and the i-th returned table holds
+        the packets it captured.  The other branches are unconditional.
+        Token-wise work runs once for the whole batch; only the attention
+        core loops over branches, so a branch's output does not depend on
+        the batch it runs in.  A hook at a site the model lacks raises
+        ``TopologyError``.
         """
         cfg = self.cfg
         W = self.weights
-        if x.ndim != 4 or x.shape[1] != cfg.channels:
+        latents = list(latents)  # holds every branch's array, so no id is reused
+        # one row per distinct latent; branch i reads row rows[i]
+        distinct_x = {id(x): np.asarray(x) for x in latents}
+        slot = {key: r for r, key in enumerate(distinct_x)}
+        rows = [slot[id(x)] for x in latents]
+        xs = list(distinct_x.values())
+        if not xs or xs[0].shape[:1] != (cfg.channels,) or any(
+            x.ndim != 3 or x.shape != xs[0].shape for x in xs
+        ):
             raise ShapeMismatchError(
-                f"latents must be (branches, {cfg.channels}, H, W), got {x.shape}"
+                f"latents must be ({cfg.channels}, H, W) each, got {[x.shape for x in xs]}"
             )
         for p in prompts:
             if p.d_model != cfg.d_model:
@@ -418,7 +437,8 @@ class VelocityModel:
             if not (plan.capture <= self._sites and plan.overrides.keys() <= self._sites):
                 site = min((plan.capture | plan.overrides.keys()) - self._sites, key=str)
                 raise TopologyError(f"hook site {site} not in the model")
-        n_b, c, h_grid, w_grid = x.shape
+        n_b = len(latents)
+        c, h_grid, w_grid = xs[0].shape
         n_cond = len(prompts)
         n_tok = h_grid * w_grid
         heads = cfg.n_heads
@@ -427,7 +447,7 @@ class VelocityModel:
             pos = position_features(h_grid, w_grid, cfg.d_model)
             pos.setflags(write=False)
             self._position_cache[(h_grid, w_grid)] = pos
-        h = x.reshape(n_b, c, n_tok).swapaxes(1, 2) @ W["w_in"]
+        h = np.stack(xs).reshape(len(xs), c, n_tok).swapaxes(1, 2) @ W["w_in"]
         h += pos
         h += time_embedding(sigma_t, cfg.d_model)
 
@@ -443,11 +463,21 @@ class VelocityModel:
                 q = _head_view(hn @ W[f"b{b}.self.wq"], heads)
                 kt = _keys_transposed(hn @ W[f"b{b}.self.wk"], heads)
                 v1 = _append_ones(_head_view(hn @ W[f"b{b}.self.wv"], heads))
-                for i in range(n_b):
-                    qkv = q[i], kt[i], v1[i]
+                done: dict[int, int] = {}  # row -> the branch whose core used it unchanged
+                for i, r in enumerate(rows):
+                    qkv = q[r], kt[r], v1[r]
                     if i < n_cond:
                         qkv = _hook_site(hooks[i], site, *qkv, None, captured[i])
-                    _attend(*qkv, scores, attn_heads[i])
+                    if i < n_cond and site in hooks[i].overrides:
+                        _attend(*qkv, scores, attn_heads[i])
+                    elif r in done:
+                        attn[i] = attn[done[r]]
+                    else:
+                        _attend(*qkv, scores, attn_heads[i])
+                        done[r] = i
+                if len(h) < n_b:  # block 0 of a batch with twins: one row per branch from here
+                    h = h[rows]
+                rows = range(n_b)
                 h += attn @ W[f"b{b}.self.wo"]
 
             site = (b, AttnKind.CROSS)
@@ -486,18 +516,16 @@ class VelocityModel:
         """Guided velocity at state ``x`` and the packets captured by site.
 
         Hooks act on, and are checked with, the conditional pass.  The
-        conditional and unconditional passes run as one batch and are
-        blended by :func:`guide`; with ``mu`` of exactly 1 or 0 only the
-        pass that enters the result runs (the conditional one also runs
-        whenever the hooks capture).
+        conditional and unconditional passes run as one batch of twins on
+        ``x`` and are blended by :func:`guide`; with ``mu`` of exactly 1 or
+        0 only the pass that enters the result runs (the conditional one
+        also runs whenever the hooks capture).
         """
         if not np.isfinite(mu):
             raise ValueError("guidance scale must be finite")
         cond = mu != 0.0 or bool(hooks.capture)
         uncond = mu != 1.0
-        out, captured = self._forward(
-            np.stack([x] * (cond + uncond)), [p] * cond, sigma_t, [hooks] * cond
-        )
+        out, captured = self._forward([x] * (cond + uncond), [p] * cond, sigma_t, [hooks] * cond)
         v_cond = out[0] if cond else None
         v_uncond = out[-1] if uncond else None
         return guide(v_cond, v_uncond, mu), captured[0] if cond else {}

@@ -93,8 +93,9 @@ def lowpass_profile(r: np.ndarray | float, sigma: float) -> np.ndarray | float:
     The Gaussian's 1/(2 pi sigma^2) amplitude is left out: band splitting
     needs a mask in [0, 1], and that amplitude exceeds 1 for sigma < 0.4.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    # 2 sigma^2 is 0 below about 1.6e-162, and the profile would be NaN at DC
+    if not sigma > 0.0 or 2.0 * sigma * sigma == 0.0:
+        raise ValueError(f"sigma must be positive with 2 sigma^2 > 0, got {sigma}")
     # for a sigma near 1e-160, r^2 / (2 sigma^2) overflows to inf away from
     # r = 0, and exp(-inf) = 0 is the right limit
     with np.errstate(over="ignore"):

@@ -212,7 +212,7 @@ class TestLockstep:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(signature.bind(*args, **kwargs).arguments["x"].shape[0])
+            calls.append(len(signature.bind(*args, **kwargs).arguments["latents"]))
             return forward(*args, **kwargs)
 
         embeds = []

@@ -25,8 +25,8 @@ class ConstantVelocityModel(VelocityModel):
     def __init__(self, table: dict[str, float]):
         self.table = table
 
-    def _forward(self, x, prompts, sigma_t, hooks):
-        out = np.zeros_like(x)
+    def _forward(self, latents, prompts, sigma_t, hooks):
+        out = np.zeros((len(latents), *latents[0].shape))
         for i, p in enumerate(prompts):
             out[i] = self.table[p.text]
         return out, [{} for _ in prompts]
@@ -206,7 +206,7 @@ class TestFailureSemantics:
         class Exploding:
             cfg = ConstantVelocityModel.cfg
 
-            def _forward(self, x, prompts, sigma_t, hooks):
+            def _forward(self, latents, prompts, sigma_t, hooks):
                 raise RuntimeError("boom")
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
@@ -220,8 +220,8 @@ class TestFailureSemantics:
         class Infinite:
             cfg = ConstantVelocityModel.cfg
 
-            def _forward(self, x, prompts, sigma_t, hooks):
-                return np.full_like(x, np.inf), [{} for _ in prompts]
+            def _forward(self, latents, prompts, sigma_t, hooks):
+                return np.full((len(latents), *latents[0].shape), np.inf), [{} for _ in prompts]
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
         with pytest.raises(EditRunError) as err:
@@ -251,13 +251,16 @@ class TestLockstep:
         class Poisoned(VelocityModel):
             """The real model, fed inf latents on the poisoned prompt's branches at one step."""
 
-            def _forward(self, x, prompts, sigma_t, hooks):
+            def _forward(self, latents, prompts, sigma_t, hooks):
                 if sigma_t == sigmas[bad_step]:
-                    x = x.copy()
-                    for i, p in enumerate(prompts):
-                        if p is poisoned:
-                            x[i] = np.inf
-                return super()._forward(x, prompts, sigma_t, hooks)
+                    # a new array is no twin: the branch's unconditional
+                    # pass keeps reading the finite latent
+                    latents = [
+                        np.full_like(x, np.inf) if i < len(prompts) and prompts[i] is poisoned
+                        else x
+                        for i, x in enumerate(latents)
+                    ]
+                return super()._forward(latents, prompts, sigma_t, hooks)
 
         model = Poisoned(tiny_model.cfg)
         reqs = [
@@ -314,10 +317,10 @@ class TestLockstep:
         boom = RuntimeError("the shared call failed")
 
         class FailingAtStep2(VelocityModel):
-            def _forward(self, x, prompts, sigma_t, hooks):
+            def _forward(self, latents, prompts, sigma_t, hooks):
                 if sigma_t == sigmas[2]:
                     raise boom
-                return super()._forward(x, prompts, sigma_t, hooks)
+                return super()._forward(latents, prompts, sigma_t, hooks)
 
         model = FailingAtStep2(tiny_model.cfg)
         reqs = [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiaedit.model
 from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import PacketAlignmentError, TopologyError
 from fiaedit.fia import (
@@ -25,6 +27,7 @@ from fiaedit.model import (
     ModelConfig,
     ReplaceQK,
     ReplaceQKVE,
+    VelocityModel,
 )
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
@@ -98,9 +101,9 @@ class TestPlanCapture:
         forward = tiny_model._forward
         captured = []
 
-        def spying(x, prompts, sigma_t, hooks):
+        def spying(latents, prompts, sigma_t, hooks):
             captured.append(frozenset().union(*(plan.capture for plan in hooks)))
-            return forward(x, prompts, sigma_t, hooks)
+            return forward(latents, prompts, sigma_t, hooks)
 
         monkeypatch.setattr(tiny_model, "_forward", spying)
         p_src, p_tar = prompt_pair
@@ -348,7 +351,7 @@ class TestConstrainedPair:
 
         def counting(*args, **kwargs):
             bound = signature.bind(*args, **kwargs).arguments
-            calls.append((bound["x"].shape[0], bound["hooks"]))
+            calls.append((len(bound["latents"]), bound["hooks"]))
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(tiny_model, "_forward", counting)
@@ -363,6 +366,39 @@ class TestConstrainedPair:
         # the constrained forward runs at every step with a non-empty plan
         constrained = [n for n, hooks in calls if any(plan.overrides for plan in hooks)]
         assert constrained == ([1] * 3 if batches == (4, 1) else [])
+
+    @pytest.mark.parametrize(
+        "fia, cores",
+        [(FiaConfig.disabled(), [2]), (FiaConfig(), [2, 1])],
+        # a call's block-0 self cores: per distinct latent, and per branch
+        # overriding (0, SELF); the constrained rerun overrides it
+        ids=["off", "probe-and-rerun"],
+    )
+    def test_block_0_self_cores_per_guided_step(
+        self, tiny_model, prompt_pair, monkeypatch, fia, cores
+    ):
+        # one dual block: every self-attention core is block 0's
+        model = VelocityModel(
+            dataclasses.replace(tiny_model.cfg, n_blocks_dual=1, n_blocks_cross_only=1)
+        )
+        attend, forward = fiaedit.model._attend, model._forward
+        calls = []
+
+        def counting_attend(q, kt, v1, scores, out):
+            calls[-1] += scores is not None  # cross cores get no score buffer
+            attend(q, kt, v1, scores, out)
+
+        def counting_forward(*args):
+            calls.append(0)
+            return forward(*args)
+
+        monkeypatch.setattr(fiaedit.model, "_attend", counting_attend)
+        monkeypatch.setattr(model, "_forward", counting_forward)
+        p_src, p_tar = prompt_pair
+        x_src, x_tar = np.random.default_rng(3).standard_normal((2, 4, 6, 6))
+        guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
+        constrained_velocity_pair(model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10, guidance, fia)
+        assert calls == cores
 
     def test_constraint_changes_target_velocity(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair

@@ -189,20 +189,23 @@ def _random_overrides(cfg, rng, n_tok, loud):
     return overrides
 
 
-@LOCKSTEP_FUZZ
-@given(
-    cfg=_model_configs(),
-    grid=st.tuples(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=6)),
-    data=st.data(),
-)
-def test_branch_is_bit_identical_alone_and_among_random_siblings(cfg, grid, data):
+def _check_each_branch_alone(cfg, grid, data, twins):
+    """One forward of random branches: each is bit-identical run alone on a fresh copy.
+
+    With ``twins``, branches draw their latents from a smaller pool, so some
+    share one array object and with it the prefix up to block 0's
+    self-attention, whether or not they override it.
+    """
     model = VelocityModel(cfg)
     n_cond = data.draw(st.integers(min_value=0, max_value=4), label="conditional")
     n_uncond = data.draw(st.integers(min_value=0 if n_cond else 1, max_value=3), label="uncond")
-    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     n_b = n_cond + n_uncond
-    x = rng.standard_normal((n_b, cfg.channels, *grid))
-    x *= np.where(rng.random(n_b) < 0.3, 1e3, 1.0)[:, None, None, None]
+    n_x = data.draw(st.integers(min_value=1, max_value=n_b), label="distinct") if twins else n_b
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = rng.standard_normal((n_x, cfg.channels, *grid))
+    x *= np.where(rng.random(n_x) < 0.3, 1e3, 1.0)[:, None, None, None]
+    pool = list(x)  # a branch drawing pool[k] gets that very array object
+    latents = [pool[k] for k in rng.integers(0, n_x, n_b)] if twins else pool
     # repeated texts give the same embedding object, as the cells of a grid share one
     prompts = [_prompt(_TEXTS[t], cfg.d_model) for t in rng.integers(0, len(_TEXTS), n_cond)]
     sites = frozenset(
@@ -215,10 +218,10 @@ def test_branch_is_bit_identical_alone_and_among_random_siblings(cfg, grid, data
         )
         for _ in range(n_cond)
     ]
-    out, packets = model._forward(x, prompts, 0.5, hooks)
-    for i in range(n_b):
+    out, packets = model._forward(latents, prompts, 0.5, hooks)
+    for i, x in enumerate(latents):
         alone, alone_packets = model._forward(
-            x[i : i + 1], prompts[i : i + 1], 0.5, hooks[i : i + 1]
+            [x.copy()], prompts[i : i + 1], 0.5, hooks[i : i + 1]
         )
         assert np.array_equal(out[i], alone[0])
         if i < n_cond:
@@ -230,6 +233,21 @@ def test_branch_is_bit_identical_alone_and_among_random_siblings(cfg, grid, data
                 assert np.array_equal(pkt.v, ref.v)
                 if pkt.text_embedding is not None:
                     assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
+
+
+_GRIDS = st.tuples(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=6))
+
+
+@LOCKSTEP_FUZZ
+@given(cfg=_model_configs(), grid=_GRIDS, data=st.data())
+def test_branch_is_bit_identical_alone_and_among_random_siblings(cfg, grid, data):
+    _check_each_branch_alone(cfg, grid, data, twins=False)
+
+
+@LOCKSTEP_FUZZ
+@given(cfg=_model_configs(), grid=_GRIDS, data=st.data())
+def test_branches_sharing_a_latent_are_bit_identical_alone(cfg, grid, data):
+    _check_each_branch_alone(cfg, grid, data, twins=True)
 
 
 @FUZZ

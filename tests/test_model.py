@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -193,14 +194,14 @@ class TestHooks:
         _, packets = tiny_model.velocity(x, p, 0.5, 1.0, hooks=HookPlan(capture=frozenset({cross})))
         hooks = HookPlan(overrides={self_site: ReplaceQKVE(packets[cross])})
         with pytest.raises(TopologyError):
-            tiny_model._forward(x[None], [p], 0.5, [hooks])
+            tiny_model._forward([x], [p], 0.5, [hooks])
         with pytest.raises(TopologyError):
             tiny_model.velocity(x, p, 0.5, 1.0, hooks=hooks)
 
     @pytest.mark.parametrize("site", [(9, AttnKind.CROSS), (5, AttnKind.SELF)])
     def test_batched_forward_rejects_a_site_the_model_lacks(self, tiny_model, prompt_pair, site):
         p, _ = prompt_pair
-        x = latent(11)[None]
+        x = [latent(11)]
         for hooks in (
             HookPlan(capture=frozenset({site})),
             HookPlan(overrides={site: ReplaceQK(np.zeros(1), np.zeros(1))}),
@@ -214,6 +215,11 @@ class TestShapes:
         p, _ = prompt_pair
         with pytest.raises(ShapeMismatchError):
             tiny_model.velocity(np.zeros((3, 4, 4)), p, 0.5, 1.0)
+
+    @pytest.mark.parametrize("shapes", [[(4, 4, 4), (4, 4, 5)], [(4, 16)], []])
+    def test_branches_need_one_latent_shape(self, tiny_model, shapes):
+        with pytest.raises(ShapeMismatchError):
+            tiny_model._forward([np.zeros(s) for s in shapes], [], 0.5, [])
 
     def test_wrong_prompt_width(self, tiny_model):
         p16 = embed_prompt("a cat", 16, 0)
@@ -288,14 +294,18 @@ class TestPeakBytes:
         model = VelocityModel(cfg)
         x = np.random.default_rng(0).standard_normal((branches, cfg.channels, *grid))
         half = branches // 2
-        for prompts, hooks in (
-            ([prompt_pair[0]] * half, [HookPlan()] * half),
-            ([prompt_pair[0]] * branches, [HookPlan(capture=all_sites(cfg))] * branches),
+        # distinct latents, and twins as a guided step has them
+        for latents, (prompts, hooks) in itertools.product(
+            (list(x), list(x[:half]) * 2),
+            (
+                ([prompt_pair[0]] * half, [HookPlan()] * half),
+                ([prompt_pair[0]] * branches, [HookPlan(capture=all_sites(cfg))] * branches),
+            ),
         ):
-            model._forward(x, prompts, 0.5, hooks)  # caches the position features
+            model._forward(latents, prompts, 0.5, hooks)  # caches the position features
             tracemalloc.start()
             try:
-                model._forward(x, prompts, 0.5, hooks)
+                model._forward(latents, prompts, 0.5, hooks)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -359,12 +369,12 @@ class TestBatchedForward:
         assert np.abs(scores).max() > 60.0
         prompts = [p_src, p_tar]
         hooks = [HookPlan(capture=sites), HookPlan(capture=sites, overrides={site: loud})]
-        out, packets = tiny_model._forward(x, prompts, 0.5, hooks)
+        out, packets = tiny_model._forward(list(x), prompts, 0.5, hooks)
         assert len(packets) == 2
         for i in range(4):
             # branches 2 and 3 are unconditional: no prompt, no hooks
             alone, alone_packets = tiny_model._forward(
-                x[i : i + 1], prompts[i : i + 1], 0.5, hooks[i : i + 1]
+                [x[i]], prompts[i : i + 1], 0.5, hooks[i : i + 1]
             )
             assert np.array_equal(out[i], alone[0])
             if i < 2:
@@ -388,17 +398,17 @@ class TestBatchedForward:
 
         p_src, p_tar = prompt_pair
         shared = PromptEmbedding(p_tar.tokens, p_tar.matrix.view(CountingMatrix))
-        x = np.stack([latent(i) for i in range(7)])
+        x = [latent(i) for i in range(7)]
         # a grid step: the source and six probes on one target prompt
         out, _ = tiny_model._forward(x, [p_src] + [shared] * 6, 0.5, [HookPlan()] * 7)
         assert CountingMatrix.products == 2 * tiny_model.cfg.n_blocks  # K and V per block
-        alone, _ = tiny_model._forward(x[3:4], [p_tar], 0.5, [HookPlan()])
+        alone, _ = tiny_model._forward([x[3]], [p_tar], 0.5, [HookPlan()])
         assert np.array_equal(out[3], alone[0])
 
     def test_velocity_is_the_batched_forward(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(4)
-        out, _ = tiny_model._forward(np.stack([x, x]), [p], 0.5, [HookPlan()])
+        out, _ = tiny_model._forward([x, x], [p], 0.5, [HookPlan()])
         v, _ = tiny_model.velocity(x, p, 0.5, 2.5)
         assert np.array_equal(v, out[1] + 2.5 * (out[0] - out[1]))
 
@@ -422,5 +432,5 @@ class TestBatchedForward:
     def test_unconditional_branch_matches_a_null_token_prompt(self, tiny_model):
         null_prompt = PromptEmbedding(tokens=(0,), matrix=tiny_model.weights["null_token"])
         x = latent(5)
-        out, _ = tiny_model._forward(np.stack([x, x]), [null_prompt], 0.5, [HookPlan()])
+        out, _ = tiny_model._forward([x, x], [null_prompt], 0.5, [HookPlan()])
         assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[1]).max()

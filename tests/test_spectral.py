@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiaedit.errors import NumericFailure, ShapeMismatchError
+from fiaedit.fia import FiaConfig
 from fiaedit.spectral import (
     FusionWeights,
     LowPassFilter,
@@ -138,6 +139,19 @@ class TestGaussianLowpass:
             make_gaussian_lowpass(4, 4, 0.0)
         with pytest.raises(ValueError):
             make_gaussian_lowpass(4, 4, -1.0)
+
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-163, 0.0, -1.0, float("nan")])
+    def test_direct_calls_and_the_config_refuse_a_sigma_alike(self, sigma):
+        # 2 sigma^2 underflows to 0 below about 1.6e-162: the profile would be NaN at DC
+        message = f"sigma must be positive with 2 sigma^2 > 0, got {sigma}"
+        with pytest.raises(ValueError) as profile:
+            lowpass_profile(0.0, sigma)
+        with pytest.raises(ValueError) as mask:
+            make_gaussian_lowpass(8, 8, sigma)
+        with pytest.raises(ValueError) as config:
+            FiaConfig(filter_sigma=sigma)
+        assert str(profile.value) == str(mask.value) == message
+        assert str(config.value) == f"filter_{message}"
 
 
 class TestDecompose:
