@@ -124,7 +124,8 @@ def build_run(
     """The model and request to edit ``image``; checks ``n_requests``' budget first."""
     latent = encode(image, cfg.codec_patch)
     model_cfg = cfg.make_model_config()
-    check_budget(model_cfg, latent.shape[-2:], n_requests)
+    words = [len(cfg.prompts_source.split()), len(cfg.prompts_target.split())]
+    check_budget(model_cfg, latent.shape[-2:], n_requests, words)
     return VelocityModel(model_cfg), build_edit_request(cfg, latent)
 
 

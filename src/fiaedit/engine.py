@@ -71,16 +71,23 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericFailure(f"non-finite values in {name}")
 
 
-def check_budget(model_cfg: ModelConfig, grid: tuple[int, int], n_requests: int) -> None:
+def check_budget(
+    model_cfg: ModelConfig, grid: tuple[int, int], n_requests: int, prompt_tokens: Sequence[int]
+) -> None:
     """Refuse a run of ``n_requests`` in lockstep whose peak memory is out of bounds.
 
     A step's widest call holds a guided source pair and a guided probe pair
-    per request.  Call it before building the model: the weights count.
+    per request; ``prompt_tokens`` are the token counts of the run's
+    distinct prompts.  Call it before building the model and embedding the
+    prompts: the weights count, and so does a long prompt.
     """
-    need = peak_bytes(model_cfg, grid, 2 + 2 * n_requests)
+    need = peak_bytes(
+        model_cfg, grid, 2 + 2 * n_requests, max(prompt_tokens), len(prompt_tokens)
+    )
     if need > MAX_PEAK_BYTES:
         raise ConfigError(
             f"a {model_cfg.d_model}-wide model on a {grid[0]}x{grid[1]} latent grid "
+            f"with prompts of up to {max(prompt_tokens)} tokens "
             f"needs about {need / 2**30:.3g} GiB, over the {MAX_PEAK_BYTES / 2**30:.3g} GiB bound"
         )
 

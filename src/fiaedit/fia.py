@@ -7,19 +7,19 @@ Two mechanisms feed a hook plan for the constrained target pass:
 * feature injection substitutes the source cross-attention packet (Q, K, V
   and text embedding) in a chosen block range during the early steps.
 
-Target features come from an unconstrained probe of the target branch.
+Target features come from an unconstrained probe of the target state.
 One step serves one source and any number of targets (the cells of a
-grid): the source passes and every target's probe run as one batched model
-call, and the constrained passes as a second.  A constrained pass reuses
-its probe's unconditional forward, so a guided one-target step with a
-non-empty override plan costs two calls of 4 and 1 branches, against one
-call of 4 branches with the constraints off.  A state's conditional and
-unconditional passes are handed the same latent array, so the model runs
-their shared prefix, up to block 0's self-attention, once per state: once
-for the source and once per target, while everything from block 0's
-output projection on runs once per branch.  Sites are read from the
-model's ``ModelConfig``, and packets travel as ``{site: packet}`` tables,
-the form ``VelocityModel.velocity`` returns.
+grid): the source state and every target's probe run as one model call,
+and the constrained passes as a second, each a state with guidance scale 1,
+so only its conditional pass runs.  A constrained pass reuses its probe's
+unconditional pass, so a guided one-target step with a non-empty override
+plan costs two calls of 4 and 1 branches, against one call of 4 branches
+with the constraints off.  A state's two passes share the prefix up to
+block 0's self-attention, so it runs once for the source and once per
+target, while everything from block 0's output projection on runs once per
+branch.  Sites are read from the model's ``ModelConfig``, and packets
+travel as ``{site: packet}`` tables, the form ``VelocityModel.velocity``
+returns.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .model import (
     ReplaceQK,
     ReplaceQKVE,
     Site,
+    State,
     VelocityModel,
     guide,
 )
@@ -233,15 +234,15 @@ def constrained_velocities(
     """The source velocity and each target's source-constrained velocity at one step.
 
     Target ``j`` has its own state, prompt and constraint; the source is
-    shared.  One batched forward runs the source's conditional pass,
-    capturing the union of the targets' capture sets, its unconditional
-    pass, and every target's unconstrained probe: a conditional pass
-    capturing its own set and an unconditional pass.  A second call reruns
-    each target's conditional pass under its overrides; the probe's
-    unconditional pass has the same inputs and takes no hooks, so it is
-    reused.  A target whose plan comes out empty is not rerun.  A pass
-    whose guidance weight keeps it out of the result is not run, unless it
-    captures; with ``mu_tar`` of 0 nothing is captured.
+    shared.  One model call runs the source state, whose conditional pass
+    captures the union of the targets' capture sets, and every target's
+    unconstrained probe, whose conditional pass captures its own set.  A
+    second call reruns each target's conditional pass under its overrides,
+    as a state with guidance scale 1; the probe's unconditional pass has
+    the same inputs and takes no hooks, so it is reused.  A target whose
+    plan comes out empty is not rerun.  A pass whose guidance weight keeps
+    it out of the result is not run, unless it captures; with ``mu_tar`` of
+    0 nothing is captured.
 
     Every constraint must fit the model and the schedule (the engine checks
     this before step 0), and a failure of the first call raises.  A failure
@@ -249,58 +250,43 @@ def constrained_velocities(
     entry of each target it concerns, and the others carry on.
     """
     mu_src, mu = guidance.mu_src, guidance.mu_tar
-    n = len(x_tar_ts)
     captures = [
         plan_capture(cfg, model.cfg, step_index, total_steps) if mu != 0.0 else EMPTY_PLAN
         for cfg in cfgs
     ]
-    union = frozenset().union(*(plan.capture for plan in captures))
-    src_cond, src_uncond = mu_src != 0.0 or bool(union), mu_src != 1.0
-    tar_cond, tar_uncond = mu != 0.0, mu != 1.0
-    # conditional branches first: source, then each target; unconditional after.
-    # A state's passes get the same array, so its block-0 prefix runs once.
-    latents = [x_src_t] * src_cond + [*x_tar_ts] * tar_cond
-    latents += [x_src_t] * src_uncond + [*x_tar_ts] * tar_uncond
-    prompts = [p_src] * src_cond + [*p_tars] * tar_cond
-    hooks = [HookPlan(capture=union)] * src_cond + captures * tar_cond
-    out, packets = model._forward(latents, prompts, sigma_t, hooks)
-    rows = iter(out)
-    v_src_cond = next(rows) if src_cond else None
-    conds = {j: next(rows) for j in range(n)} if tar_cond else {}
-    v_src_uncond = next(rows) if src_uncond else None
-    unconds = {j: next(rows) for j in range(n)} if tar_uncond else {}
-    v_src = guide(v_src_cond, v_src_uncond, mu_src)
+    union = HookPlan(capture=frozenset().union(*(plan.capture for plan in captures)))
+    (v_src_cond, v_src_uncond, src_packets), *probes = model._forward(
+        [(x_src_t, p_src, mu_src, union)]
+        + [(x, p, mu, plan) for x, p, plan in zip(x_tar_ts, p_tars, captures)],
+        sigma_t,
+    )
 
     grid = x_src_t.shape[-2:]
-    src_packets = packets[0] if src_cond else {}
-    errors: dict[int, Exception] = {}
-    reruns: dict[int, HookPlan] = {}
-    for j, tar_packets in enumerate(packets[int(src_cond):]):
-        if not captures[j].capture:
+    results: dict[int, np.ndarray | Exception] = {}
+    reruns: dict[int, State] = {}
+    for j, (cfg, capture, (_, _, tar_packets)) in enumerate(zip(cfgs, captures, probes)):
+        if not capture.capture:
             continue
         try:
             plan = build_target_overrides(
-                cfgs[j], step_index, total_steps, src_packets, tar_packets, grid, model.cfg
+                cfg, step_index, total_steps, src_packets, tar_packets, grid, model.cfg
             )
         except Exception as exc:
-            errors[j] = exc
+            results[j] = exc
             continue
         if plan.overrides:
-            reruns[j] = plan
+            reruns[j] = (x_tar_ts[j], p_tars[j], 1.0, plan)
     if reruns:
         try:
-            out, _ = model._forward(
-                [x_tar_ts[j] for j in reruns],
-                [p_tars[j] for j in reruns],
-                sigma_t,
-                list(reruns.values()),
-            )
+            out = model._forward(list(reruns.values()), sigma_t)
         except Exception as exc:
-            errors.update(dict.fromkeys(reruns, exc))
+            results.update(dict.fromkeys(reruns, exc))
         else:
-            conds.update(zip(reruns, out))
-    return v_src, [
-        errors[j] if j in errors else guide(conds.get(j), unconds.get(j), mu) for j in range(n)
+            for j, (v_cond, _, _) in zip(reruns, out):
+                results[j] = guide(v_cond, probes[j][1], mu)
+    return guide(v_src_cond, v_src_uncond, mu_src), [
+        results[j] if j in results else guide(v_cond, v_uncond, mu)
+        for j, (v_cond, v_uncond, _) in enumerate(probes)
     ]
 
 

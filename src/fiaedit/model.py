@@ -7,19 +7,20 @@ block ends in a small gated MLP.  Latent pixels are the token grid; channels
 project to the model width.  All weights come from one seeded generator in a
 fixed order, so a config is a complete description of the network.
 
-One forward call runs a batch of branches (latents with their own prompt
-and hooks, or unconditional).  Token-wise work is shared by the batch, and
-only the attention core runs branch by branch, so a branch's output does
-not depend on its batch.  An unconditional branch attends to the single
-null token, which reduces its cross-attention to a constant row.
+One forward call runs a batch of states, each a latent with its prompt,
+guidance scale and hooks.  A state runs a conditional pass, which attends
+to its prompt under its hooks, and an unconditional pass, which attends to
+the single null token and so reduces its cross-attention to a constant row;
+its guidance scale says which of the two run.  Each pass is a branch of the
+batch.  Token-wise work is shared by the batch, and only the attention core
+runs branch by branch, so a state's output does not depend on its batch.
 
-Branches handed the same latent array object are twins, as branches handed
-the same prompt object share its cross K/V.  Twins are identical up to
-block 0's cross-attention, so that prefix runs once per distinct latent:
-the input projection, the position and time embeddings, block 0's layer
-norm and Q/K/V, and block 0's self-attention core, which a branch that
-overrides ``(0, SELF)`` runs on its own.  From block 0's output projection
-on, every branch has its own row.
+A state's two passes are identical up to block 0's cross-attention, so that
+prefix runs once per state: the input projection, the position and time
+embeddings, block 0's layer norm and Q/K/V, and block 0's self-attention
+core, which a conditional pass that overrides ``(0, SELF)`` runs on its
+own.  From block 0's output projection on, every branch has its own row.
+Branches handed the same prompt object share its cross K/V.
 
 Besides its overflow guard's max/min test, the attention core makes three
 passes over a call's (heads, n, n) scores: the score product, exp, and the
@@ -160,6 +161,9 @@ class HookPlan:
 
 EMPTY_PLAN = HookPlan()
 
+# a model state: (latent, prompt, guidance scale, hooks of its conditional pass)
+State = tuple[np.ndarray, PromptEmbedding, float, HookPlan]
+
 
 def guide(v_cond: np.ndarray | None, v_uncond: np.ndarray | None, mu: float) -> np.ndarray:
     """Classifier-free guidance: ``v_uncond + mu * (v_cond - v_uncond)``.
@@ -254,28 +258,39 @@ def _weight_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 # bound on peak_bytes: a model and grid beyond it are refused before any
 # allocation, as schedule.MAX_STEPS bounds the noise grid
 MAX_PEAK_BYTES = 2 << 30
+# bytes of Python objects (array headers, packets, tables) per captured
+# packet; a forward counts eight more
+_OBJECT_BYTES = 1 << 10
 
 
-def peak_bytes(cfg: ModelConfig, grid: tuple[int, int], branches: int) -> int:
-    """Upper bound on the float64 bytes of a forward of ``branches`` latents on ``grid``.
+def peak_bytes(
+    cfg: ModelConfig, grid: tuple[int, int], branches: int, prompt_tokens: int, prompts: int
+) -> int:
+    """Upper bound on the bytes of a forward of ``branches`` on ``grid``.
 
-    Counts the weights, the head-stacked self-attention score buffer, one
-    attention call's scaled Q and ``[V | 1]`` product, and per token and
-    branch the arrays alive together at the widest point, the MLP:
-    three temporaries of four model widths, the residual stream, the
-    attention output, the layer-norm output, Q, and the last self site's
-    K^T and ``[V | 1]``.  On top come the input and output projections'
-    channel copies and packets captured at every site (Q, K and V at a self
-    site, Q at a cross site).  Python integers, so absurd sizes give exact
-    large counts.
+    ``prompt_tokens`` is the longest prompt's token count and ``prompts``
+    the number of distinct prompts.  Counts the weights; the self-attention
+    score buffer; one attention call's scaled Q, cross scores and
+    ``[V | 1]`` product; per token and branch the arrays alive at the
+    widest point, the MLP (three temporaries of four model widths, the
+    residual stream, the attention and layer-norm outputs, Q, and the last
+    self site's K^T and ``[V | 1]``), the channel copies and the packets
+    captured at every site (Q, K and V; at a cross site K and V are
+    prompt-sized); each distinct prompt's K^T and ``[V | 1]`` for two
+    blocks at once plus one override's; and the Python objects.  Python
+    integers, so absurd sizes give exact large counts.
     """
     d, heads = cfg.d_model, cfg.n_heads
     n_tok = grid[0] * grid[1]
     weights = sum(math.prod(shape) for _, shape in _weight_layout(cfg))
     packets = 3 * d * cfg.n_blocks_dual + d * cfg.n_blocks
     tokenwise = 18 * d + heads + 2 * cfg.channels + packets
-    attention = heads * n_tok**2 + n_tok * (2 * d + heads)
-    return 8 * (weights + branches * n_tok * tokenwise + attention)
+    attention = heads * n_tok * (n_tok + prompt_tokens) + n_tok * (2 * d + heads)
+    prompt_sized = prompt_tokens * (
+        (2 * prompts + 1) * (2 * d + heads) + branches * cfg.n_blocks * 2 * d
+    )
+    objects = _OBJECT_BYTES * (8 + branches * (cfg.n_blocks_dual + cfg.n_blocks))
+    return 8 * (weights + branches * n_tok * tokenwise + attention + prompt_sized) + objects
 
 
 def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
@@ -395,51 +410,44 @@ class VelocityModel:
     # -- forward machinery ---------------------------------------------------
 
     def _forward(
-        self,
-        latents: Sequence[np.ndarray],
-        prompts: Sequence[PromptEmbedding],
-        sigma_t: float,
-        hooks: Sequence[HookPlan],
-    ) -> tuple[np.ndarray, list[dict[Site, AttentionPacket]]]:
-        """Velocities of a batch of branches, (B, C, H, W), at one noise level.
+        self, states: Sequence[State], sigma_t: float
+    ) -> list[tuple[np.ndarray | None, np.ndarray | None, dict[Site, AttentionPacket]]]:
+        """Each state's ``(v_cond, v_uncond, packets)`` at one noise level.
 
-        Branch ``i`` reads ``latents[i]``, a (C, H, W) array; branches handed
-        the same array object are twins, which run the prefix up to block
-        0's self-attention once, as the module docstring says.  The first
-        ``len(prompts)`` branches are conditional: branch ``i`` attends to
-        ``prompts[i]`` under ``hooks[i]``, and the i-th returned table holds
-        the packets it captured.  The other branches are unconditional.
-        Token-wise work runs once for the whole batch; only the attention
-        core loops over branches, so a branch's output does not depend on
-        the batch it runs in.  A hook at a site the model lacks raises
-        ``TopologyError``.
+        A state is ``(latent, prompt, mu, hooks)`` with a (C, H, W) latent.
+        Its conditional pass attends to ``prompt`` under ``hooks`` and runs
+        unless ``mu`` is 0 and the hooks capture nothing; its unconditional
+        pass runs unless ``mu`` is 1.  A pass that did not run gives None,
+        and ``packets`` are the conditional pass's captures by site.  The
+        batch holds the conditional passes first; only the attention core
+        loops over its branches, so a state's result does not depend on its
+        batch.  A hook at a site the model lacks raises ``TopologyError``.
         """
         cfg = self.cfg
         W = self.weights
-        latents = list(latents)  # holds every branch's array, so no id is reused
-        # one row per distinct latent; branch i reads row rows[i]
-        distinct_x = {id(x): np.asarray(x) for x in latents}
-        slot = {key: r for r, key in enumerate(distinct_x)}
-        rows = [slot[id(x)] for x in latents]
-        xs = list(distinct_x.values())
+        xs = [np.asarray(x) for x, _, _, _ in states]
         if not xs or xs[0].shape[:1] != (cfg.channels,) or any(
             x.ndim != 3 or x.shape != xs[0].shape for x in xs
         ):
             raise ShapeMismatchError(
                 f"latents must be ({cfg.channels}, H, W) each, got {[x.shape for x in xs]}"
             )
-        for p in prompts:
+        for _, p, _, plan in states:
             if p.d_model != cfg.d_model:
                 raise ShapeMismatchError(
                     f"prompt width {p.d_model} != model width {cfg.d_model}"
                 )
-        for plan in hooks:
             if not (plan.capture <= self._sites and plan.overrides.keys() <= self._sites):
                 site = min((plan.capture | plan.overrides.keys()) - self._sites, key=str)
                 raise TopologyError(f"hook site {site} not in the model")
-        n_b = len(latents)
+        # the pass rule; branch i runs on state rows[i], conditional branches first
+        cond = [s for s, (_, _, mu, plan) in enumerate(states) if mu != 0.0 or plan.capture]
+        uncond = [s for s, (_, _, mu, _) in enumerate(states) if mu != 1.0]
+        rows = cond + uncond
+        prompts = [states[s][1] for s in cond]
+        hooks = [states[s][3] for s in cond]
+        n_b, n_cond = len(rows), len(cond)
         c, h_grid, w_grid = xs[0].shape
-        n_cond = len(prompts)
         n_tok = h_grid * w_grid
         heads = cfg.n_heads
         pos = self._position_cache.get((h_grid, w_grid))
@@ -475,7 +483,7 @@ class VelocityModel:
                     else:
                         _attend(*qkv, scores, attn_heads[i])
                         done[r] = i
-                if len(h) < n_b:  # block 0 of a batch with twins: one row per branch from here
+                if b == 0:  # one row per branch from here
                     h = h[rows]
                 rows = range(n_b)
                 h += attn @ W[f"b{b}.self.wo"]
@@ -502,8 +510,10 @@ class VelocityModel:
             hn = _layer_norm(h)
             h += _gelu_like(hn @ W[f"b{b}.mlp.w1"]) @ W[f"b{b}.mlp.w2"]
 
-        out = _layer_norm(h) @ W["w_out"]
-        return out.swapaxes(1, 2).reshape(n_b, c, h_grid, w_grid), captured
+        out = (_layer_norm(h) @ W["w_out"]).swapaxes(1, 2).reshape(n_b, c, h_grid, w_grid)
+        v_cond, v_uncond = dict(zip(cond, out)), dict(zip(uncond, out[n_cond:]))
+        packets = dict(zip(cond, captured))
+        return [(v_cond.get(s), v_uncond.get(s), packets.get(s, {})) for s in range(len(states))]
 
     def velocity(
         self,
@@ -515,17 +525,12 @@ class VelocityModel:
     ) -> tuple[np.ndarray, dict[Site, AttentionPacket]]:
         """Guided velocity at state ``x`` and the packets captured by site.
 
-        Hooks act on, and are checked with, the conditional pass.  The
-        conditional and unconditional passes run as one batch of twins on
-        ``x`` and are blended by :func:`guide`; with ``mu`` of exactly 1 or
-        0 only the pass that enters the result runs (the conditional one
-        also runs whenever the hooks capture).
+        Hooks act on the conditional pass.  Both passes run as one model
+        call and are blended by :func:`guide`; with ``mu`` of exactly 1 or 0
+        only the pass that enters the result runs (the conditional one also
+        runs whenever the hooks capture).
         """
         if not np.isfinite(mu):
             raise ValueError("guidance scale must be finite")
-        cond = mu != 0.0 or bool(hooks.capture)
-        uncond = mu != 1.0
-        out, captured = self._forward([x] * (cond + uncond), [p] * cond, sigma_t, [hooks] * cond)
-        v_cond = out[0] if cond else None
-        v_uncond = out[-1] if uncond else None
-        return guide(v_cond, v_uncond, mu), captured[0] if cond else {}
+        ((v_cond, v_uncond, captured),) = self._forward([(x, p, mu, hooks)], sigma_t)
+        return guide(v_cond, v_uncond, mu), captured

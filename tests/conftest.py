@@ -7,6 +7,11 @@ from fiaedit.model import ModelConfig, VelocityModel
 from fiaedit.prompts import embed_prompt
 
 
+def branches(out) -> int:
+    """Branches of a forward: the passes that ran in its per-state results."""
+    return sum((v_cond is not None) + (v_uncond is not None) for v_cond, v_uncond, _ in out)
+
+
 def dyadic(rng: np.random.Generator, shape, scale: int = 1024, span: int = 2048):
     """Random dyadic rationals k/scale; sums and differences stay exact."""
     return rng.integers(-span, span + 1, size=shape).astype(np.float64) / scale

@@ -165,7 +165,8 @@ def _limit_address_space():
 
 class TestResourceBudget:
     @pytest.mark.parametrize(
-        "command", ["edit-wide-model", "edit-large-image", "ablate-wide-model"]
+        "command",
+        ["edit-wide-model", "edit-large-image", "ablate-wide-model", "edit-long-prompt"],
     )
     def test_over_budget_is_exit_1_before_allocating(self, tmp_path, scene, command):
         src, _ = scene
@@ -174,6 +175,13 @@ class TestResourceBudget:
             # a valid 512x512 PPM: 65536 tokens, so a 64 GiB score buffer
             src = str(tmp_path / "large.ppm")
             write_ppm(gradient_image(512, 512), src)
+        elif command == "edit-long-prompt":
+            # 500,000 words: about 2.2 GiB of cross scores, K/V and packets
+            # on the 8x8 latent grid, refused before the prompt is embedded
+            long_prompt = "prompts.target = " + "word " * 500_000
+            cfg = write_config(
+                tmp_path, EDIT_CONFIG.replace("prompts.target = a dark square", long_prompt)
+            )
         else:
             cfg = write_config(tmp_path, EDIT_CONFIG + "model.d_model = 200000\n")
         out = str(tmp_path / "out")

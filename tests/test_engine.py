@@ -16,8 +16,8 @@ from conftest import dyadic
 class ConstantVelocityModel(VelocityModel):
     """Velocity fixture: a constant field per prompt text, hook-oblivious.
 
-    It replaces the batched forward: a conditional branch gets its prompt's
-    constant and an unconditional branch gets zero.
+    It replaces the batched forward: a state's conditional pass gets its
+    prompt's constant and its unconditional pass gets zero.
     """
 
     cfg = ModelConfig(n_blocks_dual=1, n_blocks_cross_only=1, channels=4)
@@ -25,11 +25,10 @@ class ConstantVelocityModel(VelocityModel):
     def __init__(self, table: dict[str, float]):
         self.table = table
 
-    def _forward(self, latents, prompts, sigma_t, hooks):
-        out = np.zeros((len(latents), *latents[0].shape))
-        for i, p in enumerate(prompts):
-            out[i] = self.table[p.text]
-        return out, [{} for _ in prompts]
+    def _forward(self, states, sigma_t):
+        return [
+            (np.full(x.shape, self.table[p.text]), np.zeros(x.shape), {}) for x, p, _, _ in states
+        ]
 
 
 def base_request(x, p_src, p_tar, steps=10, mu=(1.5, 3.0), fia=None, **kw):
@@ -206,7 +205,7 @@ class TestFailureSemantics:
         class Exploding:
             cfg = ConstantVelocityModel.cfg
 
-            def _forward(self, latents, prompts, sigma_t, hooks):
+            def _forward(self, states, sigma_t):
                 raise RuntimeError("boom")
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
@@ -220,8 +219,8 @@ class TestFailureSemantics:
         class Infinite:
             cfg = ConstantVelocityModel.cfg
 
-            def _forward(self, latents, prompts, sigma_t, hooks):
-                return np.full((len(latents), *latents[0].shape), np.inf), [{} for _ in prompts]
+            def _forward(self, states, sigma_t):
+                return [(np.full(x.shape, np.inf),) * 2 + ({},) for x, _, _, _ in states]
 
         req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
         with pytest.raises(EditRunError) as err:
@@ -249,18 +248,15 @@ class TestLockstep:
         sigmas = make_linear_schedule(6, 0.0).sigmas
 
         class Poisoned(VelocityModel):
-            """The real model, fed inf latents on the poisoned prompt's branches at one step."""
+            """The real model, fed inf latents on the poisoned prompt's states at one step."""
 
-            def _forward(self, latents, prompts, sigma_t, hooks):
+            def _forward(self, states, sigma_t):
                 if sigma_t == sigmas[bad_step]:
-                    # a new array is no twin: the branch's unconditional
-                    # pass keeps reading the finite latent
-                    latents = [
-                        np.full_like(x, np.inf) if i < len(prompts) and prompts[i] is poisoned
-                        else x
-                        for i, x in enumerate(latents)
+                    states = [
+                        (np.full_like(x, np.inf) if p is poisoned else x, p, mu, hooks)
+                        for x, p, mu, hooks in states
                     ]
-                return super()._forward(latents, prompts, sigma_t, hooks)
+                return super()._forward(states, sigma_t)
 
         model = Poisoned(tiny_model.cfg)
         reqs = [
@@ -317,10 +313,10 @@ class TestLockstep:
         boom = RuntimeError("the shared call failed")
 
         class FailingAtStep2(VelocityModel):
-            def _forward(self, latents, prompts, sigma_t, hooks):
+            def _forward(self, states, sigma_t):
                 if sigma_t == sigmas[2]:
                     raise boom
-                return super()._forward(latents, prompts, sigma_t, hooks)
+                return super()._forward(states, sigma_t)
 
         model = FailingAtStep2(tiny_model.cfg)
         reqs = [

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from fiaedit.model import (
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
+from conftest import branches
 from oracle_dft import grid_to_heads, heads_to_grid, oracle_fri_fuse
 
 
@@ -101,9 +101,9 @@ class TestPlanCapture:
         forward = tiny_model._forward
         captured = []
 
-        def spying(latents, prompts, sigma_t, hooks):
-            captured.append(frozenset().union(*(plan.capture for plan in hooks)))
-            return forward(latents, prompts, sigma_t, hooks)
+        def spying(states, sigma_t):
+            captured.append(frozenset().union(*(plan.capture for _, _, _, plan in states)))
+            return forward(states, sigma_t)
 
         monkeypatch.setattr(tiny_model, "_forward", spying)
         p_src, p_tar = prompt_pair
@@ -346,13 +346,12 @@ class TestConstrainedPair:
     ):
         p_src, p_tar = prompt_pair
         forward = tiny_model._forward
-        signature = inspect.signature(forward)
         calls = []
 
-        def counting(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs).arguments
-            calls.append((len(bound["latents"]), bound["hooks"]))
-            return forward(*args, **kwargs)
+        def counting(states, sigma_t):
+            out = forward(states, sigma_t)
+            calls.append((branches(out), [plan for _, _, _, plan in states]))
+            return out
 
         monkeypatch.setattr(tiny_model, "_forward", counting)
         req = EditRequest(
@@ -370,8 +369,9 @@ class TestConstrainedPair:
     @pytest.mark.parametrize(
         "fia, cores",
         [(FiaConfig.disabled(), [2]), (FiaConfig(), [2, 1])],
-        # a call's block-0 self cores: per distinct latent, and per branch
-        # overriding (0, SELF); the constrained rerun overrides it
+        # a call's block-0 self cores: one per state, shared by its passes
+        # unless the conditional pass overrides (0, SELF), as the
+        # constrained rerun does
         ids=["off", "probe-and-rerun"],
     )
     def test_block_0_self_cores_per_guided_step(

@@ -6,7 +6,7 @@ code and never raises.  A config document may only parse or raise
 ``FiaEditError``.
 
 Lockstep grids rest on batch independence: on random small models, a
-branch's velocity and packets are bit-identical alone and inside a batch
+state's velocities and packets are bit-identical alone and inside a batch
 of random siblings, and a grid run in lockstep reports the same bytes as
 its cells run one by one.
 
@@ -190,49 +190,53 @@ def _random_overrides(cfg, rng, n_tok, loud):
 
 
 def _check_each_branch_alone(cfg, grid, data, twins):
-    """One forward of random branches: each is bit-identical run alone on a fresh copy.
+    """One forward of random states: each is bit-identical run alone on a fresh copy.
 
-    With ``twins``, branches draw their latents from a smaller pool, so some
-    share one array object and with it the prefix up to block 0's
-    self-attention, whether or not they override it.
+    Without ``twins`` every state runs one pass.  With ``twins`` a state
+    may run both, which share the prefix up to block 0's self-attention
+    whether or not the conditional pass overrides it, and states draw their
+    latents from a smaller pool, so some share one array object.
     """
     model = VelocityModel(cfg)
-    n_cond = data.draw(st.integers(min_value=0, max_value=4), label="conditional")
-    n_uncond = data.draw(st.integers(min_value=0 if n_cond else 1, max_value=3), label="uncond")
-    n_b = n_cond + n_uncond
-    n_x = data.draw(st.integers(min_value=1, max_value=n_b), label="distinct") if twins else n_b
+    n = data.draw(st.integers(min_value=1, max_value=5), label="states")
+    mus = (0.0, 1.0, 2.5) if twins else (0.0, 1.0)
+    mu = data.draw(st.lists(st.sampled_from(mus), min_size=n, max_size=n), label="mu")
+    n_x = data.draw(st.integers(min_value=1, max_value=n), label="distinct") if twins else n
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x = rng.standard_normal((n_x, cfg.channels, *grid))
     x *= np.where(rng.random(n_x) < 0.3, 1e3, 1.0)[:, None, None, None]
-    pool = list(x)  # a branch drawing pool[k] gets that very array object
-    latents = [pool[k] for k in rng.integers(0, n_x, n_b)] if twins else pool
+    pool = list(x)  # a state drawing pool[k] gets that very array object
+    latents = [pool[k] for k in rng.integers(0, n_x, n)] if twins else pool
     # repeated texts give the same embedding object, as the cells of a grid share one
-    prompts = [_prompt(_TEXTS[t], cfg.d_model) for t in rng.integers(0, len(_TEXTS), n_cond)]
+    prompts = [_prompt(_TEXTS[t], cfg.d_model) for t in rng.integers(0, len(_TEXTS), n)]
     sites = frozenset(
         (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
     )
     hooks = [
         HookPlan(
-            capture=sites if rng.random() < 0.7 else frozenset(),
+            # without twins, a capture would add a conditional pass at mu 0
+            capture=sites if rng.random() < 0.7 and (twins or m) else frozenset(),
             overrides=_random_overrides(cfg, rng, grid[0] * grid[1], loud=rng.random() < 0.5),
         )
-        for _ in range(n_cond)
+        for m in mu
     ]
-    out, packets = model._forward(latents, prompts, 0.5, hooks)
-    for i, x in enumerate(latents):
-        alone, alone_packets = model._forward(
-            [x.copy()], prompts[i : i + 1], 0.5, hooks[i : i + 1]
-        )
-        assert np.array_equal(out[i], alone[0])
-        if i < n_cond:
-            assert packets[i].keys() == alone_packets[0].keys() == hooks[i].capture
-            for site, pkt in packets[i].items():
-                ref = alone_packets[0][site]
-                assert np.array_equal(pkt.q, ref.q)
-                assert np.array_equal(pkt.k, ref.k)
-                assert np.array_equal(pkt.v, ref.v)
-                if pkt.text_embedding is not None:
-                    assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
+    states = list(zip(latents, prompts, mu, hooks))
+    out = model._forward(states, 0.5)
+    for (x, p, m, plan), (v_cond, v_uncond, packets) in zip(states, out, strict=True):
+        (alone,) = model._forward([(x.copy(), p, m, plan)], 0.5)
+        for v, ref in zip((v_cond, v_uncond), alone[:2]):
+            assert (v is None) == (ref is None)
+            assert v is None or np.array_equal(v, ref)
+        alone_packets = alone[2]
+        expected = plan.capture if v_cond is not None else set()
+        assert packets.keys() == alone_packets.keys() == expected
+        for site, pkt in packets.items():
+            ref = alone_packets[site]
+            assert np.array_equal(pkt.q, ref.q)
+            assert np.array_equal(pkt.k, ref.k)
+            assert np.array_equal(pkt.v, ref.v)
+            if pkt.text_embedding is not None:
+                assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
 
 
 _GRIDS = st.tuples(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=6))

@@ -19,6 +19,7 @@ from fiaedit.model import (
     _append_ones,
     _attend,
     _layer_norm,
+    guide,
     peak_bytes,
     time_embedding,
 )
@@ -194,20 +195,20 @@ class TestHooks:
         _, packets = tiny_model.velocity(x, p, 0.5, 1.0, hooks=HookPlan(capture=frozenset({cross})))
         hooks = HookPlan(overrides={self_site: ReplaceQKVE(packets[cross])})
         with pytest.raises(TopologyError):
-            tiny_model._forward([x], [p], 0.5, [hooks])
+            tiny_model._forward([(x, p, 1.0, hooks)], 0.5)
         with pytest.raises(TopologyError):
             tiny_model.velocity(x, p, 0.5, 1.0, hooks=hooks)
 
     @pytest.mark.parametrize("site", [(9, AttnKind.CROSS), (5, AttnKind.SELF)])
     def test_batched_forward_rejects_a_site_the_model_lacks(self, tiny_model, prompt_pair, site):
         p, _ = prompt_pair
-        x = [latent(11)]
+        x = latent(11)
         for hooks in (
             HookPlan(capture=frozenset({site})),
             HookPlan(overrides={site: ReplaceQK(np.zeros(1), np.zeros(1))}),
         ):
             with pytest.raises(TopologyError, match=r"hook site \(\d, .* not in the model"):
-                tiny_model._forward(x, [p], 0.5, [hooks])
+                tiny_model._forward([(x, p, 1.0, hooks)], 0.5)
 
 
 class TestShapes:
@@ -217,9 +218,10 @@ class TestShapes:
             tiny_model.velocity(np.zeros((3, 4, 4)), p, 0.5, 1.0)
 
     @pytest.mark.parametrize("shapes", [[(4, 4, 4), (4, 4, 5)], [(4, 16)], []])
-    def test_branches_need_one_latent_shape(self, tiny_model, shapes):
+    def test_branches_need_one_latent_shape(self, tiny_model, prompt_pair, shapes):
+        p, _ = prompt_pair
         with pytest.raises(ShapeMismatchError):
-            tiny_model._forward([np.zeros(s) for s in shapes], [], 0.5, [])
+            tiny_model._forward([(np.zeros(s), p, 0.0, HookPlan()) for s in shapes], 0.5)
 
     def test_wrong_prompt_width(self, tiny_model):
         p16 = embed_prompt("a cat", 16, 0)
@@ -287,6 +289,17 @@ class TestSoftmax:
         assert np.abs(got - expected).max() <= keys * np.finfo(float).eps * np.abs(v).max()
 
 
+def traced_peak(model, states):
+    """Traced peak bytes of one warm ``_forward`` of ``states``."""
+    model._forward(states, 0.5)  # caches the position features
+    tracemalloc.start()
+    try:
+        model._forward(states, 0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestPeakBytes:
     @pytest.mark.parametrize("grid, branches", [((32, 32), 2), ((16, 16), 4), ((8, 8), 4)])
     def test_bounds_the_traced_peak_of_a_forward(self, prompt_pair, grid, branches):
@@ -294,22 +307,43 @@ class TestPeakBytes:
         model = VelocityModel(cfg)
         x = np.random.default_rng(0).standard_normal((branches, cfg.channels, *grid))
         half = branches // 2
-        # distinct latents, and twins as a guided step has them
-        for latents, (prompts, hooks) in itertools.product(
-            (list(x), list(x[:half]) * 2),
-            (
-                ([prompt_pair[0]] * half, [HookPlan()] * half),
-                ([prompt_pair[0]] * branches, [HookPlan(capture=all_sites(cfg))] * branches),
-            ),
+        # one pass per state on distinct latents, half of them conditional,
+        # and guided states, whose two passes share their latent; each
+        # without hooks, and with every conditional pass capturing every site
+        for (latents, mus), capture in itertools.product(
+            ((list(x), [1.0] * half + [0.0] * half), (list(x[:half]), [2.5] * half)),
+            (frozenset(), all_sites(cfg)),
         ):
-            model._forward(latents, prompts, 0.5, hooks)  # caches the position features
-            tracemalloc.start()
-            try:
-                model._forward(latents, prompts, 0.5, hooks)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= peak_bytes(cfg, grid, branches)
+            states = [
+                (xi, prompt_pair[i % 2], mu, HookPlan(capture=capture if mu else frozenset()))
+                for i, (xi, mu) in enumerate(zip(latents, mus))
+            ]
+            prompts = min(2, sum(mu != 0.0 for mu in mus))
+            assert traced_peak(model, states) <= peak_bytes(cfg, grid, branches, 6, prompts)
+
+    @pytest.mark.parametrize(
+        "cfg, grid, words",
+        [
+            (ModelConfig(), (16, 16), 2000),
+            (ModelConfig(), (32, 32), 2000),
+            (ModelConfig(d_model=4, n_heads=1), (1, 1), 6),
+            (ModelConfig(d_model=4, n_heads=1, n_blocks_dual=1, n_blocks_cross_only=0), (1, 1), 6),
+        ],
+        ids=["long-prompt-16", "long-prompt-32", "1x1", "1x1-one-block"],
+    )
+    def test_bounds_prompt_sized_arrays_and_python_objects(self, cfg, grid, words):
+        # a guided state capturing every site: cross scores, each prompt's
+        # K^T and [V | 1], and the K/V copies of its cross packets
+        model = VelocityModel(cfg)
+        texts = [" ".join(f"{w}{i}" for i in range(words)) for w in ("a", "b")]
+        p_src, p_tar = (embed_prompt(text, cfg.d_model) for text in texts)
+        x = np.random.default_rng(0).standard_normal((2, cfg.channels, *grid))
+        plan = HookPlan(capture=all_sites(cfg))
+        pair = [(x[0], p_src, 2.5, plan)]
+        assert traced_peak(model, pair) <= peak_bytes(cfg, grid, 2, words, 1)
+        # a lockstep step of two probes sharing their prompt with a source
+        step = pair + [(xi, p_tar, 3.5, plan) for xi in x]
+        assert traced_peak(model, step) <= peak_bytes(cfg, grid, 6, words, 2)
 
 
 class TestTimeEmbedding:
@@ -367,20 +401,27 @@ class TestBatchedForward:
         # are shifted; the other branches' rows must not be
         scores = loud.q @ loud.k.swapaxes(-1, -2) / np.sqrt(loud.q.shape[-1])
         assert np.abs(scores).max() > 60.0
-        prompts = [p_src, p_tar]
-        hooks = [HookPlan(capture=sites), HookPlan(capture=sites, overrides={site: loud})]
-        out, packets = tiny_model._forward(list(x), prompts, 0.5, hooks)
-        assert len(packets) == 2
-        for i in range(4):
-            # branches 2 and 3 are unconditional: no prompt, no hooks
-            alone, alone_packets = tiny_model._forward(
-                [x[i]], prompts[i : i + 1], 0.5, hooks[i : i + 1]
-            )
-            assert np.array_equal(out[i], alone[0])
-            if i < 2:
-                assert packets[i].keys() == alone_packets[0].keys() == sites
-                for key, pkt in packets[i].items():
-                    ref = alone_packets[0][key]
+        # states 0 and 1 run their conditional pass alone, 2 and 3 their
+        # unconditional pass alone
+        states = [
+            (x[0], p_src, 1.0, HookPlan(capture=sites)),
+            (x[1], p_tar, 1.0, HookPlan(capture=sites, overrides={site: loud})),
+            (x[2], p_src, 0.0, HookPlan()),
+            (x[3], p_tar, 0.0, HookPlan()),
+        ]
+        out = tiny_model._forward(states, 0.5)
+        for i, got in enumerate(out):
+            (alone,) = tiny_model._forward([states[i]], 0.5)
+            ran, skipped = (0, 1) if i < 2 else (1, 0)
+            assert got[skipped] is None and alone[skipped] is None
+            assert np.array_equal(got[ran], alone[ran])
+            packets, alone_packets = got[2], alone[2]
+            if i >= 2:
+                assert packets == alone_packets == {}
+            else:
+                assert packets.keys() == alone_packets.keys() == sites
+                for key, pkt in packets.items():
+                    ref = alone_packets[key]
                     assert np.array_equal(pkt.q, ref.q)
                     assert np.array_equal(pkt.k, ref.k)
                     assert np.array_equal(pkt.v, ref.v)
@@ -400,17 +441,38 @@ class TestBatchedForward:
         shared = PromptEmbedding(p_tar.tokens, p_tar.matrix.view(CountingMatrix))
         x = [latent(i) for i in range(7)]
         # a grid step: the source and six probes on one target prompt
-        out, _ = tiny_model._forward(x, [p_src] + [shared] * 6, 0.5, [HookPlan()] * 7)
+        states = [(xi, p, 1.0, HookPlan()) for xi, p in zip(x, [p_src] + [shared] * 6)]
+        out = tiny_model._forward(states, 0.5)
         assert CountingMatrix.products == 2 * tiny_model.cfg.n_blocks  # K and V per block
-        alone, _ = tiny_model._forward([x[3]], [p_tar], 0.5, [HookPlan()])
-        assert np.array_equal(out[3], alone[0])
+        ((alone, _, _),) = tiny_model._forward([(x[3], p_tar, 1.0, HookPlan())], 0.5)
+        assert np.array_equal(out[3][0], alone)
 
     def test_velocity_is_the_batched_forward(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(4)
-        out, _ = tiny_model._forward([x, x], [p], 0.5, [HookPlan()])
+        ((v_cond, v_uncond, _),) = tiny_model._forward([(x, p, 2.5, HookPlan())], 0.5)
         v, _ = tiny_model.velocity(x, p, 0.5, 2.5)
-        assert np.array_equal(v, out[1] + 2.5 * (out[0] - out[1]))
+        assert np.array_equal(v, v_uncond + 2.5 * (v_cond - v_uncond))
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("capture", [frozenset(), frozenset({(0, AttnKind.SELF)})])
+    def test_pass_rule(self, tiny_model, prompt_pair, mu, capture):
+        # the conditional pass runs unless mu is 0 and nothing is captured,
+        # the unconditional pass unless mu is 1
+        p, _ = prompt_pair
+        x = latent(6)
+        hooks = HookPlan(capture=capture)
+        ((v_cond, v_uncond, packets),) = tiny_model._forward([(x, p, mu, hooks)], 0.5)
+        assert (v_cond is None) == (mu == 0.0 and not capture)
+        assert (v_uncond is None) == (mu == 1.0)
+        assert packets.keys() == capture
+        v, captured = tiny_model.velocity(x, p, 0.5, mu, hooks=hooks)
+        assert np.array_equal(guide(v_cond, v_uncond, mu), v)
+        assert captured.keys() == capture
+        for site, pkt in packets.items():
+            assert np.array_equal(pkt.q, captured[site].q)
+            assert np.array_equal(pkt.k, captured[site].k)
+            assert np.array_equal(pkt.v, captured[site].v)
 
     def test_null_key_row_is_softmax_over_one_key(self, tiny_model):
         W = tiny_model.weights
@@ -432,5 +494,5 @@ class TestBatchedForward:
     def test_unconditional_branch_matches_a_null_token_prompt(self, tiny_model):
         null_prompt = PromptEmbedding(tokens=(0,), matrix=tiny_model.weights["null_token"])
         x = latent(5)
-        out, _ = tiny_model._forward([x, x], [null_prompt], 0.5, [HookPlan()])
-        assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[1]).max()
+        ((v_cond, v_uncond, _),) = tiny_model._forward([(x, null_prompt, 2.5, HookPlan())], 0.5)
+        assert np.abs(v_cond - v_uncond).max() <= 1e-12 * np.abs(v_uncond).max()
