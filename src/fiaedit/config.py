@@ -17,7 +17,7 @@ from .engine import EditRequest, check_budget
 from .errors import ConfigError
 from .fia import FiaConfig, FriMode
 from .model import GuidanceConfig, ModelConfig, VelocityModel
-from .prompts import embed_prompt
+from .prompts import embed_prompt, prompt_words
 from .schedule import NoiseMode, NoiseSchedule, make_linear_schedule
 from .spectral import FusionWeights
 
@@ -124,7 +124,7 @@ def build_run(
     """The model and request to edit ``image``; checks ``n_requests``' budget first."""
     latent = encode(image, cfg.codec_patch)
     model_cfg = cfg.make_model_config()
-    words = [len(cfg.prompts_source.split()), len(cfg.prompts_target.split())]
+    words = [len(prompt_words(p)) for p in (cfg.prompts_source, cfg.prompts_target)]
     check_budget(model_cfg, latent.shape[-2:], n_requests, words)
     return VelocityModel(model_cfg), build_edit_request(cfg, latent)
 

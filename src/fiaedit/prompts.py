@@ -38,11 +38,16 @@ def _row_rng(token: str, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=words)))
 
 
+def prompt_words(text: str) -> list[str]:
+    """The words ``embed_prompt`` makes one token row each."""
+    return text.strip().lower().split()
+
+
 def embed_prompt(text: str, d_model: int, seed: int = 0) -> PromptEmbedding:
     """Hash-derived, unit-norm embedding rows for whitespace-split words."""
     if d_model < 4:
         raise ValueError(f"d_model must be >= 4, got {d_model}")
-    words = text.strip().lower().split()
+    words = prompt_words(text)
     if not words:
         raise ValueError("prompt is empty after trimming")
     rows = np.empty((len(words), d_model))

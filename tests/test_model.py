@@ -307,18 +307,23 @@ class TestPeakBytes:
         model = VelocityModel(cfg)
         x = np.random.default_rng(0).standard_normal((branches, cfg.channels, *grid))
         half = branches // 2
-        # one pass per state on distinct latents, half of them conditional,
-        # and guided states, whose two passes share their latent; each
-        # without hooks, and with every conditional pass capturing every site
-        for (latents, mus), capture in itertools.product(
-            ((list(x), [1.0] * half + [0.0] * half), (list(x[:half]), [2.5] * half)),
+        # one pass per state on distinct latents, half of them conditional;
+        # every one conditional on one prompt; and guided states, whose two
+        # passes share their latent; each without hooks, and with every
+        # conditional pass capturing every site
+        for (latents, mus, pool), capture in itertools.product(
+            (
+                (list(x), [1.0] * half + [0.0] * half, prompt_pair),
+                (list(x), [1.0] * branches, prompt_pair[:1]),
+                (list(x[:half]), [2.5] * half, prompt_pair),
+            ),
             (frozenset(), all_sites(cfg)),
         ):
             states = [
-                (xi, prompt_pair[i % 2], mu, HookPlan(capture=capture if mu else frozenset()))
+                (xi, pool[i % len(pool)], mu, HookPlan(capture=capture if mu else frozenset()))
                 for i, (xi, mu) in enumerate(zip(latents, mus))
             ]
-            prompts = min(2, sum(mu != 0.0 for mu in mus))
+            prompts = min(len(pool), sum(mu != 0.0 for mu in mus))
             assert traced_peak(model, states) <= peak_bytes(cfg, grid, branches, 6, prompts)
 
     @pytest.mark.parametrize(
