@@ -27,9 +27,15 @@ passes over a call's (heads, n, n) scores: the score product, exp, and the
 product with ``[V | 1]``, V with a column of ones appended, whose last
 column holds the row sums.  The (heads, n, d_head) numerator is divided by
 them, as FlashAttention defers its normalisation, so the scores are never
-rescaled.  The score product reads a C-contiguous K^T.  Both operands are
-built once per block for the whole batch, and once per distinct prompt at
-cross sites, never per call.
+rescaled.  The score product reads a C-contiguous K^T.
+
+Token-wise work is a few wide BLAS calls.  A dual block gets the whole
+batch's Q, K and V from one product with ``[wq | wk | wv]``, and each
+distinct prompt in a call gets every block's cross K^T and ``[V | 1]``
+from one product with ``[wk_0 | wv_0 | wk_1 | ...]``; the model builds
+these side-by-side weights once.  Layer norm takes its mean and variance
+as products with a column of 1/d, since a reduction along the narrow
+model axis loops once per token.
 
 Hooks observe and override attention inputs: a ``HookPlan`` names the
 ``(block, kind)`` sites whose effective Q/K/V (and text embedding) should be
@@ -227,17 +233,28 @@ def _snapshot(arr: np.ndarray) -> np.ndarray:
     return frozen
 
 
+@functools.lru_cache(maxsize=None)
+def _mean_column(d: int) -> np.ndarray:
+    column = np.full((d, 1), 1.0 / d)
+    column.setflags(write=False)
+    return column
+
+
 def _layer_norm(h: np.ndarray) -> np.ndarray:
-    # add.reduce / d is what mean computes, without mean's Python wrapper
-    d = h.shape[-1]
-    centered = h - np.add.reduce(h, axis=-1, keepdims=True) / d
-    scale = np.sqrt(np.add.reduce(np.square(centered), axis=-1, keepdims=True) / d + _LN_EPS)
-    return centered / scale
+    # the means are products with a column of 1/d: one BLAS call per slice,
+    # where a reduction along the short model axis loops once per token
+    mean = _mean_column(h.shape[-1])
+    centered = h - h @ mean
+    centered /= np.sqrt(np.square(centered) @ mean + _LN_EPS)
+    return centered
 
 
 def _gelu_like(g: np.ndarray) -> np.ndarray:
-    # sigmoid-gated smooth activation, x * sigma(1.702 x)
-    return g / (1.0 + np.exp(-1.702 * g))
+    # sigmoid-gated smooth activation, x * sigma(1.702 x), in one temporary
+    t = np.multiply(g, -1.702)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(g, t, out=t)
 
 
 def _weight_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -269,27 +286,28 @@ def peak_bytes(
     """Upper bound on the bytes of a forward of ``branches`` on ``grid``.
 
     ``prompt_tokens`` is the longest prompt's token count and ``prompts``
-    the number of distinct prompts.  Counts the weights; the self-attention
-    score buffer; one attention call's scaled Q, cross scores and
-    ``[V | 1]`` product; per token and branch the arrays alive at the
-    widest point, the MLP (three temporaries of four model widths, the
-    residual stream, the attention and layer-norm outputs, Q, and the last
-    self site's K^T and ``[V | 1]``), the channel copies and the packets
-    captured at every site (Q, K and V; at a cross site K and V are
-    prompt-sized); each distinct prompt's K^T and ``[V | 1]`` for two
-    blocks at once plus one override's; and the Python objects.  Python
-    integers, so absurd sizes give exact large counts.
+    the number of distinct prompts.  Counts the weights and their
+    side-by-side copies; the self-attention score buffer; one attention
+    call's scaled Q, cross scores and ``[V | 1]`` product; per token and
+    branch the arrays alive at the widest point, the MLP (two temporaries
+    of four model widths, the residual stream, the attention and
+    layer-norm outputs, and the last self site's Q/K/V product, K^T and
+    ``[V | 1]``), the channel copies and the packets captured at every site
+    (Q, K and V; at a cross site K and V are prompt-sized); each distinct
+    prompt's K^T and ``[V | 1]`` at every block, the product they are cut
+    from, and one override's; and the Python objects.  Python integers, so
+    absurd sizes give exact large counts.
     """
-    d, heads = cfg.d_model, cfg.n_heads
+    d, heads, n_blocks = cfg.d_model, cfg.n_heads, cfg.n_blocks
     n_tok = grid[0] * grid[1]
     weights = sum(math.prod(shape) for _, shape in _weight_layout(cfg))
-    packets = 3 * d * cfg.n_blocks_dual + d * cfg.n_blocks
-    tokenwise = 18 * d + heads + 2 * cfg.channels + packets
+    weights += d * d * (3 * cfg.n_blocks_dual + 2 * n_blocks)  # side-by-side copies
+    packets = 3 * d * cfg.n_blocks_dual + d * n_blocks
+    tokenwise = 16 * d + heads + 2 * cfg.channels + packets
     attention = heads * n_tok * (n_tok + prompt_tokens) + n_tok * (2 * d + heads)
-    prompt_sized = prompt_tokens * (
-        (2 * prompts + 1) * (2 * d + heads) + branches * cfg.n_blocks * 2 * d
-    )
-    objects = _OBJECT_BYTES * (8 + branches * (cfg.n_blocks_dual + cfg.n_blocks))
+    operands = (prompts * n_blocks + 1) * (2 * d + heads) + 2 * d * n_blocks
+    prompt_sized = prompt_tokens * (operands + branches * n_blocks * 2 * d)
+    objects = _OBJECT_BYTES * (8 + branches * (cfg.n_blocks_dual + n_blocks))
     return 8 * (weights + branches * n_tok * tokenwise + attention + prompt_sized) + objects
 
 
@@ -313,6 +331,28 @@ def _append_ones(v: np.ndarray) -> np.ndarray:
     out[..., :-1] = v
     out[..., -1] = 1.0
     return out
+
+
+def _self_operands(
+    hn: np.ndarray, w_qkv: np.ndarray, heads: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q, K^T and ``[V | 1]`` per head from one product with ``[wq | wk | wv]``."""
+    d = hn.shape[-1]
+    qkv = hn @ w_qkv
+    q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+    return _head_view(q, heads), _keys_transposed(k, heads), _append_ones(_head_view(v, heads))
+
+
+def _cross_operands(
+    matrix: np.ndarray, w_kv: np.ndarray, heads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A prompt's K^T and ``[V | 1]`` at every block from one product.
+
+    ``w_kv`` is ``[wk_0 | wv_0 | wk_1 | wv_1 | ...]``; the results are
+    (blocks, heads, d_head, tokens) and (blocks, heads, tokens, d_head + 1).
+    """
+    kv = (matrix @ w_kv).reshape(matrix.shape[0], -1, 2, w_kv.shape[0]).swapaxes(0, 1)
+    return _keys_transposed(kv[:, :, 0], heads), _append_ones(_head_view(kv[:, :, 1], heads))
 
 
 def _attend(
@@ -402,6 +442,16 @@ class VelocityModel:
             W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]
             for b in range(cfg.n_blocks)
         ]
+        # the operands' weights side by side, so that each is one product
+        self._self_qkv = [
+            np.hstack([W[f"b{b}.self.{n}"] for n in ("wq", "wk", "wv")])
+            for b in range(cfg.n_blocks_dual)
+        ]
+        self._cross_kv = np.hstack(
+            [W[f"b{b}.cross.{n}"] for b in range(cfg.n_blocks) for n in ("wk", "wv")]
+        )
+        for arr in (*self._self_qkv, self._cross_kv):
+            arr.setflags(write=False)
         self._position_cache: dict[tuple[int, int], np.ndarray] = {}
         self._sites = frozenset(
             (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
@@ -459,7 +509,11 @@ class VelocityModel:
         h += pos
         h += time_embedding(sigma_t, cfg.d_model)
 
+        # K^T and [V | 1] depend only on the prompt: build each distinct one once
         distinct = {id(p): p for p in prompts}
+        prompt_kv = {
+            key: _cross_operands(p.matrix, self._cross_kv, heads) for key, p in distinct.items()
+        }
         captured: list[dict[Site, AttentionPacket]] = [{} for _ in prompts]
         scores = np.empty((heads, n_tok, n_tok))
         attn = np.empty((n_b, n_tok, cfg.d_model))  # attention outputs, heads merged
@@ -467,10 +521,7 @@ class VelocityModel:
         for b in range(cfg.n_blocks):
             if cfg.has_self(b):
                 site = (b, AttnKind.SELF)
-                hn = _layer_norm(h)
-                q = _head_view(hn @ W[f"b{b}.self.wq"], heads)
-                kt = _keys_transposed(hn @ W[f"b{b}.self.wk"], heads)
-                v1 = _append_ones(_head_view(hn @ W[f"b{b}.self.wv"], heads))
+                q, kt, v1 = _self_operands(_layer_norm(h), self._self_qkv[b], heads)
                 done: dict[int, int] = {}  # row -> the branch whose core used it unchanged
                 for i, r in enumerate(rows):
                     qkv = q[r], kt[r], v1[r]
@@ -491,17 +542,9 @@ class VelocityModel:
             site = (b, AttnKind.CROSS)
             if n_cond:
                 q = _head_view(_layer_norm(h[:n_cond]) @ W[f"b{b}.cross.wq"], heads)
-                # K^T and [V | 1] depend only on the prompt: build each distinct one once
-                wk, wv = W[f"b{b}.cross.wk"], W[f"b{b}.cross.wv"]
-                kv = {
-                    key: (
-                        _keys_transposed(p.matrix @ wk, heads),
-                        _append_ones(_head_view(p.matrix @ wv, heads)),
-                    )
-                    for key, p in distinct.items()
-                }
                 for i, p in enumerate(prompts):
-                    qkv = _hook_site(hooks[i], site, q[i], *kv[id(p)], p, captured[i])
+                    kt, v1 = prompt_kv[id(p)]
+                    qkv = _hook_site(hooks[i], site, q[i], kt[b], v1[b], p, captured[i])
                     _attend(*qkv, None, attn_heads[i])
                 h[:n_cond] += attn[:n_cond] @ W[f"b{b}.cross.wo"]
             if n_cond < n_b:

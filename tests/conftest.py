@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ def branches(out) -> int:
 def dyadic(rng: np.random.Generator, shape, scale: int = 1024, span: int = 2048):
     """Random dyadic rationals k/scale; sums and differences stay exact."""
     return rng.integers(-span, span + 1, size=shape).astype(np.float64) / scale
+
+
+def traced_peak(model: VelocityModel, states) -> int:
+    """Traced peak bytes of one warm ``_forward`` of ``states``."""
+    model._forward(states, 0.5)  # caches the position features
+    tracemalloc.start()
+    try:
+        model._forward(states, 0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

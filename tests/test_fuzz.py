@@ -22,6 +22,7 @@ import functools
 
 import numpy as np
 import pytest
+from conftest import branches, traced_peak
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,7 @@ from fiaedit.model import (
     VelocityModel,
     _append_ones,
     _attend,
+    peak_bytes,
 )
 from fiaedit.prompts import embed_prompt, embeddings_equal
 from fiaedit.schedule import NoiseMode, make_linear_schedule
@@ -252,6 +254,35 @@ def test_branch_is_bit_identical_alone_and_among_random_siblings(cfg, grid, data
 @given(cfg=_model_configs(), grid=_GRIDS, data=st.data())
 def test_branches_sharing_a_latent_are_bit_identical_alone(cfg, grid, data):
     _check_each_branch_alone(cfg, grid, data, twins=True)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    cfg=_model_configs(channels=st.integers(min_value=1, max_value=12)),
+    grid=st.tuples(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=16)),
+    words=st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_peak_bytes_bounds_the_traced_peak_of_a_forward(cfg, grid, words, data):
+    # up to three states of up to two passes each, so 1-6 branches
+    n = data.draw(st.integers(min_value=1, max_value=3), label="states")
+    mus = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    picks = data.draw(st.lists(st.sampled_from(words), min_size=n, max_size=n), label="prompts")
+    capture = data.draw(st.booleans(), label="capture")
+    sites = frozenset(
+        (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
+    )
+    plan = HookPlan(capture=sites if capture else frozenset())
+    x = np.random.default_rng(0).standard_normal((n, cfg.channels, *grid))
+    texts = [" ".join(f"w{i}" for i in range(w)) for w in picks]
+    states = [(xi, _prompt(t, cfg.d_model), mu, plan) for xi, t, mu in zip(x, texts, mus)]
+    model = VelocityModel(cfg)
+    out = model._forward(states, 0.5)
+    # the prompts the conditional passes attend to
+    attended = {id(p): p for (_, p, _, _), (v_cond, _, _) in zip(states, out) if v_cond is not None}
+    longest = max((len(p.tokens) for p in attended.values()), default=0)
+    bound = peak_bytes(cfg, grid, branches(out), longest, len(attended))
+    assert traced_peak(model, states) <= bound
 
 
 @FUZZ

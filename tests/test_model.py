@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dyadic
+from conftest import dyadic, traced_peak
 
 from fiaedit.errors import ShapeMismatchError, TopologyError
 from fiaedit.model import (
@@ -289,17 +288,6 @@ class TestSoftmax:
         assert np.abs(got - expected).max() <= keys * np.finfo(float).eps * np.abs(v).max()
 
 
-def traced_peak(model, states):
-    """Traced peak bytes of one warm ``_forward`` of ``states``."""
-    model._forward(states, 0.5)  # caches the position features
-    tracemalloc.start()
-    try:
-        model._forward(states, 0.5)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestPeakBytes:
     @pytest.mark.parametrize("grid, branches", [((32, 32), 2), ((16, 16), 4), ((8, 8), 4)])
     def test_bounds_the_traced_peak_of_a_forward(self, prompt_pair, grid, branches):
@@ -381,11 +369,26 @@ class TestTimeEmbedding:
 
 class TestLayerNorm:
     @pytest.mark.parametrize("shape", [(64, 8), (256, 8), (4, 64, 8)])
-    def test_bit_identical_to_mean(self, shape):
+    def test_agrees_with_the_mean_formula(self, shape):
+        # the means are products, which add in another order than mean
         h = 3.0 * np.random.default_rng(0).standard_normal(shape) + 1.0
         centered = h - h.mean(axis=-1, keepdims=True)
         expected = centered / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + 1e-6)
-        assert np.array_equal(_layer_norm(h), expected)
+        assert np.abs(_layer_norm(h) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(4, 64, 8), (6, 7, 8), (3, 1, 4), (2, 33, 16)])
+    def test_batch_equals_each_slice_alone(self, shape):
+        h = 3.0 * np.random.default_rng(1).standard_normal(shape) + 1.0
+        out = _layer_norm(h)
+        for i in range(shape[0]):
+            assert np.array_equal(out[i], _layer_norm(h[i]))
+
+    @pytest.mark.parametrize("step", [np.s_[::2], np.s_[:, ::3], np.s_[1::2, 2:]])
+    def test_strided_view_equals_its_contiguous_copy(self, step):
+        h = 3.0 * np.random.default_rng(2).standard_normal((6, 40, 8)) + 1.0
+        view = h[step]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(_layer_norm(view), _layer_norm(np.ascontiguousarray(view)))
 
 
 def all_sites(cfg):
@@ -448,9 +451,26 @@ class TestBatchedForward:
         # a grid step: the source and six probes on one target prompt
         states = [(xi, p, 1.0, HookPlan()) for xi, p in zip(x, [p_src] + [shared] * 6)]
         out = tiny_model._forward(states, 0.5)
-        assert CountingMatrix.products == 2 * tiny_model.cfg.n_blocks  # K and V per block
+        assert CountingMatrix.products == 1  # every block's K and V in one product
         ((alone, _, _),) = tiny_model._forward([(x[3], p_tar, 1.0, HookPlan())], 0.5)
         assert np.array_equal(out[3][0], alone)
+
+    def test_self_qkv_is_one_product_per_dual_block(self, prompt_pair):
+        class CountingWeights(np.ndarray):
+            products = 0
+
+            def __rmatmul__(self, other):
+                CountingWeights.products += 1
+                return other @ np.asarray(self)
+
+        model = VelocityModel(ModelConfig(channels=4))
+        model._self_qkv = [w.view(CountingWeights) for w in model._self_qkv]
+        # three guided states on two prompts: six branches
+        states = [(latent(i), prompt_pair[i % 2], 2.5, HookPlan()) for i in range(3)]
+        out = model._forward(states, 0.5)
+        assert CountingWeights.products == model.cfg.n_blocks_dual
+        ((v_cond, v_uncond, _),) = VelocityModel(model.cfg)._forward(states[2:], 0.5)
+        assert np.array_equal(out[2][0], v_cond) and np.array_equal(out[2][1], v_uncond)
 
     def test_velocity_is_the_batched_forward(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
