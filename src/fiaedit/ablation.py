@@ -107,6 +107,9 @@ def parse_grid(spec: str) -> GridSpec:
         if not values:
             raise ConfigError(f"grid axis {name!r} has no values")
         for value in values:
+            # a report's delta line separates its pairs with whitespace
+            if value.split() != [value]:
+                raise ConfigError(f"grid value {value!r} of axis {name!r} holds whitespace")
             _GRID_AXES[name](value)
         axes.append((name, values))
     if not axes:
@@ -208,6 +211,25 @@ def format_report(report: AblationReport) -> str:
                 lines.append(f"cell.{i}.{name}={value!r}")
         else:
             lines.append(f"cell.{i}.error={row.error}")
+    return "\n".join(lines) + "\n"
+
+
+def format_table(report: AblationReport) -> str:
+    """A fixed-width table: one column per axis, then the metric columns.
+
+    A failed cell shows its error in place of the metrics.
+    """
+    values = [[value for _, value in row.delta] for row in report.rows]
+    widths = [max(map(len, column)) for column in zip(report.axes, *values)]
+    header = [name.rjust(width) for name, width in zip(report.axes, widths)]
+    lines = [" ".join(header + [f"{name:>12}" for name in METRIC_COLUMNS])]
+    for row, row_values in zip(report.rows, values):
+        cells = [value.rjust(width) for value, width in zip(row_values, widths)]
+        if row.status == "ok":
+            cells += [f"{row.metrics[m]:12.6f}" for m in METRIC_COLUMNS]
+        else:
+            cells.append(f"{row.status}: {row.error}")
+        lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -7,8 +7,11 @@ import pytest
 
 import fiaedit.config
 from fiaedit.ablation import (
+    AblationReport,
+    AblationRow,
     apply_cell,
     format_report,
+    format_table,
     format_timings,
     parse_grid,
     parse_report,
@@ -70,6 +73,8 @@ class TestGridSpec:
             "filter_sigma=nan",
             "fij_block_range=3",
             "fij_block_range=0-x",
+            "fij_block_range=4 -5,0-5",
+            "fij_block_range=4\x85-5",
         ],
     )
     def test_malformed_value_rejected(self, spec):
@@ -147,7 +152,8 @@ class TestRunAblation:
             run_ablation(bad, parse_grid("filter_sigma=0.9"), fixture="blob16")
 
 
-# the base configs of scripts/run_component_grid.py and scripts/run_noise_modes.py
+# the component_grid base of scripts/run_experiments.py, and its noise_modes
+# base but for edit.noise_mode, which every cell of that grid sets
 COMPONENT_BASE = parse_config(
     """
 model.channels = 12
@@ -266,3 +272,29 @@ class TestReportFormat:
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             parse_report("schema=other/9\ncells=0\n")
+
+
+def test_format_table_has_a_column_per_axis_and_metric_and_shows_errors():
+    report = AblationReport(
+        seed=0,
+        fixture="blob16",
+        axes=("fij_enabled", "fij_block_range"),
+        rows=(
+            AblationRow(
+                delta=(("fij_enabled", "true"), ("fij_block_range", "0-3")),
+                status="ok",
+                metrics={"mse": 0.5, "psnr": 3.0, "ssim": 0.25, "ssd": 1.0},
+            ),
+            AblationRow(
+                delta=(("fij_enabled", "false"), ("fij_block_range", "0-9")),
+                status="error",
+                error="ConfigError: fij_block_range (0, 9) outside a model of 6 blocks",
+            ),
+        ),
+    )
+    assert format_table(report).splitlines() == [
+        "fij_enabled fij_block_range          mse         psnr         ssim          ssd",
+        "       true             0-3     0.500000     3.000000     0.250000     1.000000",
+        "      false             0-9 error: ConfigError: fij_block_range (0, 9) outside"
+        " a model of 6 blocks",
+    ]

@@ -292,6 +292,16 @@ class TestAblate:
         assert "fij_enabled" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_value_with_whitespace_is_exit_1(self, tmp_path, capsys):
+        # int() would take "4 " and the cell would run, but its report's
+        # delta line could not be read back
+        cfg = write_config(tmp_path, EDIT_CONFIG)
+        out = tmp_path / "x"
+        rc = main(["ablate", "--config", cfg, "--grid", "fij_block_range=4 -5", "--out", str(out)])
+        assert rc == 1
+        assert "holds whitespace" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fij_cutoff_beyond_the_steps_is_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, EDIT_CONFIG + "fia.fij_step_cutoff = 5\n")
         out = tmp_path / "x"

@@ -34,6 +34,7 @@ from fiaedit.ablation import (
     apply_cell,
     format_report,
     parse_grid,
+    parse_report,
     run_ablation,
 )
 from fiaedit.cli import main
@@ -110,15 +111,42 @@ _AXIS_TEXT = st.lists(
 ).map(lambda axes: ";".join(f"{name}={','.join(values)}" for name, values in axes))
 
 
+_AXIS_VALUES = {
+    "fri_mode": ("off", "add", "freq"),
+    "fij_enabled": ("true", "false"),
+    "noise_mode": ("none", "fresh", "reused"),
+    "filter_sigma": ("0.2", "0.9", "5.0", "-1.0"),
+    "fij_block_range": ("auto", "0-0", "0-1", "1-2", "0-9"),
+}
+
+
+@st.composite
+def _well_formed_text(draw):
+    """Grid text of well-formed values, some with whitespace that int() takes."""
+    names = draw(st.lists(st.sampled_from(sorted(_AXIS_VALUES)), min_size=1, max_size=3))
+    spaced = {"fij_block_range": ("4 -5", "1-\x852", " 0-1 ")}
+    return ";".join(
+        f"{name}=" + ",".join(draw(st.lists(
+            st.sampled_from(_AXIS_VALUES[name] + spaced.get(name, ())), min_size=1, max_size=3
+        )))
+        for name in names
+    )
+
+
 @FUZZ
-@given(spec=st.text(max_size=80) | _AXIS_TEXT)
+@given(spec=st.text(max_size=80) | _AXIS_TEXT | _well_formed_text())
 def test_parse_grid_gives_a_grid_or_a_value_error(spec):
     try:
         grid = parse_grid(spec)
     except (ValueError, FiaEditError):
         return
     assert isinstance(grid, GridSpec)
-    assert grid.cells()
+    cells = grid.cells()
+    assert cells
+    # every accepted grid's delta text reads back as written
+    rows = tuple(AblationRow(delta=cell, status="error", error="e") for cell in cells)
+    report = AblationReport(seed=0, fixture="blob16", axes=grid.axis_names, rows=rows)
+    assert parse_report(format_report(report)) == report
 
 
 _VALUE_TEXT = (
@@ -312,15 +340,6 @@ def test_attention_core_matches_the_shifted_softmax(
     expected = (weights / weights.sum(axis=-1, keepdims=True)) @ v
     assert np.all(np.isfinite(out))
     assert np.abs(out - expected).max() <= keys * np.finfo(float).eps * np.abs(v).max()
-
-
-_AXIS_VALUES = {
-    "fri_mode": ("off", "add", "freq"),
-    "fij_enabled": ("true", "false"),
-    "noise_mode": ("none", "fresh", "reused"),
-    "filter_sigma": ("0.2", "0.9", "5.0", "-1.0"),
-    "fij_block_range": ("auto", "0-0", "0-1", "1-2", "0-9"),
-}
 
 
 @st.composite

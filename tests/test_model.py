@@ -339,6 +339,36 @@ class TestPeakBytes:
         assert traced_peak(model, step) <= peak_bytes(cfg, grid, 6, words, 2)
 
 
+    @pytest.mark.parametrize(
+        "cfg, grid, words, n",
+        [
+            # twelve blocks on one token and three long prompts: each prompt's
+            # K^T and [V | 1] at every block are most of the peak
+            (ModelConfig(d_model=8, n_heads=1, n_blocks_dual=2, n_blocks_cross_only=10),
+             (1, 1), 2000, 3),
+            # one wide block on 256 tokens: the token-wise arrays are
+            (ModelConfig(d_model=16, n_heads=1, n_blocks_dual=1, n_blocks_cross_only=0,
+                         channels=1), (16, 16), 6, 3),
+            # one narrow block on two tokens: the Python objects are
+            (ModelConfig(d_model=4, n_heads=1, n_blocks_dual=1, n_blocks_cross_only=0,
+                         channels=1), (1, 2), 1, 1),
+        ],
+        ids=["prompt-operands", "token-wise", "objects"],
+    )
+    def test_bounds_a_forward_where_one_term_dominates(self, cfg, grid, words, n):
+        # the bound holds here with 15-50% to spare, but not with that term
+        # shrunk (per-prompt operands of two blocks only, a token-wise 8d, or
+        # no fixed eight objects): 1.13-1.33 times such a bound
+        model = VelocityModel(cfg)
+        x = np.random.default_rng(0).standard_normal((n, cfg.channels, *grid))
+        plan = HookPlan(capture=all_sites(cfg))
+        states = [
+            (xi, embed_prompt(" ".join(f"w{j}x{i}" for j in range(words)), cfg.d_model), 1.0, plan)
+            for i, xi in enumerate(x)
+        ]
+        assert traced_peak(model, states) <= peak_bytes(cfg, grid, n, words, n)
+
+
 class TestTimeEmbedding:
     def test_sigma_zero_alternates(self):
         emb = time_embedding(0.0, 8)

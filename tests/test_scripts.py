@@ -1,42 +1,72 @@
-"""Smoke tests: every experiment script runs end to end on its stock grid."""
+"""Smoke tests: every script under scripts/ runs end to end on its stock inputs."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
+from fiaedit import steering
 from fiaedit.ablation import parse_report
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# stock grid -> its cell count; the test ids keep the names these cases had
+# when each grid was a script of its own
+GRID_CELLS = {"component_grid": 6, "fij_placement": 3, "noise_modes": 3, "sigma_sweep": 8}
 
 
-def run_script(monkeypatch, name: str, *args: str) -> None:
-    path = SCRIPTS / name
-    monkeypatch.setattr(sys, "argv", [str(path), *args])
-    runpy.run_path(str(path), run_name="__main__")
+def run_script(path: Path, out_dir: Path) -> str:
+    """Run ``path --out out_dir`` as ``__main__``; return what it printed."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(sys, "argv", [str(path), "--out", str(out_dir)])
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
+def check_grid(out_dir: Path, stdout: str, name: str) -> None:
+    path = out_dir / name / "report.txt"
+    report = parse_report(path.read_text(encoding="utf-8"))
+    assert len(report.rows) == GRID_CELLS[name]
+    assert all(row.status == "ok" for row in report.rows)
+    assert (out_dir / name / "report.txt.timings").is_file()
+    assert f"report written to {path}" in stdout
+
+
+def check_experiments(out_dir: Path, stdout: str) -> None:
+    for name in GRID_CELLS:
+        check_grid(out_dir, stdout, name)
+    assert "injection improved background preservation on 7/7 seeds" in stdout
+
+
+# script -> the check of what it wrote and printed; a script with no entry fails
+CHECKS = {"run_experiments.py": check_experiments}
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name)
+def test_script_runs_end_to_end(tmp_path, path):
+    assert path.name in CHECKS, f"no smoke check for scripts/{path.name}"
+    CHECKS[path.name](tmp_path, run_script(path, tmp_path))
+
+
+@pytest.fixture(scope="module")
+def stock_run(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("experiments")
+    return out_dir, run_script(SCRIPTS / "run_experiments.py", out_dir)
 
 
 @pytest.mark.parametrize(
-    "name, cells",
-    [
-        ("run_component_grid.py", 6),
-        ("run_fij_placement.py", 3),
-        ("run_noise_modes.py", 3),
-        ("run_sigma_sweep.py", 8),
-    ],
+    "name", list(GRID_CELLS), ids=lambda name: f"run_{name}.py-{GRID_CELLS[name]}"
 )
-def test_sweep_script_writes_a_full_report(monkeypatch, tmp_path, capsys, name, cells):
-    run_script(monkeypatch, name, "--out", str(tmp_path))
-    report = parse_report((tmp_path / "report.txt").read_text(encoding="utf-8"))
-    assert len(report.rows) == cells
-    assert all(row.status == "ok" for row in report.rows)
-    assert (tmp_path / "report.txt.timings").is_file()
-    assert f"report written to {tmp_path / 'report.txt'}" in capsys.readouterr().out
+def test_sweep_script_writes_a_full_report(stock_run, name):
+    check_grid(*stock_run, name)
 
 
-def test_steering_script_runs_one_seed(monkeypatch, capsys):
-    run_script(monkeypatch, "run_steering_check.py", "--seeds", "0")
-    assert "/1 seeds" in capsys.readouterr().out
+def test_steering_script_runs_one_seed(monkeypatch, tmp_path):
+    monkeypatch.setattr(steering, "STEERING_SEEDS", (0,))
+    stdout = run_script(SCRIPTS / "run_experiments.py", tmp_path)
+    assert stdout.rstrip().endswith("/1 seeds")
