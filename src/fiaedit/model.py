@@ -22,12 +22,17 @@ core, which a conditional pass that overrides ``(0, SELF)`` runs on its
 own.  From block 0's output projection on, every branch has its own row.
 Branches handed the same prompt object share its cross K/V.
 
-Besides its overflow guard's max/min test, the attention core makes three
-passes over a call's (heads, n, n) scores: the score product, exp, and the
-product with ``[V | 1]``, V with a column of ones appended, whose last
-column holds the row sums.  The (heads, n, d_head) numerator is divided by
-them, as FlashAttention defers its normalisation, so the scores are never
-rescaled.  The score product reads a C-contiguous K^T.
+The attention core makes three passes over a call's (heads, n, n) scores:
+the score product, exp, and the product with ``[V | 1]``, V with a column
+of ones appended, whose last column holds the row sums.  The scores are
+never scanned or rescaled: exp runs on them unshifted, and only a product
+whose row sums or entries come out of range is redone with every row
+shifted by its maximum.  The score product reads a C-contiguous K^T.
+Everything else at a site runs once for the batch: Q is scaled by
+1/sqrt(d_head) once, every core writes its ``[numerator | row sum]`` into
+one (branches, heads, n, d_head + 1) buffer, the range check reads the
+whole buffer, and one divide turns it into the site's output, as
+FlashAttention defers its normalisation.
 
 Token-wise work is a few wide BLAS calls.  A dual block gets the whole
 batch's Q, K and V from one product with ``[wq | wk | wv]``, and each
@@ -51,7 +56,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,7 +64,9 @@ from .errors import ShapeMismatchError, TopologyError
 from .prompts import PromptEmbedding
 
 _LN_EPS = 1e-6
-_SOFTMAX_GUARD = 60.0
+# a row sum below this redoes the core's softmax shifted: its terms have
+# drifted towards the subnormal range, or underflowed to 0/0
+_ROW_SUM_FLOOR = math.exp(-60.0)
 
 
 class AttnKind(enum.Enum):
@@ -287,26 +294,27 @@ def peak_bytes(
 
     ``prompt_tokens`` is the longest prompt's token count and ``prompts``
     the number of distinct prompts.  Counts the weights and their
-    side-by-side copies; the self-attention score buffer; one attention
-    call's scaled Q, cross scores and ``[V | 1]`` product; per token and
-    branch the arrays alive at the widest point, the MLP (two temporaries
-    of four model widths, the residual stream, the attention and
-    layer-norm outputs, and the last self site's Q/K/V product, K^T and
-    ``[V | 1]``), the channel copies and the packets captured at every site
-    (Q, K and V; at a cross site K and V are prompt-sized); each distinct
-    prompt's K^T and ``[V | 1]`` at every block, the product they are cut
-    from, and one override's; and the Python objects.  Python integers, so
-    absurd sizes give exact large counts.
+    side-by-side copies; the self-attention score buffer and one cross
+    core's scores; per token and branch the arrays alive at the widest
+    point, the MLP (two temporaries of four model widths, the residual
+    stream, the attention and layer-norm outputs, and the last self site's
+    Q/K/V product, scaled Q, K^T and ``[V | 1]``), the ``[numerator | row
+    sum]`` buffer and its range check's flags, an overriding Q scaled, the
+    channel copies and the packets captured at every site (Q, K and V; at
+    a cross site K and V are prompt-sized); each distinct prompt's K^T and
+    ``[V | 1]`` at every block and the product they are cut from, and per
+    branch an overriding packet's; and the Python objects.  Python
+    integers, so absurd sizes give exact large counts.
     """
     d, heads, n_blocks = cfg.d_model, cfg.n_heads, cfg.n_blocks
     n_tok = grid[0] * grid[1]
     weights = sum(math.prod(shape) for _, shape in _weight_layout(cfg))
     weights += d * d * (3 * cfg.n_blocks_dual + 2 * n_blocks)  # side-by-side copies
     packets = 3 * d * cfg.n_blocks_dual + d * n_blocks
-    tokenwise = 16 * d + heads + 2 * cfg.channels + packets
-    attention = heads * n_tok * (n_tok + prompt_tokens) + n_tok * (2 * d + heads)
-    operands = (prompts * n_blocks + 1) * (2 * d + heads) + 2 * d * n_blocks
-    prompt_sized = prompt_tokens * (operands + branches * n_blocks * 2 * d)
+    tokenwise = 20 * d + 3 * heads + 2 * cfg.channels + packets
+    attention = heads * n_tok * (n_tok + prompt_tokens)
+    operands = prompts * n_blocks * (2 * d + heads) + 2 * d * n_blocks
+    prompt_sized = prompt_tokens * (operands + branches * ((n_blocks + 1) * 2 * d + heads))
     objects = _OBJECT_BYTES * (8 + branches * (cfg.n_blocks_dual + n_blocks))
     return 8 * (weights + branches * n_tok * tokenwise + attention + prompt_sized) + objects
 
@@ -355,31 +363,72 @@ def _cross_operands(
     return _keys_transposed(kv[:, :, 0], heads), _append_ones(_head_view(kv[:, :, 1], heads))
 
 
+def _scaled(q: np.ndarray) -> np.ndarray:
+    """Q times 1/sqrt(d_head): a pass over Q instead of over the scores."""
+    return q * (1.0 / np.sqrt(q.shape[-1]))
+
+
 def _attend(
-    q: np.ndarray, kt: np.ndarray, v1: np.ndarray, scores: np.ndarray | None, out: np.ndarray
+    qs: np.ndarray,
+    kt: np.ndarray,
+    v1: np.ndarray,
+    scores: np.ndarray | None,
+    out: np.ndarray,
+    shift: bool = False,
 ) -> None:
-    """One branch's attention core, heads stacked: softmax(q k^T / sqrt(d_head)) v.
+    """One branch's attention core, heads stacked: ``exp(qs k^T) [V | 1]`` into ``out``.
 
-    ``kt`` is K^T, (heads, d_head, keys), and ``v1`` is ``[V | 1]``,
-    (heads, keys, d_head + 1).  Besides the guard test, a call makes three
-    passes over the scores: the score product, exp, and the product with
-    ``[V | 1]``, whose last column holds the row sums that divide the rest
-    into ``out``.  A score beyond +_SOFTMAX_GUARD could overflow exp, and a
-    row whose scores all lie far below -_SOFTMAX_GUARD would underflow to
-    0/0; when any score leaves the guard band every row is shifted by its
-    maximum.  The band test uses the global extremes because a reduction
-    along short rows costs several times a whole-array one.
-
+    ``qs`` is Q scaled by :func:`_scaled`, ``kt`` is K^T, (heads, d_head,
+    keys), and ``v1`` is ``[V | 1]``, (heads, keys, d_head + 1).  ``out``,
+    (heads, queries, d_head + 1), receives the softmax numerator with the
+    row sums in its last column.  A call makes three passes over the
+    scores: the score product, exp, and the product with ``[V | 1]``;
+    with ``shift``, every row is shifted by its maximum before exp.
     ``scores`` is the (heads, queries, keys) scratch buffer, or None to
     allocate one.
     """
-    # fold the 1/sqrt(d_head) scale into q: one small pass instead of a
-    # full pass over the score matrix
-    scores = np.matmul(q * (1.0 / np.sqrt(q.shape[-1])), kt, out=scores)
-    if scores.max() > _SOFTMAX_GUARD or scores.min() < -_SOFTMAX_GUARD:
+    scores = np.matmul(qs, kt, out=scores)
+    if shift:
         scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    weighted = scores @ v1
+    np.matmul(scores, v1, out=out)
+
+
+def _attend_site(
+    ops: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray] | int],
+    scores: np.ndarray | None,
+    weighted: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """softmax(q k^T / sqrt(d_head)) v for every branch at one site, into ``out``.
+
+    ``ops[i]`` is branch i's operands for :func:`_attend`, or the index of
+    an earlier branch with the same operands, whose result it copies.
+    Each core writes its ``[numerator | row sum]`` into its row of
+    ``weighted``, (branches, heads, queries, d_head + 1), and one divide
+    turns the rows into ``out``, (branches, heads, queries, d_head).
+
+    exp runs on the unshifted scores, and the products are checked after
+    the fact: a branch's is kept unless one of its row sums is below
+    ``_ROW_SUM_FLOOR`` (every score of the row below about -60) or an
+    entry is not finite (exp overflowed, at a score above about 709).
+    Only such a branch's cores run again, shifted.  So scores up to about
+    709 are not shifted, and scores in band keep their bits.
+    """
+
+    def run(branches: Iterable[int], shift: bool) -> None:
+        for i in branches:
+            if isinstance(ops[i], int):
+                weighted[i] = weighted[ops[i]]
+            else:
+                _attend(*ops[i], scores, weighted[i], shift)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        run(range(len(ops)), False)
+    sums = weighted[..., -1]
+    if not (sums.min() >= _ROW_SUM_FLOOR and np.isfinite(weighted).all()):
+        kept = (sums.min(axis=(1, 2)) >= _ROW_SUM_FLOOR) & np.isfinite(weighted).all(axis=(1, 2, 3))
+        run(np.flatnonzero(~kept), True)
     np.divide(weighted[..., :-1], weighted[..., -1:], out=out)
 
 
@@ -387,6 +436,7 @@ def _hook_site(
     hooks: HookPlan,
     site: Site,
     q: np.ndarray,
+    qs: np.ndarray,
     kt: np.ndarray,
     v1: np.ndarray,
     text: PromptEmbedding | None,
@@ -394,10 +444,12 @@ def _hook_site(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One branch's attention operands at ``site`` after its override, captured if asked.
 
-    Operands are Q, K^T and ``[V | 1]``, as :func:`_attend` takes them;
-    packets hold plain Q, K and V.  ``ReplaceQK`` applies at self sites and
-    ``ReplaceQKVE`` at cross sites; ``text`` is the prompt a cross site
-    reads, None at a self site.
+    Operands are scaled Q, K^T and ``[V | 1]``, as :func:`_attend` takes
+    them, and ``q`` is the plain Q that ``qs`` was scaled from; packets
+    hold plain Q, K and V, and an overriding Q is scaled here, for its own
+    branch only.  ``ReplaceQK`` applies at self sites and ``ReplaceQKVE``
+    at cross sites; ``text`` is the prompt a cross site reads, None at a
+    self site.
     """
     action = hooks.overrides.get(site)
     if isinstance(action, ReplaceQK) and site[1] is AttnKind.SELF:
@@ -407,6 +459,7 @@ def _hook_site(
                 f"override at {site} has shape {action.q.shape}, expected {q.shape}"
             )
         q, kt = action.q, action.k.swapaxes(-1, -2)
+        qs = _scaled(q)
     elif isinstance(action, ReplaceQKVE) and site[1] is AttnKind.CROSS:
         pkt = action.packet
         if pkt.q.shape != q.shape:
@@ -414,13 +467,14 @@ def _hook_site(
                 f"override at {site} has shape {pkt.q.shape}, expected {q.shape}"
             )
         q, kt, v1, text = pkt.q, pkt.k.swapaxes(-1, -2), _append_ones(pkt.v), pkt.text_embedding
+        qs = _scaled(q)
     elif action is not None:
         raise TopologyError(f"{type(action).__name__} does not apply at {site}")
     if site in hooks.capture:
         captured[site] = AttentionPacket(
             _snapshot(q), _snapshot(kt.swapaxes(-1, -2)), _snapshot(v1[..., :-1]), text
         )
-    return q, kt, v1
+    return qs, kt, v1
 
 
 class VelocityModel:
@@ -470,8 +524,9 @@ class VelocityModel:
         pass runs unless ``mu`` is 1.  A pass that did not run gives None,
         and ``packets`` are the conditional pass's captures by site.  The
         batch holds the conditional passes first; only the attention core
-        loops over its branches, so a state's result does not depend on its
-        batch.  A hook at a site the model lacks raises ``TopologyError``.
+        loops over its branches, and the batch-wide steps act element by
+        element, so a state's result does not depend on its batch.  A hook
+        at a site the model lacks raises ``TopologyError``.
         """
         cfg = self.cfg
         W = self.weights
@@ -516,24 +571,27 @@ class VelocityModel:
         }
         captured: list[dict[Site, AttentionPacket]] = [{} for _ in prompts]
         scores = np.empty((heads, n_tok, n_tok))
-        attn = np.empty((n_b, n_tok, cfg.d_model))  # attention outputs, heads merged
+        # the cores' [numerator | row sum], and the attention outputs, heads merged
+        weighted = np.empty((n_b, heads, n_tok, cfg.d_model // heads + 1))
+        attn = np.empty((n_b, n_tok, cfg.d_model))
         attn_heads = _head_view(attn, heads)
         for b in range(cfg.n_blocks):
             if cfg.has_self(b):
                 site = (b, AttnKind.SELF)
                 q, kt, v1 = _self_operands(_layer_norm(h), self._self_qkv[b], heads)
-                done: dict[int, int] = {}  # row -> the branch whose core used it unchanged
+                qs = _scaled(q)
+                done: dict[int, int] = {}  # row -> the branch whose core reads it unchanged
+                ops: list[tuple[np.ndarray, np.ndarray, np.ndarray] | int] = []
                 for i, r in enumerate(rows):
-                    qkv = q[r], kt[r], v1[r]
+                    qkv = qs[r], kt[r], v1[r]
                     if i < n_cond:
-                        qkv = _hook_site(hooks[i], site, *qkv, None, captured[i])
+                        qkv = _hook_site(hooks[i], site, q[r], *qkv, None, captured[i])
                     if i < n_cond and site in hooks[i].overrides:
-                        _attend(*qkv, scores, attn_heads[i])
-                    elif r in done:
-                        attn[i] = attn[done[r]]
+                        ops.append(qkv)
                     else:
-                        _attend(*qkv, scores, attn_heads[i])
-                        done[r] = i
+                        first = done.setdefault(r, i)
+                        ops.append(qkv if first == i else first)
+                _attend_site(ops, scores, weighted, attn_heads)
                 if b == 0:  # one row per branch from here
                     h = h[rows]
                 rows = range(n_b)
@@ -542,10 +600,13 @@ class VelocityModel:
             site = (b, AttnKind.CROSS)
             if n_cond:
                 q = _head_view(_layer_norm(h[:n_cond]) @ W[f"b{b}.cross.wq"], heads)
+                qs = _scaled(q)
+                ops = []
                 for i, p in enumerate(prompts):
                     kt, v1 = prompt_kv[id(p)]
-                    qkv = _hook_site(hooks[i], site, q[i], kt[b], v1[b], p, captured[i])
-                    _attend(*qkv, None, attn_heads[i])
+                    qkv = _hook_site(hooks[i], site, q[i], qs[i], kt[b], v1[b], p, captured[i])
+                    ops.append(qkv)
+                _attend_site(ops, None, weighted[:n_cond], attn_heads[:n_cond])
                 h[:n_cond] += attn[:n_cond] @ W[f"b{b}.cross.wo"]
             if n_cond < n_b:
                 h[n_cond:] += self._null_cross[b]

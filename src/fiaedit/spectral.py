@@ -9,6 +9,12 @@ Conventions used throughout:
   of length ``n`` is ``(i - n//2) / n``, i.e. u, v range over [-0.5, 0.5).
 * Filter masks are radial functions of r = sqrt(u^2 + v^2) in those
   normalized units, which keeps a given sigma meaningful across grid sizes.
+
+The Gaussian mask is separable, ``exp(-(u^2 + v^2) / 2 sigma^2) = g(u) g(v)``,
+so filtering by it is a product along each axis with the real symmetric
+circulant of that axis's profile, and fusion runs with no FFT.  ``fft2``,
+``ifft2``, ``decompose`` and ``Spectrum`` are the reference chain that
+spells the fusion out in the frequency domain.
 """
 
 from __future__ import annotations
@@ -52,9 +58,15 @@ class FusionWeights:
 
 @dataclass(frozen=True)
 class LowPassFilter:
-    """Radially symmetric mask in [0, 1] with DC gain 1."""
+    """Radially symmetric mask in [0, 1] with DC gain 1.
+
+    A separable mask also carries its axis operators: the (h, h) and
+    (w, w) real symmetric circulants that filter along the grid's rows and
+    columns.  A filter given only as a mask splits spectra but cannot fuse.
+    """
 
     mask: np.ndarray
+    axis_ops: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -102,21 +114,43 @@ def lowpass_profile(r: np.ndarray | float, sigma: float) -> np.ndarray | float:
         return np.exp(-np.square(r) / (2.0 * sigma * sigma))
 
 
+def _circulant(profile: np.ndarray) -> np.ndarray:
+    """The real symmetric (n, n) circulant ``F^-1 diag(profile) F``.
+
+    ``profile`` is an even function over the n centered frequencies, so
+    the sine terms cancel in pairs (or vanish, at the unpaired frequency
+    -1/2 of an even n) and entry ``(j, m)`` is
+    ``(1/n) sum_i profile[i] cos(2 pi f_i (j - m))``, a function of
+    ``t = (j - m) mod n`` that is even in t.  Angles are reduced modulo
+    n in integers, and each entry reads ``t`` or ``n - t``, whichever is
+    smaller, so the operator is exactly symmetric.
+    """
+    n = profile.shape[0]
+    t = np.arange(n)
+    angles = (2.0 * np.pi / n) * (np.outer(t, t - n // 2) % n)
+    column = np.cos(angles) @ profile / n
+    lag = (t[:, None] - t[None, :]) % n
+    return column[np.minimum(lag, n - lag)]
+
+
 @functools.lru_cache(maxsize=64)
 def make_gaussian_lowpass(h: int, w: int, sigma: float) -> LowPassFilter:
     """Gaussian low-pass mask on an h-by-w centered frequency grid.
 
-    Built once per ``(h, w, sigma)``; every caller shares the cached filter,
-    so its mask is read-only.
+    The mask is the outer product of the two axes' profiles, and the axis
+    operators are their circulants, so splitting and fusion read one
+    filter.  Built once per ``(h, w, sigma)``; every caller shares the
+    cached filter, so its arrays are read-only.
     """
     if h < 1 or w < 1:
         raise ValueError("grid dimensions must be positive")
-    v = centered_frequencies(h)[:, None]
-    u = centered_frequencies(w)[None, :]
-    r = np.sqrt(u * u + v * v)
-    mask = lowpass_profile(r, sigma)
-    mask.setflags(write=False)
-    return LowPassFilter(mask=mask)
+    g_h = lowpass_profile(centered_frequencies(h), sigma)
+    g_w = lowpass_profile(centered_frequencies(w), sigma)
+    mask = np.outer(g_h, g_w)
+    axis_ops = (_circulant(g_h), _circulant(g_w))
+    for arr in (mask, *axis_ops):
+        arr.setflags(write=False)
+    return LowPassFilter(mask=mask, axis_ops=axis_ops)
 
 
 def decompose(s: Spectrum, filt: LowPassFilter) -> tuple[Spectrum, Spectrum]:
@@ -153,14 +187,22 @@ def fri_fuse(
     dominant weight and the two remaining bands under the minor weight:
     ``l1*(S*(1-L) + T*L) + l2*(S*L + T*(1-L))`` for spectra S, T and mask L.
     Collecting terms gives ``l1*S + l2*T + (l1-l2)*L*(T - S)``.  The
-    transform is linear and L is real with L(-k) = L(k), so the blend is
-    evaluated in the spatial domain as
+    transform is linear, so the blend is evaluated in the spatial domain as
 
-        (l1*src + l2*tar) + (l1-l2) * irfft2(L * rfft2(tar - src))
+        (l1*src + l2*tar) + (l1-l2) * ifft2(L * fft2(tar - src))
 
-    with one real transform pair per channel.  Swapping the inputs together
-    with the weights negates both the difference and ``l1 - l2``, which
-    leaves every rounding step unchanged, so the swap is bit-exact.
+    The mask is separable, ``L = g_h g_w^T``, and the 2-D transform is one
+    transform along each axis, so for a channel d the band is
+    ``ifft2(L * fft2(d)) = A_h d A_w^T`` with ``A_n = F_n^-1 diag(g_n) F_n``,
+    the real symmetric circulant of the axis profile: no FFT runs.  Both
+    products are batched, one BLAS call per channel and axis, so a
+    channel's band does not depend on the channels fused with it.
+    Swapping the inputs together with the weights negates both the
+    difference and ``l1 - l2``, which leaves every rounding step
+    unchanged, so the swap is bit-exact.
+
+    ``filt`` must carry its axis operators, as :func:`make_gaussian_lowpass`
+    builds them.
     """
     if f_src.shape != f_tar.shape:
         raise ShapeMismatchError(f"shapes differ: {f_src.shape} vs {f_tar.shape}")
@@ -172,11 +214,12 @@ def fri_fuse(
         raise ShapeMismatchError(
             f"filter grid {filt.grid} does not match feature grid {f_src.shape[-2:]}"
         )
+    if filt.axis_ops is None:
+        raise ValueError("fusion needs a filter with axis operators")
     if not (np.all(np.isfinite(f_src)) and np.all(np.isfinite(f_tar))):
         raise NumericFailure("input contains non-finite values")
-    h, w = filt.grid
-    # rfft2 keeps the non-negative frequencies of the last axis, DC first
-    half_mask = np.fft.ifftshift(filt.mask)[:, : w // 2 + 1]
-    band = np.fft.irfft2(half_mask * np.fft.rfft2(f_tar - f_src), s=(h, w))
+    a_h, a_w = filt.axis_ops
+    # A_w is symmetric, so it serves as its own transpose
+    band = a_h @ ((f_tar - f_src) @ a_w)
     l1, l2 = weights.lambda1, weights.lambda2
     return (l1 * f_src + l2 * f_tar) + (l1 - l2) * band

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiaedit.model import ModelConfig, VelocityModel
+from fiaedit.model import ModelConfig, VelocityModel, _append_ones, _attend_site, _scaled
 from fiaedit.prompts import embed_prompt
 
 
@@ -17,6 +17,17 @@ def branches(out) -> int:
 def dyadic(rng: np.random.Generator, shape, scale: int = 1024, span: int = 2048):
     """Random dyadic rationals k/scale; sums and differences stay exact."""
     return rng.integers(-span, span + 1, size=shape).astype(np.float64) / scale
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(d_head)) v by the attention core and its divide.
+
+    Q is scaled, and K^T and ``[V | 1]`` are built, as a forward builds them.
+    """
+    ops = _scaled(q), np.ascontiguousarray(k.swapaxes(-1, -2)), _append_ones(v)
+    out = np.empty((1, *q.shape[:-1], v.shape[-1]))
+    _attend_site([ops], None, np.empty((1, *q.shape[:-1], v.shape[-1] + 1)), out)
+    return out[0]
 
 
 def traced_peak(model: VelocityModel, states) -> int:

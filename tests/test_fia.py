@@ -384,9 +384,9 @@ class TestConstrainedPair:
         attend, forward = fiaedit.model._attend, model._forward
         calls = []
 
-        def counting_attend(q, kt, v1, scores, out):
+        def counting_attend(q, kt, v1, scores, out, shift=False):
             calls[-1] += scores is not None  # cross cores get no score buffer
-            attend(q, kt, v1, scores, out)
+            attend(q, kt, v1, scores, out, shift)
 
         def counting_forward(*args):
             calls.append(0)
@@ -399,6 +399,36 @@ class TestConstrainedPair:
         guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
         constrained_velocity_pair(model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10, guidance, fia)
         assert calls == cores
+
+    def test_one_divide_per_site_and_no_fft_in_a_guided_fri_step(
+        self, tiny_model, prompt_pair, monkeypatch
+    ):
+        attend_site, forward = fiaedit.model._attend_site, tiny_model._forward
+        divides, transforms = [], []
+
+        def counting_attend_site(ops, scores, weighted, out):
+            divides[-1] += 1  # each call checks and divides its site's branches once
+            attend_site(ops, scores, weighted, out)
+
+        def counting_forward(*args):
+            divides.append(0)
+            return forward(*args)
+
+        monkeypatch.setattr(fiaedit.model, "_attend_site", counting_attend_site)
+        monkeypatch.setattr(tiny_model, "_forward", counting_forward)
+        for name in np.fft.__all__:
+            monkeypatch.setattr(np.fft, name, lambda *a, _name=name, **k: transforms.append(_name))
+        make_gaussian_lowpass.cache_clear()  # the filter is built inside the step too
+        p_src, p_tar = prompt_pair
+        x_src, x_tar = np.random.default_rng(3).standard_normal((2, 4, 6, 6))
+        guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
+        constrained_velocity_pair(
+            tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10, guidance, FiaConfig()
+        )
+        # the probe call and the fused rerun; every site holds a branch in both
+        sites = tiny_model.cfg.n_blocks_dual + tiny_model.cfg.n_blocks
+        assert divides == [sites, sites]
+        assert transforms == []
 
     def test_constraint_changes_target_velocity(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair

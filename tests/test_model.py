@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from conftest import dyadic, traced_peak
+from conftest import attend, dyadic, traced_peak
 
 from fiaedit.errors import ShapeMismatchError, TopologyError
 from fiaedit.model import (
@@ -16,7 +17,6 @@ from fiaedit.model import (
     ReplaceQKVE,
     VelocityModel,
     _append_ones,
-    _attend,
     _layer_norm,
     guide,
     peak_bytes,
@@ -228,13 +228,6 @@ class TestShapes:
             tiny_model.velocity(latent(), p16, 0.5, 1.0)
 
 
-def attend(q, k, v):
-    """``_attend`` on plain Q, K and V, with K^T and ``[V | 1]`` as a forward builds them."""
-    out = np.empty(q.shape)
-    _attend(q, np.ascontiguousarray(k.swapaxes(-1, -2)), _append_ones(v), None, out)
-    return out
-
-
 class TestSoftmax:
     def test_far_negative_row_does_not_underflow(self):
         # d_head 4 scales scores by exactly 1/2: row 0 is (-800, -801), row 1
@@ -271,6 +264,41 @@ class TestSoftmax:
         expected = (weights @ v) / weights.sum(axis=-1, keepdims=True)
         got = attend(q, k, v)
         assert np.all(np.abs(got - expected) <= 256 * np.finfo(float).eps * expected)
+
+    def test_scores_below_the_exp_limit_are_not_shifted(self):
+        # no score is scanned first: a score near 100 meets exp unshifted,
+        # and the output is exp(scores) @ [V | 1] divided by its last column
+        rng = np.random.default_rng(3)
+        q, k = 6.5 * rng.uniform(-2.0, 2.0, (2, 2, 6, 4))
+        v1 = _append_ones(rng.standard_normal((2, 6, 4)))
+        scores = np.matmul(q * 0.5, np.ascontiguousarray(k.swapaxes(-1, -2)))
+        assert 90.0 < scores.max() < 110.0
+        unshifted = np.exp(scores) @ v1
+        shifted = np.exp(scores - scores.max(axis=-1, keepdims=True)) @ v1
+        expected = unshifted[..., :-1] / unshifted[..., -1:]
+        assert not np.array_equal(shifted[..., :-1] / shifted[..., -1:], expected)
+        assert np.array_equal(attend(q, k, v1[..., :-1]), expected)
+
+    @pytest.mark.parametrize("row", ["overflows", "underflows"])
+    def test_out_of_range_rows_are_shifted_without_a_warning(self, row):
+        # q = 2 I and d_head 4 make the scores exactly k^T: one score of 800,
+        # whose exp overflows, or one row entirely near -800, whose exp
+        # underflows to 0/0; either way the product is redone shifted
+        rng = np.random.default_rng(4)
+        scores = rng.uniform(-5.0, 5.0, (1, 4, 6))
+        if row == "overflows":
+            scores[0, 1, 2] = 800.0
+        else:
+            scores[0, 1] += -800.0
+        q, k = 2.0 * np.eye(4)[None], scores.swapaxes(-1, -2)
+        v = rng.standard_normal((1, 6, 4))
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        expected = (weights / weights.sum(axis=-1, keepdims=True)) @ v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = attend(q, k, v)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - expected).max() <= 6 * np.finfo(float).eps * np.abs(v).max()
 
     @pytest.mark.parametrize("keys", [256, 6], ids=["self", "cross"])
     @pytest.mark.parametrize("q_scale", [1.0, 64.0], ids=["in-band", "shifted"])

@@ -218,6 +218,37 @@ class TestFriFuse:
         scaled = fri_fuse(scale * f, scale * g, filt, w)
         assert scaled == pytest.approx(scale * fri_fuse(f, g, filt, w), abs=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        sigma=st.floats(0.05, 50.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_the_oracle_on_odd_even_and_rectangular_grids(self, h, w, sigma, seed):
+        # each output sums h*w terms of the axis products; the blend's own
+        # few roundings add a few eps on top
+        f_src, f_tar = random_tensor((2, 2, h, w), seed)
+        out = fri_fuse(f_src, f_tar, make_gaussian_lowpass(h, w, sigma), FusionWeights(0.8, 0.2))
+        expected = oracle_fri_fuse(f_src, f_tar, sigma, 0.8, 0.2)
+        scale = max(np.abs(f_src).max(), np.abs(f_tar).max())
+        assert np.abs(out - expected).max() <= (h * w + 4) * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("grid", [(2, 2), (8, 8), (5, 7), (32, 32)])
+    def test_a_channel_does_not_depend_on_the_channels_fused_with_it(self, grid):
+        # the edit path fuses every self site's Q and K in one call
+        f_src, f_tar = random_tensor((2, 64, *grid), 13)
+        filt = make_gaussian_lowpass(*grid, 0.9)
+        weights = FusionWeights(0.8, 0.2)
+        every = fri_fuse(f_src, f_tar, filt, weights)
+        for lo, hi in ((0, 1), (8, 16), (0, 32)):
+            assert np.array_equal(fri_fuse(f_src[lo:hi], f_tar[lo:hi], filt, weights), every[lo:hi])
+
+    def test_a_mask_alone_does_not_fuse(self):
+        f = random_tensor((1, 4, 4), 0)
+        with pytest.raises(ValueError):
+            fri_fuse(f, f, LowPassFilter(mask=np.ones((4, 4))), FusionWeights())
+
     def test_swap_weight_identity(self):
         f = random_tensor((1, 6, 6), 21)
         g = random_tensor((1, 6, 6), 22)
