@@ -154,8 +154,8 @@ def run_ablation(
     """Run every grid cell against the fixture; a fault the cells share raises.
 
     A failed cell gets an error row.  The cells run in lockstep: per step, one
-    model call holds the shared source pass and every live cell's target
-    probe, and a second holds the cells' constrained passes.
+    model call holds the shared source pass, every live cell's target probe
+    and the cells' constrained passes.
     """
     start = time.perf_counter()
     image, mask = load_fixture(fixture)

@@ -76,13 +76,14 @@ def check_budget(
 ) -> None:
     """Refuse a run of ``n_requests`` in lockstep whose peak memory is out of bounds.
 
-    A step's widest call holds a guided source pair and a guided probe pair
-    per request; ``prompt_tokens`` are the token counts of the run's
-    distinct prompts.  Call it before building the model and embedding the
-    prompts: the weights count, and so does a long prompt.
+    A step's widest call holds a guided source pair, and per request a
+    guided probe pair and its constrained fork; ``prompt_tokens`` are the
+    token counts of the run's distinct prompts.  Call it before building
+    the model and embedding the prompts: the weights count, and so does a
+    long prompt.
     """
     need = peak_bytes(
-        model_cfg, grid, 2 + 2 * n_requests, max(prompt_tokens), len(prompt_tokens)
+        model_cfg, grid, 2 + 3 * n_requests, max(prompt_tokens), len(prompt_tokens)
     )
     if need > MAX_PEAK_BYTES:
         raise ConfigError(
@@ -106,6 +107,10 @@ class _Run:
         self.error.__cause__ = exc
 
 
+# a blow-up shows as non-finite values, which the run's finite checks turn
+# into NumericFailure; a numpy warning would instead become an error, or
+# noise on stderr, depending on the process's warning filter
+@np.errstate(all="ignore")
 def run_edits(
     model: VelocityModel, reqs: Sequence[EditRequest], bypass_fia: bool = False
 ) -> list[EditTrace | EditRunError]:

@@ -9,15 +9,17 @@ Two mechanisms feed a hook plan for the constrained target pass:
 
 Target features come from an unconstrained probe of the target state.
 One step serves one source and any number of targets (the cells of a
-grid): the source state and every target's probe run as one model call,
-and the constrained passes as a second, each a state with guidance scale 1,
-so only its conditional pass runs.  A constrained pass reuses its probe's
-unconditional pass, so a guided one-target step with a non-empty override
-plan costs two calls of 4 and 1 branches, against one call of 4 branches
+grid), in one model call: the source state, every target's probe, and
+every target's constrained pass, a ``Fork`` of its probe's conditional
+pass.  An override at a site reads only the source and probe packets
+captured at that site, so the fork's rule builds it there, inside the
+call; until its first applied override the fork copies its probe's
+attention cores.  The constrained pass reuses its probe's unconditional
+pass, so a guided one-target step is one call of 5 branches, against 4
 with the constraints off.  A state's two passes share the prefix up to
 block 0's self-attention, so it runs once for the source and once per
-target, while everything from block 0's output projection on runs once per
-branch.  Sites are read from the model's ``ModelConfig``, and packets
+target, while everything from block 0's output projection on runs once
+per branch.  Sites are read from the model's ``ModelConfig``, and packets
 travel as ``{site: packet}`` tables, the form ``VelocityModel.velocity``
 returns.
 """
@@ -25,9 +27,10 @@ returns.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +39,8 @@ from .model import (
     AttentionPacket,
     EMPTY_PLAN,
     AttnKind,
+    Fork,
+    ForkRule,
     GuidanceConfig,
     HookPlan,
     ModelConfig,
@@ -123,6 +128,7 @@ class FiaConfig:
         return self.fij_enabled and step_index < self.resolved_cutoff(total_steps)
 
 
+@functools.lru_cache(maxsize=256)
 def plan_capture(
     cfg: FiaConfig, model_cfg: ModelConfig, step_index: int, total_steps: int
 ) -> HookPlan:
@@ -130,7 +136,7 @@ def plan_capture(
 
     Every site that step's overrides read: the self sites under frequency
     interaction, and the injected cross sites while the injection window is
-    open.
+    open.  Built once per step and constraint, and shared by every caller.
     """
     sites: set[Site] = set()
     if cfg.fri_enabled:
@@ -142,6 +148,29 @@ def plan_capture(
     return HookPlan(capture=frozenset(sites))
 
 
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.array_equal``, answered at the first entry when that differs.
+
+    Source and target features almost always differ there, and the
+    comparison of two Python floats costs a tenth of a full one.
+    """
+    return a.shape == b.shape and (a.size == 0 or a.item(0) == b.item(0)) and np.array_equal(a, b)
+
+
+def _noop(cfg: FiaConfig, site: Site, src: AttentionPacket, tar: AttentionPacket | None) -> bool:
+    """Whether overriding ``site`` would hand the target its own features.
+
+    Fusing bit-identical features under weights that sum to 1 is the
+    identity, and injecting the Q/K/V the target already computed
+    replaces values with themselves.
+    """
+    if tar is None or not (_equal(src.q, tar.q) and _equal(src.k, tar.k)):
+        return False
+    if site[1] is AttnKind.CROSS:
+        return _equal(src.v, tar.v)
+    return cfg.fusion.lambda1 + cfg.fusion.lambda2 == 1.0
+
+
 def _fuse_self_sites(
     pairs: list[tuple[Site, AttentionPacket, AttentionPacket]],
     cfg: FiaConfig,
@@ -149,10 +178,10 @@ def _fuse_self_sites(
 ) -> dict[Site, ReplaceQK]:
     """Fused Q/K overrides for the given (site, source, target) triples.
 
-    In ``FREQ`` mode every site's Q, then every site's K, is stacked and
-    reshaped to channel grids, one per head and feature, for one
-    :func:`fri_fuse` call; fusion acts on each channel alone, so this
-    equals fusing site by site.
+    In ``FREQ`` mode every site's Q, then every site's K, of the source and
+    then of the target is concatenated along the head axis and reshaped to
+    channel grids, one per head and feature, for one :func:`fri_fuse` call;
+    fusion acts on each channel alone, so this equals fusing site by site.
     """
     if cfg.fri_mode is FriMode.ADD:
         return {
@@ -161,17 +190,15 @@ def _fuse_self_sites(
         }
     if not pairs:
         return {}
-    # (source/target, features, heads, tokens, d_head), Q features first
-    feats = np.stack([
-        [src.q for _, src, _ in pairs] + [src.k for _, src, _ in pairs],
-        [tar.q for _, _, tar in pairs] + [tar.k for _, _, tar in pairs],
-    ])
-    heads, n_tok, d_head = feats.shape[2:]
-    grids = feats.swapaxes(-1, -2).reshape(2, -1, *grid)
+    n = len(pairs)
+    heads, n_tok, d_head = pairs[0][1].q.shape
+    feats = [pkt.q for _, pkt, _ in pairs] + [pkt.k for _, pkt, _ in pairs]
+    feats += [pkt.q for _, _, pkt in pairs] + [pkt.k for _, _, pkt in pairs]
+    # (source/target, features * heads * d_head, h, w)
+    grids = np.concatenate(feats).swapaxes(-1, -2).reshape(2, -1, *grid)
     filt = make_gaussian_lowpass(*grid, cfg.filter_sigma)
     fused = fri_fuse(grids[0], grids[1], filt, cfg.fusion)
     out = fused.reshape(-1, heads, d_head, n_tok).swapaxes(-1, -2)
-    n = len(pairs)
     return {site: ReplaceQK(q=out[i], k=out[n + i]) for i, (site, _, _) in enumerate(pairs)}
 
 
@@ -179,44 +206,174 @@ def build_target_overrides(
     cfg: FiaConfig,
     step_index: int,
     total_steps: int,
-    src_packets: dict[Site, AttentionPacket],
-    tar_packets: dict[Site, AttentionPacket],
+    src_packets: Mapping[Site, AttentionPacket],
+    tar_packets: Mapping[Site, AttentionPacket],
     grid: tuple[int, int],
     topology: ModelConfig,
 ) -> HookPlan:
     """Turn captured source/target packets into the constrained pass's plan.
 
-    ``topology`` is the model's config.  The plan overrides the sites
-    :func:`plan_capture` captures at this step: a self site takes the fused
-    source/target Q/K, and a cross site the source packet.  Substitutions
-    that would be exact no-ops are dropped: fusing bit-identical features
-    under weights that sum to 1 is the identity, and injecting the Q/K/V the
-    target already computed replaces values with themselves.  Skipping them
+    ``topology`` is the model's config.  The plan overrides those of the
+    sites :func:`plan_capture` captures at this step that either table
+    holds: a self site takes the fused source/target Q/K, and a cross site
+    the source packet.  A constrained pass asks at one site at a time, and
+    full tables give the whole step's plan.  Substitutions that would be
+    exact no-ops are dropped: fusing bit-identical features under weights
+    that sum to 1 is the identity, and injecting the Q/K/V the target
+    already computed replaces values with themselves.  Skipping them
     changes no bits and keeps fully symmetric runs exactly symmetric.
     """
-    unit_weights = cfg.fusion.lambda1 + cfg.fusion.lambda2 == 1.0
     overrides: dict[Site, ReplaceQK | ReplaceQKVE] = {}
     to_fuse = []
-    # block order, so the fused stack does not depend on set iteration order
     sites = plan_capture(cfg, topology, step_index, total_steps).capture
-    for site in sorted(sites, key=lambda s: (s[0], s[1].value)):
+    held = sites.intersection(src_packets.keys() | tar_packets.keys())
+    # block order, so the fused stack does not depend on set iteration order
+    for site in sorted(held, key=lambda s: (s[0], s[1].value)):
         src, tar = src_packets.get(site), tar_packets.get(site)
         is_self = site[1] is AttnKind.SELF
         if src is None or (is_self and tar is None):
             raise PacketAlignmentError(f"missing packets at {site}")
-        same_qk = (
-            tar is not None and np.array_equal(src.q, tar.q) and np.array_equal(src.k, tar.k)
-        )
+        noop = _noop(cfg, site, src, tar)
         if not is_self:
             # a cross site is injected even when its target packet is missing
-            if not (same_qk and np.array_equal(src.v, tar.v)):
+            if not noop:
                 overrides[site] = ReplaceQKVE(packet=src)
         elif src.q.shape != tar.q.shape or src.k.shape != tar.k.shape:
             raise ShapeMismatchError(f"packet shapes differ at {site}")
-        elif not (unit_weights and same_qk):
+        elif not noop:
             to_fuse.append((site, src, tar))
     overrides.update(_fuse_self_sites(to_fuse, cfg, grid))
     return HookPlan(overrides=overrides)
+
+
+class _StepRules:
+    """The override rules of one step's constrained passes, one per target.
+
+    At each site, the first rule asked builds the override there of every
+    target that plans it, from the source and probe packets just captured,
+    and the other rules read theirs.  A target whose override would be an
+    exact no-op gets none.  The others share a
+    :func:`build_target_overrides` call where one call gives all their
+    overrides: at a cross site each injects the source packet, and at a
+    self site targets with the same fusion settings have their probes' Q/K
+    stacked along the head axis, against the source's repeated; fusion
+    and averaging act on each channel alone, so this equals a call per
+    target.  A shared call that fails is made again target by target, so
+    that a target's failure stays its own, and a target whose build fails
+    gets no more overrides.
+    """
+
+    def __init__(
+        self,
+        cfgs: Sequence[FiaConfig],
+        captures: Sequence[HookPlan],
+        step_index: int,
+        total_steps: int,
+        grid: tuple[int, int],
+        topology: ModelConfig,
+    ):
+        self.cfgs, self.captures = cfgs, captures
+        self.steps, self.grid, self.topology = (step_index, total_steps), grid, topology
+        self.errors: dict[int, Exception] = {}
+        # the site and the call whose overrides ``actions`` holds
+        self.site: Site | None = None
+        self.packets: Sequence[Mapping[Site, AttentionPacket]] | None = None
+        self.actions: dict[int, ReplaceQK | ReplaceQKVE | None] = {}
+
+    def rule(self, j: int) -> ForkRule:
+        def override(site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]):
+            if site != self.site or packets is not self.packets:
+                self.site, self.packets = site, packets
+                self.actions = self._build(site, packets)
+            return self.actions.get(j)
+
+        return override
+
+    def _plan(self, j: int, site: Site, src: AttentionPacket, tar: AttentionPacket) -> HookPlan:
+        return build_target_overrides(
+            self.cfgs[j], *self.steps, {site: src}, {site: tar}, self.grid, self.topology
+        )
+
+    def _build(
+        self, site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]
+    ) -> dict[int, ReplaceQK | ReplaceQKVE | None]:
+        src = packets[0][site]
+        shared: dict[object, list[int]] = {}
+        for j, (cfg, plan) in enumerate(zip(self.cfgs, self.captures)):
+            if site in plan.capture and j not in self.errors:
+                if not _noop(cfg, site, src, packets[j + 1][site]):
+                    is_self = site[1] is AttnKind.SELF
+                    key = (cfg.fri_mode, cfg.filter_sigma, cfg.fusion) if is_self else None
+                    shared.setdefault(key, []).append(j)
+        actions: dict[int, ReplaceQK | ReplaceQKVE | None] = {}
+        for js in shared.values():
+            if len(js) > 1:
+                try:
+                    actions.update(self._shared(site, src, js, packets))
+                    continue
+                except Exception:
+                    pass  # built again target by target, below
+            for j in js:
+                try:
+                    actions[j] = self._plan(j, site, src, packets[j + 1][site]).overrides.get(site)
+                except Exception as exc:
+                    self.errors[j] = exc
+        return actions
+
+    def _shared(
+        self,
+        site: Site,
+        src: AttentionPacket,
+        js: list[int],
+        packets: Sequence[Mapping[Site, AttentionPacket]],
+    ) -> dict[int, ReplaceQK | ReplaceQKVE]:
+        """The overrides of targets ``js``, none of them a no-op, from one call."""
+        tars = [packets[j + 1][site] for j in js]
+        if site[1] is AttnKind.CROSS:
+            return dict.fromkeys(js, self._plan(js[0], site, src, tars[0]).overrides[site])
+
+        def stack(pkts: list[AttentionPacket]) -> AttentionPacket:
+            # a self site's override reads no V
+            q, k = np.concatenate([p.q for p in pkts]), np.concatenate([p.k for p in pkts])
+            return AttentionPacket(q, k, src.v)
+
+        fused = self._plan(js[0], site, stack([src] * len(js)), stack(tars)).overrides[site]
+        cuts = [slice(i * src.q.shape[0], (i + 1) * src.q.shape[0]) for i in range(len(js))]
+        return {j: ReplaceQK(q=fused.q[cut], k=fused.k[cut]) for j, cut in zip(js, cuts)}
+
+
+def _step_states(
+    model: VelocityModel,
+    x_src_t: np.ndarray,
+    x_tar_ts: Sequence[np.ndarray],
+    p_src: PromptEmbedding,
+    p_tars: Sequence[PromptEmbedding],
+    step_index: int,
+    total_steps: int,
+    guidance: GuidanceConfig,
+    cfgs: Sequence[FiaConfig],
+) -> tuple[list[State], dict[int, Exception]]:
+    """One step's model states, and the table of targets whose overrides failed.
+
+    The source state comes first, then each target's probe, then a fork of
+    each probe whose conditional pass captures; the forks' rules record a
+    failed build of target ``j`` under ``j``.
+    """
+    mu = guidance.mu_tar
+    captures = [
+        plan_capture(cfg, model.cfg, step_index, total_steps) if mu != 0.0 else EMPTY_PLAN
+        for cfg in cfgs
+    ]
+    union = HookPlan(capture=frozenset().union(*(plan.capture for plan in captures)))
+    rules = _StepRules(cfgs, captures, step_index, total_steps, x_src_t.shape[-2:], model.cfg)
+    states: list[State] = [(x_src_t, p_src, guidance.mu_src, union)]
+    states += [(x, p, mu, plan) for x, p, plan in zip(x_tar_ts, p_tars, captures)]
+    states += [
+        (x_tar_ts[j], p_tars[j], 1.0, Fork(j + 1, plan.capture, rules.rule(j)))
+        for j, plan in enumerate(captures)
+        if plan.capture
+    ]
+    return states, rules.errors
 
 
 def constrained_velocities(
@@ -235,58 +392,34 @@ def constrained_velocities(
 
     Target ``j`` has its own state, prompt and constraint; the source is
     shared.  One model call runs the source state, whose conditional pass
-    captures the union of the targets' capture sets, and every target's
-    unconstrained probe, whose conditional pass captures its own set.  A
-    second call reruns each target's conditional pass under its overrides,
-    as a state with guidance scale 1; the probe's unconditional pass has
-    the same inputs and takes no hooks, so it is reused.  A target whose
-    plan comes out empty is not rerun.  A pass whose guidance weight keeps
-    it out of the result is not run, unless it captures; with ``mu_tar`` of
-    0 nothing is captured.
+    captures the union of the targets' capture sets; every target's
+    unconstrained probe, whose conditional pass captures its own set; and
+    every target's constrained pass, a ``Fork`` of its probe's conditional
+    pass.  At each of the target's capture sites the fork's rule builds
+    that site's override from the source and probe packets just captured
+    there, and the fork runs its own cores from its first applied
+    override on; a target whose overrides are all exact no-ops never
+    forks.  The probe's unconditional pass has the same inputs as the
+    constrained one's and takes no hooks, so it serves both.  A pass whose
+    guidance weight keeps it out of the result is not run, unless it
+    captures; with ``mu_tar`` of 0 nothing is captured and nothing forks.
 
     Every constraint must fit the model and the schedule (the engine checks
-    this before step 0), and a failure of the first call raises.  A failure
-    in building a target's overrides, or in the rerun, becomes the returned
-    entry of each target it concerns, and the others carry on.
+    this before step 0), and a failure of the call raises.  A failure in
+    building a target's overrides becomes the returned entry of that
+    target, and the others carry on.
     """
-    mu_src, mu = guidance.mu_src, guidance.mu_tar
-    captures = [
-        plan_capture(cfg, model.cfg, step_index, total_steps) if mu != 0.0 else EMPTY_PLAN
-        for cfg in cfgs
-    ]
-    union = HookPlan(capture=frozenset().union(*(plan.capture for plan in captures)))
-    (v_src_cond, v_src_uncond, src_packets), *probes = model._forward(
-        [(x_src_t, p_src, mu_src, union)]
-        + [(x, p, mu, plan) for x, p, plan in zip(x_tar_ts, p_tars, captures)],
-        sigma_t,
+    states, errors = _step_states(
+        model, x_src_t, x_tar_ts, p_src, p_tars, step_index, total_steps, guidance, cfgs
     )
-
-    grid = x_src_t.shape[-2:]
-    results: dict[int, np.ndarray | Exception] = {}
-    reruns: dict[int, State] = {}
-    for j, (cfg, capture, (_, _, tar_packets)) in enumerate(zip(cfgs, captures, probes)):
-        if not capture.capture:
-            continue
-        try:
-            plan = build_target_overrides(
-                cfg, step_index, total_steps, src_packets, tar_packets, grid, model.cfg
-            )
-        except Exception as exc:
-            results[j] = exc
-            continue
-        if plan.overrides:
-            reruns[j] = (x_tar_ts[j], p_tars[j], 1.0, plan)
-    if reruns:
-        try:
-            out = model._forward(list(reruns.values()), sigma_t)
-        except Exception as exc:
-            results.update(dict.fromkeys(reruns, exc))
-        else:
-            for j, (v_cond, _, _) in zip(reruns, out):
-                results[j] = guide(v_cond, probes[j][1], mu)
-    return guide(v_src_cond, v_src_uncond, mu_src), [
-        results[j] if j in results else guide(v_cond, v_uncond, mu)
-        for j, (v_cond, v_uncond, _) in enumerate(probes)
+    (v_src_cond, v_src_uncond, _), *out = model._forward(states, sigma_t)
+    n = len(cfgs)
+    v_conds = [v_cond for v_cond, _, _ in out[:n]]
+    for (_, _, _, fork), (v_cond, _, _) in zip(states[n + 1 :], out[n:]):
+        v_conds[fork.donor - 1] = v_cond
+    return guide(v_src_cond, v_src_uncond, guidance.mu_src), [
+        errors[j] if j in errors else guide(v_cond, v_uncond, guidance.mu_tar)
+        for j, (v_cond, (_, v_uncond, _)) in enumerate(zip(v_conds, out))
     ]
 
 
@@ -305,7 +438,7 @@ def constrained_velocity_pair(
     """Source velocity and the source-constrained target velocity at one step.
 
     The one-target case of :func:`constrained_velocities`: a guided step
-    with a non-empty override plan is one call of 4 branches and one of 1.
+    that captures is one call of 5 branches.
     """
     v_src, (v_tar,) = constrained_velocities(
         model, x_src_t, [x_tar_t], p_src, [p_tar], sigma_t,

@@ -48,6 +48,14 @@ captured, and the sites whose inputs are replaced before attention runs.
 ``ModelConfig`` says which sites exist, and ``VelocityModel.velocity``
 returns the captured packets keyed by site.  Captured packets always record
 what the attention actually consumed.
+
+A state hooked by a ``Fork`` is a conditional pass that forks from another
+state's inside the call.  It runs on that state's row and copies its
+attention cores until its rule, asked at each of its sites with the
+packets every state has just captured there, first returns an override;
+from that site on its cores are its own.  So an override built from
+another pass's features at the same site needs no second call, and a fork
+that never forks costs only its token-wise row.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,6 +80,10 @@ _ROW_SUM_FLOOR = math.exp(-60.0)
 class AttnKind(enum.Enum):
     SELF = "self"
     CROSS = "cross"
+
+    # members are singletons: an identity hash runs in C, where Enum's own
+    # hashes the member name in Python for every site looked up
+    __hash__ = object.__hash__
 
 
 Site = tuple[int, AttnKind]
@@ -174,21 +186,46 @@ class HookPlan:
 
 EMPTY_PLAN = HookPlan()
 
+# a fork's rule: its override at a site, from every state's packets captured
+# so far in the call, or None for no override there
+ForkRule = Callable[
+    [Site, Sequence[Mapping[Site, AttentionPacket]]], ReplaceQK | ReplaceQKVE | None
+]
+
+
+@dataclass(frozen=True)
+class Fork:
+    """Hooks of a conditional pass that forks from another state's.
+
+    Until ``rule`` first returns an override, the pass is a twin of state
+    ``donor``'s conditional pass: it runs on that state's latent and
+    prompt and copies its attention cores.  From that site on it runs its
+    own.  ``rule`` is asked at each of ``sites`` once every state has
+    captured there.
+    """
+
+    donor: int
+    sites: frozenset[Site]
+    rule: ForkRule
+
+
 # a model state: (latent, prompt, guidance scale, hooks of its conditional pass)
-State = tuple[np.ndarray, PromptEmbedding, float, HookPlan]
+State = tuple[np.ndarray, PromptEmbedding, float, HookPlan | Fork]
 
 
 def guide(v_cond: np.ndarray | None, v_uncond: np.ndarray | None, mu: float) -> np.ndarray:
     """Classifier-free guidance: ``v_uncond + mu * (v_cond - v_uncond)``.
 
     ``mu`` of exactly 1 or 0 returns the conditional or unconditional pass
-    untouched, and the other pass may then be None.
+    untouched, and the other pass may then be None.  A blend that overflows
+    gives non-finite entries and no numpy warning: callers check the result.
     """
     if mu == 1.0:
         return v_cond
     if mu == 0.0:
         return v_uncond
-    return v_uncond + mu * (v_cond - v_uncond)
+    with np.errstate(all="ignore"):
+        return v_uncond + mu * (v_cond - v_uncond)
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,25 +470,24 @@ def _attend_site(
 
 
 def _hook_site(
-    hooks: HookPlan,
+    action: ReplaceQK | ReplaceQKVE | None,
     site: Site,
     q: np.ndarray,
-    qs: np.ndarray,
     kt: np.ndarray,
     v1: np.ndarray,
     text: PromptEmbedding | None,
-    captured: dict[Site, AttentionPacket],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One branch's attention operands at ``site`` after its override, captured if asked.
+    captured: dict[Site, AttentionPacket] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """One branch's overridden attention operands at ``site``, captured if asked.
 
-    Operands are scaled Q, K^T and ``[V | 1]``, as :func:`_attend` takes
-    them, and ``q`` is the plain Q that ``qs`` was scaled from; packets
-    hold plain Q, K and V, and an overriding Q is scaled here, for its own
-    branch only.  ``ReplaceQK`` applies at self sites and ``ReplaceQKVE``
-    at cross sites; ``text`` is the prompt a cross site reads, None at a
-    self site.
+    ``q``, ``kt`` and ``v1`` are the branch's own plain Q, K^T and ``[V |
+    1]``, and ``text`` the prompt a cross site reads, None at a self site.
+    Returns None when ``action`` is None, and otherwise the overridden
+    operands as :func:`_attend` takes them, with the overriding Q scaled
+    here for its own branch only.  ``ReplaceQK`` applies at self sites and
+    ``ReplaceQKVE`` at cross sites.  With a ``captured`` table, the packet
+    of what the attention consumes goes into it: plain Q, K and V.
     """
-    action = hooks.overrides.get(site)
     if isinstance(action, ReplaceQK) and site[1] is AttnKind.SELF:
         # self-attention keys are the query tokens: K has Q's shape
         if action.q.shape != q.shape or action.k.shape != q.shape:
@@ -459,7 +495,6 @@ def _hook_site(
                 f"override at {site} has shape {action.q.shape}, expected {q.shape}"
             )
         q, kt = action.q, action.k.swapaxes(-1, -2)
-        qs = _scaled(q)
     elif isinstance(action, ReplaceQKVE) and site[1] is AttnKind.CROSS:
         pkt = action.packet
         if pkt.q.shape != q.shape:
@@ -467,14 +502,13 @@ def _hook_site(
                 f"override at {site} has shape {pkt.q.shape}, expected {q.shape}"
             )
         q, kt, v1, text = pkt.q, pkt.k.swapaxes(-1, -2), _append_ones(pkt.v), pkt.text_embedding
-        qs = _scaled(q)
     elif action is not None:
         raise TopologyError(f"{type(action).__name__} does not apply at {site}")
-    if site in hooks.capture:
+    if captured is not None:
         captured[site] = AttentionPacket(
             _snapshot(q), _snapshot(kt.swapaxes(-1, -2)), _snapshot(v1[..., :-1]), text
         )
-    return qs, kt, v1
+    return None if action is None else (_scaled(q), kt, v1)
 
 
 class VelocityModel:
@@ -519,14 +553,18 @@ class VelocityModel:
         """Each state's ``(v_cond, v_uncond, packets)`` at one noise level.
 
         A state is ``(latent, prompt, mu, hooks)`` with a (C, H, W) latent.
-        Its conditional pass attends to ``prompt`` under ``hooks`` and runs
-        unless ``mu`` is 0 and the hooks capture nothing; its unconditional
-        pass runs unless ``mu`` is 1.  A pass that did not run gives None,
-        and ``packets`` are the conditional pass's captures by site.  The
-        batch holds the conditional passes first; only the attention core
+        Under a ``HookPlan``, its conditional pass attends to ``prompt``
+        under the plan and runs unless ``mu`` is 0 and the plan captures
+        nothing, and its unconditional pass runs unless ``mu`` is 1.  Under
+        a ``Fork``, which must follow every ``HookPlan`` state, only its
+        conditional pass runs, forked from its donor's, which must run.  A
+        pass that did not run gives None, and ``packets`` are the
+        conditional pass's captures by site.  The batch holds the
+        conditional passes first, then the forks; only the attention core
         loops over its branches, and the batch-wide steps act element by
         element, so a state's result does not depend on its batch.  A hook
-        at a site the model lacks raises ``TopologyError``.
+        at a site the model lacks raises ``TopologyError``, and whatever a
+        fork's rule raises propagates.
         """
         cfg = self.cfg
         W = self.weights
@@ -537,21 +575,38 @@ class VelocityModel:
             raise ShapeMismatchError(
                 f"latents must be ({cfg.channels}, H, W) each, got {[x.shape for x in xs]}"
             )
-        for _, p, _, plan in states:
+        # the pass rule; branch i runs on state rows[i]: conditional passes,
+        # forks on their donors' rows, then unconditional passes
+        cond, forks, uncond = [], [], []
+        for s, (_, p, mu, hooks) in enumerate(states):
             if p.d_model != cfg.d_model:
                 raise ShapeMismatchError(
                     f"prompt width {p.d_model} != model width {cfg.d_model}"
                 )
-            if not (plan.capture <= self._sites and plan.overrides.keys() <= self._sites):
-                site = min((plan.capture | plan.overrides.keys()) - self._sites, key=str)
-                raise TopologyError(f"hook site {site} not in the model")
-        # the pass rule; branch i runs on state rows[i], conditional branches first
-        cond = [s for s, (_, _, mu, plan) in enumerate(states) if mu != 0.0 or plan.capture]
-        uncond = [s for s, (_, _, mu, _) in enumerate(states) if mu != 1.0]
-        rows = cond + uncond
-        prompts = [states[s][1] for s in cond]
+            if isinstance(hooks, Fork):
+                forks.append(s)
+                used: tuple[Iterable[Site], ...] = (hooks.sites,)
+            else:
+                if mu != 0.0 or hooks.capture:
+                    cond.append(s)
+                if mu != 1.0:
+                    uncond.append(s)
+                used = (hooks.capture, hooks.overrides.keys())
+            for sites in used:
+                if not sites <= self._sites:
+                    site = min(sites - self._sites, key=str)
+                    raise TopologyError(f"hook site {site} not in the model")
+        fork_hooks = [states[s][3] for s in forks]
+        donors = [fork.donor for fork in fork_hooks]
+        n_plain = len(states) - len(forks)
+        if forks != list(range(n_plain, len(states))) or not set(donors) <= set(cond):
+            raise ValueError("forks must follow the other states and fork from a conditional pass")
+        rows = cond + donors + uncond
         hooks = [states[s][3] for s in cond]
-        n_b, n_cond = len(rows), len(cond)
+        donor_branch = [cond.index(d) for d in donors]
+        forked = [False] * len(forks)
+        n_b, n_cond, n_att = len(rows), len(cond), len(cond) + len(forks)
+        prompts = [states[s][1] for s in rows[:n_att]]
         c, h_grid, w_grid = xs[0].shape
         n_tok = h_grid * w_grid
         heads = cfg.n_heads
@@ -560,7 +615,7 @@ class VelocityModel:
             pos = position_features(h_grid, w_grid, cfg.d_model)
             pos.setflags(write=False)
             self._position_cache[(h_grid, w_grid)] = pos
-        h = np.stack(xs).reshape(len(xs), c, n_tok).swapaxes(1, 2) @ W["w_in"]
+        h = np.stack(xs[:n_plain]).reshape(n_plain, c, n_tok).swapaxes(1, 2) @ W["w_in"]
         h += pos
         h += time_embedding(sigma_t, cfg.d_model)
 
@@ -569,7 +624,28 @@ class VelocityModel:
         prompt_kv = {
             key: _cross_operands(p.matrix, self._cross_kv, heads) for key, p in distinct.items()
         }
-        captured: list[dict[Site, AttentionPacket]] = [{} for _ in prompts]
+        packets: list[dict[Site, AttentionPacket]] = [{} for _ in states]
+
+        def hooked(i, site, q, kt, v1, text):
+            """Attending branch i's operands after its hooks, or the branch whose core it copies.
+
+            None means its own operands, unchanged.
+            """
+            if i < n_cond:
+                plan = hooks[i]
+                action, capture = plan.overrides.get(site), site in plan.capture
+                if action is None and not capture:
+                    return None
+                table = packets[cond[i]] if capture else None
+                return _hook_site(action, site, q, kt, v1, text, table)
+            f = i - n_cond
+            fork = fork_hooks[f]
+            action = fork.rule(site, packets) if site in fork.sites else None
+            if action is None:
+                return None if forked[f] else donor_branch[f]
+            forked[f] = True
+            return _hook_site(action, site, q, kt, v1, text, None)
+
         scores = np.empty((heads, n_tok, n_tok))
         # the cores' [numerator | row sum], and the attention outputs, heads merged
         weighted = np.empty((n_b, heads, n_tok, cfg.d_model // heads + 1))
@@ -583,14 +659,11 @@ class VelocityModel:
                 done: dict[int, int] = {}  # row -> the branch whose core reads it unchanged
                 ops: list[tuple[np.ndarray, np.ndarray, np.ndarray] | int] = []
                 for i, r in enumerate(rows):
-                    qkv = qs[r], kt[r], v1[r]
-                    if i < n_cond:
-                        qkv = _hook_site(hooks[i], site, q[r], *qkv, None, captured[i])
-                    if i < n_cond and site in hooks[i].overrides:
-                        ops.append(qkv)
-                    else:
+                    op = hooked(i, site, q[r], kt[r], v1[r], None) if i < n_att else None
+                    if op is None:
                         first = done.setdefault(r, i)
-                        ops.append(qkv if first == i else first)
+                        op = (qs[r], kt[r], v1[r]) if first == i else first
+                    ops.append(op)
                 _attend_site(ops, scores, weighted, attn_heads)
                 if b == 0:  # one row per branch from here
                     h = h[rows]
@@ -598,26 +671,25 @@ class VelocityModel:
                 h += attn @ W[f"b{b}.self.wo"]
 
             site = (b, AttnKind.CROSS)
-            if n_cond:
-                q = _head_view(_layer_norm(h[:n_cond]) @ W[f"b{b}.cross.wq"], heads)
+            if n_att:
+                q = _head_view(_layer_norm(h[:n_att]) @ W[f"b{b}.cross.wq"], heads)
                 qs = _scaled(q)
                 ops = []
                 for i, p in enumerate(prompts):
                     kt, v1 = prompt_kv[id(p)]
-                    qkv = _hook_site(hooks[i], site, q[i], qs[i], kt[b], v1[b], p, captured[i])
-                    ops.append(qkv)
-                _attend_site(ops, None, weighted[:n_cond], attn_heads[:n_cond])
-                h[:n_cond] += attn[:n_cond] @ W[f"b{b}.cross.wo"]
-            if n_cond < n_b:
-                h[n_cond:] += self._null_cross[b]
+                    op = hooked(i, site, q[i], kt[b], v1[b], p)
+                    ops.append((qs[i], kt[b], v1[b]) if op is None else op)
+                _attend_site(ops, None, weighted[:n_att], attn_heads[:n_att])
+                h[:n_att] += attn[:n_att] @ W[f"b{b}.cross.wo"]
+            if n_att < n_b:
+                h[n_att:] += self._null_cross[b]
 
             hn = _layer_norm(h)
             h += _gelu_like(hn @ W[f"b{b}.mlp.w1"]) @ W[f"b{b}.mlp.w2"]
 
         out = (_layer_norm(h) @ W["w_out"]).swapaxes(1, 2).reshape(n_b, c, h_grid, w_grid)
-        v_cond, v_uncond = dict(zip(cond, out)), dict(zip(uncond, out[n_cond:]))
-        packets = dict(zip(cond, captured))
-        return [(v_cond.get(s), v_uncond.get(s), packets.get(s, {})) for s in range(len(states))]
+        v_cond, v_uncond = dict(zip(cond + forks, out)), dict(zip(uncond, out[n_att:]))
+        return [(v_cond.get(s), v_uncond.get(s), packets[s]) for s in range(len(states))]
 
     def velocity(
         self,

@@ -216,7 +216,7 @@ def fri_fuse(
         )
     if filt.axis_ops is None:
         raise ValueError("fusion needs a filter with axis operators")
-    if not (np.all(np.isfinite(f_src)) and np.all(np.isfinite(f_tar))):
+    if not (np.isfinite(f_src).all() and np.isfinite(f_tar).all()):
         raise NumericFailure("input contains non-finite values")
     a_h, a_w = filt.axis_ops
     # A_w is symmetric, so it serves as its own transpose

@@ -201,17 +201,17 @@ class TestLockstep:
     @pytest.mark.parametrize(
         "base, spec, per_step",
         [
-            # 6 cells, unguided: the source and 6 probes, then the reruns of the
-            # cells with a non-empty plan; injection closes after step 6, which
-            # empties the plan of the injection-only cell
+            # 6 cells, unguided: the source and 6 probes, and a fork of each
+            # probe that captures; injection closes after step 6, which
+            # empties the capture set of the injection-only cell
             (COMPONENT_BASE, "fij_enabled=false,true;fri_mode=off,add,freq",
-             [(7, 5)] * 7 + [(7, 4)] * 5),
-            # 3 cells, guided: source cond + 3 probes cond + source and 3 probes uncond
-            (NOISE_BASE, "noise_mode=none,fresh,reused", [(8, 3)] * 12),
+             [12] * 7 + [11] * 5),
+            # 3 cells, guided: source and 3 probes, twice each, and 3 forks
+            (NOISE_BASE, "noise_mode=none,fresh,reused", [11] * 12),
         ],
         ids=["component-grid", "noise-modes"],
     )
-    def test_two_calls_per_step_and_prompts_embedded_once(
+    def test_one_call_per_step_and_prompts_embedded_once(
         self, monkeypatch, base, spec, per_step
     ):
         forward = VelocityModel._forward
@@ -232,7 +232,7 @@ class TestLockstep:
         monkeypatch.setattr(fiaedit.config, "embed_prompt", counting_embed)
         report = run_ablation(base, parse_grid(spec), fixture="blob16")
         assert all(row.status == "ok" for row in report.rows)
-        assert calls == [n for pair in per_step for n in pair]
+        assert calls == per_step
         assert embeds == [base.prompts_source, base.prompts_target]
 
     def test_failed_cell_keeps_its_row_and_spares_the_others(self):

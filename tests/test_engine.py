@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from fiaedit.engine import EditRequest, run_edit, run_edits
-from fiaedit.errors import EditRunError, NumericFailure
+from fiaedit.engine import EditRequest, check_budget, run_edit, run_edits
+from fiaedit.errors import ConfigError, EditRunError, NumericFailure
 from fiaedit.fia import FiaConfig, FriMode, constrained_velocity_pair
-from fiaedit.model import GuidanceConfig, ModelConfig, VelocityModel
+from fiaedit.model import MAX_PEAK_BYTES, GuidanceConfig, ModelConfig, VelocityModel, peak_bytes
 from fiaedit.prompts import embed_prompt
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 
@@ -335,3 +337,14 @@ class TestLockstep:
             run_edits(tiny_model, [req, base_request(source_latent, p_tar, p_tar, steps=2)])
         with pytest.raises(ValueError, match="share"):
             run_edits(tiny_model, [req, base_request(source_latent, p_src, p_tar, steps=3)])
+
+
+def test_the_budget_counts_each_requests_constrained_fork():
+    # the first square grid whose step does not fit a guided source, a guided
+    # probe and the probe's fork, though it fits the first two
+    cfg = ModelConfig()
+    side = next(s for s in itertools.count(1) if peak_bytes(cfg, (s, s), 5, 6, 2) > MAX_PEAK_BYTES)
+    assert peak_bytes(cfg, (side, side), 4, 6, 2) <= MAX_PEAK_BYTES
+    with pytest.raises(ConfigError, match="GiB bound"):
+        check_budget(cfg, (side, side), 1, [6, 6])
+    check_budget(cfg, (side - 1, side - 1), 1, [6, 6])

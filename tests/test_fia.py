@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiaedit.fia
 import fiaedit.model
 from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import PacketAlignmentError, TopologyError
@@ -14,6 +15,7 @@ from fiaedit.fia import (
     FiaConfig,
     FriMode,
     build_target_overrides,
+    constrained_velocities,
     constrained_velocity_pair,
     default_fij_cutoff,
     plan_capture,
@@ -21,6 +23,7 @@ from fiaedit.fia import (
 from fiaedit.model import (
     AttentionPacket,
     AttnKind,
+    Fork,
     GuidanceConfig,
     HookPlan,
     ModelConfig,
@@ -97,12 +100,16 @@ class TestPlanCapture:
         assert [plan_capture(cfg, tiny_model.cfg, i, 5).capture for i in range(5)] == (
             [everything] * 2 + [selfs] * 3
         )
-        # the engine's probe captures the per-step set
+        # the engine's probe captures the per-step set, and its fork asks for
+        # overrides at those sites
         forward = tiny_model._forward
-        captured = []
+        captured, asked = [], []
 
         def spying(states, sigma_t):
-            captured.append(frozenset().union(*(plan.capture for _, _, _, plan in states)))
+            hooks = [hooks for _, _, _, hooks in states]
+            plans = [h for h in hooks if isinstance(h, HookPlan)]
+            captured.append(frozenset().union(*(plan.capture for plan in plans)))
+            asked.append([h.sites for h in hooks if isinstance(h, Fork)])
             return forward(states, sigma_t)
 
         monkeypatch.setattr(tiny_model, "_forward", spying)
@@ -113,8 +120,9 @@ class TestPlanCapture:
             guidance=GuidanceConfig(mu_src=1.5, mu_tar=3.0), fia=cfg,
         )
         run_edit(tiny_model, req)
-        # per step: the probe call, then the rerun, which captures nothing
-        assert captured == [everything, frozenset()] * 2 + [selfs, frozenset()] * 3
+        # one call per step
+        assert captured == [everything] * 2 + [selfs] * 3
+        assert asked == [[everything]] * 2 + [[selfs]] * 3
 
 
 class TestBuildOverrides:
@@ -333,7 +341,7 @@ class TestConstrainedPair:
     @pytest.mark.parametrize(
         "fia, bypass, mu_tar, batches",
         [
-            (FiaConfig(), False, 3.0, (4, 1)),
+            (FiaConfig(), False, 3.0, (5,)),
             (FiaConfig.disabled(), False, 3.0, (4,)),
             (FiaConfig(), True, 3.0, (2, 2)),
             (FiaConfig(), False, 0.0, (3,)),
@@ -362,17 +370,17 @@ class TestConstrainedPair:
         )
         run_edit(tiny_model, req, bypass_fia=bypass)
         assert [n_branches for n_branches, _ in calls] == list(batches) * 3
-        # the constrained forward runs at every step with a non-empty plan
-        constrained = [n for n, hooks in calls if any(plan.overrides for plan in hooks)]
-        assert constrained == ([1] * 3 if batches == (4, 1) else [])
+        # the constrained pass is a fork in the call of every step that captures
+        forks = [sum(isinstance(hooks, Fork) for hooks in states) for _, states in calls]
+        assert forks == [1 if batches == (5,) else 0] * len(calls)
 
     @pytest.mark.parametrize(
         "fia, cores",
-        [(FiaConfig.disabled(), [2]), (FiaConfig(), [2, 1])],
+        [(FiaConfig.disabled(), [2]), (FiaConfig(), [3])],
         # a call's block-0 self cores: one per state, shared by its passes
-        # unless the conditional pass overrides (0, SELF), as the
-        # constrained rerun does
-        ids=["off", "probe-and-rerun"],
+        # unless the conditional pass overrides (0, SELF); a fork copies its
+        # donor's until its first override, here at (0, SELF)
+        ids=["off", "probe-and-fork"],
     )
     def test_block_0_self_cores_per_guided_step(
         self, tiny_model, prompt_pair, monkeypatch, fia, cores
@@ -425,10 +433,77 @@ class TestConstrainedPair:
         constrained_velocity_pair(
             tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10, guidance, FiaConfig()
         )
-        # the probe call and the fused rerun; every site holds a branch in both
+        # one call, whose fork fuses at every self site
         sites = tiny_model.cfg.n_blocks_dual + tiny_model.cfg.n_blocks
-        assert divides == [sites, sites]
+        assert divides == [sites]
         assert transforms == []
+
+    @pytest.mark.parametrize(
+        "fia, same", [(FiaConfig(fri_enabled=False), False), (FiaConfig(), True)],
+        ids=["fij-only", "zero-edit"],
+    )
+    def test_a_fork_runs_no_self_core_before_its_first_override(
+        self, tiny_model, prompt_pair, monkeypatch, fia, same
+    ):
+        # injection forks at block 4, past every self site, and a zero edit
+        # never forks: neither runs a self core more than a step with FIA off
+        attend = fiaedit.model._attend
+        cores = []
+
+        def counting_attend(q, kt, v1, scores, out, shift=False):
+            cores[-1] += scores is not None  # cross cores get no score buffer
+            attend(q, kt, v1, scores, out, shift)
+
+        monkeypatch.setattr(fiaedit.model, "_attend", counting_attend)
+        p_src, p_tar = prompt_pair
+        x_src, x_tar = np.random.default_rng(3).standard_normal((2, 4, 6, 6))
+        if same:
+            p_tar, x_tar = p_src, x_src.copy()
+        guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
+        for cfg in (FiaConfig.disabled(), fia):
+            cores.append(0)
+            constrained_velocity_pair(
+                tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10, guidance, cfg
+            )
+        off, on = cores
+        # block 0's core is shared by each state's passes, the next three are not
+        assert off == 2 + 3 * 4
+        assert on == off
+
+    def test_targets_fusing_alike_share_one_fusion_per_site(
+        self, tiny_model, prompt_pair, monkeypatch
+    ):
+        # two FREQ targets fuse together at every self site, a zero edit
+        # among them fuses nowhere, and an ADD target averages on its own;
+        # each keeps the bits it has alone
+        fuse, calls = fiaedit.fia.fri_fuse, []
+
+        def counting_fuse(*args):
+            calls.append(args[0].shape[0])
+            return fuse(*args)
+
+        p_src, p_tar = prompt_pair
+        x_src, x_a, x_b = np.random.default_rng(6).standard_normal((3, 4, 6, 6))
+        targets = [
+            (x_a, p_tar, FiaConfig()),
+            (x_src.copy(), p_src, FiaConfig()),
+            (x_b, p_tar, FiaConfig(fij_step_cutoff=0)),
+            (x_b, p_tar, FiaConfig(fri_mode=FriMode.ADD)),
+        ]
+        guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
+        alone = [
+            constrained_velocity_pair(tiny_model, x_src, x, p_src, p, 0.5, 0, 10, guidance, cfg)[1]
+            for x, p, cfg in targets
+        ]
+        monkeypatch.setattr(fiaedit.fia, "fri_fuse", counting_fuse)
+        _, together = constrained_velocities(
+            tiny_model, x_src, [x for x, _, _ in targets], p_src, [p for _, p, _ in targets],
+            0.5, 0, 10, guidance, [cfg for _, _, cfg in targets],
+        )
+        # Q and K of two targets, heads times d_head channels each
+        assert calls == [2 * 2 * tiny_model.cfg.d_model] * tiny_model.cfg.n_blocks_dual
+        for got, ref in zip(together, alone, strict=True):
+            assert np.array_equal(got, ref)
 
     def test_constraint_changes_target_velocity(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair

@@ -42,7 +42,7 @@ from fiaedit.codec import ImageBuffer, decode, encode, read_ppm
 from fiaedit.config import _SCHEMA, RunConfig, build_edit_request, parse_config
 from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import ConfigError, FiaEditError
-from fiaedit.fia import FiaConfig, FriMode
+from fiaedit.fia import FiaConfig, FriMode, _step_states
 from fiaedit.fixtures import load_fixture
 from fiaedit.metrics import compute_report
 from fiaedit.model import (
@@ -290,7 +290,9 @@ def test_branches_sharing_a_latent_are_bit_identical_alone(cfg, grid, data):
     data=st.data(),
 )
 def test_peak_bytes_bounds_the_traced_peak_of_a_forward(cfg, grid, words, data):
-    # up to three states of up to two passes each, so 1-6 branches
+    # up to three states of up to two passes each, so 1-6 branches; or a
+    # step of FIA on a source and up to two targets, each target's probe
+    # with its fork, so up to 8
     n = data.draw(st.integers(min_value=1, max_value=3), label="states")
     mus = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
     picks = data.draw(st.lists(st.sampled_from(words), min_size=n, max_size=n), label="prompts")
@@ -300,9 +302,19 @@ def test_peak_bytes_bounds_the_traced_peak_of_a_forward(cfg, grid, words, data):
     )
     plan = HookPlan(capture=sites if capture else frozenset())
     x = np.random.default_rng(0).standard_normal((n, cfg.channels, *grid))
-    texts = [" ".join(f"w{i}" for i in range(w)) for w in picks]
-    states = [(xi, _prompt(t, cfg.d_model), mu, plan) for xi, t, mu in zip(x, texts, mus)]
+    prompts = [_prompt(" ".join(f"w{i}" for i in range(w)), cfg.d_model) for w in picks]
+    states = list(zip(x, prompts, mus, [plan] * n))
     model = VelocityModel(cfg)
+    if n > 1 and data.draw(st.booleans(), label="fia step"):
+        fia = FiaConfig(
+            fri_mode=data.draw(st.sampled_from(FriMode)),
+            fij_block_range=(0, cfg.n_blocks - 1),
+            fij_enabled=data.draw(st.booleans()),
+        )
+        states, _ = _step_states(
+            model, x[0], list(x[1:]), prompts[0], prompts[1:], 0, 1,
+            GuidanceConfig(mus[0], mus[1]), [fia] * (n - 1),
+        )
     out = model._forward(states, 0.5)
     # the prompts the conditional passes attend to
     attended = {id(p): p for (_, p, _, _), (v_cond, _, _) in zip(states, out) if v_cond is not None}

@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import attend, dyadic, traced_peak
+from conftest import attend, branches as count_branches, dyadic, traced_peak
 
+import fiaedit.model
 from fiaedit.errors import ShapeMismatchError, TopologyError
+from fiaedit.fia import FiaConfig, FriMode, _step_states
 from fiaedit.model import (
     AttnKind,
     GuidanceConfig,
@@ -341,6 +343,18 @@ class TestPeakBytes:
             ]
             prompts = min(len(pool), sum(mu != 0.0 for mu in mus))
             assert traced_peak(model, states) <= peak_bytes(cfg, grid, branches, 6, prompts)
+        # a guided step of FIA on a source and targets: each target's probe and
+        # its fork, which fuses Q/K at every self site and injects at the tail
+        p_src, p_tar = prompt_pair
+        targets = max(1, half)
+        for fri_mode in FriMode:
+            states, _ = _step_states(
+                model, x[0], list(x[1 : 1 + targets]), p_src, [p_tar] * targets,
+                0, 10, GuidanceConfig(), [FiaConfig(fri_mode=fri_mode)] * targets,
+            )
+            n = count_branches(model._forward(states, 0.5))
+            assert n == 2 + 3 * targets
+            assert traced_peak(model, states) <= peak_bytes(cfg, grid, n, 6, 2)
 
     @pytest.mark.parametrize(
         "cfg, grid, words",
@@ -365,6 +379,13 @@ class TestPeakBytes:
         # a lockstep step of two probes sharing their prompt with a source
         step = pair + [(xi, p_tar, 3.5, plan) for xi in x]
         assert traced_peak(model, step) <= peak_bytes(cfg, grid, 6, words, 2)
+        # and with each probe's fork, injecting the source's cross packets
+        fia = FiaConfig(fij_block_range=(0, cfg.n_blocks - 1))
+        step, _ = _step_states(
+            model, x[0], list(x), p_src, [p_tar] * 2, 0, 1, GuidanceConfig(2.5, 3.5), [fia] * 2
+        )
+        assert count_branches(model._forward(step, 0.5)) == 8
+        assert traced_peak(model, step) <= peak_bytes(cfg, grid, 8, words, 2)
 
 
     @pytest.mark.parametrize(
@@ -456,17 +477,21 @@ def all_sites(cfg):
 
 
 class TestBatchedForward:
-    def test_branch_does_not_depend_on_its_batch(self, tiny_model, prompt_pair):
+    def test_branch_does_not_depend_on_its_batch(self, tiny_model, prompt_pair, monkeypatch):
         p_src, p_tar = prompt_pair
         sites = all_sites(tiny_model.cfg)
         x = np.stack([latent(0), latent(1), latent(2), 1e3 * latent(0)])
         site = (0, AttnKind.SELF)
         _, own = tiny_model.velocity(x[1], p_tar, 0.5, 1.0, hooks=HookPlan(capture=sites))
         loud = ReplaceQK(q=1e3 * own[site].q, k=own[site].k)
-        # the loud branch's scores leave the softmax guard band, so its rows
-        # are shifted; the other branches' rows must not be
-        scores = loud.q @ loud.k.swapaxes(-1, -2) / np.sqrt(loud.q.shape[-1])
-        assert np.abs(scores).max() > 60.0
+        attend = fiaedit.model._attend
+        shifted = []
+
+        def spying(qs, kt, v1, scores, out, shift=False):
+            shifted[-1] += shift
+            attend(qs, kt, v1, scores, out, shift)
+
+        monkeypatch.setattr(fiaedit.model, "_attend", spying)
         # states 0 and 1 run their conditional pass alone, 2 and 3 their
         # unconditional pass alone
         states = [
@@ -475,9 +500,15 @@ class TestBatchedForward:
             (x[2], p_src, 0.0, HookPlan()),
             (x[3], p_tar, 0.0, HookPlan()),
         ]
+        shifted.append(0)
         out = tiny_model._forward(states, 0.5)
+        # the loud branch's core at (0, SELF) overflows exp and runs again
+        # shifted; no other core of the batch does
+        assert shifted == [1]
         for i, got in enumerate(out):
+            shifted.append(0)
             (alone,) = tiny_model._forward([states[i]], 0.5)
+            assert shifted[-1] == (i == 1)
             ran, skipped = (0, 1) if i < 2 else (1, 0)
             assert got[skipped] is None and alone[skipped] is None
             assert np.array_equal(got[ran], alone[ran])
