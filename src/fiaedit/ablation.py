@@ -6,9 +6,9 @@ pinned synthetic fixture, and no axis touches what a source pass computes,
 so the cells run in lockstep through one engine loop that evaluates the
 source once per step for all of them.  A fault in what every cell shares
 refuses the whole grid; a failed cell is recorded without stopping the
-sweep, and the report round-trips losslessly through its text form.  The
-grid's wall time goes to a separate ``.timings`` sidecar because it is the
-one non-reproducible output.
+sweep, and the report writes its metrics with ``repr``, so each float reads
+back exactly.  The grid's wall time goes to a separate ``.timings`` sidecar
+because it is the one non-reproducible output.
 """
 
 from __future__ import annotations
@@ -250,41 +250,3 @@ def write_report(report: AblationReport, out_dir: str) -> str:
         fh.write(format_timings(report))
     return path
 
-
-def parse_report(text: str) -> AblationReport:
-    """Inverse of :func:`format_report` (the wall time comes back as zero)."""
-    entries: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, value = line.partition("=")
-        entries[key] = value
-    if entries.get("schema") != REPORT_SCHEMA:
-        raise ConfigError(f"unsupported report schema {entries.get('schema')!r}")
-    n_cells = int(entries["cells"])
-    axes = tuple(a for a in entries["axes"].split(",") if a)
-    rows = []
-    for i in range(n_cells):
-        delta = tuple(
-            tuple(pair.split("=", 1))
-            for pair in entries[f"cell.{i}.delta"].split()
-        )
-        status = entries[f"cell.{i}.status"]
-        metrics = {}
-        error = ""
-        if status == "ok":
-            for name in METRIC_COLUMNS:
-                key = f"cell.{i}.{name}"
-                if key in entries:
-                    metrics[name] = float(entries[key])
-        else:
-            error = entries.get(f"cell.{i}.error", "")
-        rows.append(
-            AblationRow(delta=delta, status=status, metrics=metrics, error=error)
-        )
-    return AblationReport(
-        seed=int(entries["seed"]),
-        fixture=entries["fixture"],
-        axes=axes,
-        rows=tuple(rows),
-    )

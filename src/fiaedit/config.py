@@ -156,9 +156,10 @@ def _parse_float(raw: str, key: str) -> float:
 
 def _parse_choice(options: tuple[str, ...]):
     def parse(raw: str, key: str) -> str:
-        if raw not in options:
+        value = _parse_str(raw, key)
+        if value not in options:
             raise ConfigError(f"{key}: expected one of {options}, got {raw!r}")
-        return raw
+        return value
 
     return parse
 

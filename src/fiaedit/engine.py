@@ -1,9 +1,10 @@
 """The full edit loop: schedule, noise, constrained velocities, Euler updates.
 
 Each step draws the step noise, renoises the source, reconstructs the target
-state from the running edit latent, evaluates the constrained velocity pair,
-and moves the edit latent along the velocity difference.  A trace records
-what happened at every step; latent and velocity snapshots are opt-in.
+state from the running edit latent, evaluates the source velocity and the
+constrained target velocities, and moves the edit latent along the velocity
+difference.  A trace records what happened at every step; latent and
+velocity snapshots are opt-in.
 
 One loop runs a list of requests in lockstep when they share the model,
 schedule, run seed, source latent, source prompt and guidance, as the cells

@@ -14,14 +14,17 @@ every target's constrained pass, a ``Fork`` of its probe's conditional
 pass.  An override at a site reads only the source and probe packets
 captured at that site, so the fork's rule builds it there, inside the
 call; until its first applied override the fork copies its probe's
-attention cores.  The constrained pass reuses its probe's unconditional
-pass, so a guided one-target step is one call of 5 branches, against 4
-with the constraints off.  A state's two passes share the prefix up to
-block 0's self-attention, so it runs once for the source and once per
-target, while everything from block 0's output projection on runs once
-per branch.  Sites are read from the model's ``ModelConfig``, and packets
-travel as ``{site: packet}`` tables, the form ``VelocityModel.velocity``
-returns.
+attention cores.  Every override comes from one path: a
+:func:`build_target_overrides` call per site and group of targets that
+share it, a group of one holding its probe's packet, a larger group at a
+self site its probes' Q/K stacked on the head axis.  The constrained
+pass reuses its probe's unconditional pass, so a guided one-target step
+is one call of 5 branches, against 4 with the constraints off.  A
+state's two passes share the prefix up to block 0's self-attention, so
+it runs once for the source and once per target, while everything from
+block 0's output projection on runs once per branch.  Sites are read
+from the model's ``ModelConfig``, and packets travel as ``{site:
+packet}`` tables, the form ``VelocityModel.velocity`` returns.
 """
 
 from __future__ import annotations
@@ -171,35 +174,26 @@ def _noop(cfg: FiaConfig, site: Site, src: AttentionPacket, tar: AttentionPacket
     return cfg.fusion.lambda1 + cfg.fusion.lambda2 == 1.0
 
 
-def _fuse_self_sites(
-    pairs: list[tuple[Site, AttentionPacket, AttentionPacket]],
-    cfg: FiaConfig,
-    grid: tuple[int, int],
-) -> dict[Site, ReplaceQK]:
-    """Fused Q/K overrides for the given (site, source, target) triples.
+def _fused(
+    cfg: FiaConfig, src: AttentionPacket, tar: AttentionPacket, grid: tuple[int, int]
+) -> ReplaceQK:
+    """The fused Q/K override at one self site.
 
-    In ``FREQ`` mode every site's Q, then every site's K, of the source and
-    then of the target is concatenated along the head axis and reshaped to
-    channel grids, one per head and feature, for one :func:`fri_fuse` call;
-    fusion acts on each channel alone, so this equals fusing site by site.
+    The packets may hold several targets' heads, stacked along the head
+    axis.  In ``FREQ`` mode the source's and then the target's Q and K are
+    reshaped to channel grids, one per head and feature, for one
+    :func:`fri_fuse` call; fusion acts on each channel alone, so a stack
+    fuses as its targets do one by one.
     """
     if cfg.fri_mode is FriMode.ADD:
-        return {
-            site: ReplaceQK(q=0.5 * (src.q + tar.q), k=0.5 * (src.k + tar.k))
-            for site, src, tar in pairs
-        }
-    if not pairs:
-        return {}
-    n = len(pairs)
-    heads, n_tok, d_head = pairs[0][1].q.shape
-    feats = [pkt.q for _, pkt, _ in pairs] + [pkt.k for _, pkt, _ in pairs]
-    feats += [pkt.q for _, _, pkt in pairs] + [pkt.k for _, _, pkt in pairs]
-    # (source/target, features * heads * d_head, h, w)
-    grids = np.concatenate(feats).swapaxes(-1, -2).reshape(2, -1, *grid)
+        return ReplaceQK(q=0.5 * (src.q + tar.q), k=0.5 * (src.k + tar.k))
+    heads, n_tok, d_head = src.q.shape
+    # (source/target, Q/K * heads * d_head, h, w)
+    grids = np.concatenate([src.q, src.k, tar.q, tar.k]).swapaxes(-1, -2).reshape(2, -1, *grid)
     filt = make_gaussian_lowpass(*grid, cfg.filter_sigma)
     fused = fri_fuse(grids[0], grids[1], filt, cfg.fusion)
-    out = fused.reshape(-1, heads, d_head, n_tok).swapaxes(-1, -2)
-    return {site: ReplaceQK(q=out[i], k=out[n + i]) for i, (site, _, _) in enumerate(pairs)}
+    q, k = fused.reshape(2, heads, d_head, n_tok).swapaxes(-1, -2)
+    return ReplaceQK(q=q, k=k)
 
 
 def build_target_overrides(
@@ -224,122 +218,20 @@ def build_target_overrides(
     changes no bits and keeps fully symmetric runs exactly symmetric.
     """
     overrides: dict[Site, ReplaceQK | ReplaceQKVE] = {}
-    to_fuse = []
     sites = plan_capture(cfg, topology, step_index, total_steps).capture
     held = sites.intersection(src_packets.keys() | tar_packets.keys())
-    # block order, so the fused stack does not depend on set iteration order
+    # block order, so the first faulty site reported does not depend on set order
     for site in sorted(held, key=lambda s: (s[0], s[1].value)):
         src, tar = src_packets.get(site), tar_packets.get(site)
         is_self = site[1] is AttnKind.SELF
         if src is None or (is_self and tar is None):
             raise PacketAlignmentError(f"missing packets at {site}")
-        noop = _noop(cfg, site, src, tar)
-        if not is_self:
-            # a cross site is injected even when its target packet is missing
-            if not noop:
-                overrides[site] = ReplaceQKVE(packet=src)
-        elif src.q.shape != tar.q.shape or src.k.shape != tar.k.shape:
+        if is_self and (src.q.shape != tar.q.shape or src.k.shape != tar.k.shape):
             raise ShapeMismatchError(f"packet shapes differ at {site}")
-        elif not noop:
-            to_fuse.append((site, src, tar))
-    overrides.update(_fuse_self_sites(to_fuse, cfg, grid))
+        # a cross site is injected even when its target packet is missing
+        if not _noop(cfg, site, src, tar):
+            overrides[site] = _fused(cfg, src, tar, grid) if is_self else ReplaceQKVE(packet=src)
     return HookPlan(overrides=overrides)
-
-
-class _StepRules:
-    """The override rules of one step's constrained passes, one per target.
-
-    At each site, the first rule asked builds the override there of every
-    target that plans it, from the source and probe packets just captured,
-    and the other rules read theirs.  A target whose override would be an
-    exact no-op gets none.  The others share a
-    :func:`build_target_overrides` call where one call gives all their
-    overrides: at a cross site each injects the source packet, and at a
-    self site targets with the same fusion settings have their probes' Q/K
-    stacked along the head axis, against the source's repeated; fusion
-    and averaging act on each channel alone, so this equals a call per
-    target.  A shared call that fails is made again target by target, so
-    that a target's failure stays its own, and a target whose build fails
-    gets no more overrides.
-    """
-
-    def __init__(
-        self,
-        cfgs: Sequence[FiaConfig],
-        captures: Sequence[HookPlan],
-        step_index: int,
-        total_steps: int,
-        grid: tuple[int, int],
-        topology: ModelConfig,
-    ):
-        self.cfgs, self.captures = cfgs, captures
-        self.steps, self.grid, self.topology = (step_index, total_steps), grid, topology
-        self.errors: dict[int, Exception] = {}
-        # the site and the call whose overrides ``actions`` holds
-        self.site: Site | None = None
-        self.packets: Sequence[Mapping[Site, AttentionPacket]] | None = None
-        self.actions: dict[int, ReplaceQK | ReplaceQKVE | None] = {}
-
-    def rule(self, j: int) -> ForkRule:
-        def override(site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]):
-            if site != self.site or packets is not self.packets:
-                self.site, self.packets = site, packets
-                self.actions = self._build(site, packets)
-            return self.actions.get(j)
-
-        return override
-
-    def _plan(self, j: int, site: Site, src: AttentionPacket, tar: AttentionPacket) -> HookPlan:
-        return build_target_overrides(
-            self.cfgs[j], *self.steps, {site: src}, {site: tar}, self.grid, self.topology
-        )
-
-    def _build(
-        self, site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]
-    ) -> dict[int, ReplaceQK | ReplaceQKVE | None]:
-        src = packets[0][site]
-        shared: dict[object, list[int]] = {}
-        for j, (cfg, plan) in enumerate(zip(self.cfgs, self.captures)):
-            if site in plan.capture and j not in self.errors:
-                if not _noop(cfg, site, src, packets[j + 1][site]):
-                    is_self = site[1] is AttnKind.SELF
-                    key = (cfg.fri_mode, cfg.filter_sigma, cfg.fusion) if is_self else None
-                    shared.setdefault(key, []).append(j)
-        actions: dict[int, ReplaceQK | ReplaceQKVE | None] = {}
-        for js in shared.values():
-            if len(js) > 1:
-                try:
-                    actions.update(self._shared(site, src, js, packets))
-                    continue
-                except Exception:
-                    pass  # built again target by target, below
-            for j in js:
-                try:
-                    actions[j] = self._plan(j, site, src, packets[j + 1][site]).overrides.get(site)
-                except Exception as exc:
-                    self.errors[j] = exc
-        return actions
-
-    def _shared(
-        self,
-        site: Site,
-        src: AttentionPacket,
-        js: list[int],
-        packets: Sequence[Mapping[Site, AttentionPacket]],
-    ) -> dict[int, ReplaceQK | ReplaceQKVE]:
-        """The overrides of targets ``js``, none of them a no-op, from one call."""
-        tars = [packets[j + 1][site] for j in js]
-        if site[1] is AttnKind.CROSS:
-            return dict.fromkeys(js, self._plan(js[0], site, src, tars[0]).overrides[site])
-
-        def stack(pkts: list[AttentionPacket]) -> AttentionPacket:
-            # a self site's override reads no V
-            q, k = np.concatenate([p.q for p in pkts]), np.concatenate([p.k for p in pkts])
-            return AttentionPacket(q, k, src.v)
-
-        fused = self._plan(js[0], site, stack([src] * len(js)), stack(tars)).overrides[site]
-        cuts = [slice(i * src.q.shape[0], (i + 1) * src.q.shape[0]) for i in range(len(js))]
-        return {j: ReplaceQK(q=fused.q[cut], k=fused.k[cut]) for j, cut in zip(js, cuts)}
 
 
 def _step_states(
@@ -356,8 +248,19 @@ def _step_states(
     """One step's model states, and the table of targets whose overrides failed.
 
     The source state comes first, then each target's probe, then a fork of
-    each probe whose conditional pass captures; the forks' rules record a
-    failed build of target ``j`` under ``j``.
+    each probe whose conditional pass captures.  At each site, the first
+    fork's rule asked builds the override there of every target that plans
+    it, from the source and probe packets just captured, and the other
+    rules read theirs.  A target whose override would be an exact no-op
+    gets none.  The others are grouped so that one
+    :func:`build_target_overrides` call per group gives all their
+    overrides: at a cross site each injects the source packet, and at a
+    self site targets with the same fusion settings have their probes' Q/K
+    stacked along the head axis, against the source's repeated; a group of
+    one passes its probe's packet as it is.  A group whose call fails is
+    built again target by target, so a failure stays with its own target:
+    the table holds it under the target's index, and that target gets no
+    more overrides.
     """
     mu = guidance.mu_tar
     captures = [
@@ -365,15 +268,68 @@ def _step_states(
         for cfg in cfgs
     ]
     union = HookPlan(capture=frozenset().union(*(plan.capture for plan in captures)))
-    rules = _StepRules(cfgs, captures, step_index, total_steps, x_src_t.shape[-2:], model.cfg)
+    errors: dict[int, Exception] = {}
+
+    def stack(pkts: list[AttentionPacket]) -> AttentionPacket:
+        # a self site's override reads no V
+        q, k = np.concatenate([p.q for p in pkts]), np.concatenate([p.k for p in pkts])
+        return AttentionPacket(q, k, pkts[0].v)
+
+    def build(
+        site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]
+    ) -> dict[int, ReplaceQK | ReplaceQKVE | None]:
+        src, is_self = packets[0][site], site[1] is AttnKind.SELF
+        groups: dict[object, list[int]] = {}
+        for j, (cfg, plan) in enumerate(zip(cfgs, captures)):
+            if site in plan.capture and j not in errors:
+                if not _noop(cfg, site, src, packets[j + 1][site]):
+                    key = (cfg.fri_mode, cfg.filter_sigma, cfg.fusion) if is_self else None
+                    groups.setdefault(key, []).append(j)
+        work, actions = list(groups.values()), {}
+        while work:
+            js = work.pop()
+            tars = [packets[j + 1][site] for j in js]
+            stacked = is_self and len(js) > 1
+            s, tar = (stack([src] * len(js)), stack(tars)) if stacked else (src, tars[0])
+            try:
+                action = build_target_overrides(
+                    cfgs[js[0]], step_index, total_steps, {site: s}, {site: tar},
+                    x_src_t.shape[-2:], model.cfg,
+                ).overrides.get(site)
+            except Exception as exc:
+                if len(js) > 1:
+                    work += [[j] for j in js]
+                else:
+                    errors[js[0]] = exc
+                continue
+            if stacked:
+                n = src.q.shape[0]
+                for i, j in enumerate(js):
+                    cut = slice(i * n, (i + 1) * n)
+                    actions[j] = ReplaceQK(q=action.q[cut], k=action.k[cut])
+            else:
+                actions.update(dict.fromkeys(js, action))
+        return actions
+
+    last: tuple = (None, None, {})  # the site and call packets of the last build, and its overrides
+
+    def rule(j: int) -> ForkRule:
+        def override(site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]):
+            nonlocal last
+            if site != last[0] or packets is not last[1]:
+                last = (site, packets, build(site, packets))
+            return last[2].get(j)
+
+        return override
+
     states: list[State] = [(x_src_t, p_src, guidance.mu_src, union)]
     states += [(x, p, mu, plan) for x, p, plan in zip(x_tar_ts, p_tars, captures)]
     states += [
-        (x_tar_ts[j], p_tars[j], 1.0, Fork(j + 1, plan.capture, rules.rule(j)))
+        (x_tar_ts[j], p_tars[j], 1.0, Fork(j + 1, plan.capture, rule(j)))
         for j, plan in enumerate(captures)
         if plan.capture
     ]
-    return states, rules.errors
+    return states, errors
 
 
 def constrained_velocities(

@@ -14,6 +14,16 @@ def branches(out) -> int:
     return sum((v_cond is not None) + (v_uncond is not None) for v_cond, v_uncond, _ in out)
 
 
+def report_entries(text: str) -> dict[str, str]:
+    """An ablation report's ``key=value`` lines, by key."""
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def delta_pairs(text: str) -> tuple[tuple[str, ...], ...]:
+    """A report cell's delta, from its ``name=value`` words."""
+    return tuple(tuple(word.split("=", 1)) for word in text.split())
+
+
 def dyadic(rng: np.random.Generator, shape, scale: int = 1024, span: int = 2048):
     """Random dyadic rationals k/scale; sums and differences stay exact."""
     return rng.integers(-span, span + 1, size=shape).astype(np.float64) / scale

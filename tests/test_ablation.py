@@ -14,7 +14,6 @@ from fiaedit.ablation import (
     format_table,
     format_timings,
     parse_grid,
-    parse_report,
     run_ablation,
 )
 from fiaedit.codec import decode, encode
@@ -26,7 +25,7 @@ from fiaedit.metrics import compute_report
 from fiaedit.model import VelocityModel
 from fiaedit.prompts import embed_prompt
 
-from conftest import branches
+from conftest import branches, delta_pairs, report_entries
 
 BASE = parse_config(
     """
@@ -251,14 +250,17 @@ class TestReportFormat:
     def test_roundtrip_is_lossless(self):
         grid = parse_grid("filter_sigma=0.5,0.9;fij_enabled=true,false")
         report = run_ablation(BASE, grid, fixture="blob16")
-        parsed = parse_report(format_report(report))
-        assert parsed.seed == report.seed
-        assert parsed.fixture == report.fixture
-        assert parsed.axes == report.axes
-        for a, b in zip(parsed.rows, report.rows):
-            assert a.delta == b.delta
-            assert a.status == b.status
-            assert a.metrics == b.metrics
+        entries = report_entries(format_report(report))
+        assert entries["seed"] == str(report.seed)
+        assert entries["fixture"] == report.fixture
+        assert entries["axes"].split(",") == list(report.axes)
+        assert entries["cells"] == str(len(report.rows))
+        for i, row in enumerate(report.rows):
+            assert delta_pairs(entries[f"cell.{i}.delta"]) == row.delta
+            assert entries[f"cell.{i}.status"] == row.status == "ok"
+            # metrics are written with repr, so each float reads back exactly
+            for name, value in row.metrics.items():
+                assert float(entries[f"cell.{i}.{name}"]) == value
 
     def test_timings_sidecar_lists_every_cell(self):
         grid = parse_grid("filter_sigma=0.5,0.9")
@@ -268,10 +270,6 @@ class TestReportFormat:
         assert lines[:2] == ["schema=ablation-timings/2", "cells=2"]
         assert len(lines) == 3 and lines[2].startswith("wall_s=")
         assert float(lines[2].partition("=")[2]) > 0.0
-
-    def test_schema_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_report("schema=other/9\ncells=0\n")
 
 
 def test_format_table_has_a_column_per_axis_and_metric_and_shows_errors():

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from fiaedit.ablation import parse_report
 from fiaedit.codec import decode, encode
 from fiaedit.config import RunConfig
 from fiaedit.engine import EditRequest, run_edit
@@ -46,6 +45,7 @@ from fiaedit.spectral import FusionWeights, decompose, fft2, fri_fuse, ifft2, ma
 from fiaedit.steering import STEERING_SEEDS, run_steering_trial
 from fiaedit.cli import run_selftest
 
+from conftest import report_entries
 from oracle_dft import oracle_fri_fuse
 
 
@@ -306,11 +306,11 @@ codec.patch = 2
         ]
     )
     assert rc == 0
-    report = parse_report((out_dir / "report.txt").read_text(encoding="utf-8"))
-    assert len(report.rows) == 8
-    assert all(row.status == "ok" for row in report.rows)
-    assert [dict(r.delta)["filter_sigma"] for r in report.rows] == [
-        str(s) for s in sigmas
+    entries = report_entries((out_dir / "report.txt").read_text(encoding="utf-8"))
+    assert entries["cells"] == "8"
+    assert [entries[f"cell.{i}.status"] for i in range(8)] == ["ok"] * 8
+    assert [entries[f"cell.{i}.delta"] for i in range(8)] == [
+        f"filter_sigma={s}" for s in sigmas
     ]
     masks = [make_gaussian_lowpass(8, 8, s).mask for s in sigmas]
     for i in range(len(masks)):

@@ -139,6 +139,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("edit.noise_mode = sometimes\n")
 
+    def test_quoted_choice_values(self):
+        cfg = parse_config('fia.fri_mode = "add"\nedit.noise_mode = "none"\n')
+        assert cfg.fia_fri_mode == "add"
+        assert cfg.make_fia().fri_mode is FriMode.ADD
+        assert cfg.noise_mode() is NoiseMode.NONE
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("just some words\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -477,10 +478,15 @@ class TestConstrainedPair:
         # among them fuses nowhere, and an ADD target averages on its own;
         # each keeps the bits it has alone
         fuse, calls = fiaedit.fia.fri_fuse, []
+        build, builds = fiaedit.fia.build_target_overrides, []
 
         def counting_fuse(*args):
             calls.append(args[0].shape[0])
             return fuse(*args)
+
+        def counting_build(*args):
+            builds.append(next(iter(args[3])))
+            return build(*args)
 
         p_src, p_tar = prompt_pair
         x_src, x_a, x_b = np.random.default_rng(6).standard_normal((3, 4, 6, 6))
@@ -496,12 +502,19 @@ class TestConstrainedPair:
             for x, p, cfg in targets
         ]
         monkeypatch.setattr(fiaedit.fia, "fri_fuse", counting_fuse)
+        monkeypatch.setattr(fiaedit.fia, "build_target_overrides", counting_build)
         _, together = constrained_velocities(
             tiny_model, x_src, [x for x, _, _ in targets], p_src, [p for _, p, _ in targets],
             0.5, 0, 10, guidance, [cfg for _, _, cfg in targets],
         )
         # Q and K of two targets, heads times d_head channels each
         assert calls == [2 * 2 * tiny_model.cfg.d_model] * tiny_model.cfg.n_blocks_dual
+        # however many forks ask, each site builds once per group: the FREQ
+        # pair and the ADD target at a self site, and at an injected cross
+        # site the two injecting targets together
+        expected = {(b, AttnKind.SELF): 2 for b in range(tiny_model.cfg.n_blocks_dual)}
+        expected.update({(b, AttnKind.CROSS): 1 for b in (4, 5)})
+        assert Counter(builds) == expected and len(builds) == 10
         for got, ref in zip(together, alone, strict=True):
             assert np.array_equal(got, ref)
 

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import report_entries
+
 from fiaedit import steering
-from fiaedit.ablation import parse_report
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # stock grid -> its cell count; the test ids keep the names these cases had
@@ -30,9 +31,10 @@ def run_script(path: Path, out_dir: Path) -> str:
 
 def check_grid(out_dir: Path, stdout: str, name: str) -> None:
     path = out_dir / name / "report.txt"
-    report = parse_report(path.read_text(encoding="utf-8"))
-    assert len(report.rows) == GRID_CELLS[name]
-    assert all(row.status == "ok" for row in report.rows)
+    entries = report_entries(path.read_text(encoding="utf-8"))
+    cells = GRID_CELLS[name]
+    assert entries["cells"] == str(cells)
+    assert [entries[f"cell.{i}.status"] for i in range(cells)] == ["ok"] * cells
     assert (out_dir / name / "report.txt.timings").is_file()
     assert f"report written to {path}" in stdout
 
