@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from fiaedit.ablation import (
     _GRID_AXES,
+    REPORT_SCHEMA,
     AblationReport,
     AblationRow,
     GridSpec,
@@ -143,9 +144,17 @@ def test_parse_grid_gives_a_grid_or_a_value_error(spec):
     # every accepted grid's delta text reads back as written
     rows = tuple(AblationRow(delta=cell, status="error", error="e") for cell in cells)
     report = AblationReport(seed=0, fixture="blob16", axes=grid.axis_names, rows=rows)
-    entries = report_entries(format_report(report))
+    text = format_report(report)
+    entries = report_entries(text)
+    assert len(entries) == len(text.splitlines()) == 5 + 3 * len(cells)
+    assert entries["schema"] == REPORT_SCHEMA
+    assert (entries["seed"], entries["fixture"]) == ("0", "blob16")
+    assert tuple(entries["axes"].split(",")) == grid.axis_names
     assert entries["cells"] == str(len(cells))
     assert [delta_pairs(entries[f"cell.{i}.delta"]) for i in range(len(cells))] == cells
+    for i in range(len(cells)):
+        assert entries[f"cell.{i}.status"] == "error"
+        assert entries[f"cell.{i}.error"] == "e"
 
 
 _VALUE_TEXT = (
