@@ -20,27 +20,30 @@ prefix runs once per state: the input projection, the position and time
 embeddings, block 0's layer norm and Q/K/V, and block 0's self-attention
 core, which a conditional pass that overrides ``(0, SELF)`` runs on its
 own.  From block 0's output projection on, every branch has its own row.
-Branches handed the same prompt object share its cross K/V.
+Branches handed the same prompt object share its cross K and ``[V | 1]^T``.
 
-The attention core makes three passes over a call's (heads, n, n) scores:
-the score product, exp, and the product with ``[V | 1]``, V with a column
-of ones appended, whose last column holds the row sums.  The scores are
+The residual stream is feature-major, (branches, d_model, tokens): every
+token-wise step runs along a contiguous axis of n tokens, and token-wise
+products are ``W^T @ h``.  The attention core is keys-major and makes
+three passes over a core's (heads, keys, queries) scores: the score product
+``K Qs^T``, exp, and the product of ``[V | 1]^T``, V^T with a row of ones
+appended, with them, whose last row holds the row sums.  The scores are
 never scanned or rescaled: exp runs on them unshifted, and only a product
-whose row sums or entries come out of range is redone with every row
-shifted by its maximum.  The score product reads a C-contiguous K^T.
-Everything else at a site runs once for the batch: Q is scaled by
-1/sqrt(d_head) once, every core writes its ``[numerator | row sum]`` into
-one (branches, heads, n, d_head + 1) buffer, the range check reads the
-whole buffer, and one divide turns it into the site's output, as
-FlashAttention defers its normalisation.
+whose row sums or entries come out of range is redone with each query's
+scores shifted by their maximum.  Everything else at a site runs once for
+the batch: Q^T is scaled by 1/sqrt(d_head) once, every core writes its
+``[numerator | row sum]`` into one (branches, heads, d_head + 1, n) buffer,
+the range check reads the whole buffer, and one divide writes the site's
+output, heads merged, as the (branches, d_model, n) input of the output
+projection, as FlashAttention defers its normalisation.
 
 Token-wise work is a few wide BLAS calls.  A dual block gets the whole
-batch's Q, K and V from one product with ``[wq | wk | wv]``, and each
-distinct prompt in a call gets every block's cross K^T and ``[V | 1]``
-from one product with ``[wk_0 | wv_0 | wk_1 | ...]``; the model builds
-these side-by-side weights once.  Layer norm takes its mean and variance
-as products with a column of 1/d, since a reduction along the narrow
-model axis loops once per token.
+batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
+(K enters the score product as a transposed view), and each distinct
+prompt in a call gets every block's cross K and ``[V | 1]^T`` from one
+product with ``[wk_0 | wv_0 | wk_1 | ...]``; the model builds these
+side-by-side weights once.  Layer norm takes its mean and variance over the
+feature axis as products with a row of 1/d, one BLAS call per slice.
 
 Hooks observe and override attention inputs: a ``HookPlan`` names the
 ``(block, kind)`` sites whose effective Q/K/V (and text embedding) should be
@@ -278,18 +281,18 @@ def _snapshot(arr: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _mean_column(d: int) -> np.ndarray:
-    column = np.full((d, 1), 1.0 / d)
-    column.setflags(write=False)
-    return column
+def _mean_row(d: int) -> np.ndarray:
+    row = np.full((1, d), 1.0 / d)
+    row.setflags(write=False)
+    return row
 
 
 def _layer_norm(h: np.ndarray) -> np.ndarray:
-    # the means are products with a column of 1/d: one BLAS call per slice,
-    # where a reduction along the short model axis loops once per token
-    mean = _mean_column(h.shape[-1])
-    centered = h - h @ mean
-    centered /= np.sqrt(np.square(centered) @ mean + _LN_EPS)
+    """Layer norm over the feature axis of a (..., d, tokens) stream."""
+    # the means are products with a row of 1/d: one BLAS call per slice
+    mean = _mean_row(h.shape[-2])
+    centered = h - mean @ h
+    centered /= np.sqrt(mean @ np.square(centered) + _LN_EPS)
     return centered
 
 
@@ -335,20 +338,21 @@ def peak_bytes(
     core's scores; per token and branch the arrays alive at the widest
     point, the MLP (two temporaries of four model widths, the residual
     stream, the attention and layer-norm outputs, and the last self site's
-    Q/K/V product, scaled Q, K^T and ``[V | 1]``), the ``[numerator | row
-    sum]`` buffer and its range check's flags, an overriding Q scaled, the
-    channel copies and the packets captured at every site (Q, K and V; at
-    a cross site K and V are prompt-sized); each distinct prompt's K^T and
-    ``[V | 1]`` at every block and the product they are cut from, and per
-    branch an overriding packet's; and the Python objects.  Python
-    integers, so absurd sizes give exact large counts.
+    Q/K/V product, of which Q^T and K are views, scaled Q^T and ``[V |
+    1]^T``), the ``[numerator | row sum]`` buffer and its range check's
+    flags, an overriding Q^T scaled, the channel copies and the packets
+    captured at every site (Q, K and V; at a cross site K and V are
+    prompt-sized); each distinct prompt's K and ``[V | 1]^T`` at every
+    block and the product they are cut from, and per branch an overriding
+    packet's; and the Python objects.  Python integers, so absurd sizes
+    give exact large counts.
     """
     d, heads, n_blocks = cfg.d_model, cfg.n_heads, cfg.n_blocks
     n_tok = grid[0] * grid[1]
     weights = sum(math.prod(shape) for _, shape in _weight_layout(cfg))
     weights += d * d * (3 * cfg.n_blocks_dual + 2 * n_blocks)  # side-by-side copies
     packets = 3 * d * cfg.n_blocks_dual + d * n_blocks
-    tokenwise = 20 * d + 3 * heads + 2 * cfg.channels + packets
+    tokenwise = 19 * d + 3 * heads + 2 * cfg.channels + packets
     attention = heads * n_tok * (n_tok + prompt_tokens)
     operands = prompts * n_blocks * (2 * d + heads) + 2 * d * n_blocks
     prompt_sized = prompt_tokens * (operands + branches * ((n_blocks + 1) * 2 * d + heads))
@@ -357,78 +361,70 @@ def peak_bytes(
 
 
 def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
-    """(..., tokens, d) -> (..., heads, tokens, d_head), a view of ``z``."""
-    return z.reshape(*z.shape[:-1], heads, z.shape[-1] // heads).swapaxes(-3, -2)
+    """(..., d, tokens) -> (..., heads, d_head, tokens), a view of ``z``."""
+    return z.reshape(*z.shape[:-2], heads, z.shape[-2] // heads, z.shape[-1])
 
 
-def _keys_transposed(k: np.ndarray, heads: int) -> np.ndarray:
-    """(..., tokens, d) -> (..., heads, d_head, tokens): K^T per head, C-contiguous.
-
-    BLAS runs the narrow score product about twice as fast on a contiguous
-    K^T as on a transposed view of K.
-    """
-    return np.ascontiguousarray(_head_view(k, heads).swapaxes(-1, -2))
-
-
-def _append_ones(v: np.ndarray) -> np.ndarray:
-    """(..., tokens, d_head) -> (..., tokens, d_head + 1): ``[V | 1]``."""
-    out = np.empty((*v.shape[:-1], v.shape[-1] + 1))
-    out[..., :-1] = v
-    out[..., -1] = 1.0
+def _append_ones(vt: np.ndarray) -> np.ndarray:
+    """(..., d_head, tokens) -> (..., d_head + 1, tokens): ``[V | 1]^T``."""
+    out = np.empty((*vt.shape[:-2], vt.shape[-2] + 1, vt.shape[-1]))
+    out[..., :-1, :] = vt
+    out[..., -1, :] = 1.0
     return out
 
 
 def _self_operands(
     hn: np.ndarray, w_qkv: np.ndarray, heads: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q, K^T and ``[V | 1]`` per head from one product with ``[wq | wk | wv]``."""
-    d = hn.shape[-1]
-    qkv = hn @ w_qkv
-    q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    return _head_view(q, heads), _keys_transposed(k, heads), _append_ones(_head_view(v, heads))
+    """Q^T, K and ``[V | 1]^T`` per head from one product; Q^T and K are views of it."""
+    d = hn.shape[-2]
+    qkv = w_qkv @ hn
+    q, k, v = (_head_view(qkv[..., i * d : (i + 1) * d, :], heads) for i in range(3))
+    return q, k.swapaxes(-1, -2), _append_ones(v)
 
 
 def _cross_operands(
     matrix: np.ndarray, w_kv: np.ndarray, heads: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """A prompt's K^T and ``[V | 1]`` at every block from one product.
+    """A prompt's K and ``[V | 1]^T`` at every block from one product.
 
     ``w_kv`` is ``[wk_0 | wv_0 | wk_1 | wv_1 | ...]``; the results are
-    (blocks, heads, d_head, tokens) and (blocks, heads, tokens, d_head + 1).
+    (blocks, heads, tokens, d_head) and (blocks, heads, d_head + 1, tokens).
     """
-    kv = (matrix @ w_kv).reshape(matrix.shape[0], -1, 2, w_kv.shape[0]).swapaxes(0, 1)
-    return _keys_transposed(kv[:, :, 0], heads), _append_ones(_head_view(kv[:, :, 1], heads))
+    kv = (matrix @ w_kv).reshape(matrix.shape[0], -1, 2, heads, w_kv.shape[0] // heads)
+    k = np.ascontiguousarray(kv[:, :, 0].transpose(1, 2, 0, 3))
+    return k, _append_ones(kv[:, :, 1].transpose(1, 2, 3, 0))
 
 
-def _scaled(q: np.ndarray) -> np.ndarray:
-    """Q times 1/sqrt(d_head): a pass over Q instead of over the scores."""
-    return q * (1.0 / np.sqrt(q.shape[-1]))
+def _scaled(qt: np.ndarray) -> np.ndarray:
+    """Q^T times 1/sqrt(d_head): a pass over Q instead of over the scores."""
+    return qt * (1.0 / np.sqrt(qt.shape[-2]))
 
 
 def _attend(
     qs: np.ndarray,
-    kt: np.ndarray,
+    k: np.ndarray,
     v1: np.ndarray,
     scores: np.ndarray | None,
     out: np.ndarray,
     shift: bool = False,
 ) -> None:
-    """One branch's attention core, heads stacked: ``exp(qs k^T) [V | 1]`` into ``out``.
+    """One branch's keys-major attention core, heads stacked: ``[V | 1]^T exp(k qs)``.
 
-    ``qs`` is Q scaled by :func:`_scaled`, ``kt`` is K^T, (heads, d_head,
-    keys), and ``v1`` is ``[V | 1]``, (heads, keys, d_head + 1).  ``out``,
-    (heads, queries, d_head + 1), receives the softmax numerator with the
-    row sums in its last column.  A call makes three passes over the
-    scores: the score product, exp, and the product with ``[V | 1]``;
-    with ``shift``, every row is shifted by its maximum before exp.
-    ``scores`` is the (heads, queries, keys) scratch buffer, or None to
-    allocate one.
+    ``qs`` is Q^T scaled by :func:`_scaled`, (heads, d_head, queries),
+    ``k`` is K, (heads, keys, d_head), and ``v1`` is ``[V | 1]^T``, (heads,
+    d_head + 1, keys).  ``out``, (heads, d_head + 1, queries), receives the
+    softmax numerator with each query's row sum in its last row.  A call
+    makes three passes over the (heads, keys, queries) scores: the score
+    product, exp, and the product with ``[V | 1]^T``; with ``shift``, each
+    query's scores are shifted by their maximum before exp.  ``scores`` is
+    the scratch buffer, or None to allocate one.
     """
-    scores = np.matmul(qs, kt, out=scores)
+    scores = np.matmul(k, qs, out=scores)
     if shift:
-        scores -= scores.max(axis=-1, keepdims=True)
+        scores -= scores.max(axis=-2, keepdims=True)
     np.exp(scores, out=scores)
-    np.matmul(scores, v1, out=out)
+    np.matmul(v1, scores, out=out)
 
 
 def _attend_site(
@@ -437,17 +433,18 @@ def _attend_site(
     weighted: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """softmax(q k^T / sqrt(d_head)) v for every branch at one site, into ``out``.
+    """(softmax(q k^T / sqrt(d_head)) v)^T for every branch at one site, into ``out``.
 
     ``ops[i]`` is branch i's operands for :func:`_attend`, or the index of
     an earlier branch with the same operands, whose result it copies.
-    Each core writes its ``[numerator | row sum]`` into its row of
-    ``weighted``, (branches, heads, queries, d_head + 1), and one divide
-    turns the rows into ``out``, (branches, heads, queries, d_head).
+    Each core writes its ``[numerator | row sum]`` rows into its slice of
+    ``weighted``, (branches, heads, d_head + 1, queries), and one divide by
+    the row sums writes ``out``, (branches, heads, d_head, queries), a
+    per-head view of the (branches, d_model, queries) stream.
 
     exp runs on the unshifted scores, and the products are checked after
     the fact: a branch's is kept unless one of its row sums is below
-    ``_ROW_SUM_FLOOR`` (every score of the row below about -60) or an
+    ``_ROW_SUM_FLOOR`` (every score of its query below about -60) or an
     entry is not finite (exp overflowed, at a score above about 709).
     Only such a branch's cores run again, shifted.  So scores up to about
     709 are not shifted, and scores in band keep their bits.
@@ -462,53 +459,55 @@ def _attend_site(
 
     with np.errstate(over="ignore", invalid="ignore"):
         run(range(len(ops)), False)
-    sums = weighted[..., -1]
+    sums = weighted[..., -1, :]
     if not (sums.min() >= _ROW_SUM_FLOOR and np.isfinite(weighted).all()):
         kept = (sums.min(axis=(1, 2)) >= _ROW_SUM_FLOOR) & np.isfinite(weighted).all(axis=(1, 2, 3))
         run(np.flatnonzero(~kept), True)
-    np.divide(weighted[..., :-1], weighted[..., -1:], out=out)
+    np.divide(weighted[..., :-1, :], weighted[..., -1:, :], out=out)
 
 
 def _hook_site(
     action: ReplaceQK | ReplaceQKVE | None,
     site: Site,
-    q: np.ndarray,
-    kt: np.ndarray,
+    qt: np.ndarray,
+    k: np.ndarray,
     v1: np.ndarray,
     text: PromptEmbedding | None,
     captured: dict[Site, AttentionPacket] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """One branch's overridden attention operands at ``site``, captured if asked.
 
-    ``q``, ``kt`` and ``v1`` are the branch's own plain Q, K^T and ``[V |
-    1]``, and ``text`` the prompt a cross site reads, None at a self site.
+    ``qt``, ``k`` and ``v1`` are the branch's own plain Q^T, K and ``[V |
+    1]^T``, and ``text`` the prompt a cross site reads, None at a self site.
     Returns None when ``action`` is None, and otherwise the overridden
-    operands as :func:`_attend` takes them, with the overriding Q scaled
-    here for its own branch only.  ``ReplaceQK`` applies at self sites and
-    ``ReplaceQKVE`` at cross sites.  With a ``captured`` table, the packet
-    of what the attention consumes goes into it: plain Q, K and V.
+    operands as :func:`_attend` takes them, with the overriding Q^T, a
+    transposed view of the packet's Q, scaled here for its own branch only.
+    ``ReplaceQK`` applies at self sites and ``ReplaceQKVE`` at cross sites.
+    With a ``captured`` table, the packet of what the attention consumes
+    goes into it: plain Q, K and V, each (heads, tokens, d_head).
     """
+    q = qt.swapaxes(-1, -2)
     if isinstance(action, ReplaceQK) and site[1] is AttnKind.SELF:
         # self-attention keys are the query tokens: K has Q's shape
         if action.q.shape != q.shape or action.k.shape != q.shape:
             raise ShapeMismatchError(
                 f"override at {site} has shape {action.q.shape}, expected {q.shape}"
             )
-        q, kt = action.q, action.k.swapaxes(-1, -2)
+        q, k = action.q, action.k
     elif isinstance(action, ReplaceQKVE) and site[1] is AttnKind.CROSS:
         pkt = action.packet
         if pkt.q.shape != q.shape:
             raise ShapeMismatchError(
                 f"override at {site} has shape {pkt.q.shape}, expected {q.shape}"
             )
-        q, kt, v1, text = pkt.q, pkt.k.swapaxes(-1, -2), _append_ones(pkt.v), pkt.text_embedding
+        q, k, v1, text = pkt.q, pkt.k, _append_ones(pkt.v.swapaxes(-1, -2)), pkt.text_embedding
     elif action is not None:
         raise TopologyError(f"{type(action).__name__} does not apply at {site}")
     if captured is not None:
         captured[site] = AttentionPacket(
-            _snapshot(q), _snapshot(kt.swapaxes(-1, -2)), _snapshot(v1[..., :-1]), text
+            _snapshot(q), _snapshot(k), _snapshot(v1[..., :-1, :].swapaxes(-1, -2)), text
         )
-    return None if action is None else (_scaled(q), kt, v1)
+    return None if action is None else (_scaled(q.swapaxes(-1, -2)), k, v1)
 
 
 class VelocityModel:
@@ -525,14 +524,14 @@ class VelocityModel:
             arr.setflags(write=False)
         W = self.weights
         # softmax over the single null key is 1, so an unconditional branch's
-        # cross-attention adds the same projected value row at every token
+        # cross-attention adds the same projected value column at every token
         self._null_cross = [
-            W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]
+            (W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]).T
             for b in range(cfg.n_blocks)
         ]
         # the operands' weights side by side, so that each is one product
         self._self_qkv = [
-            np.hstack([W[f"b{b}.self.{n}"] for n in ("wq", "wk", "wv")])
+            np.hstack([W[f"b{b}.self.{n}"] for n in ("wq", "wk", "wv")]).T
             for b in range(cfg.n_blocks_dual)
         ]
         self._cross_kv = np.hstack(
@@ -612,21 +611,22 @@ class VelocityModel:
         heads = cfg.n_heads
         pos = self._position_cache.get((h_grid, w_grid))
         if pos is None:
-            pos = position_features(h_grid, w_grid, cfg.d_model)
+            pos = np.ascontiguousarray(position_features(h_grid, w_grid, cfg.d_model).T)
             pos.setflags(write=False)
             self._position_cache[(h_grid, w_grid)] = pos
-        h = np.stack(xs[:n_plain]).reshape(n_plain, c, n_tok).swapaxes(1, 2) @ W["w_in"]
+        # the residual stream, (rows, d_model, tokens)
+        h = W["w_in"].T @ np.stack(xs[:n_plain]).reshape(n_plain, c, n_tok)
         h += pos
-        h += time_embedding(sigma_t, cfg.d_model)
+        h += time_embedding(sigma_t, cfg.d_model)[:, None]
 
-        # K^T and [V | 1] depend only on the prompt: build each distinct one once
+        # K and [V | 1]^T depend only on the prompt: build each distinct one once
         distinct = {id(p): p for p in prompts}
         prompt_kv = {
             key: _cross_operands(p.matrix, self._cross_kv, heads) for key, p in distinct.items()
         }
         packets: list[dict[Site, AttentionPacket]] = [{} for _ in states]
 
-        def hooked(i, site, q, kt, v1, text):
+        def hooked(i, site, q, k, v1, text):
             """Attending branch i's operands after its hooks, or the branch whose core it copies.
 
             None means its own operands, unchanged.
@@ -637,57 +637,57 @@ class VelocityModel:
                 if action is None and not capture:
                     return None
                 table = packets[cond[i]] if capture else None
-                return _hook_site(action, site, q, kt, v1, text, table)
+                return _hook_site(action, site, q, k, v1, text, table)
             f = i - n_cond
             fork = fork_hooks[f]
             action = fork.rule(site, packets) if site in fork.sites else None
             if action is None:
                 return None if forked[f] else donor_branch[f]
             forked[f] = True
-            return _hook_site(action, site, q, kt, v1, text, None)
+            return _hook_site(action, site, q, k, v1, text, None)
 
         scores = np.empty((heads, n_tok, n_tok))
         # the cores' [numerator | row sum], and the attention outputs, heads merged
-        weighted = np.empty((n_b, heads, n_tok, cfg.d_model // heads + 1))
-        attn = np.empty((n_b, n_tok, cfg.d_model))
+        weighted = np.empty((n_b, heads, cfg.d_model // heads + 1, n_tok))
+        attn = np.empty((n_b, cfg.d_model, n_tok))
         attn_heads = _head_view(attn, heads)
         for b in range(cfg.n_blocks):
             if cfg.has_self(b):
                 site = (b, AttnKind.SELF)
-                q, kt, v1 = _self_operands(_layer_norm(h), self._self_qkv[b], heads)
+                q, k, v1 = _self_operands(_layer_norm(h), self._self_qkv[b], heads)
                 qs = _scaled(q)
                 done: dict[int, int] = {}  # row -> the branch whose core reads it unchanged
                 ops: list[tuple[np.ndarray, np.ndarray, np.ndarray] | int] = []
                 for i, r in enumerate(rows):
-                    op = hooked(i, site, q[r], kt[r], v1[r], None) if i < n_att else None
+                    op = hooked(i, site, q[r], k[r], v1[r], None) if i < n_att else None
                     if op is None:
                         first = done.setdefault(r, i)
-                        op = (qs[r], kt[r], v1[r]) if first == i else first
+                        op = (qs[r], k[r], v1[r]) if first == i else first
                     ops.append(op)
                 _attend_site(ops, scores, weighted, attn_heads)
                 if b == 0:  # one row per branch from here
                     h = h[rows]
                 rows = range(n_b)
-                h += attn @ W[f"b{b}.self.wo"]
+                h += W[f"b{b}.self.wo"].T @ attn
 
             site = (b, AttnKind.CROSS)
             if n_att:
-                q = _head_view(_layer_norm(h[:n_att]) @ W[f"b{b}.cross.wq"], heads)
+                q = _head_view(W[f"b{b}.cross.wq"].T @ _layer_norm(h[:n_att]), heads)
                 qs = _scaled(q)
                 ops = []
                 for i, p in enumerate(prompts):
-                    kt, v1 = prompt_kv[id(p)]
-                    op = hooked(i, site, q[i], kt[b], v1[b], p)
-                    ops.append((qs[i], kt[b], v1[b]) if op is None else op)
+                    k, v1 = prompt_kv[id(p)]
+                    op = hooked(i, site, q[i], k[b], v1[b], p)
+                    ops.append((qs[i], k[b], v1[b]) if op is None else op)
                 _attend_site(ops, None, weighted[:n_att], attn_heads[:n_att])
-                h[:n_att] += attn[:n_att] @ W[f"b{b}.cross.wo"]
+                h[:n_att] += W[f"b{b}.cross.wo"].T @ attn[:n_att]
             if n_att < n_b:
                 h[n_att:] += self._null_cross[b]
 
             hn = _layer_norm(h)
-            h += _gelu_like(hn @ W[f"b{b}.mlp.w1"]) @ W[f"b{b}.mlp.w2"]
+            h += W[f"b{b}.mlp.w2"].T @ _gelu_like(W[f"b{b}.mlp.w1"].T @ hn)
 
-        out = (_layer_norm(h) @ W["w_out"]).swapaxes(1, 2).reshape(n_b, c, h_grid, w_grid)
+        out = (W["w_out"].T @ _layer_norm(h)).reshape(n_b, c, h_grid, w_grid)
         v_cond, v_uncond = dict(zip(cond + forks, out)), dict(zip(uncond, out[n_att:]))
         return [(v_cond.get(s), v_uncond.get(s), packets[s]) for s in range(len(states))]
 

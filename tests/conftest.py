@@ -29,15 +29,23 @@ def dyadic(rng: np.random.Generator, shape, scale: int = 1024, span: int = 2048)
     return rng.integers(-span, span + 1, size=shape).astype(np.float64) / scale
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(d_head)) v by the attention core and its divide.
+def keys_major(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """The keys-major core's operands from Q, K and V, each (heads, tokens, d_head).
 
-    Q is scaled, and K^T and ``[V | 1]`` are built, as a forward builds them.
+    Q^T is contiguous and scaled, K is as given, and ``[V | 1]^T`` is built,
+    as a forward builds them.
     """
-    ops = _scaled(q), np.ascontiguousarray(k.swapaxes(-1, -2)), _append_ones(v)
-    out = np.empty((1, *q.shape[:-1], v.shape[-1]))
-    _attend_site([ops], None, np.empty((1, *q.shape[:-1], v.shape[-1] + 1)), out)
-    return out[0]
+    qs = _scaled(np.ascontiguousarray(q.swapaxes(-1, -2)))
+    return qs, k, _append_ones(v.swapaxes(-1, -2))
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(q k^T / sqrt(d_head)) v by the keys-major core and its divide."""
+    heads, queries, d_head = q.shape[0], q.shape[1], v.shape[-1]
+    out = np.empty((1, heads, d_head, queries))
+    weighted = np.empty((1, heads, d_head + 1, queries))
+    _attend_site([keys_major(q, k, v)], None, weighted, out)
+    return out[0].swapaxes(-1, -2)
 
 
 def traced_peak(model: VelocityModel, states) -> int:

@@ -393,9 +393,9 @@ class TestConstrainedPair:
         attend, forward = fiaedit.model._attend, model._forward
         calls = []
 
-        def counting_attend(q, kt, v1, scores, out, shift=False):
+        def counting_attend(q, k, v1, scores, out, shift=False):
             calls[-1] += scores is not None  # cross cores get no score buffer
-            attend(q, kt, v1, scores, out, shift)
+            attend(q, k, v1, scores, out, shift)
 
         def counting_forward(*args):
             calls.append(0)
@@ -451,9 +451,9 @@ class TestConstrainedPair:
         attend = fiaedit.model._attend
         cores = []
 
-        def counting_attend(q, kt, v1, scores, out, shift=False):
+        def counting_attend(q, k, v1, scores, out, shift=False):
             cores[-1] += scores is not None  # cross cores get no score buffer
-            attend(q, kt, v1, scores, out, shift)
+            attend(q, k, v1, scores, out, shift)
 
         monkeypatch.setattr(fiaedit.model, "_attend", counting_attend)
         p_src, p_tar = prompt_pair

@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import attend, branches, delta_pairs, report_entries, traced_peak
+from conftest import attend, branches, delta_pairs, keys_major, report_entries, traced_peak
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -352,11 +352,13 @@ def test_attention_core_matches_the_shifted_softmax(
     k = k_scale * rng.standard_normal((heads, keys, d_head))
     v = rng.standard_normal((heads, keys, d_head))
     out = attend(q, k, v)
-    # the reference reads the core's own scores: rounding in the score
-    # product belongs to the inputs, not to the normalisation under test
-    scores = np.matmul(q * (1.0 / np.sqrt(d_head)), np.ascontiguousarray(k.swapaxes(-1, -2)))
-    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    expected = (weights / weights.sum(axis=-1, keepdims=True)) @ v
+    # the reference reads the core's own (heads, keys, queries) scores:
+    # rounding in the score product belongs to the inputs, not to the
+    # normalisation under test
+    qs, k, _ = keys_major(q, k, v)
+    scores = np.matmul(k, qs)
+    weights = np.exp(scores - scores.max(axis=-2, keepdims=True))
+    expected = (weights / weights.sum(axis=-2, keepdims=True)).swapaxes(-1, -2) @ v
     assert np.all(np.isfinite(out))
     assert np.abs(out - expected).max() <= keys * np.finfo(float).eps * np.abs(v).max()
 

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import attend, branches as count_branches, dyadic, traced_peak
+from conftest import attend, branches as count_branches, dyadic, keys_major, traced_peak
 
 import fiaedit.model
 from fiaedit.errors import ShapeMismatchError, TopologyError
 from fiaedit.fia import FiaConfig, FriMode, _step_states
 from fiaedit.model import (
+    AttentionPacket,
     AttnKind,
     GuidanceConfig,
     HookPlan,
@@ -18,10 +19,10 @@ from fiaedit.model import (
     ReplaceQK,
     ReplaceQKVE,
     VelocityModel,
-    _append_ones,
     _layer_norm,
     guide,
     peak_bytes,
+    position_features,
     time_embedding,
 )
 from fiaedit.prompts import PromptEmbedding, embed_prompt, embeddings_equal
@@ -230,6 +231,11 @@ class TestShapes:
             tiny_model.velocity(latent(), p16, 0.5, 1.0)
 
 
+def divided(weighted: np.ndarray) -> np.ndarray:
+    """A keys-major ``[numerator | row sum]`` product normalised, (heads, queries, d_head)."""
+    return (weighted[..., :-1, :] / weighted[..., -1:, :]).swapaxes(-1, -2)
+
+
 class TestSoftmax:
     def test_far_negative_row_does_not_underflow(self):
         # d_head 4 scales scores by exactly 1/2: row 0 is (-800, -801), row 1
@@ -244,19 +250,21 @@ class TestSoftmax:
     def test_in_band_scores_are_not_shifted(self):
         rng = np.random.default_rng(0)
         q, k = 4.0 * rng.uniform(-2.0, 2.0, (2, 2, 5, 4))
-        v1 = _append_ones(rng.standard_normal((2, 5, 4)))
-        # the core's own score product: d_head 4 scales q by exactly 1/2
-        scores = np.matmul(q * 0.5, np.ascontiguousarray(k.swapaxes(-1, -2)))
+        v = rng.standard_normal((2, 5, 4))
+        # the core's own (heads, keys, queries) score product: d_head 4
+        # scales q by exactly 1/2
+        qs, k, v1 = keys_major(q, k, v)
+        scores = np.matmul(k, qs)
         assert 30.0 < np.abs(scores).max() <= 60.0
-        unshifted = np.exp(scores) @ v1
-        shifted = np.exp(scores - scores.max(axis=-1, keepdims=True)) @ v1
-        expected = unshifted[..., :-1] / unshifted[..., -1:]
-        # a shift by the row maximum would have changed bits
-        assert not np.array_equal(shifted[..., :-1] / shifted[..., -1:], expected)
-        assert np.array_equal(attend(q, k, v1[..., :-1]), expected)
+        unshifted = v1 @ np.exp(scores)
+        shifted = v1 @ np.exp(scores - scores.max(axis=-2, keepdims=True))
+        expected = divided(unshifted)
+        # a shift by each query's maximum would have changed bits
+        assert not np.array_equal(divided(shifted), expected)
+        assert np.array_equal(attend(q, k, v), expected)
 
     def test_wide_rows_match_a_summed_reference(self):
-        # row sums come from the product with [V | 1], which may add in
+        # row sums come from the product with [V | 1]^T, which may add in
         # another order than a reduction; with non-negative values every
         # output is a positive sum, so allow n * eps relative
         rng = np.random.default_rng(1)
@@ -269,17 +277,18 @@ class TestSoftmax:
 
     def test_scores_below_the_exp_limit_are_not_shifted(self):
         # no score is scanned first: a score near 100 meets exp unshifted,
-        # and the output is exp(scores) @ [V | 1] divided by its last column
+        # and the output is [V | 1]^T @ exp(scores) divided by its last row
         rng = np.random.default_rng(3)
         q, k = 6.5 * rng.uniform(-2.0, 2.0, (2, 2, 6, 4))
-        v1 = _append_ones(rng.standard_normal((2, 6, 4)))
-        scores = np.matmul(q * 0.5, np.ascontiguousarray(k.swapaxes(-1, -2)))
+        v = rng.standard_normal((2, 6, 4))
+        qs, k, v1 = keys_major(q, k, v)
+        scores = np.matmul(k, qs)
         assert 90.0 < scores.max() < 110.0
-        unshifted = np.exp(scores) @ v1
-        shifted = np.exp(scores - scores.max(axis=-1, keepdims=True)) @ v1
-        expected = unshifted[..., :-1] / unshifted[..., -1:]
-        assert not np.array_equal(shifted[..., :-1] / shifted[..., -1:], expected)
-        assert np.array_equal(attend(q, k, v1[..., :-1]), expected)
+        unshifted = v1 @ np.exp(scores)
+        shifted = v1 @ np.exp(scores - scores.max(axis=-2, keepdims=True))
+        expected = divided(unshifted)
+        assert not np.array_equal(divided(shifted), expected)
+        assert np.array_equal(attend(q, k, v), expected)
 
     @pytest.mark.parametrize("row", ["overflows", "underflows"])
     def test_out_of_range_rows_are_shifted_without_a_warning(self, row):
@@ -447,24 +456,27 @@ class TestTimeEmbedding:
 
 
 class TestLayerNorm:
-    @pytest.mark.parametrize("shape", [(64, 8), (256, 8), (4, 64, 8)])
+    # a stream is (..., d, tokens): layer norm acts over the feature axis, -2
+    @pytest.mark.parametrize("shape", [(8, 64), (8, 256), (4, 8, 64)])
     def test_agrees_with_the_mean_formula(self, shape):
         # the means are products, which add in another order than mean
         h = 3.0 * np.random.default_rng(0).standard_normal(shape) + 1.0
-        centered = h - h.mean(axis=-1, keepdims=True)
-        expected = centered / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + 1e-6)
+        centered = h - h.mean(axis=-2, keepdims=True)
+        expected = centered / np.sqrt(np.square(centered).mean(axis=-2, keepdims=True) + 1e-6)
         assert np.abs(_layer_norm(h) - expected).max() <= 1e-14
 
-    @pytest.mark.parametrize("shape", [(4, 64, 8), (6, 7, 8), (3, 1, 4), (2, 33, 16)])
+    @pytest.mark.parametrize("shape", [(4, 8, 64), (6, 8, 7), (3, 4, 1), (2, 16, 33)])
     def test_batch_equals_each_slice_alone(self, shape):
         h = 3.0 * np.random.default_rng(1).standard_normal(shape) + 1.0
         out = _layer_norm(h)
         for i in range(shape[0]):
             assert np.array_equal(out[i], _layer_norm(h[i]))
 
-    @pytest.mark.parametrize("step", [np.s_[::2], np.s_[:, ::3], np.s_[1::2, 2:]])
+    # views strided over branches and features, and offset along the tokens;
+    # every stream a forward normalises keeps its token axis unit-stride
+    @pytest.mark.parametrize("step", [np.s_[::2], np.s_[:, ::3], np.s_[1::2, 2:, 5:]])
     def test_strided_view_equals_its_contiguous_copy(self, step):
-        h = 3.0 * np.random.default_rng(2).standard_normal((6, 40, 8)) + 1.0
+        h = 3.0 * np.random.default_rng(2).standard_normal((6, 8, 40)) + 1.0
         view = h[step]
         assert not view.flags.c_contiguous
         assert np.array_equal(_layer_norm(view), _layer_norm(np.ascontiguousarray(view)))
@@ -487,9 +499,9 @@ class TestBatchedForward:
         attend = fiaedit.model._attend
         shifted = []
 
-        def spying(qs, kt, v1, scores, out, shift=False):
+        def spying(qs, k, v1, scores, out, shift=False):
             shifted[-1] += shift
-            attend(qs, kt, v1, scores, out, shift)
+            attend(qs, k, v1, scores, out, shift)
 
         monkeypatch.setattr(fiaedit.model, "_attend", spying)
         # states 0 and 1 run their conditional pass alone, 2 and 3 their
@@ -548,9 +560,9 @@ class TestBatchedForward:
         class CountingWeights(np.ndarray):
             products = 0
 
-            def __rmatmul__(self, other):
+            def __matmul__(self, other):
                 CountingWeights.products += 1
-                return other @ np.asarray(self)
+                return np.asarray(self) @ other
 
         model = VelocityModel(ModelConfig(channels=4))
         model._self_qkv = [w.view(CountingWeights) for w in model._self_qkv]
@@ -603,10 +615,98 @@ class TestBatchedForward:
             weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
             weights /= weights.sum(axis=-1, keepdims=True)
             ref = (weights @ v).transpose(1, 0, 2).reshape(10, d) @ W[f"b{b}.cross.wo"]
-            assert np.abs(ref - tiny_model._null_cross[b]).max() <= 1e-12
+            assert np.abs(ref - tiny_model._null_cross[b].T).max() <= 1e-12
 
     def test_unconditional_branch_matches_a_null_token_prompt(self, tiny_model):
         null_prompt = PromptEmbedding(tokens=(0,), matrix=tiny_model.weights["null_token"])
         x = latent(5)
         ((v_cond, v_uncond, _),) = tiny_model._forward([(x, null_prompt, 2.5, HookPlan())], 0.5)
         assert np.abs(v_cond - v_uncond).max() <= 1e-12 * np.abs(v_uncond).max()
+
+
+def reference_forward(model, x, prompt, sigma, plan):
+    """One state's passes, token-major, by einsum and a max-shifted softmax.
+
+    Written apart from the model's own forward: the residual stream is
+    (tokens, d_model), every product is an einsum, and attention is an
+    explicit softmax over the keys.  The plan's hooks act on the
+    conditional pass.  Returns ``(v_cond, v_uncond, packets)`` with each
+    packet's Q, K and V, (heads, tokens, d_head).
+    """
+    cfg, W = model.cfg, model.weights
+    d, heads = cfg.d_model, cfg.n_heads
+    c, rows, cols = x.shape
+
+    def layer_norm(z):
+        centered = z - z.mean(axis=-1, keepdims=True)
+        return centered / np.sqrt(np.square(centered).mean(axis=-1, keepdims=True) + 1e-6)
+
+    def project(z, name):  # (tokens, d) -> (heads, tokens, d_head)
+        out = np.einsum("td,de->te", z, W[name])
+        return out.reshape(len(z), heads, d // heads).transpose(1, 0, 2)
+
+    def attention(q, k, v, wo):
+        scores = np.einsum("hqe,hke->hqk", q, k) / np.sqrt(d // heads)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        merged = np.einsum("hqk,hke->qhe", weights, v).reshape(-1, d)
+        return np.einsum("td,de->te", merged, W[wo])
+
+    def run(conditional, packets):
+        h = np.einsum("ct,cd->td", x.reshape(c, -1), W["w_in"])
+        h = h + position_features(rows, cols, d) + time_embedding(sigma, d)
+        text = prompt.matrix if conditional else W["null_token"]
+        for b in range(cfg.n_blocks):
+            for kind in AttnKind:
+                site, kv = (b, kind), (text if kind is AttnKind.CROSS else None)
+                if not cfg.contains(site):
+                    continue
+                hn = layer_norm(h)
+                name = f"b{b}.{kind.value}"
+                q = project(hn, f"{name}.wq")
+                k, v = (project(hn if kv is None else kv, f"{name}.{w}") for w in ("wk", "wv"))
+                action = plan.overrides.get(site) if conditional else None
+                if isinstance(action, ReplaceQK):
+                    q, k = action.q, action.k
+                elif isinstance(action, ReplaceQKVE):
+                    q, k, v = action.packet.q, action.packet.k, action.packet.v
+                if conditional and site in plan.capture:
+                    packets[site] = (q, k, v)
+                h = h + attention(q, k, v, f"{name}.wo")
+            g = np.einsum("td,de->te", layer_norm(h), W[f"b{b}.mlp.w1"])
+            h = h + np.einsum("td,de->te", g / (1.0 + np.exp(-1.702 * g)), W[f"b{b}.mlp.w2"])
+        out = np.einsum("td,dc->ct", layer_norm(h), W["w_out"])
+        return out.reshape(c, rows, cols)
+
+    packets = {}
+    return run(True, packets), run(False, {}), packets
+
+
+class TestReferenceForward:
+    def test_a_hooked_guided_state_matches_the_token_major_reference(
+        self, tiny_model, prompt_pair
+    ):
+        # a guided state on a 6x5 grid that captures a self and a cross site
+        # and overrides one of each, with Q/K and a donor packet of its own
+        p, p_donor = prompt_pair
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((4, 6, 5))
+        heads, d_head, n, m = 2, 4, 30, len(p_donor.tokens)
+        self_site, cross_site = (1, AttnKind.SELF), (5, AttnKind.CROSS)
+        q, k, v = (rng.standard_normal((heads, t, d_head)) for t in (n, m, m))
+        donor = AttentionPacket(q, k, v, p_donor)
+        qk = ReplaceQK(*rng.standard_normal((2, heads, n, d_head)))
+        capture = frozenset({(0, AttnKind.SELF), self_site, (3, AttnKind.CROSS), cross_site})
+        plan = HookPlan(capture=capture, overrides={self_site: qk, cross_site: ReplaceQKVE(donor)})
+        ((v_cond, v_uncond, packets),) = tiny_model._forward([(x, p, 2.5, plan)], 0.37)
+        ref_cond, ref_uncond, ref_packets = reference_forward(tiny_model, x, p, 0.37, plan)
+        for got, ref in ((v_cond, ref_cond), (v_uncond, ref_uncond)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert packets.keys() == ref_packets.keys() == capture
+        for site, pkt in packets.items():
+            for got, ref in zip((pkt.q, pkt.k, pkt.v), ref_packets[site]):
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert packets[(3, AttnKind.CROSS)].text_embedding is p
+        assert packets[cross_site].text_embedding is p_donor
