@@ -14,17 +14,16 @@ every target's constrained pass, a ``Fork`` of its probe's conditional
 pass.  An override at a site reads only the source and probe packets
 captured at that site, so the fork's rule builds it there, inside the
 call; until its first applied override the fork copies its probe's
-attention cores.  Every override comes from one path: a
-:func:`build_target_overrides` call per site and group of targets that
-share it, a group of one holding its probe's packet, a larger group at a
-self site its probes' Q/K stacked on the head axis.  The constrained
-pass reuses its probe's unconditional pass, so a guided one-target step
-is one call of 5 branches, against 4 with the constraints off.  A
-state's two passes share the prefix up to block 0's self-attention, so
-it runs once for the source and once per target, while everything from
-block 0's output projection on runs once per branch.  Sites are read
-from the model's ``ModelConfig``, and packets travel as ``{site:
-packet}`` tables, the form ``VelocityModel.velocity`` returns.
+attention cores.  Every override comes from one path: the fork's own
+:func:`build_target_overrides` call at that site, from the source
+packet and its probe's.  The constrained pass reuses its probe's
+unconditional pass, so a guided one-target step is one call of 5
+branches, against 4 with the constraints off.  A state's two passes
+share the prefix up to block 0's self-attention, so it runs once for
+the source and once per target, while everything from block 0's output
+projection on runs once per branch.  Sites are read from the model's
+``ModelConfig``, and packets travel as ``{site: packet}`` tables, the
+form ``VelocityModel.velocity`` returns.
 """
 
 from __future__ import annotations
@@ -179,11 +178,9 @@ def _fused(
 ) -> ReplaceQK:
     """The fused Q/K override at one self site.
 
-    The packets may hold several targets' heads, stacked along the head
-    axis.  In ``FREQ`` mode the source's and then the target's Q and K are
+    In ``FREQ`` mode the source's and then the target's Q and K are
     reshaped to channel grids, one per head and feature, for one
-    :func:`fri_fuse` call; fusion acts on each channel alone, so a stack
-    fuses as its targets do one by one.
+    :func:`fri_fuse` call.
     """
     if cfg.fri_mode is FriMode.ADD:
         return ReplaceQK(q=0.5 * (src.q + tar.q), k=0.5 * (src.k + tar.k))
@@ -248,19 +245,12 @@ def _step_states(
     """One step's model states, and the table of targets whose overrides failed.
 
     The source state comes first, then each target's probe, then a fork of
-    each probe whose conditional pass captures.  At each site, the first
-    fork's rule asked builds the override there of every target that plans
-    it, from the source and probe packets just captured, and the other
-    rules read theirs.  A target whose override would be an exact no-op
-    gets none.  The others are grouped so that one
-    :func:`build_target_overrides` call per group gives all their
-    overrides: at a cross site each injects the source packet, and at a
-    self site targets with the same fusion settings have their probes' Q/K
-    stacked along the head axis, against the source's repeated; a group of
-    one passes its probe's packet as it is.  A group whose call fails is
-    built again target by target, so a failure stays with its own target:
-    the table holds it under the target's index, and that target gets no
-    more overrides.
+    each probe whose conditional pass captures.  At each site, target
+    ``j``'s fork rule builds its own override with one
+    :func:`build_target_overrides` call, from the source packet and its
+    probe's packet just captured there; that call drops exact no-ops.  A
+    failed call is recorded in the table under ``j``, and that target gets
+    no more overrides, so a failure stays with its own target.
     """
     mu = guidance.mu_tar
     captures = [
@@ -270,55 +260,17 @@ def _step_states(
     union = HookPlan(capture=frozenset().union(*(plan.capture for plan in captures)))
     errors: dict[int, Exception] = {}
 
-    def stack(pkts: list[AttentionPacket]) -> AttentionPacket:
-        # a self site's override reads no V
-        q, k = np.concatenate([p.q for p in pkts]), np.concatenate([p.k for p in pkts])
-        return AttentionPacket(q, k, pkts[0].v)
-
-    def build(
-        site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]
-    ) -> dict[int, ReplaceQK | ReplaceQKVE | None]:
-        src, is_self = packets[0][site], site[1] is AttnKind.SELF
-        groups: dict[object, list[int]] = {}
-        for j, (cfg, plan) in enumerate(zip(cfgs, captures)):
-            if site in plan.capture and j not in errors:
-                if not _noop(cfg, site, src, packets[j + 1][site]):
-                    key = (cfg.fri_mode, cfg.filter_sigma, cfg.fusion) if is_self else None
-                    groups.setdefault(key, []).append(j)
-        work, actions = list(groups.values()), {}
-        while work:
-            js = work.pop()
-            tars = [packets[j + 1][site] for j in js]
-            stacked = is_self and len(js) > 1
-            s, tar = (stack([src] * len(js)), stack(tars)) if stacked else (src, tars[0])
-            try:
-                action = build_target_overrides(
-                    cfgs[js[0]], step_index, total_steps, {site: s}, {site: tar},
-                    x_src_t.shape[-2:], model.cfg,
-                ).overrides.get(site)
-            except Exception as exc:
-                if len(js) > 1:
-                    work += [[j] for j in js]
-                else:
-                    errors[js[0]] = exc
-                continue
-            if stacked:
-                n = src.q.shape[0]
-                for i, j in enumerate(js):
-                    cut = slice(i * n, (i + 1) * n)
-                    actions[j] = ReplaceQK(q=action.q[cut], k=action.k[cut])
-            else:
-                actions.update(dict.fromkeys(js, action))
-        return actions
-
-    last: tuple = (None, None, {})  # the site and call packets of the last build, and its overrides
-
     def rule(j: int) -> ForkRule:
         def override(site: Site, packets: Sequence[Mapping[Site, AttentionPacket]]):
-            nonlocal last
-            if site != last[0] or packets is not last[1]:
-                last = (site, packets, build(site, packets))
-            return last[2].get(j)
+            if j not in errors:
+                try:
+                    return build_target_overrides(
+                        cfgs[j], step_index, total_steps, {site: packets[0][site]},
+                        {site: packets[j + 1][site]}, x_src_t.shape[-2:], model.cfg,
+                    ).overrides.get(site)
+                except Exception as exc:
+                    errors[j] = exc
+            return None
 
         return override
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import fiaedit.fia
 from fiaedit.engine import EditRequest, check_budget, run_edit, run_edits
 from fiaedit.errors import ConfigError, EditRunError, NumericFailure
 from fiaedit.fia import FiaConfig, FriMode, constrained_velocity_pair
@@ -243,7 +244,7 @@ class TestLockstep:
         ],
     )
     def test_one_request_failing_at_step_k_spares_the_others(
-        self, tiny_model, source_latent, prompt_pair, fusion, bad_step
+        self, tiny_model, source_latent, prompt_pair, monkeypatch, fusion, bad_step
     ):
         p_src, p_tar = prompt_pair
         poisoned = embed_prompt("a prompt that poisons its branch", 8, seed=1)
@@ -269,10 +270,25 @@ class TestLockstep:
             base_request(source_latent, p_src, p_tar, steps=6, record_velocities=True,
                          fia=FiaConfig(fri_mode=FriMode.ADD), noise_mode=NoiseMode.FRESH_GAUSSIAN),
         ]
+        build, builds = fiaedit.fia.build_target_overrides, []
+
+        def spying_build(cfg, step, *args):
+            builds.append([cfg, step, True])  # raised, until it returns
+            plan = build(cfg, step, *args)
+            builds[-1][2] = False
+            return plan
+
+        monkeypatch.setattr(fiaedit.fia, "build_target_overrides", spying_build)
         results = run_edits(model, reqs)
         assert isinstance(results[1], EditRunError)
         assert str(results[1]).startswith(f"edit aborted at step {bad_step}:")
         assert isinstance(results[1].__cause__, NumericFailure)
+        # only FREQ fusion fails a build, and then that target builds no more that step
+        failed = [i for i, (_, _, raised) in enumerate(builds) if raised]
+        assert [builds[i][0] is reqs[1].fia for i in failed] == [True] * (fusion is FriMode.FREQ)
+        for i in failed:
+            cfg, step, _ = builds[i]
+            assert not any(c is cfg and s == step for c, s, _ in builds[i + 1 :])
         for req, got in zip(reqs[::2], results[::2]):
             solo = run_edit(model, req)
             assert np.array_equal(got.final_latent, solo.final_latent)

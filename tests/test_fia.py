@@ -471,12 +471,12 @@ class TestConstrainedPair:
         assert off == 2 + 3 * 4
         assert on == off
 
-    def test_targets_fusing_alike_share_one_fusion_per_site(
+    def test_targets_in_one_call_keep_their_solo_bits(
         self, tiny_model, prompt_pair, monkeypatch
     ):
-        # two FREQ targets fuse together at every self site, a zero edit
-        # among them fuses nowhere, and an ADD target averages on its own;
-        # each keeps the bits it has alone
+        # two FREQ targets fuse at every self site, a zero edit among them
+        # fuses nowhere, and an ADD target averages; each builds its own
+        # overrides and keeps the bits it has alone
         fuse, calls = fiaedit.fia.fri_fuse, []
         build, builds = fiaedit.fia.build_target_overrides, []
 
@@ -485,7 +485,8 @@ class TestConstrainedPair:
             return fuse(*args)
 
         def counting_build(*args):
-            builds.append(next(iter(args[3])))
+            (site,) = args[3]  # each call is for one site
+            builds.append(site)
             return build(*args)
 
         p_src, p_tar = prompt_pair
@@ -507,14 +508,13 @@ class TestConstrainedPair:
             tiny_model, x_src, [x for x, _, _ in targets], p_src, [p for _, p, _ in targets],
             0.5, 0, 10, guidance, [cfg for _, _, cfg in targets],
         )
-        # Q and K of two targets, heads times d_head channels each
-        assert calls == [2 * 2 * tiny_model.cfg.d_model] * tiny_model.cfg.n_blocks_dual
-        # however many forks ask, each site builds once per group: the FREQ
-        # pair and the ADD target at a self site, and at an injected cross
-        # site the two injecting targets together
-        expected = {(b, AttnKind.SELF): 2 for b in range(tiny_model.cfg.n_blocks_dual)}
-        expected.update({(b, AttnKind.CROSS): 1 for b in (4, 5)})
-        assert Counter(builds) == expected and len(builds) == 10
+        # each FREQ target fuses its own Q and K, heads times d_head channels each
+        assert calls == [2 * tiny_model.cfg.d_model] * (2 * tiny_model.cfg.n_blocks_dual)
+        # one call per target and site: every target at a self site, and at
+        # an injected cross site the three whose injection window is open
+        expected = {(b, AttnKind.SELF): 4 for b in range(tiny_model.cfg.n_blocks_dual)}
+        expected.update({(b, AttnKind.CROSS): 3 for b in (4, 5)})
+        assert Counter(builds) == expected and len(builds) == 22
         for got, ref in zip(together, alone, strict=True):
             assert np.array_equal(got, ref)
 
