@@ -78,7 +78,7 @@ def check_budget(
     """Refuse a run of ``n_requests`` in lockstep whose peak memory is out of bounds.
 
     A step's widest call holds a guided source pair, and per request a
-    guided probe pair and its constrained fork; ``prompt_tokens`` are the
+    guided probe pair and its constrained pass; ``prompt_tokens`` are the
     token counts of the run's distinct prompts.  Call it before building
     the model and embedding the prompts: the weights count, and so does a
     long prompt.

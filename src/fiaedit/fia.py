@@ -9,15 +9,15 @@ Two mechanisms feed a hook plan for the constrained target pass:
 
 Target features come from an unconstrained probe of the target state.
 One step serves one source and any number of targets (the cells of a
-grid), in one model call: the source state, every target's probe, and
-every target's constrained pass, a ``Fork`` of its probe's conditional
-pass.  An override at a site reads only the source and probe packets
-captured at that site, so the fork's rule builds it there, inside the
-call; until its first applied override the fork copies its probe's
-attention cores.  Every override comes from one path: the fork's own
-:func:`build_target_overrides` call at that site, from the source
-packet and its probe's.  The constrained pass reuses its probe's
-unconditional pass, so a guided one-target step is one call of 5
+grid), in one model call of one state each.  A target's plan carries a
+fork rule whenever it captures, so the model runs the target's probe and
+its constrained pass side by side.  An override at a site reads only the
+source and probe packets captured at that site, so the rule builds it
+there, inside the call; until its first applied override the constrained
+pass copies its probe's attention cores.  Every override comes from one
+path: the rule's own :func:`build_target_overrides` call at that site,
+from the source packet and its probe's.  The constrained pass reuses its
+probe's unconditional pass, so a guided one-target step is one call of 5
 branches, against 4 with the constraints off.  A state's two passes
 share the prefix up to block 0's self-attention, so it runs once for
 the source and once per target, while everything from block 0's output
@@ -41,7 +41,6 @@ from .model import (
     AttentionPacket,
     EMPTY_PLAN,
     AttnKind,
-    Fork,
     ForkRule,
     GuidanceConfig,
     HookPlan,
@@ -244,9 +243,9 @@ def _step_states(
 ) -> tuple[list[State], dict[int, Exception]]:
     """One step's model states, and the table of targets whose overrides failed.
 
-    The source state comes first, then each target's probe, then a fork of
-    each probe whose conditional pass captures.  At each site, target
-    ``j``'s fork rule builds its own override with one
+    The source state comes first, then one state per target.  A target
+    whose plan captures gets that plan with a fork rule: at each captured
+    site, target ``j``'s rule builds its own override with one
     :func:`build_target_overrides` call, from the source packet and its
     probe's packet just captured there; that call drops exact no-ops.  A
     failed call is recorded in the table under ``j``, and that target gets
@@ -275,11 +274,9 @@ def _step_states(
         return override
 
     states: list[State] = [(x_src_t, p_src, guidance.mu_src, union)]
-    states += [(x, p, mu, plan) for x, p, plan in zip(x_tar_ts, p_tars, captures)]
     states += [
-        (x_tar_ts[j], p_tars[j], 1.0, Fork(j + 1, plan.capture, rule(j)))
-        for j, plan in enumerate(captures)
-        if plan.capture
+        (x, p, mu, HookPlan(capture=plan.capture, fork=rule(j)) if plan.capture else plan)
+        for j, (x, p, plan) in enumerate(zip(x_tar_ts, p_tars, captures))
     ]
     return states, errors
 
@@ -300,16 +297,17 @@ def constrained_velocities(
 
     Target ``j`` has its own state, prompt and constraint; the source is
     shared.  One model call runs the source state, whose conditional pass
-    captures the union of the targets' capture sets; every target's
-    unconstrained probe, whose conditional pass captures its own set; and
-    every target's constrained pass, a ``Fork`` of its probe's conditional
-    pass.  At each of the target's capture sites the fork's rule builds
-    that site's override from the source and probe packets just captured
-    there, and the fork runs its own cores from its first applied
-    override on; a target whose overrides are all exact no-ops never
-    forks.  The probe's unconditional pass has the same inputs as the
-    constrained one's and takes no hooks, so it serves both.  A pass whose
-    guidance weight keeps it out of the result is not run, unless it
+    captures the union of the targets' capture sets, and one state per
+    target, whose plan captures its own set under a fork rule: the model
+    runs the target's unconstrained probe and beside it the constrained
+    pass, whose velocity the state returns.  At each capture site the rule
+    builds that site's override from the source and probe packets just
+    captured there, and the constrained pass runs its own cores from its
+    first applied override on; a target whose overrides are all exact
+    no-ops never forks.  The probe's unconditional pass has the same
+    inputs as the constrained one's and takes no hooks, so it serves both,
+    and each state's two velocities are guided as they come back.  A pass
+    whose guidance weight keeps it out of the result is not run, unless it
     captures; with ``mu_tar`` of 0 nothing is captured and nothing forks.
 
     Every constraint must fit the model and the schedule (the engine checks
@@ -321,13 +319,9 @@ def constrained_velocities(
         model, x_src_t, x_tar_ts, p_src, p_tars, step_index, total_steps, guidance, cfgs
     )
     (v_src_cond, v_src_uncond, _), *out = model._forward(states, sigma_t)
-    n = len(cfgs)
-    v_conds = [v_cond for v_cond, _, _ in out[:n]]
-    for (_, _, _, fork), (v_cond, _, _) in zip(states[n + 1 :], out[n:]):
-        v_conds[fork.donor - 1] = v_cond
     return guide(v_src_cond, v_src_uncond, guidance.mu_src), [
         errors[j] if j in errors else guide(v_cond, v_uncond, guidance.mu_tar)
-        for j, (v_cond, (_, v_uncond, _)) in enumerate(zip(v_conds, out))
+        for j, (v_cond, v_uncond, _) in enumerate(out)
     ]
 
 

@@ -52,13 +52,14 @@ captured, and the sites whose inputs are replaced before attention runs.
 returns the captured packets keyed by site.  Captured packets always record
 what the attention actually consumed.
 
-A state hooked by a ``Fork`` is a conditional pass that forks from another
-state's inside the call.  It runs on that state's row and copies its
-attention cores until its rule, asked at each of its sites with the
-packets every state has just captured there, first returns an override;
-from that site on its cores are its own.  So an override built from
-another pass's features at the same site needs no second call, and a fork
-that never forks costs only its token-wise row.
+A plan with a fork rule splits its state's conditional pass in two inside
+the call.  The probe runs as the plan says and captures; the constrained
+pass runs on the same row and copies the probe's attention cores until the
+rule, asked at each captured site with the packets every state has just
+captured there, first returns an override; from that site on its cores
+are its own.  So an override built from another pass's features at the
+same site needs no second call, and a rule that never overrides costs
+only its token-wise row.
 """
 
 from __future__ import annotations
@@ -181,15 +182,7 @@ class ReplaceQKVE:
     packet: AttentionPacket
 
 
-@dataclass(frozen=True)
-class HookPlan:
-    capture: frozenset[Site] = frozenset()
-    overrides: Mapping[Site, ReplaceQK | ReplaceQKVE] = field(default_factory=dict)
-
-
-EMPTY_PLAN = HookPlan()
-
-# a fork's rule: its override at a site, from every state's packets captured
+# a fork rule: its override at a site, from every state's packets captured
 # so far in the call, or None for no override there
 ForkRule = Callable[
     [Site, Sequence[Mapping[Site, AttentionPacket]]], ReplaceQK | ReplaceQKVE | None
@@ -197,23 +190,25 @@ ForkRule = Callable[
 
 
 @dataclass(frozen=True)
-class Fork:
-    """Hooks of a conditional pass that forks from another state's.
+class HookPlan:
+    """Hooks of a state's conditional pass: the sites it captures, and overrides.
 
-    Until ``rule`` first returns an override, the pass is a twin of state
-    ``donor``'s conditional pass: it runs on that state's latent and
-    prompt and copies its attention cores.  From that site on it runs its
-    own.  ``rule`` is asked at each of ``sites`` once every state has
-    captured there.
+    With a ``fork`` rule, a guided state whose plan captures also runs a
+    constrained pass: this pass, its probe, plus the override the rule
+    returns at each ``capture`` site (see the module docstring).  The
+    state's conditional velocity is the constrained pass's, and its
+    packets are the probe's.
     """
 
-    donor: int
-    sites: frozenset[Site]
-    rule: ForkRule
+    capture: frozenset[Site] = frozenset()
+    overrides: Mapping[Site, ReplaceQK | ReplaceQKVE] = field(default_factory=dict)
+    fork: ForkRule | None = None
 
+
+EMPTY_PLAN = HookPlan()
 
 # a model state: (latent, prompt, guidance scale, hooks of its conditional pass)
-State = tuple[np.ndarray, PromptEmbedding, float, HookPlan | Fork]
+State = tuple[np.ndarray, PromptEmbedding, float, HookPlan]
 
 
 def guide(v_cond: np.ndarray | None, v_uncond: np.ndarray | None, mu: float) -> np.ndarray:
@@ -551,19 +546,19 @@ class VelocityModel:
     ) -> list[tuple[np.ndarray | None, np.ndarray | None, dict[Site, AttentionPacket]]]:
         """Each state's ``(v_cond, v_uncond, packets)`` at one noise level.
 
-        A state is ``(latent, prompt, mu, hooks)`` with a (C, H, W) latent.
-        Under a ``HookPlan``, its conditional pass attends to ``prompt``
-        under the plan and runs unless ``mu`` is 0 and the plan captures
-        nothing, and its unconditional pass runs unless ``mu`` is 1.  Under
-        a ``Fork``, which must follow every ``HookPlan`` state, only its
-        conditional pass runs, forked from its donor's, which must run.  A
-        pass that did not run gives None, and ``packets`` are the
-        conditional pass's captures by site.  The batch holds the
-        conditional passes first, then the forks; only the attention core
-        loops over its branches, and the batch-wide steps act element by
-        element, so a state's result does not depend on its batch.  A hook
-        at a site the model lacks raises ``TopologyError``, and whatever a
-        fork's rule raises propagates.
+        A state is ``(latent, prompt, mu, plan)`` with a (C, H, W) latent.
+        Its conditional pass attends to ``prompt`` under the plan and runs
+        unless ``mu`` is 0 and the plan captures nothing, and its
+        unconditional pass runs unless ``mu`` is 1.  If ``mu`` is not 0 and
+        the plan has a fork rule and captures, a constrained pass runs too
+        (see ``HookPlan``) and gives ``v_cond``.  A pass that did not run
+        gives None, and ``packets`` are the conditional pass's captures by
+        site.  The batch holds the conditional passes first, then the
+        constrained ones; only the
+        attention core loops over its branches, and the batch-wide steps
+        act element by element, so a state's result does not depend on its
+        batch.  A hook at a site the model lacks raises ``TopologyError``,
+        and whatever a fork rule raises propagates.
         """
         cfg = self.cfg
         W = self.weights
@@ -575,34 +570,26 @@ class VelocityModel:
                 f"latents must be ({cfg.channels}, H, W) each, got {[x.shape for x in xs]}"
             )
         # the pass rule; branch i runs on state rows[i]: conditional passes,
-        # forks on their donors' rows, then unconditional passes
+        # constrained passes, then unconditional passes
         cond, forks, uncond = [], [], []
-        for s, (_, p, mu, hooks) in enumerate(states):
+        for s, (_, p, mu, plan) in enumerate(states):
             if p.d_model != cfg.d_model:
                 raise ShapeMismatchError(
                     f"prompt width {p.d_model} != model width {cfg.d_model}"
                 )
-            if isinstance(hooks, Fork):
+            if mu != 0.0 or plan.capture:
+                cond.append(s)
+            if mu != 0.0 and plan.fork is not None and plan.capture:
                 forks.append(s)
-                used: tuple[Iterable[Site], ...] = (hooks.sites,)
-            else:
-                if mu != 0.0 or hooks.capture:
-                    cond.append(s)
-                if mu != 1.0:
-                    uncond.append(s)
-                used = (hooks.capture, hooks.overrides.keys())
-            for sites in used:
+            if mu != 1.0:
+                uncond.append(s)
+            for sites in (plan.capture, plan.overrides.keys()):
                 if not sites <= self._sites:
                     site = min(sites - self._sites, key=str)
                     raise TopologyError(f"hook site {site} not in the model")
-        fork_hooks = [states[s][3] for s in forks]
-        donors = [fork.donor for fork in fork_hooks]
-        n_plain = len(states) - len(forks)
-        if forks != list(range(n_plain, len(states))) or not set(donors) <= set(cond):
-            raise ValueError("forks must follow the other states and fork from a conditional pass")
-        rows = cond + donors + uncond
-        hooks = [states[s][3] for s in cond]
-        donor_branch = [cond.index(d) for d in donors]
+        rows = cond + forks + uncond
+        plans = [states[s][3] for s in cond + forks]
+        probe = [cond.index(s) for s in forks]
         forked = [False] * len(forks)
         n_b, n_cond, n_att = len(rows), len(cond), len(cond) + len(forks)
         prompts = [states[s][1] for s in rows[:n_att]]
@@ -615,7 +602,7 @@ class VelocityModel:
             pos.setflags(write=False)
             self._position_cache[(h_grid, w_grid)] = pos
         # the residual stream, (rows, d_model, tokens)
-        h = W["w_in"].T @ np.stack(xs[:n_plain]).reshape(n_plain, c, n_tok)
+        h = W["w_in"].T @ np.stack(xs).reshape(len(xs), c, n_tok)
         h += pos
         h += time_embedding(sigma_t, cfg.d_model)[:, None]
 
@@ -631,20 +618,20 @@ class VelocityModel:
 
             None means its own operands, unchanged.
             """
+            plan = plans[i]
+            action, capture = plan.overrides.get(site), site in plan.capture
             if i < n_cond:
-                plan = hooks[i]
-                action, capture = plan.overrides.get(site), site in plan.capture
                 if action is None and not capture:
                     return None
                 table = packets[cond[i]] if capture else None
                 return _hook_site(action, site, q, k, v1, text, table)
             f = i - n_cond
-            fork = fork_hooks[f]
-            action = fork.rule(site, packets) if site in fork.sites else None
-            if action is None:
-                return None if forked[f] else donor_branch[f]
+            ruled = plan.fork(site, packets) if capture else None
+            if ruled is None and not forked[f]:
+                return probe[f]
             forked[f] = True
-            return _hook_site(action, site, q, k, v1, text, None)
+            action = action if ruled is None else ruled
+            return None if action is None else _hook_site(action, site, q, k, v1, text, None)
 
         scores = np.empty((heads, n_tok, n_tok))
         # the cores' [numerator | row sum], and the attention outputs, heads merged
@@ -701,10 +688,10 @@ class VelocityModel:
     ) -> tuple[np.ndarray, dict[Site, AttentionPacket]]:
         """Guided velocity at state ``x`` and the packets captured by site.
 
-        Hooks act on the conditional pass.  Both passes run as one model
-        call and are blended by :func:`guide`; with ``mu`` of exactly 1 or 0
-        only the pass that enters the result runs (the conditional one also
-        runs whenever the hooks capture).
+        Hooks act on the conditional pass, as ``HookPlan`` says.  Both
+        passes run as one model call and are blended by :func:`guide`; with
+        ``mu`` of exactly 1 or 0 only the pass that enters the result runs
+        (the conditional one also runs whenever the hooks capture).
         """
         if not np.isfinite(mu):
             raise ValueError("guidance scale must be finite")

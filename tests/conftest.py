@@ -9,9 +9,16 @@ from fiaedit.model import ModelConfig, VelocityModel, _append_ones, _attend_site
 from fiaedit.prompts import embed_prompt
 
 
-def branches(out) -> int:
-    """Branches of a forward: the passes that ran in its per-state results."""
-    return sum((v_cond is not None) + (v_uncond is not None) for v_cond, v_uncond, _ in out)
+def branches(states, out) -> int:
+    """Branches of a forward of ``states``: the passes that ran in its per-state results.
+
+    A guided state whose plan has a fork rule and captures returns its
+    constrained pass as ``v_cond``; its probe ran too and counts one more.
+    """
+    probes = sum(
+        mu != 0.0 and plan.fork is not None and bool(plan.capture) for _, _, mu, plan in states
+    )
+    return probes + sum((v_cond is not None) + (v_uncond is not None) for v_cond, v_uncond, _ in out)
 
 
 def report_entries(text: str) -> dict[str, str]:

@@ -218,7 +218,7 @@ class TestLockstep:
 
         def counting(model, states, sigma_t):
             out = forward(model, states, sigma_t)
-            calls.append(branches(out))
+            calls.append(branches(states, out))
             return out
 
         embeds = []
@@ -244,6 +244,22 @@ class TestLockstep:
         solo = solo_rows(BASE, grid)
         assert solo[1] is None
         assert [report.rows[i].metrics for i in (0, 2)] == [solo[0], solo[2]]
+
+    def test_a_cell_that_fails_mid_run_keeps_its_own_error_row(self):
+        # fusion weights of 1e308 blow up the FREQ cell's fused Q/K at step 0,
+        # while the ADD cell averages and the off cell never fuses
+        base = dataclasses.replace(
+            BASE, fia_lambda1=1e308, fia_lambda2=1e308, fia_fij_enabled=False
+        )
+        grid = parse_grid("fri_mode=off,add,freq")
+        report = run_ablation(base, grid, fixture="blob16")
+        assert [r.status for r in report.rows] == ["ok", "ok", "error"]
+        assert report.rows[2].error.startswith(
+            "EditRunError: edit aborted at step 0: velocity difference is not finite"
+        )
+        solo = solo_rows(base, grid)
+        assert solo[2] is None
+        assert [r.metrics for r in report.rows[:2]] == solo[:2]
 
 
 class TestReportFormat:

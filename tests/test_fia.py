@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fiaedit.fia
 import fiaedit.model
 from fiaedit.engine import EditRequest, run_edit
-from fiaedit.errors import PacketAlignmentError, TopologyError
+from fiaedit.errors import NumericFailure, PacketAlignmentError, TopologyError
 from fiaedit.fia import (
     FiaConfig,
     FriMode,
@@ -24,7 +24,6 @@ from fiaedit.fia import (
 from fiaedit.model import (
     AttentionPacket,
     AttnKind,
-    Fork,
     GuidanceConfig,
     HookPlan,
     ModelConfig,
@@ -101,16 +100,15 @@ class TestPlanCapture:
         assert [plan_capture(cfg, tiny_model.cfg, i, 5).capture for i in range(5)] == (
             [everything] * 2 + [selfs] * 3
         )
-        # the engine's probe captures the per-step set, and its fork asks for
-        # overrides at those sites
+        # the engine's probe captures the per-step set, and its fork rule is
+        # asked for overrides at those sites
         forward = tiny_model._forward
         captured, asked = [], []
 
         def spying(states, sigma_t):
-            hooks = [hooks for _, _, _, hooks in states]
-            plans = [h for h in hooks if isinstance(h, HookPlan)]
+            plans = [plan for _, _, _, plan in states]
             captured.append(frozenset().union(*(plan.capture for plan in plans)))
-            asked.append([h.sites for h in hooks if isinstance(h, Fork)])
+            asked.append([plan.capture for plan in plans if plan.fork is not None])
             return forward(states, sigma_t)
 
         monkeypatch.setattr(tiny_model, "_forward", spying)
@@ -280,6 +278,17 @@ def public_plan(model, x_src, x_tar, p_src, p_tar, mu_src, cfg, step=0, total=10
 
 
 class TestConstrainedPair:
+    def test_a_target_whose_overrides_fail_raises_their_error(self, tiny_model, prompt_pair):
+        # an inf target latent gives the probe non-finite features, which FREQ
+        # fusion refuses at the first self site
+        p_src, p_tar = prompt_pair
+        x_src = np.random.default_rng(2).standard_normal((4, 6, 6))
+        with np.errstate(all="ignore"), pytest.raises(NumericFailure, match="non-finite"):
+            constrained_velocity_pair(
+                tiny_model, x_src, np.full_like(x_src, np.inf), p_src, p_tar, 0.5, 0, 10,
+                GuidanceConfig(), FiaConfig(),
+            )
+
     def test_disabled_equals_plain_target_pass(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair
         rng = np.random.default_rng(0)
@@ -359,7 +368,7 @@ class TestConstrainedPair:
 
         def counting(states, sigma_t):
             out = forward(states, sigma_t)
-            calls.append((branches(out), [plan for _, _, _, plan in states]))
+            calls.append((branches(states, out), [plan for _, _, _, plan in states]))
             return out
 
         monkeypatch.setattr(tiny_model, "_forward", counting)
@@ -371,16 +380,16 @@ class TestConstrainedPair:
         )
         run_edit(tiny_model, req, bypass_fia=bypass)
         assert [n_branches for n_branches, _ in calls] == list(batches) * 3
-        # the constrained pass is a fork in the call of every step that captures
-        forks = [sum(isinstance(hooks, Fork) for hooks in states) for _, states in calls]
+        # the target's plan carries a fork rule in the call of every step that captures
+        forks = [sum(plan.fork is not None for plan in plans) for _, plans in calls]
         assert forks == [1 if batches == (5,) else 0] * len(calls)
 
     @pytest.mark.parametrize(
         "fia, cores",
         [(FiaConfig.disabled(), [2]), (FiaConfig(), [3])],
         # a call's block-0 self cores: one per state, shared by its passes
-        # unless the conditional pass overrides (0, SELF); a fork copies its
-        # donor's until its first override, here at (0, SELF)
+        # unless the conditional pass overrides (0, SELF); a constrained pass
+        # copies its probe's until its first override, here at (0, SELF)
         ids=["off", "probe-and-fork"],
     )
     def test_block_0_self_cores_per_guided_step(

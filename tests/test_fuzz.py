@@ -330,7 +330,7 @@ def test_peak_bytes_bounds_the_traced_peak_of_a_forward(cfg, grid, words, data):
     # the prompts the conditional passes attend to
     attended = {id(p): p for (_, p, _, _), (v_cond, _, _) in zip(states, out) if v_cond is not None}
     longest = max((len(p.tokens) for p in attended.values()), default=0)
-    bound = peak_bytes(cfg, grid, branches(out), longest, len(attended))
+    bound = peak_bytes(cfg, grid, branches(states, out), longest, len(attended))
     assert traced_peak(model, states) <= bound
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -96,6 +97,12 @@ class TestGuidance:
         vb, _ = tiny_model.velocity(x, p_b, 0.5, 1.0)
         assert not np.array_equal(va, vb)
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_velocity_refuses_a_non_finite_scale(self, tiny_model, prompt_pair, mu):
+        p, _ = prompt_pair
+        with pytest.raises(ValueError, match="guidance scale must be finite"):
+            tiny_model.velocity(latent(3), p, 0.5, mu)
+
     def test_guidance_config_validation(self):
         GuidanceConfig(mu_src=0.0, mu_tar=1.0)
         with pytest.raises(ValueError):
@@ -190,6 +197,19 @@ class TestHooks:
                 hooks=HookPlan(overrides={(0, AttnKind.CROSS): ReplaceQK(np.zeros(1), np.zeros(1))}),
             )
 
+    @pytest.mark.parametrize("site", [(0, AttnKind.SELF), (4, AttnKind.CROSS)])
+    def test_override_of_the_wrong_shape_rejected(self, tiny_model, prompt_pair, site):
+        # a self site's Q/K, or a cross packet's Q, for a grid one row short
+        p, _ = prompt_pair
+        capture = HookPlan(capture=frozenset({site}))
+        pkt = tiny_model.velocity(latent(14, (4, 5, 6)), p, 0.5, 1.0, hooks=capture)[1][site]
+        action = ReplaceQK(pkt.q, pkt.k) if site[1] is AttnKind.SELF else ReplaceQKVE(pkt)
+        hooks = HookPlan(overrides={site: action})
+        with pytest.raises(ShapeMismatchError, match=f"override at {re.escape(str(site))} has shape"):
+            tiny_model.velocity(latent(14), p, 0.5, 1.0, hooks=hooks)
+        with pytest.raises(ShapeMismatchError):
+            tiny_model._forward([(latent(14), p, 2.5, hooks)], 0.5)
+
     def test_batched_forward_rejects_a_packet_at_a_self_site(self, tiny_model, prompt_pair):
         p, _ = prompt_pair
         x = latent(10)
@@ -211,6 +231,99 @@ class TestHooks:
         ):
             with pytest.raises(TopologyError, match=r"hook site \(\d, .* not in the model"):
                 tiny_model._forward([(x, p, 1.0, hooks)], 0.5)
+
+
+class TestForkRule:
+    """A plan's fork rule runs a constrained pass beside its probe, in the same state."""
+
+    capture = frozenset({(0, AttnKind.SELF), (1, AttnKind.SELF), (4, AttnKind.CROSS)})
+
+    @pytest.fixture(autouse=True)
+    def count_branches_per_site(self, monkeypatch):
+        attend_site, self.widths = fiaedit.model._attend_site, []
+
+        def counting(ops, *args):
+            self.widths.append(len(ops))
+            attend_site(ops, *args)
+
+        monkeypatch.setattr(fiaedit.model, "_attend_site", counting)
+
+    def forward(self, model, p, mu, plan):
+        """The state's ``(v_cond, v_uncond, packets)``, and the branches at each site."""
+        self.widths = []
+        ((v_cond, v_uncond, packets),) = model._forward([(latent(12), p, mu, plan)], 0.5)
+        return (v_cond, v_uncond, packets), self.widths
+
+    def source_override(self, model, p, site):
+        """An override at ``site`` from another state's packets."""
+        _, src = model.velocity(latent(13), p, 0.5, 1.0, hooks=HookPlan(capture=frozenset({site})))
+        if site[1] is AttnKind.CROSS:
+            return ReplaceQKVE(src[site])
+        return ReplaceQK(q=src[site].q, k=src[site].k)
+
+    @staticmethod
+    def assert_same(got, want):
+        (v_cond, v_uncond, packets), (w_cond, w_uncond, w_packets) = got, want
+        assert np.array_equal(v_cond, w_cond)
+        assert (v_uncond is None and w_uncond is None) or np.array_equal(v_uncond, w_uncond)
+        assert packets.keys() == w_packets.keys()
+        for site, pkt in packets.items():
+            assert np.array_equal(pkt.q, w_packets[site].q)
+            assert np.array_equal(pkt.k, w_packets[site].k)
+            assert np.array_equal(pkt.v, w_packets[site].v)
+            assert pkt.text_embedding is w_packets[site].text_embedding
+
+    @pytest.mark.parametrize("mu", [1.0, 2.5])
+    @pytest.mark.parametrize("site", [(1, AttnKind.SELF), (4, AttnKind.CROSS)])
+    @pytest.mark.parametrize("static", [False, True], ids=["rule-only", "with-static"])
+    def test_the_rules_override_equals_a_static_one(self, tiny_model, prompt_pair, mu, site, static):
+        p, p_src = prompt_pair
+        ov = self.source_override(tiny_model, p_src, site)
+        # static overrides before and after the rule's site, which the probe
+        # runs, and the constrained pass with it
+        statics = [(0, AttnKind.SELF), (5, AttnKind.CROSS)] if static else []
+        fixed = {at: self.source_override(tiny_model, p_src, at) for at in statics}
+        asked = []
+
+        def rule(at, packets):
+            assert at in packets[0]  # the probe has captured there
+            asked.append(at)
+            return ov if at == site else None
+
+        plan = HookPlan(capture=self.capture, overrides=fixed, fork=rule)
+        (v_cond, v_uncond, packets), widths = self.forward(tiny_model, p, mu, plan)
+        assert sorted(asked, key=str) == sorted(self.capture, key=str)
+        # the constrained pass is the probe's with the rule's override added
+        (w_cond, _, _), _ = self.forward(tiny_model, p, mu, HookPlan(overrides={**fixed, site: ov}))
+        assert np.array_equal(v_cond, w_cond)
+        # the packets and the unconditional pass are the probe's
+        probe, probe_widths = self.forward(
+            tiny_model, p, mu, HookPlan(capture=self.capture, overrides=fixed)
+        )
+        self.assert_same((probe[0], v_uncond, packets), probe)
+        # one more branch at every site, the constrained pass
+        assert widths == [w + 1 for w in probe_widths]
+
+    @pytest.mark.parametrize("mu", [1.0, 2.5])
+    def test_a_rule_that_never_overrides_gives_the_probe(self, tiny_model, prompt_pair, mu):
+        p, _ = prompt_pair
+        asked = []
+        plan = HookPlan(capture=self.capture, fork=lambda at, packets: asked.append(at))
+        got, _ = self.forward(tiny_model, p, mu, plan)
+        assert sorted(asked, key=str) == sorted(self.capture, key=str)
+        want, _ = self.forward(tiny_model, p, mu, HookPlan(capture=self.capture))
+        self.assert_same(got, want)
+
+    def test_no_constrained_pass_without_guidance(self, tiny_model, prompt_pair):
+        p, _ = prompt_pair
+        asked = []
+        plan = HookPlan(capture=self.capture, fork=lambda at, packets: asked.append(at))
+        got, widths = self.forward(tiny_model, p, 0.0, plan)
+        assert asked == []
+        want, want_widths = self.forward(tiny_model, p, 0.0, HookPlan(capture=self.capture))
+        self.assert_same(got, want)
+        assert widths == want_widths
+        assert count_branches([(None, p, 0.0, plan)], [got]) == 2
 
 
 class TestShapes:
@@ -361,7 +474,7 @@ class TestPeakBytes:
                 model, x[0], list(x[1 : 1 + targets]), p_src, [p_tar] * targets,
                 0, 10, GuidanceConfig(), [FiaConfig(fri_mode=fri_mode)] * targets,
             )
-            n = count_branches(model._forward(states, 0.5))
+            n = count_branches(states, model._forward(states, 0.5))
             assert n == 2 + 3 * targets
             assert traced_peak(model, states) <= peak_bytes(cfg, grid, n, 6, 2)
 
@@ -393,7 +506,7 @@ class TestPeakBytes:
         step, _ = _step_states(
             model, x[0], list(x), p_src, [p_tar] * 2, 0, 1, GuidanceConfig(2.5, 3.5), [fia] * 2
         )
-        assert count_branches(model._forward(step, 0.5)) == 8
+        assert count_branches(step, model._forward(step, 0.5)) == 8
         assert traced_peak(model, step) <= peak_bytes(cfg, grid, 8, words, 2)
 
 
