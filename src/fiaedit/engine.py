@@ -3,8 +3,8 @@
 Each step draws the step noise, renoises the source, reconstructs the target
 state from the running edit latent, evaluates the source velocity and the
 constrained target velocities, and moves the edit latent along the velocity
-difference.  A trace records what happened at every step; latent and
-velocity snapshots are opt-in.
+difference.  A trace records what happened at every step; latent
+snapshots are opt-in.
 
 One loop runs a list of requests in lockstep when they share the model,
 schedule, run seed, source latent, source prompt and guidance, as the cells
@@ -47,7 +47,6 @@ class EditRequest:
     seed: int = 0
     noise_mode: NoiseMode = NoiseMode.REUSED_EPSILON
     snapshot_stride: int = 0
-    record_velocities: bool = False
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,6 @@ class StepRecord:
     vdelta_norm: float
     fij_active: bool
     latent: np.ndarray | None = None
-    v_src: np.ndarray | None = None
-    v_tar: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,6 @@ def run_edits(
                     vdelta_norm=vdelta_norm,
                     fij_active=fij_active,
                     latent=x_fe.copy() if snap else None,
-                    v_src=v_src.copy() if req.record_velocities else None,
-                    v_tar=v_tar.copy() if req.record_velocities else None,
                 )
             )
 

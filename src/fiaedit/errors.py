@@ -13,10 +13,6 @@ class TopologyError(FiaEditError, ValueError):
     """A hook or block range refers to a site the model does not have."""
 
 
-class PacketAlignmentError(FiaEditError, ValueError):
-    """Source and target attention packets cannot be paired up."""
-
-
 class ConfigError(FiaEditError, ValueError):
     """A run configuration is malformed or violates the schema."""
 

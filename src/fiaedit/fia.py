@@ -11,19 +11,19 @@ Target features come from an unconstrained probe of the target state.
 One step serves one source and any number of targets (the cells of a
 grid), in one model call of one state each.  A target's plan carries a
 fork rule whenever it captures, so the model runs the target's probe and
-its constrained pass side by side.  An override at a site reads only the
-source and probe packets captured at that site, so the rule builds it
-there, inside the call; until its first applied override the constrained
-pass copies its probe's attention cores.  Every override comes from one
-path: the rule's own :func:`build_target_overrides` call at that site,
-from the source packet and its probe's.  The constrained pass reuses its
-probe's unconditional pass, so a guided one-target step is one call of 5
-branches, against 4 with the constraints off.  A state's two passes
-share the prefix up to block 0's self-attention, so it runs once for
-the source and once per target, while everything from block 0's output
-projection on runs once per branch.  Sites are read from the model's
-``ModelConfig``, and packets travel as ``{site: packet}`` tables, the
-form ``VelocityModel.velocity`` returns.
+its constrained pass side by side.  The step's capture plan alone says
+which sites are overridden: at each captured site the rule builds that
+site's override inside the call, with one :func:`build_target_overrides`
+call on the source and probe packets just captured there.  Until its
+first applied override the constrained pass copies its probe's attention
+cores.  The constrained pass reuses its probe's unconditional pass, so a
+guided one-target step is one call of 5 branches, against 4 with the
+constraints off.  A state's two passes share the prefix up to block 0's
+self-attention, so it runs once for the source and once per target,
+while everything from block 0's output projection on runs once per
+branch.  Sites are read from the model's ``ModelConfig``, and a call's
+packets reach the rule as ``{site: packet}`` tables, the form
+``VelocityModel.velocity`` returns.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import PacketAlignmentError, ShapeMismatchError, TopologyError
+from .errors import ShapeMismatchError, TopologyError
 from .model import (
     AttentionPacket,
     EMPTY_PLAN,
@@ -135,9 +135,10 @@ def plan_capture(
 ) -> HookPlan:
     """Capture plan for the source and probe passes at one step.
 
-    Every site that step's overrides read: the self sites under frequency
-    interaction, and the injected cross sites while the injection window is
-    open.  Built once per step and constraint, and shared by every caller.
+    The one rule for the sites that step overrides, and so reads: the self
+    sites under frequency interaction, and the injected cross sites while
+    the injection window is open.  Built once per step and constraint, and
+    shared by every caller.
     """
     sites: set[Site] = set()
     if cfg.fri_enabled:
@@ -158,14 +159,14 @@ def _equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and (a.size == 0 or a.item(0) == b.item(0)) and np.array_equal(a, b)
 
 
-def _noop(cfg: FiaConfig, site: Site, src: AttentionPacket, tar: AttentionPacket | None) -> bool:
+def _noop(cfg: FiaConfig, site: Site, src: AttentionPacket, tar: AttentionPacket) -> bool:
     """Whether overriding ``site`` would hand the target its own features.
 
     Fusing bit-identical features under weights that sum to 1 is the
     identity, and injecting the Q/K/V the target already computed
     replaces values with themselves.
     """
-    if tar is None or not (_equal(src.q, tar.q) and _equal(src.k, tar.k)):
+    if not (_equal(src.q, tar.q) and _equal(src.k, tar.k)):
         return False
     if site[1] is AttnKind.CROSS:
         return _equal(src.v, tar.v)
@@ -194,40 +195,31 @@ def _fused(
 
 def build_target_overrides(
     cfg: FiaConfig,
-    step_index: int,
-    total_steps: int,
-    src_packets: Mapping[Site, AttentionPacket],
-    tar_packets: Mapping[Site, AttentionPacket],
+    site: Site,
+    src: AttentionPacket,
+    tar: AttentionPacket,
     grid: tuple[int, int],
     topology: ModelConfig,
 ) -> HookPlan:
-    """Turn captured source/target packets into the constrained pass's plan.
+    """The constrained pass's override at one site, from the packets captured there.
 
-    ``topology`` is the model's config.  The plan overrides those of the
-    sites :func:`plan_capture` captures at this step that either table
-    holds: a self site takes the fused source/target Q/K, and a cross site
-    the source packet.  A constrained pass asks at one site at a time, and
-    full tables give the whole step's plan.  Substitutions that would be
-    exact no-ops are dropped: fusing bit-identical features under weights
+    ``src`` and ``tar`` are the source's and the target probe's packets at
+    ``site``, one of the sites :func:`plan_capture` names; ``topology`` is
+    the model's config.  A self site takes the fused source/target Q/K, and
+    a cross site the source packet.  A substitution that would be an exact
+    no-op gives an empty plan: fusing bit-identical features under weights
     that sum to 1 is the identity, and injecting the Q/K/V the target
     already computed replaces values with themselves.  Skipping them
     changes no bits and keeps fully symmetric runs exactly symmetric.
     """
-    overrides: dict[Site, ReplaceQK | ReplaceQKVE] = {}
-    sites = plan_capture(cfg, topology, step_index, total_steps).capture
-    held = sites.intersection(src_packets.keys() | tar_packets.keys())
-    # block order, so the first faulty site reported does not depend on set order
-    for site in sorted(held, key=lambda s: (s[0], s[1].value)):
-        src, tar = src_packets.get(site), tar_packets.get(site)
-        is_self = site[1] is AttnKind.SELF
-        if src is None or (is_self and tar is None):
-            raise PacketAlignmentError(f"missing packets at {site}")
-        if is_self and (src.q.shape != tar.q.shape or src.k.shape != tar.k.shape):
-            raise ShapeMismatchError(f"packet shapes differ at {site}")
-        # a cross site is injected even when its target packet is missing
-        if not _noop(cfg, site, src, tar):
-            overrides[site] = _fused(cfg, src, tar, grid) if is_self else ReplaceQKVE(packet=src)
-    return HookPlan(overrides=overrides)
+    is_self = site[1] is AttnKind.SELF
+    if is_self and (src.q.shape != tar.q.shape or src.k.shape != tar.k.shape):
+        raise ShapeMismatchError(f"packet shapes differ at {site}")
+    if _noop(cfg, site, src, tar):
+        return EMPTY_PLAN
+    return HookPlan(
+        overrides={site: _fused(cfg, src, tar, grid) if is_self else ReplaceQKVE(packet=src)}
+    )
 
 
 def _step_states(
@@ -244,10 +236,10 @@ def _step_states(
     """One step's model states, and the table of targets whose overrides failed.
 
     The source state comes first, then one state per target.  A target
-    whose plan captures gets that plan with a fork rule: at each captured
-    site, target ``j``'s rule builds its own override with one
-    :func:`build_target_overrides` call, from the source packet and its
-    probe's packet just captured there; that call drops exact no-ops.  A
+    whose plan captures gets that plan with a fork rule: at each site its
+    capture plan names, target ``j``'s rule builds its own override with one
+    :func:`build_target_overrides` call on the two packets just captured
+    there, the source's and its probe's; that call drops exact no-ops.  A
     failed call is recorded in the table under ``j``, and that target gets
     no more overrides, so a failure stays with its own target.
     """
@@ -264,8 +256,8 @@ def _step_states(
             if j not in errors:
                 try:
                     return build_target_overrides(
-                        cfgs[j], step_index, total_steps, {site: packets[0][site]},
-                        {site: packets[j + 1][site]}, x_src_t.shape[-2:], model.cfg,
+                        cfgs[j], site, packets[0][site], packets[j + 1][site],
+                        x_src_t.shape[-2:], model.cfg,
                     ).overrides.get(site)
                 except Exception as exc:
                     errors[j] = exc

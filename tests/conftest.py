@@ -5,7 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fiaedit.model import ModelConfig, VelocityModel, _append_ones, _attend_site, _scaled
+import fiaedit.engine
+from fiaedit.fia import build_target_overrides, plan_capture
+from fiaedit.model import (
+    HookPlan,
+    ModelConfig,
+    VelocityModel,
+    _append_ones,
+    _attend_site,
+    _scaled,
+)
 from fiaedit.prompts import embed_prompt
 
 
@@ -19,6 +28,54 @@ def branches(states, out) -> int:
         mu != 0.0 and plan.fork is not None and bool(plan.capture) for _, _, mu, plan in states
     )
     return probes + sum((v_cond is not None) + (v_uncond is not None) for v_cond, v_uncond, _ in out)
+
+
+def step_plan(cfg, step, total, src, tar, grid, topology) -> HookPlan:
+    """A step's whole override plan from ``{site: packet}`` tables.
+
+    One ``build_target_overrides`` call per site the step's capture plan
+    names, in block order, as a target's fork rule asks them.
+    """
+    overrides = {}
+    sites = plan_capture(cfg, topology, step, total).capture
+    for site in sorted(sites, key=lambda s: (s[0], s[1].value)):
+        plan = build_target_overrides(cfg, site, src[site], tar[site], grid, topology)
+        overrides.update(plan.overrides)
+    return HookPlan(overrides=overrides)
+
+
+def record_velocities(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``'s result and the velocities of each step it ran.
+
+    A step's entry is its source velocity, then the velocity (or failure) of
+    each target still running, in request order: what ``run_edits`` gets
+    from ``constrained_velocities``, or, with ``bypass_fia``, from one
+    ``VelocityModel.velocity`` call each at the step's sigma.  A run's
+    sigmas strictly decrease, so they tell its steps apart.
+    """
+    by_sigma = {}
+    constrained, velocity = fiaedit.engine.constrained_velocities, VelocityModel.velocity
+
+    def keep(sigma_t, vs):
+        by_sigma.setdefault(sigma_t, []).extend(
+            v.copy() if isinstance(v, np.ndarray) else v for v in vs
+        )
+
+    def spy_constrained(model, x_src_t, x_tar_ts, p_src, p_tars, sigma_t, *rest):
+        v_src, v_tars = constrained(model, x_src_t, x_tar_ts, p_src, p_tars, sigma_t, *rest)
+        keep(sigma_t, [v_src, *v_tars])
+        return v_src, v_tars
+
+    def spy_velocity(self, x, p, sigma_t, *rest, **kwargs):
+        v, packets = velocity(self, x, p, sigma_t, *rest, **kwargs)
+        keep(sigma_t, [v])
+        return v, packets
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fiaedit.engine, "constrained_velocities", spy_constrained)
+        mp.setattr(VelocityModel, "velocity", spy_velocity)
+        result = fn(*args, **kwargs)
+    return result, [tuple(vs) for vs in by_sigma.values()]
 
 
 def report_entries(text: str) -> dict[str, str]:

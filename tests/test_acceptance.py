@@ -17,12 +17,7 @@ import pytest
 from fiaedit.codec import decode, encode
 from fiaedit.config import RunConfig
 from fiaedit.engine import EditRequest, run_edit
-from fiaedit.fia import (
-    FiaConfig,
-    build_target_overrides,
-    constrained_velocity_pair,
-    plan_capture,
-)
+from fiaedit.fia import FiaConfig, constrained_velocity_pair, plan_capture
 from fiaedit.fixtures import gradient_image, load_fixture
 from fiaedit.metrics import PSNR_INFINITE, compute_report
 from fiaedit.model import (
@@ -45,7 +40,7 @@ from fiaedit.spectral import FusionWeights, decompose, fft2, fri_fuse, ifft2, ma
 from fiaedit.steering import STEERING_SEEDS, run_steering_trial
 from fiaedit.cli import run_selftest
 
-from conftest import report_entries
+from conftest import record_velocities, report_entries, step_plan
 from oracle_dft import oracle_fri_fuse
 
 
@@ -96,13 +91,14 @@ def test_c02_baseline_equivalence(tiny_model, prompt_pair):
         schedule=make_linear_schedule(10, 0.0),
         guidance=GuidanceConfig(mu_src=1.5, mu_tar=3.0),
         fia=FiaConfig.disabled(), seed=5,
-        noise_mode=NoiseMode.REUSED_EPSILON, record_velocities=True,
+        noise_mode=NoiseMode.REUSED_EPSILON,
     )
-    via_fia = run_edit(tiny_model, req)
-    bypassed = run_edit(tiny_model, req, bypass_fia=True)
-    for a, b in zip(via_fia.records, bypassed.records):
-        assert np.array_equal(a.v_src, b.v_src)
-        assert np.array_equal(a.v_tar, b.v_tar)
+    via_fia, fia_steps = record_velocities(run_edit, tiny_model, req)
+    bypassed, bypass_steps = record_velocities(run_edit, tiny_model, req, bypass_fia=True)
+    assert len(fia_steps) == 10
+    for (a_src, a_tar), (b_src, b_tar) in zip(fia_steps, bypass_steps, strict=True):
+        assert np.array_equal(a_src, b_src)
+        assert np.array_equal(a_tar, b_tar)
     assert np.array_equal(via_fia.final_latent, bypassed.final_latent)
 
 
@@ -165,9 +161,7 @@ def test_c05_fij_exactness(tiny_model, prompt_pair):
         )
         _, src_by = tiny_model.velocity(x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture)
         _, tar_by = tiny_model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
-        plan = build_target_overrides(
-            cfg, i, total, src_by, tar_by, x_src.shape[-2:], tiny_model.cfg
-        )
+        plan = step_plan(cfg, i, total, src_by, tar_by, x_src.shape[-2:], tiny_model.cfg)
         overrides = plan.overrides
         expected, _ = tiny_model.velocity(
             x_tar_t, p_tar, sigma_t, guidance.mu_tar, hooks=HookPlan(overrides=overrides)

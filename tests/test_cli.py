@@ -358,8 +358,18 @@ class TestAblate:
                 EDIT_CONFIG + "fia.fij_block_lo = 0\nfia.fij_block_hi = 9\n",
                 "fij_block_range (0, 9) outside a model of 6 blocks",
             ),
+            (
+                EDIT_CONFIG + "fia.fij_block_lo = 3\nfia.fij_block_hi = 1\n",
+                "bad fij_block_range (3, 1)",
+            ),
+            (
+                EDIT_CONFIG + "fia.fij_step_cutoff = -2\n",
+                "fia.fij_step_cutoff must be >= -1 (-1 means the default), got -2",
+            ),
         ],
-        ids=["no-prompts", "d_model-2", "block-range"],
+        ids=[
+            "no-prompts", "d_model-2", "block-range", "reversed-block-range", "cutoff-minus-2"
+        ],
     )
     def test_fault_shared_by_every_cell_is_exit_1(self, tmp_path, capsys, text, message):
         cfg = write_config(tmp_path, text)

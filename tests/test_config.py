@@ -179,6 +179,9 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fij_step_cutoff 5 exceeds total steps 4"):
             parse_config("schedule.steps = 4\nfia.fij_step_cutoff = 5\n")
         assert parse_config("schedule.steps = 4\nfia.fij_step_cutoff = 4\n").fia_fij_step_cutoff == 4
+        # -1 means the default window; below it is refused
+        with pytest.raises(ConfigError, match="fia.fij_step_cutoff must be >= -1"):
+            parse_config("fia.fij_step_cutoff = -2\n")
         # the cutoff is read only while injection is on
         off = parse_config("schedule.steps = 4\nfia.fij_step_cutoff = 5\nfia.fij_enabled = false\n")
         assert off.fia_fij_step_cutoff == 5
@@ -200,6 +203,8 @@ class TestValidation:
     def test_half_specified_block_range_rejected(self):
         with pytest.raises(ConfigError, match="fij_block_lo"):
             parse_config("fia.fij_block_lo = 2\n")
+        with pytest.raises(ConfigError, match=r"bad fij_block_range \(3, 1\)"):
+            parse_config("fia.fij_block_lo = 3\nfia.fij_block_hi = 1\n")
 
     def test_block_range_resolves(self):
         cfg = parse_config("fia.fij_block_lo = 1\nfia.fij_block_hi = 3\n")

@@ -13,7 +13,7 @@ from fiaedit.model import MAX_PEAK_BYTES, GuidanceConfig, ModelConfig, VelocityM
 from fiaedit.prompts import embed_prompt
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 
-from conftest import dyadic
+from conftest import dyadic, record_velocities
 
 
 class ConstantVelocityModel(VelocityModel):
@@ -45,6 +45,25 @@ def base_request(x, p_src, p_tar, steps=10, mu=(1.5, 3.0), fia=None, **kw):
         seed=7,
         **kw,
     )
+
+
+def assert_solo_bits(model, reqs, results, together, live):
+    """Requests 0 and 2 of a lockstep run keep the bits of their solo runs.
+
+    ``together`` holds the lockstep run's velocities per step, as
+    :func:`record_velocities` gives them, and ``live[i]`` the requests that
+    step ``i`` ran, in order.
+    """
+    for r in (0, 2):
+        solo, alone = record_velocities(run_edit, model, reqs[r])
+        got = results[r]
+        assert np.array_equal(got.final_latent, solo.final_latent)
+        for a, b in zip(got.records, solo.records, strict=True):
+            assert a.vdelta_norm == b.vdelta_norm
+        mine = [(vs[0], vs[1 + step.index(r)]) for vs, step in zip(together, live)]
+        for (a_src, a_tar), (b_src, b_tar) in zip(mine, alone, strict=True):
+            assert np.array_equal(a_src, b_src)
+            assert np.array_equal(a_tar, b_tar)
 
 
 @pytest.fixture(scope="module")
@@ -136,13 +155,13 @@ class TestBypassEquivalence:
         req = base_request(
             source_latent, p_src, p_tar,
             fia=FiaConfig.disabled(), noise_mode=NoiseMode.REUSED_EPSILON,
-            record_velocities=True,
         )
-        a = run_edit(tiny_model, req)
-        b = run_edit(tiny_model, req, bypass_fia=True)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.v_src, rb.v_src)
-            assert np.array_equal(ra.v_tar, rb.v_tar)
+        a, a_steps = record_velocities(run_edit, tiny_model, req)
+        b, b_steps = record_velocities(run_edit, tiny_model, req, bypass_fia=True)
+        assert len(a_steps) == 10
+        for (a_src, a_tar), (b_src, b_tar) in zip(a_steps, b_steps, strict=True):
+            assert np.array_equal(a_src, b_src)
+            assert np.array_equal(a_tar, b_tar)
         assert np.array_equal(a.final_latent, b.final_latent)
 
 
@@ -249,11 +268,13 @@ class TestLockstep:
         p_src, p_tar = prompt_pair
         poisoned = embed_prompt("a prompt that poisons its branch", 8, seed=1)
         sigmas = make_linear_schedule(6, 0.0).sigmas
+        calls = []  # the step of each model call
 
         class Poisoned(VelocityModel):
             """The real model, fed inf latents on the poisoned prompt's states at one step."""
 
             def _forward(self, states, sigma_t):
+                calls.append(sigmas.index(sigma_t))
                 if sigma_t == sigmas[bad_step]:
                     states = [
                         (np.full_like(x, np.inf) if p is poisoned else x, p, mu, hooks)
@@ -263,23 +284,23 @@ class TestLockstep:
 
         model = Poisoned(tiny_model.cfg)
         reqs = [
-            base_request(source_latent, p_src, p_tar, steps=6, record_velocities=True,
+            base_request(source_latent, p_src, p_tar, steps=6,
                          noise_mode=NoiseMode.REUSED_EPSILON),
-            base_request(source_latent, p_src, poisoned, steps=6, record_velocities=True,
+            base_request(source_latent, p_src, poisoned, steps=6,
                          fia=FiaConfig(fri_mode=fusion)),
-            base_request(source_latent, p_src, p_tar, steps=6, record_velocities=True,
+            base_request(source_latent, p_src, p_tar, steps=6,
                          fia=FiaConfig(fri_mode=FriMode.ADD), noise_mode=NoiseMode.FRESH_GAUSSIAN),
         ]
         build, builds = fiaedit.fia.build_target_overrides, []
 
-        def spying_build(cfg, step, *args):
-            builds.append([cfg, step, True])  # raised, until it returns
-            plan = build(cfg, step, *args)
+        def spying_build(cfg, *args):
+            builds.append([cfg, calls[-1], True])  # raised, until it returns
+            plan = build(cfg, *args)
             builds[-1][2] = False
             return plan
 
         monkeypatch.setattr(fiaedit.fia, "build_target_overrides", spying_build)
-        results = run_edits(model, reqs)
+        results, together = record_velocities(run_edits, model, reqs)
         assert isinstance(results[1], EditRunError)
         assert str(results[1]).startswith(f"edit aborted at step {bad_step}:")
         assert isinstance(results[1].__cause__, NumericFailure)
@@ -289,13 +310,10 @@ class TestLockstep:
         for i in failed:
             cfg, step, _ = builds[i]
             assert not any(c is cfg and s == step for c, s, _ in builds[i + 1 :])
-        for req, got in zip(reqs[::2], results[::2]):
-            solo = run_edit(model, req)
-            assert np.array_equal(got.final_latent, solo.final_latent)
-            for a, b in zip(got.records, solo.records, strict=True):
-                assert a.vdelta_norm == b.vdelta_norm
-                assert np.array_equal(a.v_src, b.v_src)
-                assert np.array_equal(a.v_tar, b.v_tar)
+        # a step's targets are the requests still running: all three up to
+        # the failing step, the other two after it
+        live = [[0, 1, 2] if i <= bad_step else [0, 2] for i in range(len(together))]
+        assert_solo_bits(model, reqs, results, together, live)
 
     @pytest.mark.parametrize("mu_tar", [13.5, 0.0])
     def test_a_block_range_outside_the_model_fails_its_request_at_step_0(
@@ -304,24 +322,19 @@ class TestLockstep:
         p_src, p_tar = prompt_pair
         mu = (1.5, mu_tar)
         reqs = [
-            base_request(source_latent, p_src, p_tar, steps=4, mu=mu, record_velocities=True),
+            base_request(source_latent, p_src, p_tar, steps=4, mu=mu),
             base_request(source_latent, p_src, p_tar, steps=4, mu=mu,
                          fia=FiaConfig(fij_block_range=(0, 9))),
-            base_request(source_latent, p_src, p_tar, steps=4, mu=mu, record_velocities=True,
+            base_request(source_latent, p_src, p_tar, steps=4, mu=mu,
                          fia=FiaConfig(fri_mode=FriMode.ADD, fij_block_range=(0, 5))),
         ]
-        results = run_edits(tiny_model, reqs)
+        results, together = record_velocities(run_edits, tiny_model, reqs)
         assert isinstance(results[1], EditRunError)
         assert str(results[1]) == (
             "edit aborted at step 0: fij_block_range (0, 9) outside a model of 6 blocks"
         )
-        for req, got in zip(reqs[::2], results[::2]):
-            solo = run_edit(tiny_model, req)
-            assert np.array_equal(got.final_latent, solo.final_latent)
-            for a, b in zip(got.records, solo.records, strict=True):
-                assert a.vdelta_norm == b.vdelta_norm
-                assert np.array_equal(a.v_src, b.v_src)
-                assert np.array_equal(a.v_tar, b.v_tar)
+        # the request refused at step 0 runs in no call
+        assert_solo_bits(tiny_model, reqs, results, together, [[0, 2]] * len(together))
 
     def test_a_failed_first_call_fails_every_request_at_its_step(
         self, tiny_model, source_latent, prompt_pair

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fiaedit.fia
 import fiaedit.model
 from fiaedit.engine import EditRequest, run_edit
-from fiaedit.errors import NumericFailure, PacketAlignmentError, TopologyError
+from fiaedit.errors import NumericFailure, ShapeMismatchError, TopologyError
 from fiaedit.fia import (
     FiaConfig,
     FriMode,
@@ -34,7 +34,7 @@ from fiaedit.model import (
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
-from conftest import branches
+from conftest import branches, step_plan
 from oracle_dft import grid_to_heads, heads_to_grid, oracle_fri_fuse
 
 
@@ -70,6 +70,8 @@ class TestDefaults:
     def test_cutoff_cannot_exceed_steps(self):
         with pytest.raises(ValueError):
             FiaConfig(fij_step_cutoff=20).resolved_cutoff(10)
+        with pytest.raises(ValueError, match="fij_step_cutoff must be non-negative"):
+            FiaConfig(fij_step_cutoff=-1)
 
 
 class TestPlanCapture:
@@ -143,7 +145,7 @@ class TestBuildOverrides:
     def test_past_cutoff_keeps_fri_only(self):
         src, tar = self.packets(0)
         cfg = FiaConfig(fij_step_cutoff=5)
-        plan = build_target_overrides(cfg, 5, 10, src, tar, (2, 2), self.topo)
+        plan = step_plan(cfg, 5, 10, src, tar, (2, 2), self.topo)
         kinds = {type(a) for a in plan.overrides.values()}
         assert kinds == {ReplaceQK}
         assert set(plan.overrides) == {(0, AttnKind.SELF), (1, AttnKind.SELF)}
@@ -151,32 +153,32 @@ class TestBuildOverrides:
     def test_before_cutoff_adds_packet_injection(self):
         src, tar = self.packets(0)
         cfg = FiaConfig(fij_step_cutoff=5)
-        plan = build_target_overrides(cfg, 4, 10, src, tar, (2, 2), self.topo)
+        plan = step_plan(cfg, 4, 10, src, tar, (2, 2), self.topo)
         assert isinstance(plan.overrides[(2, AttnKind.CROSS)], ReplaceQKVE)
         assert plan.overrides[(2, AttnKind.CROSS)].packet is src[(2, AttnKind.CROSS)]
 
     def test_identical_packets_fuse_to_no_override(self):
         src, _ = self.packets(0)
         cfg = FiaConfig(fij_enabled=False)
-        plan = build_target_overrides(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
+        plan = step_plan(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert not plan.overrides
 
     def test_identical_packets_skip_injection_too(self):
         src, _ = self.packets(0)
         cfg = FiaConfig(fri_enabled=False, fij_step_cutoff=10)
-        plan = build_target_overrides(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
+        plan = step_plan(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert not plan.overrides
 
     def test_non_unit_weights_do_not_skip_identical_packets(self):
         src, _ = self.packets(0)
         cfg = FiaConfig(fij_enabled=False, fusion=FusionWeights(0.5, 0.2))
-        plan = build_target_overrides(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
+        plan = step_plan(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert set(plan.overrides) == {(0, AttnKind.SELF), (1, AttnKind.SELF)}
 
     def test_freq_override_matches_spectral_oracle(self):
         src, tar = self.packets(7)
         cfg = FiaConfig(fij_enabled=False)
-        plan = build_target_overrides(cfg, 0, 10, src, tar, (2, 2), self.topo)
+        plan = step_plan(cfg, 0, 10, src, tar, (2, 2), self.topo)
         got = plan.overrides[(0, AttnKind.SELF)]
         expected_q = grid_to_heads(
             oracle_fri_fuse(
@@ -191,7 +193,7 @@ class TestBuildOverrides:
     def test_batched_fusion_equals_per_site_calls(self):
         src, tar = self.packets(5)
         cfg = FiaConfig(fij_enabled=False)
-        plan = build_target_overrides(cfg, 0, 10, src, tar, (2, 2), self.topo)
+        plan = step_plan(cfg, 0, 10, src, tar, (2, 2), self.topo)
         filt = make_gaussian_lowpass(2, 2, 0.9)
         for site in ((0, AttnKind.SELF), (1, AttnKind.SELF)):
             got = plan.overrides[site]
@@ -206,25 +208,26 @@ class TestBuildOverrides:
     def test_add_mode_is_the_mean(self):
         src, tar = self.packets(3)
         cfg = FiaConfig(fri_mode=FriMode.ADD, fij_enabled=False)
-        plan = build_target_overrides(cfg, 0, 10, src, tar, (2, 2), self.topo)
+        plan = step_plan(cfg, 0, 10, src, tar, (2, 2), self.topo)
         site = (1, AttnKind.SELF)
         got = plan.overrides[site]
         assert np.array_equal(got.q, 0.5 * (src[site].q + tar[site].q))
         assert np.array_equal(got.k, 0.5 * (src[site].k + tar[site].k))
 
-    def test_missing_packets_rejected(self):
-        src, tar = self.packets(0)
-        cfg = FiaConfig()
-        with pytest.raises(PacketAlignmentError):
-            build_target_overrides(
-                cfg, 0, 10, {(0, AttnKind.SELF): src[(0, AttnKind.SELF)]}, tar, (2, 2), self.topo
-            )
+    def test_self_packets_of_different_shapes_rejected(self):
+        site = (1, AttnKind.SELF)
+        src, tar = make_self_packet(0), make_self_packet(1, tokens=6)
+        with pytest.raises(ShapeMismatchError, match=r"packet shapes differ at \(1, "):
+            build_target_overrides(FiaConfig(), site, src, tar, (2, 2), self.topo)
+        k_only = AttentionPacket(src.q, tar.k, src.v)
+        with pytest.raises(ShapeMismatchError):
+            build_target_overrides(FiaConfig(), site, src, k_only, (2, 2), self.topo)
 
     def test_fri_applies_at_every_step(self):
         src, tar = self.packets(1)
         cfg = FiaConfig(fij_step_cutoff=3)
         for step in range(10):
-            plan = build_target_overrides(cfg, step, 10, src, tar, (2, 2), self.topo)
+            plan = step_plan(cfg, step, 10, src, tar, (2, 2), self.topo)
             assert (0, AttnKind.SELF) in plan.overrides
             has_fij = any(isinstance(a, ReplaceQKVE) for a in plan.overrides.values())
             assert has_fij == (step < 3)
@@ -262,7 +265,7 @@ def test_override_sites_are_the_capture_sites(inputs, seed):
         {site: AttentionPacket(*rng.standard_normal((3, 2, 4, 2))) for site in sites}
         for _ in range(2)
     )
-    plan = build_target_overrides(cfg, step, total, src, tar, (2, 2), topo)
+    plan = step_plan(cfg, step, total, src, tar, (2, 2), topo)
     assert set(plan.overrides) == plan_capture(cfg, topo, step, total).capture
     for site, action in plan.overrides.items():
         assert isinstance(action, ReplaceQK if site[1] is AttnKind.SELF else ReplaceQKVE)
@@ -274,7 +277,7 @@ def public_plan(model, x_src, x_tar, p_src, p_tar, mu_src, cfg, step=0, total=10
     _, src = model.velocity(x_src, p_src, 0.5, mu_src, hooks=capture)
     _, tar = model.velocity(x_tar, p_tar, 0.5, 1.0, hooks=capture)
     grid = x_src.shape[-2:]
-    return src, build_target_overrides(cfg, step, total, src, tar, grid, model.cfg)
+    return src, step_plan(cfg, step, total, src, tar, grid, model.cfg)
 
 
 class TestConstrainedPair:
@@ -493,10 +496,9 @@ class TestConstrainedPair:
             calls.append(args[0].shape[0])
             return fuse(*args)
 
-        def counting_build(*args):
-            (site,) = args[3]  # each call is for one site
+        def counting_build(cfg, site, *args):
             builds.append(site)
-            return build(*args)
+            return build(cfg, site, *args)
 
         p_src, p_tar = prompt_pair
         x_src, x_a, x_b = np.random.default_rng(6).standard_normal((3, 4, 6, 6))

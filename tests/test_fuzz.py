@@ -22,7 +22,15 @@ import functools
 
 import numpy as np
 import pytest
-from conftest import attend, branches, delta_pairs, keys_major, report_entries, traced_peak
+from conftest import (
+    attend,
+    branches,
+    delta_pairs,
+    keys_major,
+    record_velocities,
+    report_entries,
+    traced_peak,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -512,15 +520,15 @@ def test_disabled_fia_equals_the_bypassed_engine(cfg, grid, steps, mu, texts, no
         fia=fia,
         seed=data.draw(st.integers(0, 1000)),
         noise_mode=noise_mode,
-        record_velocities=True,
     )
     model = VelocityModel(cfg)
-    via_fia = run_edit(model, req)
-    bypassed = run_edit(model, req, bypass_fia=True)
+    via_fia, fia_steps = record_velocities(run_edit, model, req)
+    bypassed, bypass_steps = record_velocities(run_edit, model, req, bypass_fia=True)
     assert np.array_equal(via_fia.final_latent, bypassed.final_latent)
-    for a, b in zip(via_fia.records, bypassed.records, strict=True):
-        assert np.array_equal(a.v_src, b.v_src)
-        assert np.array_equal(a.v_tar, b.v_tar)
+    assert len(fia_steps) == steps
+    for (a_src, a_tar), (b_src, b_tar) in zip(fia_steps, bypass_steps, strict=True):
+        assert np.array_equal(a_src, b_src)
+        assert np.array_equal(a_tar, b_tar)
 
 
 @LOCKSTEP_FUZZ

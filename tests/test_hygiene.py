@@ -1,4 +1,4 @@
-"""Package code carries no dead weight: no unused import, no orphaned private name."""
+"""Package code carries no dead weight: no unused import, orphaned private name or error class."""
 
 from __future__ import annotations
 
@@ -66,3 +66,20 @@ def test_every_private_module_name_is_referenced():
         if missing := [d for d in private if d not in referenced]:
             orphans[name] = missing
     assert not orphans, f"private names nothing references: {orphans}"
+
+
+def test_every_error_class_is_raised():
+    trees = parse_package()
+    declared = [
+        node.name
+        for node in trees["errors.py"].body
+        if isinstance(node, ast.ClassDef) and node.name != "FiaEditError"
+    ]
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    orphans = [name for name in declared if name not in raised]
+    assert declared and not orphans, f"error classes nothing raises: {orphans}"
