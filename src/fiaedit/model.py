@@ -13,7 +13,8 @@ to its prompt under its hooks, and an unconditional pass, which attends to
 the single null token and so reduces its cross-attention to a constant row;
 its guidance scale says which of the two run.  Each pass is a branch of the
 batch.  Token-wise work is shared by the batch, and only the attention core
-runs branch by branch, so a state's output does not depend on its batch.
+runs branch by branch (on two threads at a large self site, see below), so
+a state's output does not depend on its batch.
 
 A state's two passes are identical up to block 0's cross-attention, so that
 prefix runs once per state: the input projection, the position and time
@@ -36,6 +37,15 @@ the batch: Q^T is scaled by 1/sqrt(d_head) once, every core writes its
 the range check reads the whole buffer, and one divide writes the site's
 output, heads merged, as the (branches, d_model, n) input of the output
 projection, as FlashAttention defers its normalisation.
+
+A self site whose (heads, n, n) scores hold at least 2^16 entries (a 512 KiB
+core) runs its cores on two threads, as FlashAttention-2 splits attention
+work: the calling thread runs the first half, rounded up, and one worker
+thread, made on the first split, the rest, each into its own half of one
+(2, heads, n, n) score block.  Copied cores, the range check, shifted
+reruns and the divide run on the calling thread once both halves are done.
+Each core writes only its own rows, so the bytes do not depend on the
+thread.
 
 Token-wise work is a few wide BLAS calls.  A dual block gets the whole
 batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
@@ -64,6 +74,7 @@ only its token-wise row.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import functools
 import math
@@ -79,6 +90,11 @@ _LN_EPS = 1e-6
 # a row sum below this redoes the core's softmax shifted: its terms have
 # drifted towards the subnormal range, or underflowed to 0/0
 _ROW_SUM_FLOOR = math.exp(-60.0)
+# a self site whose (heads, n, n) scores hold at least this many entries (a
+# 512 KiB core) runs its cores on two threads: the smallest size at which
+# the split clearly beats waking the worker (one site of 4 cores, 2 vCPUs,
+# serial against split: 145 -> 149 us at 2^15 entries, 262 -> 207 us at 2^16)
+_SPLIT_ENTRIES = 1 << 16
 
 
 class AttnKind(enum.Enum):
@@ -329,8 +345,9 @@ def peak_bytes(
 
     ``prompt_tokens`` is the longest prompt's token count and ``prompts``
     the number of distinct prompts.  Counts the weights and their
-    side-by-side copies; the self-attention score buffer and one cross
-    core's scores; per token and branch the arrays alive at the widest
+    side-by-side copies; the self-attention score buffers, two where a
+    site's cores run on two threads, and one cross core's scores; per token
+    and branch the arrays alive at the widest
     point, the MLP (two temporaries of four model widths, the residual
     stream, the attention and layer-norm outputs, and the last self site's
     Q/K/V product, of which Q^T and K are views, scaled Q^T and ``[V |
@@ -348,11 +365,25 @@ def peak_bytes(
     weights += d * d * (3 * cfg.n_blocks_dual + 2 * n_blocks)  # side-by-side copies
     packets = 3 * d * cfg.n_blocks_dual + d * n_blocks
     tokenwise = 19 * d + 3 * heads + 2 * cfg.channels + packets
-    attention = heads * n_tok * (n_tok + prompt_tokens)
+    attention = math.prod(_score_shape(heads, n_tok)) + heads * n_tok * prompt_tokens
     operands = prompts * n_blocks * (2 * d + heads) + 2 * d * n_blocks
     prompt_sized = prompt_tokens * (operands + branches * ((n_blocks + 1) * 2 * d + heads))
     objects = _OBJECT_BYTES * (8 + branches * (cfg.n_blocks_dual + n_blocks))
     return 8 * (weights + branches * n_tok * tokenwise + attention + prompt_sized) + objects
+
+
+def _score_shape(heads: int, n_tok: int) -> tuple[int, ...]:
+    """A self site's scratch: (heads, n, n) scores, or two of them when its cores split."""
+    shape = (heads, n_tok, n_tok)
+    return (2, *shape) if math.prod(shape) >= _SPLIT_ENTRIES else shape
+
+
+@functools.cache
+def _worker():
+    """The thread that runs the second half of a split site's cores, made on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiaedit-attend")
 
 
 def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
@@ -437,27 +468,48 @@ def _attend_site(
     the row sums writes ``out``, (branches, heads, d_head, queries), a
     per-head view of the (branches, d_model, queries) stream.
 
+    ``scores`` is the (heads, keys, queries) scratch buffer, or None to
+    allocate each core's.  A (2, heads, keys, queries) block, one buffer
+    per thread, splits the cores: the calling thread runs the first half,
+    rounded up, and the worker the rest, under the caller's error state;
+    the copies, the check below and the divide run once both halves are
+    done.  Each core writes only its own rows, so the bytes do not depend
+    on the thread.
+
     exp runs on the unshifted scores, and the products are checked after
     the fact: a branch's is kept unless one of its row sums is below
     ``_ROW_SUM_FLOOR`` (every score of its query below about -60) or an
     entry is not finite (exp overflowed, at a score above about 709).
-    Only such a branch's cores run again, shifted.  So scores up to about
-    709 are not shifted, and scores in band keep their bits.
+    Only such a branch's cores run again, shifted, on the calling thread.
+    So scores up to about 709 are not shifted, and scores in band keep
+    their bits.
     """
 
-    def run(branches: Iterable[int], shift: bool) -> None:
+    def run(branches: Iterable[int], shift: bool, buffer: np.ndarray | None) -> None:
         for i in branches:
             if isinstance(ops[i], int):
                 weighted[i] = weighted[ops[i]]
             else:
-                _attend(*ops[i], scores, weighted[i], shift)
+                _attend(*ops[i], buffer, weighted[i], shift)
 
+    split = scores is not None and scores.ndim == 4
+    mine = scores[0] if split else scores
+    cores = [i for i, op in enumerate(ops) if not isinstance(op, int)] if split else []
     with np.errstate(over="ignore", invalid="ignore"):
-        run(range(len(ops)), False)
+        if len(cores) > 1:
+            half = (len(cores) + 1) // 2
+            job = _worker().submit(contextvars.copy_context().run, run, cores[half:], False, scores[1])
+            try:
+                run(cores[:half], False, mine)
+            finally:
+                job.result()
+            run((i for i, op in enumerate(ops) if isinstance(op, int)), False, None)
+        else:
+            run(range(len(ops)), False, mine)
     sums = weighted[..., -1, :]
     if not (sums.min() >= _ROW_SUM_FLOOR and np.isfinite(weighted).all()):
         kept = (sums.min(axis=(1, 2)) >= _ROW_SUM_FLOOR) & np.isfinite(weighted).all(axis=(1, 2, 3))
-        run(np.flatnonzero(~kept), True)
+        run(np.flatnonzero(~kept), True, mine)
     np.divide(weighted[..., :-1, :], weighted[..., -1:, :], out=out)
 
 
@@ -633,7 +685,7 @@ class VelocityModel:
             action = action if ruled is None else ruled
             return None if action is None else _hook_site(action, site, q, k, v1, text, None)
 
-        scores = np.empty((heads, n_tok, n_tok))
+        scores = np.empty(_score_shape(heads, n_tok))
         # the cores' [numerator | row sum], and the attention outputs, heads merged
         weighted = np.empty((n_b, heads, cfg.d_model // heads + 1, n_tok))
         attn = np.empty((n_b, cfg.d_model, n_tok))

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 import fiaedit.config

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestEdit:
         cfg = write_config(tmp_path, EDIT_CONFIG)
         out = str(tmp_path / "out.ppm")
         main(["edit", src, "--config", cfg, "--out", out])
-        lines = open(out + ".trace", encoding="utf-8").read().splitlines()
+        lines = Path(out + ".trace").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "schema=edit-trace/1"
         assert "steps=4" in lines
         assert sum(1 for ln in lines if ".vdelta_norm=" in ln) == 4
@@ -107,7 +108,7 @@ class TestEdit:
         cfg = write_config(tmp_path, EDIT_CONFIG)
         out = str(tmp_path / "out.ppm")
         main(["edit", src, "--config", cfg, "--out", out, "--snapshot-stride", "2"])
-        lines = open(out + ".trace", encoding="utf-8").read().splitlines()
+        lines = Path(out + ".trace").read_text(encoding="utf-8").splitlines()
         norms = [ln for ln in lines if ".latent_norm=" in ln]
         assert [ln.split(".")[1] for ln in norms] == ["0", "2"]
 
@@ -310,7 +311,7 @@ class TestAblate:
         out = str(tmp_path / "abl")
         rc = main(["ablate", "--config", cfg, "--grid", "filter_sigma=0.2,0.9,5.0", "--out", out])
         assert rc == 0
-        report = open(os.path.join(out, "report.txt"), encoding="utf-8").read()
+        report = Path(out, "report.txt").read_text(encoding="utf-8")
         assert "cells=3" in report
         assert report.count(".status=ok") == 3
         assert os.path.exists(os.path.join(out, "report.txt.timings"))

@@ -369,11 +369,12 @@ class TestLockstep:
 
 
 def test_the_budget_counts_each_requests_constrained_fork():
-    # the first square grid whose step does not fit a guided source, a guided
-    # probe and the probe's fork, though it fits the first two
+    # the first grid of 16 rows whose step does not fit a guided source, a
+    # guided probe and the probe's fork, though it fits the first two; a
+    # column adds 16 tokens, so the scores grow by less than a branch
     cfg = ModelConfig()
-    side = next(s for s in itertools.count(1) if peak_bytes(cfg, (s, s), 5, 6, 2) > MAX_PEAK_BYTES)
-    assert peak_bytes(cfg, (side, side), 4, 6, 2) <= MAX_PEAK_BYTES
+    w = next(w for w in itertools.count(1) if peak_bytes(cfg, (16, w), 5, 6, 2) > MAX_PEAK_BYTES)
+    assert peak_bytes(cfg, (16, w), 4, 6, 2) <= MAX_PEAK_BYTES
     with pytest.raises(ConfigError, match="GiB bound"):
-        check_budget(cfg, (side, side), 1, [6, 6])
-    check_budget(cfg, (side - 1, side - 1), 1, [6, 6])
+        check_budget(cfg, (16, w), 1, [6, 6])
+    check_budget(cfg, (16, w - 1), 1, [6, 6])

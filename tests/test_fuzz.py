@@ -31,7 +31,7 @@ from conftest import (
     report_entries,
     traced_peak,
 )
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fiaedit.ablation import (
@@ -306,33 +306,55 @@ def test_branches_sharing_a_latent_are_bit_identical_alone(cfg, grid, data):
     cfg=_model_configs(channels=st.integers(min_value=1, max_value=12)),
     grid=st.tuples(st.integers(min_value=1, max_value=16), st.integers(min_value=1, max_value=16)),
     words=st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=2),
-    data=st.data(),
+    passes=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 2.5]), st.integers(min_value=0, max_value=1)),
+        min_size=1,
+        max_size=3,
+    ),
+    capture=st.booleans(),
+    fia=st.none() | st.builds(FiaConfig, fri_mode=st.sampled_from(FriMode), fij_enabled=st.booleans()),
 )
-def test_peak_bytes_bounds_the_traced_peak_of_a_forward(cfg, grid, words, data):
+# 2 heads on 16x16: every self site with two cores or more runs them on two
+# threads; in the first example the two score buffers are most of the peak
+@example(
+    cfg=ModelConfig(n_blocks_dual=2, n_blocks_cross_only=1, channels=3),
+    grid=(16, 16),
+    words=[1],
+    passes=[(2.5, 0)],
+    capture=False,
+    fia=None,
+)
+@example(
+    cfg=ModelConfig(n_blocks_dual=2, n_blocks_cross_only=1, channels=3),
+    grid=(16, 16),
+    words=[6, 40],
+    passes=[(2.5, 0), (2.5, 1), (2.5, 1)],
+    capture=True,
+    fia=FiaConfig(),
+)
+def test_peak_bytes_bounds_the_traced_peak_of_a_forward(cfg, grid, words, passes, capture, fia):
     # up to three states of up to two passes each, so 1-6 branches; or a
     # step of FIA on a source and up to two targets, each target's probe
-    # with its fork, so up to 8
-    n = data.draw(st.integers(min_value=1, max_value=3), label="states")
-    mus = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
-    picks = data.draw(st.lists(st.sampled_from(words), min_size=n, max_size=n), label="prompts")
-    capture = data.draw(st.booleans(), label="capture")
+    # with its fork, so up to 8.  A state's pass is its guidance scale and
+    # the index of its prompt's word count
+    n = len(passes)
+    mus = [mu for mu, _ in passes]
     sites = frozenset(
         (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
     )
     plan = HookPlan(capture=sites if capture else frozenset())
     x = np.random.default_rng(0).standard_normal((n, cfg.channels, *grid))
-    prompts = [_prompt(" ".join(f"w{i}" for i in range(w)), cfg.d_model) for w in picks]
+    prompts = [
+        _prompt(" ".join(f"w{i}" for i in range(words[j % len(words)])), cfg.d_model)
+        for _, j in passes
+    ]
     states = list(zip(x, prompts, mus, [plan] * n))
     model = VelocityModel(cfg)
-    if n > 1 and data.draw(st.booleans(), label="fia step"):
-        fia = FiaConfig(
-            fri_mode=data.draw(st.sampled_from(FriMode)),
-            fij_block_range=(0, cfg.n_blocks - 1),
-            fij_enabled=data.draw(st.booleans()),
-        )
+    if n > 1 and fia is not None:
         states, _ = _step_states(
             model, x[0], list(x[1:]), prompts[0], prompts[1:], 0, 1,
-            GuidanceConfig(mus[0], mus[1]), [fia] * (n - 1),
+            GuidanceConfig(mus[0], mus[1]),
+            [dataclasses.replace(fia, fij_block_range=(0, cfg.n_blocks - 1))] * (n - 1),
         )
     out = model._forward(states, 0.5)
     # the prompts the conditional passes attend to

@@ -1,17 +1,19 @@
-"""Package code carries no dead weight: no unused import, orphaned private name or error class."""
+"""Code carries no dead weight: no unused import in the package or its tests,
+and no orphaned private name or error class in the package."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fiaedit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "fiaedit"
 
 
-def parse_package() -> dict[str, ast.Module]:
+def parse_modules(directory: Path = PACKAGE) -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
     }
 
 
@@ -28,7 +30,9 @@ def read_names(tree: ast.Module) -> set[str]:
 
 def test_every_import_is_used():
     unused = {}
-    for name, tree in parse_package().items():
+    modules = {f"src/fiaedit/{name}": tree for name, tree in parse_modules().items()}
+    modules |= {f"tests/{name}": tree for name, tree in parse_modules(TESTS).items()}
+    for name, tree in modules.items():
         bound = [
             (alias.asname or alias.name).split(".")[0]
             for node in ast.walk(tree)
@@ -43,7 +47,7 @@ def test_every_import_is_used():
 
 
 def test_every_private_module_name_is_referenced():
-    trees = parse_package()
+    trees = parse_modules()
     referenced = set()
     for tree in trees.values():
         referenced |= read_names(tree)
@@ -69,7 +73,7 @@ def test_every_private_module_name_is_referenced():
 
 
 def test_every_error_class_is_raised():
-    trees = parse_package()
+    trees = parse_modules()
     declared = [
         node.name
         for node in trees["errors.py"].body

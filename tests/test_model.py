@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -605,51 +609,118 @@ class TestBatchedForward:
     def test_branch_does_not_depend_on_its_batch(self, tiny_model, prompt_pair, monkeypatch):
         p_src, p_tar = prompt_pair
         sites = all_sites(tiny_model.cfg)
-        x = np.stack([latent(0), latent(1), latent(2), 1e3 * latent(0)])
         site = (0, AttnKind.SELF)
-        _, own = tiny_model.velocity(x[1], p_tar, 0.5, 1.0, hooks=HookPlan(capture=sites))
-        loud = ReplaceQK(q=1e3 * own[site].q, k=own[site].k)
         attend = fiaedit.model._attend
-        shifted = []
+        caller = threading.get_ident()
+        shifted, overflowed_on_caller = [0], []
 
         def spying(qs, k, v1, scores, out, shift=False):
             shifted[-1] += shift
             attend(qs, k, v1, scores, out, shift)
+            if not np.isfinite(out).all():
+                overflowed_on_caller.append(threading.get_ident() == caller)
 
         monkeypatch.setattr(fiaedit.model, "_attend", spying)
-        # states 0 and 1 run their conditional pass alone, 2 and 3 their
-        # unconditional pass alone
-        states = [
-            (x[0], p_src, 1.0, HookPlan(capture=sites)),
-            (x[1], p_tar, 1.0, HookPlan(capture=sites, overrides={site: loud})),
-            (x[2], p_src, 0.0, HookPlan()),
-            (x[3], p_tar, 0.0, HookPlan()),
-        ]
-        shifted.append(0)
-        out = tiny_model._forward(states, 0.5)
-        # the loud branch's core at (0, SELF) overflows exp and runs again
-        # shifted; no other core of the batch does
-        assert shifted == [1]
-        for i, got in enumerate(out):
-            shifted.append(0)
-            (alone,) = tiny_model._forward([states[i]], 0.5)
-            assert shifted[-1] == (i == 1)
-            ran, skipped = (0, 1) if i < 2 else (1, 0)
-            assert got[skipped] is None and alone[skipped] is None
-            assert np.array_equal(got[ran], alone[ran])
-            packets, alone_packets = got[2], alone[2]
-            if i >= 2:
-                assert packets == alone_packets == {}
-            else:
-                assert packets.keys() == alone_packets.keys() == sites
-                for key, pkt in packets.items():
-                    ref = alone_packets[key]
-                    assert np.array_equal(pkt.q, ref.q)
-                    assert np.array_equal(pkt.k, ref.k)
-                    assert np.array_equal(pkt.v, ref.v)
-                    assert (pkt.text_embedding is None) == (key[1] is AttnKind.SELF)
-                    if pkt.text_embedding is not None:
-                        assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
+        # on 6x6 every core runs on the calling thread; on 16x16 (2 heads,
+        # 256 tokens) each self site's second half of cores runs on the
+        # worker, the loud branch's among them, and its exp overflows there
+        for grid in ((6, 6), (16, 16)):
+            x = np.stack([latent(s, (4, *grid)) for s in (0, 1, 2)] + [1e3 * latent(0, (4, *grid))])
+            _, own = tiny_model.velocity(x[2], p_tar, 0.5, 1.0, hooks=HookPlan(capture=sites))
+            loud = ReplaceQK(q=1e3 * own[site].q, k=own[site].k)
+            # states 0-2 run their conditional pass alone, 3 its unconditional
+            # pass alone: the batch's cores are states 0-3 in order
+            states = [
+                (x[0], p_src, 1.0, HookPlan(capture=sites)),
+                (x[1], p_tar, 1.0, HookPlan(capture=sites)),
+                (x[2], p_tar, 1.0, HookPlan(capture=sites, overrides={site: loud})),
+                (x[3], p_tar, 0.0, HookPlan()),
+            ]
+            shifted[:], overflowed_on_caller[:] = [0], []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                out = tiny_model._forward(states, 0.5)
+            # the loud branch's core at (0, SELF) overflows exp and runs again
+            # shifted; no other core of the batch does
+            assert shifted == [1]
+            assert overflowed_on_caller == [grid == (6, 6)]
+            for i, got in enumerate(out):
+                shifted.append(0)
+                (alone,) = tiny_model._forward([states[i]], 0.5)
+                assert shifted[-1] == (i == 2)
+                ran, skipped = (0, 1) if i < 3 else (1, 0)
+                assert got[skipped] is None and alone[skipped] is None
+                assert np.array_equal(got[ran], alone[ran])
+                packets, alone_packets = got[2], alone[2]
+                if i == 3:
+                    assert packets == alone_packets == {}
+                else:
+                    assert packets.keys() == alone_packets.keys() == sites
+                    for key, pkt in packets.items():
+                        ref = alone_packets[key]
+                        assert np.array_equal(pkt.q, ref.q)
+                        assert np.array_equal(pkt.k, ref.k)
+                        assert np.array_equal(pkt.v, ref.v)
+                        assert (pkt.text_embedding is None) == (key[1] is AttnKind.SELF)
+                        if pkt.text_embedding is not None:
+                            assert embeddings_equal(pkt.text_embedding, ref.text_embedding)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_core_fails_the_call_and_leaves_no_job(
+        self, tiny_model, prompt_pair, monkeypatch, failing
+    ):
+        # two guided states on 16x16: each self site runs two of its four
+        # cores on the worker
+        x = np.random.default_rng(5).standard_normal((2, 4, 16, 16))
+        states = [(xi, p, 2.5, HookPlan()) for xi, p in zip(x, prompt_pair)]
+        clean = tiny_model._forward(states, 0.5)
+        attend = fiaedit.model._attend
+        caller = threading.get_ident()
+        started, finished, failed = [], [], []
+
+        def failing_attend(*args):
+            on_worker = threading.get_ident() != caller
+            started.append(on_worker)
+            try:
+                if not failed and on_worker == (failing == "worker"):
+                    failed.append(RuntimeError("core failed"))
+                    raise failed[0]
+                if on_worker:
+                    time.sleep(0.01)  # so a failing caller's half ends first
+                attend(*args)
+            finally:
+                finished.append(on_worker)
+
+        monkeypatch.setattr(fiaedit.model, "_attend", failing_attend)
+        with pytest.raises(RuntimeError) as err:
+            tiny_model._forward(states, 0.5)
+        assert err.value is failed[0]
+        # the worker's half ran, and every core had ended when the call failed
+        assert True in started and len(finished) == len(started)
+        for got, ref in zip(tiny_model._forward(states, 0.5), clean):
+            assert all(np.array_equal(a, b) for a, b in zip(got[:2], ref[:2]))
+
+    def test_callers_on_several_threads_share_the_worker(self, tiny_model, prompt_pair):
+        # four callers, more than the cores, each splitting every self site
+        # under a short switch interval: every call keeps its serial bytes
+        x = np.random.default_rng(6).standard_normal((4, 2, 4, 16, 16))
+        batches = [[(xi, p, 2.5, HookPlan()) for xi, p in zip(xs, prompt_pair)] for xs in x]
+        want = [tiny_model._forward(states, 0.5) for states in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(batches)) as callers:
+                runs = [
+                    callers.submit(lambda s: [tiny_model._forward(s, 0.5) for _ in range(3)], s)
+                    for s in batches
+                ]
+                got = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for repeats, ref in zip(got, want):
+            for out in repeats:
+                for state, state_ref in zip(out, ref):
+                    assert all(np.array_equal(a, b) for a, b in zip(state[:2], state_ref[:2]))
 
     def test_cross_kv_projected_once_per_distinct_prompt(self, tiny_model, prompt_pair):
         class CountingMatrix(np.ndarray):
@@ -799,27 +870,34 @@ class TestReferenceForward:
     def test_a_hooked_guided_state_matches_the_token_major_reference(
         self, tiny_model, prompt_pair
     ):
-        # a guided state on a 6x5 grid that captures a self and a cross site
-        # and overrides one of each, with Q/K and a donor packet of its own
+        # guided states that capture a self and a cross site and override one
+        # of each, with Q/K and a donor packet of their own: one on a 6x5
+        # grid, and two on 16x16, whose self sites split their cores
         p, p_donor = prompt_pair
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((4, 6, 5))
-        heads, d_head, n, m = 2, 4, 30, len(p_donor.tokens)
+        heads, d_head, m = 2, 4, len(p_donor.tokens)
         self_site, cross_site = (1, AttnKind.SELF), (5, AttnKind.CROSS)
-        q, k, v = (rng.standard_normal((heads, t, d_head)) for t in (n, m, m))
-        donor = AttentionPacket(q, k, v, p_donor)
-        qk = ReplaceQK(*rng.standard_normal((2, heads, n, d_head)))
         capture = frozenset({(0, AttnKind.SELF), self_site, (3, AttnKind.CROSS), cross_site})
-        plan = HookPlan(capture=capture, overrides={self_site: qk, cross_site: ReplaceQKVE(donor)})
-        ((v_cond, v_uncond, packets),) = tiny_model._forward([(x, p, 2.5, plan)], 0.37)
-        ref_cond, ref_uncond, ref_packets = reference_forward(tiny_model, x, p, 0.37, plan)
-        for got, ref in ((v_cond, ref_cond), (v_uncond, ref_uncond)):
-            assert got.shape == ref.shape
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert packets.keys() == ref_packets.keys() == capture
-        for site, pkt in packets.items():
-            for got, ref in zip((pkt.q, pkt.k, pkt.v), ref_packets[site]):
-                assert got.shape == ref.shape
-                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert packets[(3, AttnKind.CROSS)].text_embedding is p
-        assert packets[cross_site].text_embedding is p_donor
+        for grid, n_states in (((6, 5), 1), ((16, 16), 2)):
+            n = grid[0] * grid[1]
+            states = []
+            for _ in range(n_states):
+                x = rng.standard_normal((4, *grid))
+                q, k, v = (rng.standard_normal((heads, t, d_head)) for t in (n, m, m))
+                donor = AttentionPacket(q, k, v, p_donor)
+                qk = ReplaceQK(*rng.standard_normal((2, heads, n, d_head)))
+                overrides = {self_site: qk, cross_site: ReplaceQKVE(donor)}
+                states.append((x, p, 2.5, HookPlan(capture=capture, overrides=overrides)))
+            out = tiny_model._forward(states, 0.37)
+            for (x, _, _, plan), (v_cond, v_uncond, packets) in zip(states, out):
+                ref_cond, ref_uncond, ref_packets = reference_forward(tiny_model, x, p, 0.37, plan)
+                for got, ref in ((v_cond, ref_cond), (v_uncond, ref_uncond)):
+                    assert got.shape == ref.shape
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert packets.keys() == ref_packets.keys() == capture
+                for site, pkt in packets.items():
+                    for got, ref in zip((pkt.q, pkt.k, pkt.v), ref_packets[site]):
+                        assert got.shape == ref.shape
+                        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert packets[(3, AttnKind.CROSS)].text_embedding is p
+                assert packets[cross_site].text_embedding is p_donor
