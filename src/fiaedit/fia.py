@@ -185,8 +185,9 @@ def _fused(
     if cfg.fri_mode is FriMode.ADD:
         return ReplaceQK(q=0.5 * (src.q + tar.q), k=0.5 * (src.k + tar.k))
     heads, n_tok, d_head = src.q.shape
-    # (source/target, Q/K * heads * d_head, h, w)
-    grids = np.concatenate([src.q, src.k, tar.q, tar.k]).swapaxes(-1, -2).reshape(2, -1, *grid)
+    # (source/target, Q/K * heads * d_head, h, w), in one copy
+    parts = [a.swapaxes(-1, -2) for a in (src.q, src.k, tar.q, tar.k)]
+    grids = np.concatenate(parts, out=np.empty((4 * heads, d_head, n_tok))).reshape(2, -1, *grid)
     filt = make_gaussian_lowpass(*grid, cfg.filter_sigma)
     fused = fri_fuse(grids[0], grids[1], filt, cfg.fusion)
     q, k = fused.reshape(2, heads, d_head, n_tok).swapaxes(-1, -2)

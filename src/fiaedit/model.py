@@ -51,9 +51,13 @@ Token-wise work is a few wide BLAS calls.  A dual block gets the whole
 batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
 (K enters the score product as a transposed view), and each distinct
 prompt in a call gets every block's cross K and ``[V | 1]^T`` from one
-product with ``[wk_0 | wv_0 | wk_1 | ...]``; the model builds these
-side-by-side weights once.  Layer norm takes its mean and variance over the
-feature axis as products with a row of 1/d, one BLAS call per slice.
+product with ``[wk_0 | wv_0 | wk_1 | ...]``.  The model builds these
+side-by-side weights once, and every block's other token-wise ``W^T`` too.
+It keeps the prompt operands of its latest call, and a call reuses them for
+the very same prompt object whose matrix is still read-only and owns its
+data, as ``embed_prompt`` makes it; any other prompt's are built in the
+call.  Layer norm takes its mean and variance over the feature axis as
+products with a row of 1/d, one BLAS call per slice.
 
 Hooks observe and override attention inputs: a ``HookPlan`` names the
 ``(block, kind)`` sites whose effective Q/K/V (and text embedding) should be
@@ -69,7 +73,11 @@ rule, asked at each captured site with the packets every state has just
 captured there, first returns an override; from that site on its cores
 are its own.  So an override built from another pass's features at the
 same site needs no second call, and a rule that never overrides costs
-only its token-wise row.
+only its token-wise row.  A rule's ``ReplaceQKVE`` at a cross site that
+carries the very packet a conditional pass captured there in the call
+copies that pass's core: a packet records what its pass consumed, so the
+bytes are those the injected core would compute.  A static ``ReplaceQKVE``
+in ``overrides`` runs its own core.
 """
 
 from __future__ import annotations
@@ -357,7 +365,9 @@ def peak_bytes(
     prompt-sized); each distinct prompt's K and ``[V | 1]^T`` at every
     block and the product they are cut from, and per branch an overriding
     packet's; and the Python objects.  Python integers, so absurd sizes
-    give exact large counts.
+    give exact large counts.  Prompt operands the model kept from its
+    latest call allocate nothing when reused, so the count stays an upper
+    bound.
     """
     d, heads, n_blocks = cfg.d_model, cfg.n_heads, cfg.n_blocks
     n_tok = grid[0] * grid[1]
@@ -420,6 +430,11 @@ def _cross_operands(
     kv = (matrix @ w_kv).reshape(matrix.shape[0], -1, 2, heads, w_kv.shape[0] // heads)
     k = np.ascontiguousarray(kv[:, :, 0].transpose(1, 2, 0, 3))
     return k, _append_ones(kv[:, :, 1].transpose(1, 2, 3, 0))
+
+
+def _read_only(matrix: np.ndarray) -> bool:
+    """Whether a prompt matrix is frozen, as ``embed_prompt`` makes it: read-only, own data."""
+    return not matrix.flags.writeable and matrix.flags.owndata
 
 
 def _scaled(qt: np.ndarray) -> np.ndarray:
@@ -558,7 +573,14 @@ def _hook_site(
 
 
 class VelocityModel:
-    """Seeded toy velocity network; weights are immutable after init."""
+    """Seeded toy velocity network; weights are immutable after init.
+
+    ``__init__`` builds what no call changes: the side-by-side operand
+    weights and each block's transposed token-wise weights.  Between calls
+    the model keeps only the latest call's operands of its read-only
+    prompts (see the module docstring); they hold the prompt's K and
+    ``[V | 1]^T`` bytes exactly as a fresh build would.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -586,6 +608,17 @@ class VelocityModel:
         )
         for arr in (*self._self_qkv, self._cross_kv):
             arr.setflags(write=False)
+        # each block's token-wise weights transposed, for the feature-major
+        # stream: self wo (None in a cross-only block), cross wq and wo, MLP w1, w2
+        self._block_wt = [
+            (
+                W[f"b{b}.self.wo"].T if cfg.has_self(b) else None,
+                *(W[f"b{b}.{n}"].T for n in ("cross.wq", "cross.wo", "mlp.w1", "mlp.w2")),
+            )
+            for b in range(cfg.n_blocks)
+        ]
+        # the latest call's operands of each read-only prompt, by prompt object
+        self._prompt_kv: dict[int, tuple[PromptEmbedding, tuple[np.ndarray, np.ndarray]]] = {}
         self._position_cache: dict[tuple[int, int], np.ndarray] = {}
         self._sites = frozenset(
             (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
@@ -658,11 +691,17 @@ class VelocityModel:
         h += pos
         h += time_embedding(sigma_t, cfg.d_model)[:, None]
 
-        # K and [V | 1]^T depend only on the prompt: build each distinct one once
-        distinct = {id(p): p for p in prompts}
-        prompt_kv = {
-            key: _cross_operands(p.matrix, self._cross_kv, heads) for key, p in distinct.items()
-        }
+        # K and [V | 1]^T depend only on the prompt: build each distinct one
+        # once, or take a read-only one's from the latest call
+        kept, prompt_kv = self._prompt_kv, {}
+        for p in prompts:
+            if id(p) not in prompt_kv:
+                entry = kept.get(id(p))
+                if entry is None or entry[0] is not p or not _read_only(p.matrix):
+                    entry = (p, _cross_operands(p.matrix, self._cross_kv, heads))
+                prompt_kv[id(p)] = entry
+        # published whole, so that a caller on another thread sees one call's
+        self._prompt_kv = {key: e for key, e in prompt_kv.items() if _read_only(e[0].matrix)}
         packets: list[dict[Site, AttentionPacket]] = [{} for _ in states]
 
         def hooked(i, site, q, k, v1, text):
@@ -682,6 +721,12 @@ class VelocityModel:
             if ruled is None and not forked[f]:
                 return probe[f]
             forked[f] = True
+            if isinstance(ruled, ReplaceQKVE) and site[1] is AttnKind.CROSS:
+                # a packet captured here in this call holds what its branch
+                # consumed, so that branch's core is the injected one
+                for j, s in enumerate(cond):
+                    if packets[s].get(site) is ruled.packet:
+                        return j
             action = action if ruled is None else ruled
             return None if action is None else _hook_site(action, site, q, k, v1, text, None)
 
@@ -690,7 +735,7 @@ class VelocityModel:
         weighted = np.empty((n_b, heads, cfg.d_model // heads + 1, n_tok))
         attn = np.empty((n_b, cfg.d_model, n_tok))
         attn_heads = _head_view(attn, heads)
-        for b in range(cfg.n_blocks):
+        for b, (self_wo, cross_wq, cross_wo, mlp_w1, mlp_w2) in enumerate(self._block_wt):
             if cfg.has_self(b):
                 site = (b, AttnKind.SELF)
                 q, k, v1 = _self_operands(_layer_norm(h), self._self_qkv[b], heads)
@@ -707,24 +752,24 @@ class VelocityModel:
                 if b == 0:  # one row per branch from here
                     h = h[rows]
                 rows = range(n_b)
-                h += W[f"b{b}.self.wo"].T @ attn
+                h += self_wo @ attn
 
             site = (b, AttnKind.CROSS)
             if n_att:
-                q = _head_view(W[f"b{b}.cross.wq"].T @ _layer_norm(h[:n_att]), heads)
+                q = _head_view(cross_wq @ _layer_norm(h[:n_att]), heads)
                 qs = _scaled(q)
                 ops = []
                 for i, p in enumerate(prompts):
-                    k, v1 = prompt_kv[id(p)]
+                    k, v1 = prompt_kv[id(p)][1]
                     op = hooked(i, site, q[i], k[b], v1[b], p)
                     ops.append((qs[i], k[b], v1[b]) if op is None else op)
                 _attend_site(ops, None, weighted[:n_att], attn_heads[:n_att])
-                h[:n_att] += W[f"b{b}.cross.wo"].T @ attn[:n_att]
+                h[:n_att] += cross_wo @ attn[:n_att]
             if n_att < n_b:
                 h[n_att:] += self._null_cross[b]
 
             hn = _layer_norm(h)
-            h += W[f"b{b}.mlp.w2"].T @ _gelu_like(W[f"b{b}.mlp.w1"].T @ hn)
+            h += mlp_w2 @ _gelu_like(mlp_w1 @ hn)
 
         out = (W["w_out"].T @ _layer_norm(h)).reshape(n_b, c, h_grid, w_grid)
         v_cond, v_uncond = dict(zip(cond + forks, out)), dict(zip(uncond, out[n_att:]))

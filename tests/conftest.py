@@ -113,8 +113,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def traced_peak(model: VelocityModel, states) -> int:
-    """Traced peak bytes of one warm ``_forward`` of ``states``."""
+    """Traced peak bytes of one warm ``_forward`` of ``states`` that builds its prompt operands."""
     model._forward(states, 0.5)  # caches the position features
+    model._prompt_kv = {}  # the operands the warm call kept would cost the traced one nothing
     tracemalloc.start()
     try:
         model._forward(states, 0.5)

@@ -88,10 +88,15 @@ class TestEdit:
     def test_seed_flag_changes_noisy_output(self, tmp_path, scene):
         src, _ = scene
         cfg = write_config(tmp_path, EDIT_CONFIG)
-        out1, out2 = str(tmp_path / "o1.ppm"), str(tmp_path / "o2.ppm")
-        main(["edit", src, "--config", cfg, "--out", out1, "--seed", "0"])
-        main(["edit", src, "--config", cfg, "--out", out2, "--seed", "1"])
+        seeded = write_config(tmp_path, EDIT_CONFIG + "edit.seed = 7\n", name="seeded.cfg")
+        out1, out2, out3 = (str(tmp_path / f"o{i}.ppm") for i in (1, 2, 3))
+        assert main(["edit", src, "--config", cfg, "--out", out1, "--seed", "0"]) == 0
+        assert main(["edit", src, "--config", cfg, "--out", out2, "--seed", "7"]) == 0
         assert not filecmp.cmp(out1, out2, shallow=False)
+        # the flag is the config key: the same image and trace bytes
+        assert main(["edit", src, "--config", seeded, "--out", out3]) == 0
+        assert filecmp.cmp(out2, out3, shallow=False)
+        assert filecmp.cmp(out2 + ".trace", out3 + ".trace", shallow=False)
 
     def test_trace_reports_steps_and_schema(self, tmp_path, scene):
         src, _ = scene
@@ -303,6 +308,11 @@ class TestMetrics:
         write_ppm(gradient_image(8, 8), b)
         assert main(["metrics", a, b]) == 1
         assert "shapes differ" in capsys.readouterr().err
+        # so does a mask of another grid than the images'
+        mask = str(tmp_path / "mask.ppm")
+        write_mask(np.ones((8, 8), dtype=bool), mask)
+        assert main(["metrics", a, a, "--mask", mask]) == 1
+        assert "mask shape (8, 8) != image grid (16, 16)" in capsys.readouterr().err
 
 
 class TestAblate:
@@ -315,6 +325,17 @@ class TestAblate:
         assert "cells=3" in report
         assert report.count(".status=ok") == 3
         assert os.path.exists(os.path.join(out, "report.txt.timings"))
+
+    def test_seed_flag_is_the_seed_key(self, tmp_path):
+        flag, key = str(tmp_path / "flag"), str(tmp_path / "key")
+        cfg = write_config(tmp_path, EDIT_CONFIG)
+        seeded = write_config(tmp_path, EDIT_CONFIG + "edit.seed = 7\n", name="seeded.cfg")
+        grid = ["--grid", "fri_mode=off,freq"]
+        assert main(["ablate", "--config", cfg, *grid, "--out", flag, "--seed", "7"]) == 0
+        assert main(["ablate", "--config", seeded, *grid, "--out", key]) == 0
+        report = Path(flag, "report.txt").read_bytes()
+        assert b"seed=7\n" in report
+        assert report == Path(key, "report.txt").read_bytes()
 
     def test_bad_grid_is_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, EDIT_CONFIG)
@@ -367,9 +388,19 @@ class TestAblate:
                 EDIT_CONFIG + "fia.fij_step_cutoff = -2\n",
                 "fia.fij_step_cutoff must be >= -1 (-1 means the default), got -2",
             ),
+            (
+                EDIT_CONFIG + "edit.snapshot_stride = -1\n",
+                "edit.snapshot_stride must be non-negative",
+            ),
+            (EDIT_CONFIG + "model.blocks_dual = 0\n", "need at least one dual block"),
+            (
+                EDIT_CONFIG.replace("model.seed = 11", "model.seed = -1"),
+                "seed must be non-negative",
+            ),
         ],
         ids=[
-            "no-prompts", "d_model-2", "block-range", "reversed-block-range", "cutoff-minus-2"
+            "no-prompts", "d_model-2", "block-range", "reversed-block-range", "cutoff-minus-2",
+            "snapshot-stride-minus-1", "blocks-dual-0", "model-seed-minus-1",
         ],
     )
     def test_fault_shared_by_every_cell_is_exit_1(self, tmp_path, capsys, text, message):

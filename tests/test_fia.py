@@ -31,7 +31,14 @@ from fiaedit.model import (
     ReplaceQKVE,
     VelocityModel,
 )
-from fiaedit.schedule import NoiseMode, make_linear_schedule
+from fiaedit.prompts import embed_prompt
+from fiaedit.schedule import (
+    NoiseMode,
+    draw_step_noise,
+    interpolate_source,
+    make_linear_schedule,
+    reconstruct_target_state,
+)
 from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
 from conftest import branches, step_plan
@@ -528,6 +535,75 @@ class TestConstrainedPair:
         assert Counter(builds) == expected and len(builds) == 22
         for got, ref in zip(together, alone, strict=True):
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("fri", [False, True], ids=["fij-only", "fri-and-fij"])
+    def test_an_injected_core_is_copied_from_the_source_branch(
+        self, tiny_model, prompt_pair, monkeypatch, fri
+    ):
+        # a two-step run with the injection window open throughout, on prompt
+        # objects the model has not seen; then each step again, with the
+        # injected packets handed over as copies, which the model recomputes
+        attend, cross_operands = fiaedit.model._attend, fiaedit.model._cross_operands
+        counts = Counter()
+
+        def counting_attend(*args):
+            counts["cores"] += 1
+            attend(*args)
+
+        def counting_cross_operands(*args):
+            counts["operands"] += 1
+            return cross_operands(*args)
+
+        monkeypatch.setattr(fiaedit.model, "_attend", counting_attend)
+        monkeypatch.setattr(fiaedit.model, "_cross_operands", counting_cross_operands)
+        p_src, p_tar = (embed_prompt(p.text, 8, seed=1) for p in prompt_pair)
+        cfg, total = FiaConfig(fri_enabled=fri), 2
+        sched, guidance = make_linear_schedule(total, 0.0), GuidanceConfig(mu_src=3.5, mu_tar=13.5)
+        x_src = np.random.default_rng(2).standard_normal((4, 8, 8))
+        x_fe, steps = x_src.copy(), []
+        for i in range(total):
+            sigma_t = sched.sigmas[i]
+            x_src_t = interpolate_source(x_src, sigma_t, draw_step_noise(x_src.shape, 0, i))
+            x_tar_t = reconstruct_target_state(x_fe, x_src_t, x_src)
+            before = counts["cores"]
+            v_src, v_tar = constrained_velocity_pair(
+                tiny_model, x_src_t, x_tar_t, p_src, p_tar, sigma_t, i, total, guidance, cfg
+            )
+            steps.append((sigma_t, x_src_t, x_tar_t, v_tar, counts["cores"] - before))
+            x_fe = x_fe + (sched.sigmas[i + 1] - sigma_t) * (v_tar - v_src)
+        # each prompt's K and [V | 1]^T are built once for the whole run
+        assert counts["operands"] == 2
+
+        build = fiaedit.fia.build_target_overrides
+
+        def copying_build(*args):
+            plan = build(*args)
+            copied = {
+                site: ReplaceQKVE(dataclasses.replace(a.packet))
+                for site, a in plan.overrides.items()
+                if isinstance(a, ReplaceQKVE)
+            }
+            return HookPlan(overrides={**plan.overrides, **copied})
+
+        for i, (sigma_t, x_src_t, x_tar_t, v_tar, cores) in enumerate(steps):
+            capture = plan_capture(cfg, tiny_model.cfg, i, total)
+            _, src_by = tiny_model.velocity(x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture)
+            _, tar_by = tiny_model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
+            plan = step_plan(cfg, i, total, src_by, tar_by, x_src.shape[-2:], tiny_model.cfg)
+            injected = [site for site, a in plan.overrides.items() if isinstance(a, ReplaceQKVE)]
+            assert sorted(injected) == [(4, AttnKind.CROSS), (5, AttnKind.CROSS)]
+            static, _ = tiny_model.velocity(
+                x_tar_t, p_tar, sigma_t, guidance.mu_tar, hooks=HookPlan(overrides=plan.overrides)
+            )
+            assert np.array_equal(v_tar, static)
+            with monkeypatch.context() as m:
+                m.setattr(fiaedit.fia, "build_target_overrides", copying_build)
+                before = counts["cores"]
+                _, recomputed = constrained_velocity_pair(
+                    tiny_model, x_src_t, x_tar_t, p_src, p_tar, sigma_t, i, total, guidance, cfg
+                )
+            assert counts["cores"] - before == cores + len(injected)
+            assert np.array_equal(recomputed, v_tar)
 
     def test_constraint_changes_target_velocity(self, tiny_model, prompt_pair):
         p_src, p_tar = prompt_pair

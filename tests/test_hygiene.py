@@ -1,5 +1,5 @@
-"""Code carries no dead weight: no unused import in the package or its tests,
-and no orphaned private name or error class in the package."""
+"""Code carries no dead weight: no unused import in the package, its tests or
+its scripts, and no orphaned private name or error class in the package."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "fiaedit"
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def parse_modules(directory: Path = PACKAGE) -> dict[str, ast.Module]:
@@ -32,6 +33,7 @@ def test_every_import_is_used():
     unused = {}
     modules = {f"src/fiaedit/{name}": tree for name, tree in parse_modules().items()}
     modules |= {f"tests/{name}": tree for name, tree in parse_modules(TESTS).items()}
+    modules |= {f"scripts/{name}": tree for name, tree in parse_modules(SCRIPTS).items()}
     for name, tree in modules.items():
         bound = [
             (alias.asname or alias.name).split(".")[0]

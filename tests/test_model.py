@@ -740,6 +740,23 @@ class TestBatchedForward:
         ((alone, _, _),) = tiny_model._forward([(x[3], p_tar, 1.0, HookPlan())], 0.5)
         assert np.array_equal(out[3][0], alone)
 
+    @pytest.mark.parametrize("kind", ["writable", "read-only-view"])
+    def test_a_prompt_that_can_change_is_projected_every_call(self, tiny_model, prompt_pair, kind):
+        # a matrix written between calls, in place or through the base of a
+        # read-only view, gives its fresh bytes, never the latest call's operands
+        p, other = prompt_pair
+        base = p.matrix.copy()
+        matrix = base if kind == "writable" else base.view()
+        matrix.flags.writeable = kind == "writable"
+        prompt, x = PromptEmbedding(p.tokens, matrix), latent(3)
+        first, _ = tiny_model.velocity(x, prompt, 0.5, 2.5)
+        assert np.array_equal(first, tiny_model.velocity(x, p, 0.5, 2.5)[0])
+        assert np.array_equal(first, tiny_model.velocity(x, prompt, 0.5, 2.5)[0])
+        base[:] = other.matrix
+        changed, _ = tiny_model.velocity(x, prompt, 0.5, 2.5)
+        assert np.array_equal(changed, tiny_model.velocity(x, other, 0.5, 2.5)[0])
+        assert not np.array_equal(changed, first)
+
     def test_self_qkv_is_one_product_per_dual_block(self, prompt_pair):
         class CountingWeights(np.ndarray):
             products = 0
