@@ -19,7 +19,7 @@ from .ablation import parse_grid, run_ablation, write_report
 from .codec import ImageBuffer, decode, read_mask, read_ppm, write_mask, write_ppm
 from .config import RunConfig, build_run, load_config, parse_config, with_overrides
 from .engine import EditTrace, run_edit
-from .errors import ConfigError, EditRunError, FiaEditError, NumericFailure
+from .errors import ConfigError, FiaEditError, NumericFailure
 from .fixtures import load_fixture
 from .metrics import METRIC_COLUMNS, compute_report
 
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except (FiaEditError, EditRunError, OSError, ValueError) as exc:
+    except (FiaEditError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
 

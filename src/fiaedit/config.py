@@ -226,7 +226,7 @@ def _validate(cfg: RunConfig) -> None:
         if fia.fij_enabled:
             fia.resolved_cutoff(cfg.schedule_steps)
             fia.resolved_block_range(model_cfg)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.edit_seed < 0:
         raise ConfigError("edit.seed must be non-negative")

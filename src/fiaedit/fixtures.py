@@ -12,6 +12,12 @@ import numpy as np
 from .codec import ImageBuffer, clamp_image
 from .errors import ConfigError
 
+# the checkerboard's cell side in pixels; the blob's radius, and the ring
+# between it and the background mask, as fractions of the image side
+_CHECKER_CELL = 2
+_BLOB_RADIUS_FRAC = 0.22
+_MASK_MARGIN_FRAC = 0.08
+
 
 def gradient_image(h: int = 16, w: int = 16) -> ImageBuffer:
     """Smooth corner-to-corner ramps, one orientation per channel."""
@@ -21,16 +27,14 @@ def gradient_image(h: int = 16, w: int = 16) -> ImageBuffer:
     return clamp_image(pixels)
 
 
-def checkerboard_image(h: int = 16, w: int = 16, cell: int = 2) -> ImageBuffer:
+def checkerboard_image(h: int = 16, w: int = 16) -> ImageBuffer:
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    board = ((ys // cell + xs // cell) % 2).astype(np.float64)
+    board = ((ys // _CHECKER_CELL + xs // _CHECKER_CELL) % 2).astype(np.float64)
     pixels = np.stack([0.2 + 0.6 * board, 0.8 - 0.6 * board, np.full((h, w), 0.5)])
     return clamp_image(pixels)
 
 
-def blob_scene(
-    h: int = 16, w: int = 16, blob_radius_frac: float = 0.22, margin_frac: float = 0.08
-) -> tuple[ImageBuffer, np.ndarray]:
+def blob_scene(h: int = 16, w: int = 16) -> tuple[ImageBuffer, np.ndarray]:
     """Bright blob on a textured gradient background, plus a background mask.
 
     The mask marks pixels outside the blob with a safety ring between, so
@@ -44,11 +48,11 @@ def blob_scene(
     pixels = np.stack([base_r + texture, base_g + texture, base_b])
 
     r = np.hypot(ys - 0.5, xs - 0.5)
-    blob = r < blob_radius_frac
+    blob = r < _BLOB_RADIUS_FRAC
     for c, level in enumerate((0.95, 0.85, 0.2)):
         pixels[c][blob] = level
 
-    background = r >= blob_radius_frac + margin_frac
+    background = r >= _BLOB_RADIUS_FRAC + _MASK_MARGIN_FRAC
     return clamp_image(pixels), background
 
 

@@ -21,7 +21,6 @@ prefix runs once per state: the input projection, the position and time
 embeddings, block 0's layer norm and Q/K/V, and block 0's self-attention
 core, which a conditional pass that overrides ``(0, SELF)`` runs on its
 own.  From block 0's output projection on, every branch has its own row.
-Branches handed the same prompt object share its cross K and ``[V | 1]^T``.
 
 The residual stream is feature-major, (branches, d_model, tokens): every
 token-wise step runs along a contiguous axis of n tokens, and token-wise
@@ -53,11 +52,12 @@ batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
 prompt in a call gets every block's cross K and ``[V | 1]^T`` from one
 product with ``[wk_0 | wv_0 | wk_1 | ...]``.  The model builds these
 side-by-side weights once, and every block's other token-wise ``W^T`` too.
-It keeps the prompt operands of its latest call, and a call reuses them for
-the very same prompt object whose matrix is still read-only and owns its
-data, as ``embed_prompt`` makes it; any other prompt's are built in the
-call.  Layer norm takes its mean and variance over the feature axis as
-products with a row of 1/d, one BLAS call per slice.
+Calls and branches share K and ``[V | 1]^T`` for prompt matrices of equal
+values: a call keys each prompt's operands by the shape and bytes of its
+C-ordered float64 matrix, takes those the latest call kept or builds them
+from that array once per key, and keeps only its own for the next call.
+Layer norm takes its mean and variance over the feature axis as products
+with a row of 1/d, one BLAS call per slice.
 
 Hooks observe and override attention inputs: a ``HookPlan`` names the
 ``(block, kind)`` sites whose effective Q/K/V (and text embedding) should be
@@ -293,6 +293,14 @@ def position_features(h: int, w: int, d_model: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _positions(h: int, w: int, d_model: int) -> np.ndarray:
+    """Feature-major position features, (d_model, h*w), read-only."""
+    pos = np.ascontiguousarray(position_features(h, w, d_model).T)
+    pos.setflags(write=False)
+    return pos
+
+
 def _snapshot(arr: np.ndarray) -> np.ndarray:
     frozen = arr.copy()
     frozen.setflags(write=False)
@@ -363,11 +371,13 @@ def peak_bytes(
     flags, an overriding Q^T scaled, the channel copies and the packets
     captured at every site (Q, K and V; at a cross site K and V are
     prompt-sized); each distinct prompt's K and ``[V | 1]^T`` at every
-    block and the product they are cut from, and per branch an overriding
+    block, the product they are cut from, its matrix's bytes that key
+    them and its C-ordered float64 copy, and per branch an overriding
     packet's; and the Python objects.  Python integers, so absurd sizes
     give exact large counts.  Prompt operands the model kept from its
-    latest call allocate nothing when reused, so the count stays an upper
-    bound.
+    latest call allocate nothing when reused, and those of other prompts
+    are dropped before the call builds its own, so the count stays an
+    upper bound.
     """
     d, heads, n_blocks = cfg.d_model, cfg.n_heads, cfg.n_blocks
     n_tok = grid[0] * grid[1]
@@ -376,7 +386,7 @@ def peak_bytes(
     packets = 3 * d * cfg.n_blocks_dual + d * n_blocks
     tokenwise = 19 * d + 3 * heads + 2 * cfg.channels + packets
     attention = math.prod(_score_shape(heads, n_tok)) + heads * n_tok * prompt_tokens
-    operands = prompts * n_blocks * (2 * d + heads) + 2 * d * n_blocks
+    operands = prompts * (n_blocks * (2 * d + heads) + 2 * d) + 2 * d * n_blocks
     prompt_sized = prompt_tokens * (operands + branches * ((n_blocks + 1) * 2 * d + heads))
     objects = _OBJECT_BYTES * (8 + branches * (cfg.n_blocks_dual + n_blocks))
     return 8 * (weights + branches * n_tok * tokenwise + attention + prompt_sized) + objects
@@ -430,11 +440,6 @@ def _cross_operands(
     kv = (matrix @ w_kv).reshape(matrix.shape[0], -1, 2, heads, w_kv.shape[0] // heads)
     k = np.ascontiguousarray(kv[:, :, 0].transpose(1, 2, 0, 3))
     return k, _append_ones(kv[:, :, 1].transpose(1, 2, 3, 0))
-
-
-def _read_only(matrix: np.ndarray) -> bool:
-    """Whether a prompt matrix is frozen, as ``embed_prompt`` makes it: read-only, own data."""
-    return not matrix.flags.writeable and matrix.flags.owndata
 
 
 def _scaled(qt: np.ndarray) -> np.ndarray:
@@ -575,11 +580,11 @@ def _hook_site(
 class VelocityModel:
     """Seeded toy velocity network; weights are immutable after init.
 
-    ``__init__`` builds what no call changes: the side-by-side operand
-    weights and each block's transposed token-wise weights.  Between calls
-    the model keeps only the latest call's operands of its read-only
-    prompts (see the module docstring); they hold the prompt's K and
-    ``[V | 1]^T`` bytes exactly as a fresh build would.
+    ``__init__`` builds what no call changes: one record per block of its
+    transposed token-wise weights, side-by-side operand weights and null
+    row.  Between calls the model keeps only the latest call's prompt
+    operands, keyed by the matrix values they were built from (see the
+    module docstring), so a call's bytes are those of a fresh model.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -592,34 +597,30 @@ class VelocityModel:
         for arr in self.weights.values():
             arr.setflags(write=False)
         W = self.weights
-        # softmax over the single null key is 1, so an unconditional branch's
-        # cross-attention adds the same projected value column at every token
-        self._null_cross = [
-            (W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]).T
-            for b in range(cfg.n_blocks)
-        ]
-        # the operands' weights side by side, so that each is one product
-        self._self_qkv = [
-            np.hstack([W[f"b{b}.self.{n}"] for n in ("wq", "wk", "wv")]).T
-            for b in range(cfg.n_blocks_dual)
-        ]
+        # the cross operands' weights side by side, so that K and V are one product
         self._cross_kv = np.hstack(
             [W[f"b{b}.cross.{n}"] for b in range(cfg.n_blocks) for n in ("wk", "wv")]
         )
-        for arr in (*self._self_qkv, self._cross_kv):
-            arr.setflags(write=False)
-        # each block's token-wise weights transposed, for the feature-major
-        # stream: self wo (None in a cross-only block), cross wq and wo, MLP w1, w2
-        self._block_wt = [
-            (
-                W[f"b{b}.self.wo"].T if cfg.has_self(b) else None,
-                *(W[f"b{b}.{n}"].T for n in ("cross.wq", "cross.wo", "mlp.w1", "mlp.w2")),
+        # one record per block for the feature-major stream, weights
+        # transposed: self [wq | wk | wv] and wo (None in a cross-only block),
+        # cross wq and wo, the null row, MLP w1 and w2.  Softmax over the
+        # single null key is 1, so an unconditional branch's cross-attention
+        # adds the same projected value column, the null row, at every token.
+        self._blocks = []
+        for b in range(cfg.n_blocks):
+            w_qkv = self_wo = None
+            if cfg.has_self(b):
+                w_qkv = np.hstack([W[f"b{b}.self.{n}"] for n in ("wq", "wk", "wv")]).T
+                self_wo = W[f"b{b}.self.wo"].T
+            null_row = (W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]).T
+            cross_wq, cross_wo, mlp_w1, mlp_w2 = (
+                W[f"b{b}.{n}"].T for n in ("cross.wq", "cross.wo", "mlp.w1", "mlp.w2")
             )
-            for b in range(cfg.n_blocks)
-        ]
-        # the latest call's operands of each read-only prompt, by prompt object
-        self._prompt_kv: dict[int, tuple[PromptEmbedding, tuple[np.ndarray, np.ndarray]]] = {}
-        self._position_cache: dict[tuple[int, int], np.ndarray] = {}
+            self._blocks.append((w_qkv, self_wo, cross_wq, cross_wo, null_row, mlp_w1, mlp_w2))
+        for arr in (self._cross_kv, *(a for rec in self._blocks for a in rec if a is not None)):
+            arr.setflags(write=False)
+        # the latest call's K and [V | 1]^T, by prompt matrix value
+        self._prompt_kv: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._sites = frozenset(
             (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
         )
@@ -681,27 +682,28 @@ class VelocityModel:
         c, h_grid, w_grid = xs[0].shape
         n_tok = h_grid * w_grid
         heads = cfg.n_heads
-        pos = self._position_cache.get((h_grid, w_grid))
-        if pos is None:
-            pos = np.ascontiguousarray(position_features(h_grid, w_grid, cfg.d_model).T)
-            pos.setflags(write=False)
-            self._position_cache[(h_grid, w_grid)] = pos
         # the residual stream, (rows, d_model, tokens)
         h = W["w_in"].T @ np.stack(xs).reshape(len(xs), c, n_tok)
-        h += pos
+        h += _positions(h_grid, w_grid, cfg.d_model)
         h += time_embedding(sigma_t, cfg.d_model)[:, None]
 
-        # K and [V | 1]^T depend only on the prompt: build each distinct one
-        # once, or take a read-only one's from the latest call
-        kept, prompt_kv = self._prompt_kv, {}
-        for p in prompts:
-            if id(p) not in prompt_kv:
-                entry = kept.get(id(p))
-                if entry is None or entry[0] is not p or not _read_only(p.matrix):
-                    entry = (p, _cross_operands(p.matrix, self._cross_kv, heads))
-                prompt_kv[id(p)] = entry
-        # published whole, so that a caller on another thread sees one call's
-        self._prompt_kv = {key: e for key, e in prompt_kv.items() if _read_only(e[0].matrix)}
+        # K and [V | 1]^T depend only on the prompt matrix's values: group the
+        # branches by value, drop the latest call's operands of other values,
+        # and take each group's from that call or build them once.  Every
+        # entry holds its key's operands, so a caller on another thread may
+        # read the table while this call fills it.
+        groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+        for i, p in enumerate(prompts):
+            matrix = np.ascontiguousarray(p.matrix, dtype=np.float64)
+            groups.setdefault((matrix.shape, matrix.tobytes()), (matrix, []))[1].append(i)
+        kept = self._prompt_kv
+        self._prompt_kv = kept = {key: kept[key] for key in groups if key in kept}
+        operands = [None] * n_att
+        for key, (matrix, branches) in groups.items():
+            if key not in kept:
+                kept[key] = _cross_operands(matrix, self._cross_kv, heads)
+            for i in branches:
+                operands[i] = kept[key]
         packets: list[dict[Site, AttentionPacket]] = [{} for _ in states]
 
         def hooked(i, site, q, k, v1, text):
@@ -735,10 +737,11 @@ class VelocityModel:
         weighted = np.empty((n_b, heads, cfg.d_model // heads + 1, n_tok))
         attn = np.empty((n_b, cfg.d_model, n_tok))
         attn_heads = _head_view(attn, heads)
-        for b, (self_wo, cross_wq, cross_wo, mlp_w1, mlp_w2) in enumerate(self._block_wt):
-            if cfg.has_self(b):
+        for b, block in enumerate(self._blocks):
+            w_qkv, self_wo, cross_wq, cross_wo, null_row, mlp_w1, mlp_w2 = block
+            if w_qkv is not None:
                 site = (b, AttnKind.SELF)
-                q, k, v1 = _self_operands(_layer_norm(h), self._self_qkv[b], heads)
+                q, k, v1 = _self_operands(_layer_norm(h), w_qkv, heads)
                 qs = _scaled(q)
                 done: dict[int, int] = {}  # row -> the branch whose core reads it unchanged
                 ops: list[tuple[np.ndarray, np.ndarray, np.ndarray] | int] = []
@@ -759,14 +762,13 @@ class VelocityModel:
                 q = _head_view(cross_wq @ _layer_norm(h[:n_att]), heads)
                 qs = _scaled(q)
                 ops = []
-                for i, p in enumerate(prompts):
-                    k, v1 = prompt_kv[id(p)][1]
+                for i, (p, (k, v1)) in enumerate(zip(prompts, operands)):
                     op = hooked(i, site, q[i], k[b], v1[b], p)
                     ops.append((qs[i], k[b], v1[b]) if op is None else op)
                 _attend_site(ops, None, weighted[:n_att], attn_heads[:n_att])
                 h[:n_att] += cross_wo @ attn[:n_att]
             if n_att < n_b:
-                h[n_att:] += self._null_cross[b]
+                h[n_att:] += null_row
 
             hn = _layer_norm(h)
             h += mlp_w2 @ _gelu_like(mlp_w1 @ hn)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import fiaedit.config
@@ -15,11 +16,11 @@ from fiaedit.ablation import (
     parse_grid,
     run_ablation,
 )
-from fiaedit.codec import decode, encode
+from fiaedit.codec import clamp_image, decode, encode
 from fiaedit.config import build_edit_request, parse_config
 from fiaedit.engine import run_edit
 from fiaedit.errors import ConfigError
-from fiaedit.fixtures import load_fixture
+from fiaedit.fixtures import FIXTURES, load_fixture
 from fiaedit.metrics import compute_report
 from fiaedit.model import VelocityModel
 from fiaedit.prompts import embed_prompt
@@ -139,6 +140,19 @@ class TestRunAblation:
         assert [r.status for r in report.rows] == ["error", "ok"]
         assert report.rows[0].error.startswith("ConfigError: filter_sigma must be positive")
         assert report.rows[1].metrics == solo_rows(BASE, grid)[1]
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES))
+    def test_every_fixture_reports_on_its_own_image(self, fixture):
+        # run_ablation reports a finished cell unguarded: its decoded latent is
+        # an image of the fixture's grid, and the fixture's grid and mask suit
+        # every metric
+        image, mask = load_fixture(fixture)
+        assert min(image.grid) >= 16
+        assert mask is None or (mask.shape == image.grid and mask.any())
+        noise = np.random.default_rng(0).uniform(-0.5, 1.5, image.pixels.shape)
+        for edited in (image, clamp_image(noise)):
+            columns = compute_report(edited, image, mask).columns()
+            assert not np.isnan(list(columns.values())).any()
 
     def test_channel_mismatch_rejected_upfront(self):
         with pytest.raises(ConfigError, match="channels"):

@@ -73,6 +73,12 @@ class TestCodec:
         with pytest.raises(ShapeMismatchError):
             decode(np.zeros((10, 2, 2)), 2)
 
+    def test_patch_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            encode(random_image(4, 4), 0)
+        with pytest.raises(ValueError):
+            decode(np.zeros((12, 2, 2)), 0)
+
     def test_decode_clamps(self):
         latent = np.full((12, 2, 2), 2.5)
         assert np.all(decode(latent, 2).pixels == 1.0)

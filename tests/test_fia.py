@@ -31,7 +31,6 @@ from fiaedit.model import (
     ReplaceQKVE,
     VelocityModel,
 )
-from fiaedit.prompts import embed_prompt
 from fiaedit.schedule import (
     NoiseMode,
     draw_step_noise,
@@ -540,9 +539,10 @@ class TestConstrainedPair:
     def test_an_injected_core_is_copied_from_the_source_branch(
         self, tiny_model, prompt_pair, monkeypatch, fri
     ):
-        # a two-step run with the injection window open throughout, on prompt
-        # objects the model has not seen; then each step again, with the
+        # a two-step run with the injection window open throughout, on a
+        # model that has seen no prompt; then each step again, with the
         # injected packets handed over as copies, which the model recomputes
+        model = VelocityModel(tiny_model.cfg)
         attend, cross_operands = fiaedit.model._attend, fiaedit.model._cross_operands
         counts = Counter()
 
@@ -556,7 +556,7 @@ class TestConstrainedPair:
 
         monkeypatch.setattr(fiaedit.model, "_attend", counting_attend)
         monkeypatch.setattr(fiaedit.model, "_cross_operands", counting_cross_operands)
-        p_src, p_tar = (embed_prompt(p.text, 8, seed=1) for p in prompt_pair)
+        p_src, p_tar = prompt_pair
         cfg, total = FiaConfig(fri_enabled=fri), 2
         sched, guidance = make_linear_schedule(total, 0.0), GuidanceConfig(mu_src=3.5, mu_tar=13.5)
         x_src = np.random.default_rng(2).standard_normal((4, 8, 8))
@@ -567,7 +567,7 @@ class TestConstrainedPair:
             x_tar_t = reconstruct_target_state(x_fe, x_src_t, x_src)
             before = counts["cores"]
             v_src, v_tar = constrained_velocity_pair(
-                tiny_model, x_src_t, x_tar_t, p_src, p_tar, sigma_t, i, total, guidance, cfg
+                model, x_src_t, x_tar_t, p_src, p_tar, sigma_t, i, total, guidance, cfg
             )
             steps.append((sigma_t, x_src_t, x_tar_t, v_tar, counts["cores"] - before))
             x_fe = x_fe + (sched.sigmas[i + 1] - sigma_t) * (v_tar - v_src)
@@ -586,13 +586,13 @@ class TestConstrainedPair:
             return HookPlan(overrides={**plan.overrides, **copied})
 
         for i, (sigma_t, x_src_t, x_tar_t, v_tar, cores) in enumerate(steps):
-            capture = plan_capture(cfg, tiny_model.cfg, i, total)
-            _, src_by = tiny_model.velocity(x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture)
-            _, tar_by = tiny_model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
-            plan = step_plan(cfg, i, total, src_by, tar_by, x_src.shape[-2:], tiny_model.cfg)
+            capture = plan_capture(cfg, model.cfg, i, total)
+            _, src_by = model.velocity(x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture)
+            _, tar_by = model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
+            plan = step_plan(cfg, i, total, src_by, tar_by, x_src.shape[-2:], model.cfg)
             injected = [site for site, a in plan.overrides.items() if isinstance(a, ReplaceQKVE)]
             assert sorted(injected) == [(4, AttnKind.CROSS), (5, AttnKind.CROSS)]
-            static, _ = tiny_model.velocity(
+            static, _ = model.velocity(
                 x_tar_t, p_tar, sigma_t, guidance.mu_tar, hooks=HookPlan(overrides=plan.overrides)
             )
             assert np.array_equal(v_tar, static)
@@ -600,7 +600,7 @@ class TestConstrainedPair:
                 m.setattr(fiaedit.fia, "build_target_overrides", copying_build)
                 before = counts["cores"]
                 _, recomputed = constrained_velocity_pair(
-                    tiny_model, x_src_t, x_tar_t, p_src, p_tar, sigma_t, i, total, guidance, cfg
+                    model, x_src_t, x_tar_t, p_src, p_tar, sigma_t, i, total, guidance, cfg
                 )
             assert counts["cores"] - before == cores + len(injected)
             assert np.array_equal(recomputed, v_tar)

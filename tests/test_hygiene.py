@@ -1,5 +1,6 @@
 """Code carries no dead weight: no unused import in the package, its tests or
-its scripts, and no orphaned private name or error class in the package."""
+its scripts, and no orphaned private name, error class or unread parameter in
+the package."""
 
 from __future__ import annotations
 
@@ -46,6 +47,39 @@ def test_every_import_is_used():
         if missing := [b for b in bound if b not in read]:
             unused[name] = missing
     assert not unused, f"unused imports: {unused}"
+
+
+# parameters that stay unread, each with its reason
+UNREAD_PARAMETERS = {
+    ("config.py", "_parse_str", "key"): "every value parser takes (raw, key)",
+    ("fia.py", "build_target_overrides", "topology"): (
+        "benchmark/bench_tracer.py binds the call's topology argument by name"
+    ),
+}
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for name, tree in parse_modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for statement in body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            function = getattr(node, "name", "<lambda>")
+            unread |= {(name, function, p) for p in params if p not in read | {"self", "cls"}}
+    assert unread == UNREAD_PARAMETERS.keys(), (
+        f"unread parameters: {sorted(unread - UNREAD_PARAMETERS.keys())}; "
+        f"stale allowlist entries: {sorted(UNREAD_PARAMETERS.keys() - unread)}"
+    )
 
 
 def test_every_private_module_name_is_referenced():

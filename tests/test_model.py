@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import attend, branches as count_branches, dyadic, keys_major, traced_peak
 
 import fiaedit.model
@@ -45,6 +47,10 @@ class TestModelConfig:
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(d_model=7, n_heads=1)
+
+    def test_no_channels_rejected(self):
+        with pytest.raises(ValueError, match="channels must be positive"):
+            ModelConfig(channels=0)
 
     def test_topology_split(self):
         topo = ModelConfig(n_blocks_dual=2, n_blocks_cross_only=2)
@@ -537,11 +543,19 @@ class TestPeakBytes:
         model = VelocityModel(cfg)
         x = np.random.default_rng(0).standard_normal((n, cfg.channels, *grid))
         plan = HookPlan(capture=all_sites(cfg))
-        states = [
-            (xi, embed_prompt(" ".join(f"w{j}x{i}" for j in range(words)), cfg.d_model), 1.0, plan)
-            for i, xi in enumerate(x)
-        ]
-        assert traced_peak(model, states) <= peak_bytes(cfg, grid, n, words, n)
+        states, others = (
+            [
+                (xi, embed_prompt(" ".join(f"{w}{j}x{i}" for j in range(words)), cfg.d_model),
+                 1.0, plan)
+                for i, xi in enumerate(x)
+            ]
+            for w in ("w", "v")
+        )
+        bound = peak_bytes(cfg, grid, n, words, n)
+        assert traced_peak(model, states) <= bound
+        # and after a call on as many other prompts, whose operands the model
+        # kept: it drops them before it builds this call's
+        assert traced_peak(model, states, before=others) <= bound
 
 
 class TestTimeEmbedding:
@@ -597,6 +611,16 @@ class TestLayerNorm:
         view = h[step]
         assert not view.flags.c_contiguous
         assert np.array_equal(_layer_norm(view), _layer_norm(np.ascontiguousarray(view)))
+
+
+# what a call hands the model for a state's prompt, with a seed: a fresh
+# prompt, a known one as it is, or rewritten in place and frozen again, or a
+# new object of a known one's values (a copy, a view, a Fortran-ordered copy)
+_PROMPT_MOVE = st.tuples(
+    st.sampled_from(["fresh", "reuse", "copy", "view", "fortran", "refrozen"]),
+    st.integers(0, 2**16),
+)
+_GRIDS = st.sampled_from([(4, 4), (6, 5)])
 
 
 def all_sites(cfg):
@@ -722,40 +746,91 @@ class TestBatchedForward:
                 for state, state_ref in zip(out, ref):
                     assert all(np.array_equal(a, b) for a, b in zip(state[:2], state_ref[:2]))
 
-    def test_cross_kv_projected_once_per_distinct_prompt(self, tiny_model, prompt_pair):
-        class CountingMatrix(np.ndarray):
-            products = 0
+    def test_cross_kv_projected_once_per_distinct_prompt(
+        self, tiny_model, prompt_pair, monkeypatch
+    ):
+        cross_operands, built = fiaedit.model._cross_operands, []
 
-            def __matmul__(self, other):
-                CountingMatrix.products += 1
-                return np.asarray(self) @ other
+        def counting_cross_operands(matrix, *args):
+            built.append(matrix)
+            return cross_operands(matrix, *args)
 
+        monkeypatch.setattr(fiaedit.model, "_cross_operands", counting_cross_operands)
         p_src, p_tar = prompt_pair
-        shared = PromptEmbedding(p_tar.tokens, p_tar.matrix.view(CountingMatrix))
+        copies = [PromptEmbedding(p_tar.tokens, p_tar.matrix.copy()) for _ in range(6)]
+        for p in copies:
+            p.matrix.flags.writeable = False
         x = [latent(i) for i in range(7)]
-        # a grid step: the source and six probes on one target prompt
-        states = [(xi, p, 1.0, HookPlan()) for xi, p in zip(x, [p_src] + [shared] * 6)]
-        out = tiny_model._forward(states, 0.5)
-        assert CountingMatrix.products == 1  # every block's K and V in one product
-        ((alone, _, _),) = tiny_model._forward([(x[3], p_tar, 1.0, HookPlan())], 0.5)
-        assert np.array_equal(out[3][0], alone)
+        # a grid step: the source and six probes on one target prompt, handed
+        # over as one object or as six frozen objects of its values
+        for shared in ([p_tar] * 6, copies):
+            built.clear()
+            states = [(xi, p, 1.0, HookPlan()) for xi, p in zip(x, [p_src] + shared)]
+            out = VelocityModel(tiny_model.cfg)._forward(states, 0.5)
+            # every block's K and V in one product per distinct prompt value
+            assert len(built) == 2
+            assert sum(np.array_equal(m, p_tar.matrix) for m in built) == 1
+            ((alone, _, _),) = tiny_model._forward([(x[3], p_tar, 1.0, HookPlan())], 0.5)
+            assert np.array_equal(out[3][0], alone)
 
-    @pytest.mark.parametrize("kind", ["writable", "read-only-view"])
+    @pytest.mark.parametrize("kind", ["writable", "read-only-view", "refrozen"])
     def test_a_prompt_that_can_change_is_projected_every_call(self, tiny_model, prompt_pair, kind):
-        # a matrix written between calls, in place or through the base of a
-        # read-only view, gives its fresh bytes, never the latest call's operands
+        # a matrix written between calls, in place, through the base of a
+        # read-only view, or unfrozen, written and frozen again, gives its
+        # fresh bytes, never the latest call's operands
         p, other = prompt_pair
         base = p.matrix.copy()
-        matrix = base if kind == "writable" else base.view()
+        matrix = base.view() if kind == "read-only-view" else base
         matrix.flags.writeable = kind == "writable"
         prompt, x = PromptEmbedding(p.tokens, matrix), latent(3)
         first, _ = tiny_model.velocity(x, prompt, 0.5, 2.5)
         assert np.array_equal(first, tiny_model.velocity(x, p, 0.5, 2.5)[0])
         assert np.array_equal(first, tiny_model.velocity(x, prompt, 0.5, 2.5)[0])
+        base.flags.writeable = True
         base[:] = other.matrix
+        matrix.flags.writeable = kind == "writable"
         changed, _ = tiny_model.velocity(x, prompt, 0.5, 2.5)
         assert np.array_equal(changed, tiny_model.velocity(x, other, 0.5, 2.5)[0])
         assert not np.array_equal(changed, first)
+
+    @settings(max_examples=30, deadline=None)
+    @example(calls=[((4, 4), [("fresh", 1)]), ((4, 4), [("refrozen", 1)])])
+    @given(calls=st.lists(st.tuples(_GRIDS, st.lists(_PROMPT_MOVE, min_size=1, max_size=3)),
+                          min_size=1, max_size=6))
+    def test_every_call_gives_a_fresh_models_bytes(self, calls):
+        # one model through a history of calls: whatever it kept from the
+        # calls before, each call's velocities are a fresh model's bytes
+        cfg = ModelConfig(channels=4)
+        model, pool = VelocityModel(cfg), []
+        for c, (grid, moves) in enumerate(calls):
+            states = []
+            for move, seed in moves:
+                if move == "fresh" or not pool:
+                    words = " ".join(f"w{seed + i}" for i in range(1 + seed % 3))
+                    p = embed_prompt(words, cfg.d_model)
+                    pool.append(p)
+                elif move == "refrozen":  # unfrozen, rewritten and frozen again
+                    owners = [q for q in pool if q.matrix.flags.owndata]
+                    p = owners[seed % len(owners)]
+                    p.matrix.flags.writeable = True
+                    p.matrix[:] = np.random.default_rng(seed).standard_normal(p.matrix.shape)
+                    p.matrix.flags.writeable = False
+                elif move == "reuse":
+                    p = pool[seed % len(pool)]
+                else:  # a new object of a known prompt's values
+                    p = pool[seed % len(pool)]
+                    matrix = {
+                        "copy": p.matrix.copy(),
+                        "view": p.matrix.view(),
+                        "fortran": np.array(p.matrix, order="F"),
+                    }[move]
+                    p = PromptEmbedding(p.tokens, matrix)
+                    pool.append(p)
+                states.append((latent(c + len(states), (4, *grid)), p, 2.5, HookPlan()))
+            got = model._forward(states, 0.5)
+            want = VelocityModel(cfg)._forward(states, 0.5)
+            for state, ref in zip(got, want, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(state[:2], ref[:2]))
 
     def test_self_qkv_is_one_product_per_dual_block(self, prompt_pair):
         class CountingWeights(np.ndarray):
@@ -766,7 +841,10 @@ class TestBatchedForward:
                 return np.asarray(self) @ other
 
         model = VelocityModel(ModelConfig(channels=4))
-        model._self_qkv = [w.view(CountingWeights) for w in model._self_qkv]
+        model._blocks = [
+            (None if w_qkv is None else w_qkv.view(CountingWeights), *rest)
+            for w_qkv, *rest in model._blocks
+        ]
         # three guided states on two prompts: six branches
         states = [(latent(i), prompt_pair[i % 2], 2.5, HookPlan()) for i in range(3)]
         out = model._forward(states, 0.5)
@@ -816,7 +894,8 @@ class TestBatchedForward:
             weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
             weights /= weights.sum(axis=-1, keepdims=True)
             ref = (weights @ v).transpose(1, 0, 2).reshape(10, d) @ W[f"b{b}.cross.wo"]
-            assert np.abs(ref - tiny_model._null_cross[b].T).max() <= 1e-12
+            _, _, _, _, null_row, _, _ = tiny_model._blocks[b]
+            assert np.abs(ref - null_row.T).max() <= 1e-12
 
     def test_unconditional_branch_matches_a_null_token_prompt(self, tiny_model):
         null_prompt = PromptEmbedding(tokens=(0,), matrix=tiny_model.weights["null_token"])

@@ -55,6 +55,10 @@ class TestLinearSchedule:
             NoiseSchedule(sigmas=(1.0, 0.5, 0.1))
         with pytest.raises(ValueError):
             NoiseSchedule(sigmas=(0.0,))
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSchedule(sigmas=(1.0, float("nan"), 0.0))
+        with pytest.raises(ValueError, match="first sigma"):
+            NoiseSchedule(sigmas=(1.5, 0.5, 0.0))
 
 
 class TestNoiseDraws:
@@ -166,6 +170,15 @@ class TestEulerStep:
         fresh = np.full_like(x, 2.0)
         out = euler_step(x, np.zeros_like(x), 0.0, 0.5, draw, NoiseMode.FRESH_GAUSSIAN, fresh=fresh)
         assert out == pytest.approx(np.full((1, 2, 2), 1.0), abs=1e-12)
+
+    def test_shape_mismatch(self):
+        x, other = np.zeros((1, 2, 2)), np.zeros((1, 3, 3))
+        with pytest.raises(ShapeMismatchError, match="velocity"):
+            euler_step(x, other, 0.0, 0.5, x, NoiseMode.NONE)
+        with pytest.raises(ShapeMismatchError, match="reused draw"):
+            euler_step(x, x, 0.0, 0.5, other, NoiseMode.REUSED_EPSILON)
+        with pytest.raises(ShapeMismatchError, match="fresh draw"):
+            euler_step(x, x, 0.0, 0.5, x, NoiseMode.FRESH_GAUSSIAN, fresh=other)
 
     def test_non_monotone_sigmas_rejected(self):
         x = np.zeros((1, 2, 2))

@@ -68,6 +68,12 @@ class TestFft2:
         with pytest.raises(NumericFailure):
             fft2(bad)
 
+    def test_rejects_a_2d_array(self):
+        with pytest.raises(ShapeMismatchError):
+            fft2(np.zeros((4, 4)))
+        with pytest.raises(ShapeMismatchError):
+            Spectrum(np.zeros((4, 4), dtype=complex))
+
 
 class TestIfft2:
     def test_zero_spectrum(self):
@@ -139,6 +145,8 @@ class TestGaussianLowpass:
             make_gaussian_lowpass(4, 4, 0.0)
         with pytest.raises(ValueError):
             make_gaussian_lowpass(4, 4, -1.0)
+        with pytest.raises(ValueError, match="grid dimensions"):
+            make_gaussian_lowpass(0, 4, 0.9)
 
     @pytest.mark.parametrize("sigma", [1e-170, 1e-163, 0.0, -1.0, float("nan")])
     def test_direct_calls_and_the_config_refuse_a_sigma_alike(self, sigma):
@@ -269,6 +277,13 @@ class TestFriFuse:
             fri_fuse(
                 np.zeros((1, 8, 8)),
                 np.zeros((1, 8, 8)),
+                make_gaussian_lowpass(4, 4, 0.9),
+                FusionWeights(),
+            )
+        with pytest.raises(ShapeMismatchError, match=r"expected \(C, H, W\)"):
+            fri_fuse(
+                np.zeros((4, 4)),
+                np.zeros((4, 4)),
                 make_gaussian_lowpass(4, 4, 0.9),
                 FusionWeights(),
             )
