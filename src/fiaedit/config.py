@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from .codec import ImageBuffer, encode
 from .engine import EditRequest, check_budget
 from .errors import ConfigError
-from .fia import FiaConfig, FriMode
+from .fia import FiaConfig, FriMode, plan_capture
 from .model import GuidanceConfig, ModelConfig, VelocityModel
 from .prompts import embed_prompt, prompt_words
 from .schedule import NoiseMode, NoiseSchedule, make_linear_schedule
@@ -222,10 +222,7 @@ def _validate(cfg: RunConfig) -> None:
         model_cfg = cfg.make_model_config()
         cfg.make_schedule()
         cfg.make_guidance()
-        fia = cfg.make_fia()
-        if fia.fij_enabled:
-            fia.resolved_cutoff(cfg.schedule_steps)
-            fia.resolved_block_range(model_cfg)
+        plan_capture(cfg.make_fia(), model_cfg, 0, cfg.schedule_steps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.edit_seed < 0:

@@ -1,29 +1,30 @@
 """Source-aware constraint on the target velocity pass.
 
-Two mechanisms feed a hook plan for the constrained target pass:
+Two mechanisms constrain the target pass:
 
 * frequency interaction fuses the source and target self-attention Q/K in
   the spectral domain (or averages them, in ``ADD`` mode) at every step;
 * feature injection substitutes the source cross-attention packet (Q, K, V
   and text embedding) in a chosen block range during the early steps.
 
-Target features come from an unconstrained probe of the target state.
-One step serves one source and any number of targets (the cells of a
-grid), in one model call of one state each.  A target's plan carries a
-fork rule whenever it captures, so the model runs the target's probe and
-its constrained pass side by side.  The step's capture plan alone says
-which sites are overridden: at each captured site the rule builds that
-site's override inside the call, with one :func:`build_target_overrides`
-call on the source and probe packets just captured there.  Until its
-first applied override the constrained pass copies its probe's attention
-cores.  The constrained pass reuses its probe's unconditional pass, so a
-guided one-target step is one call of 5 branches, against 4 with the
-constraints off.  A state's two passes share the prefix up to block 0's
-self-attention, so it runs once for the source and once per target,
-while everything from block 0's output projection on runs once per
-branch.  Sites are read from the model's ``ModelConfig``, and a call's
-packets reach the rule as ``{site: packet}`` tables, the form
-``VelocityModel.velocity`` returns.
+:func:`plan_capture` alone decides a step's constrained sites: it
+resolves the injection window and block range, refuses them when they do
+not fit the run, and returns the sites as a set.  Target features come
+from an unconstrained probe of the target state.  One step serves one
+source and any number of targets (the cells of a grid), in one model call
+of one state each.  A target with sites captures them under a fork rule,
+so the model runs its probe and its constrained pass side by side: at
+each captured site the rule builds that site's override inside the call,
+with one :func:`build_target_overrides` call on the source and probe
+packets just captured there.  Until its first applied override the
+constrained pass copies its probe's attention cores.  The constrained
+pass reuses its probe's unconditional pass, so a guided one-target step
+is one call of 5 branches, against 4 with the constraints off.  A state's
+two passes share the prefix up to block 0's self-attention, so it runs
+once for the source and once per target, while everything from block 0's
+output projection on runs once per branch.  Sites are read from the
+model's ``ModelConfig``, and a call's packets reach the rule as
+``{site: packet}`` tables, the form ``VelocityModel.velocity`` returns.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def default_fij_cutoff(total_steps: int) -> int:
 class FiaConfig:
     """Switches and strengths for every constraint mechanism.
 
-    ``fij_step_cutoff=None`` resolves to ``default_fij_cutoff`` for the run's
-    step count; ``fij_block_range=None`` resolves to the model's cross-only
-    tail.  Both can be pinned explicitly for placement and window studies.
+    ``fij_step_cutoff=None`` means ``default_fij_cutoff`` for the run's step
+    count, and ``fij_block_range=None`` the model's cross-only tail; pin them
+    for window and placement studies.  :func:`plan_capture` checks they fit.
     """
 
     fri_enabled: bool = True
@@ -97,10 +98,6 @@ class FiaConfig:
             if lo < 0 or hi < lo:
                 raise ValueError(f"bad fij_block_range {self.fij_block_range}")
 
-    @staticmethod
-    def disabled() -> "FiaConfig":
-        return FiaConfig(fri_enabled=False, fij_enabled=False)
-
     def resolved_cutoff(self, total_steps: int) -> int:
         cutoff = (
             default_fij_cutoff(total_steps)
@@ -113,18 +110,6 @@ class FiaConfig:
             )
         return cutoff
 
-    def resolved_block_range(self, model_cfg: ModelConfig) -> tuple[int, int]:
-        rng = (
-            model_cfg.cross_only_range()
-            if self.fij_block_range is None
-            else self.fij_block_range
-        )
-        if rng[1] >= model_cfg.n_blocks:
-            raise TopologyError(
-                f"fij_block_range {rng} outside a model of {model_cfg.n_blocks} blocks"
-            )
-        return rng
-
     def fij_active(self, step_index: int, total_steps: int) -> bool:
         return self.fij_enabled and step_index < self.resolved_cutoff(total_steps)
 
@@ -132,22 +117,27 @@ class FiaConfig:
 @functools.lru_cache(maxsize=256)
 def plan_capture(
     cfg: FiaConfig, model_cfg: ModelConfig, step_index: int, total_steps: int
-) -> HookPlan:
-    """Capture plan for the source and probe passes at one step.
+) -> frozenset[Site]:
+    """The sites one step constrains, and so captures on the source and probe passes.
 
-    The one rule for the sites that step overrides, and so reads: the self
-    sites under frequency interaction, and the injected cross sites while
-    the injection window is open.  Built once per step and constraint, and
-    shared by every caller.
+    The self sites under frequency interaction, and the cross sites of the
+    injection block range while the injection window is open.  The one
+    place that resolves the window and the range, and refuses them, window
+    first, when they do not fit the run's step count or the model.
     """
     sites: set[Site] = set()
     if cfg.fri_enabled:
         sites.update(model_cfg.self_sites())
     if cfg.fij_enabled:
-        lo, hi = cfg.resolved_block_range(model_cfg)
-        if cfg.fij_active(step_index, total_steps):
+        cutoff = cfg.resolved_cutoff(total_steps)  # the window is refused first
+        lo, hi = rng = cfg.fij_block_range or model_cfg.cross_only_range()
+        if hi >= model_cfg.n_blocks:
+            raise TopologyError(
+                f"fij_block_range {rng} outside a model of {model_cfg.n_blocks} blocks"
+            )
+        if step_index < cutoff:
             sites.update((b, AttnKind.CROSS) for b in range(lo, hi + 1))
-    return HookPlan(capture=frozenset(sites))
+    return frozenset(sites)
 
 
 def _equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -236,9 +226,10 @@ def _step_states(
 ) -> tuple[list[State], dict[int, Exception]]:
     """One step's model states, and the table of targets whose overrides failed.
 
-    The source state comes first, then one state per target.  A target
-    whose plan captures gets that plan with a fork rule: at each site its
-    capture plan names, target ``j``'s rule builds its own override with one
+    The source state comes first and captures the union of the targets'
+    sites, then one state per target: ``EMPTY_PLAN`` if it has no sites,
+    else a plan that captures them under a fork rule.  At each of those
+    sites, target ``j``'s rule builds its own override with one
     :func:`build_target_overrides` call on the two packets just captured
     there, the source's and its probe's; that call drops exact no-ops.  A
     failed call is recorded in the table under ``j``, and that target gets
@@ -246,10 +237,10 @@ def _step_states(
     """
     mu = guidance.mu_tar
     captures = [
-        plan_capture(cfg, model.cfg, step_index, total_steps) if mu != 0.0 else EMPTY_PLAN
+        plan_capture(cfg, model.cfg, step_index, total_steps) if mu != 0.0 else frozenset()
         for cfg in cfgs
     ]
-    union = HookPlan(capture=frozenset().union(*(plan.capture for plan in captures)))
+    union = HookPlan(capture=frozenset().union(*captures))
     errors: dict[int, Exception] = {}
 
     def rule(j: int) -> ForkRule:
@@ -268,8 +259,8 @@ def _step_states(
 
     states: list[State] = [(x_src_t, p_src, guidance.mu_src, union)]
     states += [
-        (x, p, mu, HookPlan(capture=plan.capture, fork=rule(j)) if plan.capture else plan)
-        for j, (x, p, plan) in enumerate(zip(x_tar_ts, p_tars, captures))
+        (x, p, mu, HookPlan(capture=sites, fork=rule(j)) if sites else EMPTY_PLAN)
+        for j, (x, p, sites) in enumerate(zip(x_tar_ts, p_tars, captures))
     ]
     return states, errors
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fiaedit.engine
-from fiaedit.fia import build_target_overrides, plan_capture
+from fiaedit.fia import FiaConfig, build_target_overrides, plan_capture
 from fiaedit.model import (
     HookPlan,
     ModelConfig,
@@ -16,6 +16,9 @@ from fiaedit.model import (
     _scaled,
 )
 from fiaedit.prompts import embed_prompt
+
+# a constraint with both mechanisms off
+FIA_OFF = FiaConfig(fri_enabled=False, fij_enabled=False)
 
 
 def branches(states, out) -> int:
@@ -37,8 +40,7 @@ def step_plan(cfg, step, total, src, tar, grid, topology) -> HookPlan:
     names, in block order, as a target's fork rule asks them.
     """
     overrides = {}
-    sites = plan_capture(cfg, topology, step, total).capture
-    for site in sorted(sites, key=lambda s: (s[0], s[1].value)):
+    for site in sorted(plan_capture(cfg, topology, step, total), key=lambda s: (s[0], s[1].value)):
         plan = build_target_overrides(cfg, site, src[site], tar[site], grid, topology)
         overrides.update(plan.overrides)
     return HookPlan(overrides=overrides)

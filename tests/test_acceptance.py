@@ -40,7 +40,7 @@ from fiaedit.spectral import FusionWeights, decompose, fft2, fri_fuse, ifft2, ma
 from fiaedit.steering import STEERING_SEEDS, run_steering_trial
 from fiaedit.cli import run_selftest
 
-from conftest import record_velocities, report_entries, step_plan
+from conftest import FIA_OFF, record_velocities, report_entries, step_plan
 from oracle_dft import oracle_fri_fuse
 
 
@@ -68,7 +68,7 @@ def test_c01_zero_edit_invariance():
     )
     prompt = embed_prompt("one prompt for both branches", 4, seed=0)
     source = np.random.default_rng(0).standard_normal((4, 32, 32))
-    for fia in (FiaConfig(), FiaConfig.disabled()):
+    for fia in (FiaConfig(), FIA_OFF):
         req = EditRequest(
             source_latent=source, p_src=prompt, p_tar=prompt,
             schedule=make_linear_schedule(50, 0.0),
@@ -90,7 +90,7 @@ def test_c02_baseline_equivalence(tiny_model, prompt_pair):
         p_src=p_src, p_tar=p_tar,
         schedule=make_linear_schedule(10, 0.0),
         guidance=GuidanceConfig(mu_src=1.5, mu_tar=3.0),
-        fia=FiaConfig.disabled(), seed=5,
+        fia=FIA_OFF, seed=5,
         noise_mode=NoiseMode.REUSED_EPSILON,
     )
     via_fia, fia_steps = record_velocities(run_edit, tiny_model, req)
@@ -150,7 +150,7 @@ def test_c05_fij_exactness(tiny_model, prompt_pair):
     guidance = GuidanceConfig(mu_src=3.5, mu_tar=13.5)
     injected_sites = {(4, AttnKind.CROSS), (5, AttnKind.CROSS)}
     for i in range(total):
-        capture = plan_capture(cfg, tiny_model.cfg, i, total)
+        capture = HookPlan(capture=plan_capture(cfg, tiny_model.cfg, i, total))
         sigma_t = sched.sigmas[i]
         draw = draw_step_noise(x_src.shape, 0, i)
         x_src_t = interpolate_source(x_src, sigma_t, draw)
@@ -212,7 +212,7 @@ def test_c07_telescoping_oracle():
     req = EditRequest(
         source_latent=x, p_src=p_src, p_tar=p_tar, schedule=sched,
         guidance=GuidanceConfig(mu_src=1.0, mu_tar=1.0),
-        fia=FiaConfig.disabled(), seed=0, noise_mode=NoiseMode.NONE,
+        fia=FIA_OFF, seed=0, noise_mode=NoiseMode.NONE,
     )
     trace = run_edit(model, req)
     expected = x + (sched.sigmas[-1] - sched.sigmas[0]) * (1.1 - (-0.4))

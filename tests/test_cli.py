@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fiaedit.codec
 from fiaedit.cli import _exit_code_for, main, run_selftest
 from fiaedit.codec import write_mask, write_ppm
 from fiaedit.errors import ConfigError, EditRunError, NumericFailure
@@ -296,11 +298,17 @@ class TestMetrics:
         # ssim has no masked variant: line unchanged
         assert unmasked.splitlines()[2] == masked.splitlines()[2]
 
-    def test_forged_header_size_is_exit_1(self, tmp_path, capsys):
+    def test_forged_header_size_is_exit_1(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "big.ppm"
         path.write_bytes(b"P6\n99999999999 99999999999\n255\n")
         assert main(["metrics", str(path), str(path)]) == 1
         assert str(path) in capsys.readouterr().err
+        # so is a file cut short between the size check and the read
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(6))
+        stat = types.SimpleNamespace(st_size=1 << 20)  # the size it had at the check
+        monkeypatch.setattr(fiaedit.codec.os, "fstat", lambda fd: stat)
+        assert main(["metrics", str(path), str(path)]) == 1
+        assert f"{path}: expected 12 bytes of pixel data" in capsys.readouterr().err
 
     def test_size_mismatch_is_exit_1(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm")

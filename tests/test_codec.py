@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiaedit.codec
 from fiaedit.codec import (
     ImageBuffer,
     clamp_image,
@@ -115,10 +118,16 @@ class TestPpm:
         with pytest.raises(ValueError):
             read_ppm(str(path))
 
-    def test_rejects_truncated_data(self, tmp_path):
+    def test_rejects_truncated_data(self, tmp_path, monkeypatch):
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00")
         with pytest.raises(ValueError):
+            read_ppm(str(path))
+        # a file cut short between the size check and the read
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(6))
+        stat = types.SimpleNamespace(st_size=1 << 20)  # the size it had at the check
+        monkeypatch.setattr(fiaedit.codec.os, "fstat", lambda fd: stat)
+        with pytest.raises(ValueError, match="t.ppm: expected 12 bytes of pixel data"):
             read_ppm(str(path))
 
     @pytest.mark.parametrize(

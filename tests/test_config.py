@@ -200,6 +200,15 @@ class TestValidation:
         pinned = with_overrides(off, fia_fij_block_lo=0, fia_fij_block_hi=3, fia_fij_enabled=True)
         assert pinned.make_fia().fij_block_range == (0, 3)
 
+    @pytest.mark.parametrize(
+        "bad_range",
+        ["fia.fij_block_lo = 0\nfia.fij_block_hi = 9\n", "model.blocks_cross_only = 0\n"],
+        ids=["outside", "no-tail"],
+    )
+    def test_a_bad_window_is_named_before_a_bad_range(self, bad_range):
+        with pytest.raises(ConfigError, match="^fij_step_cutoff 5 exceeds total steps 4$"):
+            parse_config("schedule.steps = 4\nfia.fij_step_cutoff = 5\n" + bad_range)
+
     def test_half_specified_block_range_rejected(self):
         with pytest.raises(ConfigError, match="fij_block_lo"):
             parse_config("fia.fij_block_lo = 2\n")

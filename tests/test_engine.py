@@ -13,7 +13,7 @@ from fiaedit.model import MAX_PEAK_BYTES, GuidanceConfig, ModelConfig, VelocityM
 from fiaedit.prompts import embed_prompt
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 
-from conftest import dyadic, record_velocities
+from conftest import FIA_OFF, dyadic, record_velocities
 
 
 class ConstantVelocityModel(VelocityModel):
@@ -72,7 +72,7 @@ def source_latent():
 
 
 class TestZeroEditInvariance:
-    @pytest.mark.parametrize("fia", [FiaConfig(), FiaConfig.disabled()], ids=["on", "off"])
+    @pytest.mark.parametrize("fia", [FiaConfig(), FIA_OFF], ids=["on", "off"])
     def test_equal_prompts_reproduce_source_bitexactly(self, tiny_model, source_latent, fia):
         p = embed_prompt("the same prompt twice", 8, seed=0)
         req = base_request(
@@ -91,7 +91,7 @@ class TestTelescopingOracle:
         x = dyadic(np.random.default_rng(1), (4, 4, 4))
         req = base_request(
             x, p_src, p_tar, steps=4, mu=(1.0, 1.0),
-            fia=FiaConfig.disabled(), noise_mode=NoiseMode.NONE,
+            fia=FIA_OFF, noise_mode=NoiseMode.NONE,
         )
         trace = run_edit(model, req)
         # dyadic sigma grid and dyadic constants: increments are exact
@@ -105,7 +105,7 @@ class TestTelescopingOracle:
         x = np.random.default_rng(2).standard_normal((4, 4, 4))
         req = base_request(
             x, p_src, p_tar, steps=50, mu=(1.0, 1.0),
-            fia=FiaConfig.disabled(), noise_mode=NoiseMode.NONE,
+            fia=FIA_OFF, noise_mode=NoiseMode.NONE,
         )
         trace = run_edit(model, req)
         expected = x + (0.0 - 1.0) * (0.9 - (-0.3))
@@ -154,7 +154,7 @@ class TestBypassEquivalence:
         p_src, p_tar = prompt_pair
         req = base_request(
             source_latent, p_src, p_tar,
-            fia=FiaConfig.disabled(), noise_mode=NoiseMode.REUSED_EPSILON,
+            fia=FIA_OFF, noise_mode=NoiseMode.REUSED_EPSILON,
         )
         a, a_steps = record_velocities(run_edit, tiny_model, req)
         b, b_steps = record_velocities(run_edit, tiny_model, req, bypass_fia=True)
@@ -171,11 +171,11 @@ class TestVelocityAntisymmetry:
         x = np.random.default_rng(5).standard_normal((4, 6, 6))
         fwd = constrained_velocity_pair(
             tiny_model, x, x.copy(), p_src, p_tar, 0.5, 0, 10,
-            GuidanceConfig(mu_src=1.5, mu_tar=3.0), FiaConfig.disabled(),
+            GuidanceConfig(mu_src=1.5, mu_tar=3.0), FIA_OFF,
         )
         rev = constrained_velocity_pair(
             tiny_model, x, x.copy(), p_tar, p_src, 0.5, 0, 10,
-            GuidanceConfig(mu_src=3.0, mu_tar=1.5), FiaConfig.disabled(),
+            GuidanceConfig(mu_src=3.0, mu_tar=1.5), FIA_OFF,
         )
         assert np.array_equal(fwd[1] - fwd[0], -(rev[1] - rev[0]))
 
@@ -230,7 +230,7 @@ class TestFailureSemantics:
             def _forward(self, states, sigma_t):
                 raise RuntimeError("boom")
 
-        req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
+        req = base_request(source_latent, p_src, p_tar, fia=FIA_OFF)
         with pytest.raises(EditRunError, match="step 0"):
             run_edit(Exploding(), req)
 
@@ -244,9 +244,25 @@ class TestFailureSemantics:
             def _forward(self, states, sigma_t):
                 return [(np.full(x.shape, np.inf),) * 2 + ({},) for x, _, _, _ in states]
 
-        req = base_request(source_latent, p_src, p_tar, fia=FiaConfig.disabled())
+        req = base_request(source_latent, p_src, p_tar, fia=FIA_OFF)
         with pytest.raises(EditRunError) as err:
             run_edit(Infinite(), req)
+        assert isinstance(err.value.__cause__, NumericFailure)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "fia, bypass", [(FiaConfig(), False), (FIA_OFF, False), (FIA_OFF, True)],
+        ids=["on", "off", "bypassed"],
+    )
+    def test_a_non_finite_source_latent_fails_step_0(
+        self, tiny_model, source_latent, prompt_pair, bad, fia, bypass
+    ):
+        # so every Euler step starts from a finite latent, and keeps it finite
+        x = source_latent.copy()
+        x[1, 2, 3] = bad
+        req = base_request(x, *prompt_pair, fia=fia)
+        with pytest.raises(EditRunError, match="^edit aborted at step 0: ") as err:
+            run_edit(tiny_model, req, bypass_fia=bypass)
         assert isinstance(err.value.__cause__, NumericFailure)
 
 
@@ -336,6 +352,13 @@ class TestLockstep:
         # the request refused at step 0 runs in no call
         assert_solo_bits(tiny_model, reqs, results, together, [[0, 2]] * len(together))
 
+    def test_a_bad_window_is_named_before_a_bad_range(self, tiny_model, source_latent, prompt_pair):
+        p_src, p_tar = prompt_pair
+        fia = FiaConfig(fij_step_cutoff=5, fij_block_range=(0, 9))
+        (result,) = run_edits(tiny_model, [base_request(source_latent, p_src, p_tar, steps=4, fia=fia)])
+        assert isinstance(result, EditRunError)
+        assert str(result) == "edit aborted at step 0: fij_step_cutoff 5 exceeds total steps 4"
+
     def test_a_failed_first_call_fails_every_request_at_its_step(
         self, tiny_model, source_latent, prompt_pair
     ):
@@ -352,7 +375,7 @@ class TestLockstep:
         model = FailingAtStep2(tiny_model.cfg)
         reqs = [
             base_request(source_latent, p_src, p_tar, steps=4, fia=fia)
-            for fia in (FiaConfig(), FiaConfig(fri_mode=FriMode.ADD), FiaConfig.disabled())
+            for fia in (FiaConfig(), FiaConfig(fri_mode=FriMode.ADD), FIA_OFF)
         ]
         for result in run_edits(model, reqs):
             assert isinstance(result, EditRunError)

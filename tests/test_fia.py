@@ -40,7 +40,7 @@ from fiaedit.schedule import (
 )
 from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
-from conftest import branches, step_plan
+from conftest import FIA_OFF, branches, step_plan
 from oracle_dft import grid_to_heads, heads_to_grid, oracle_fri_fuse
 
 
@@ -66,12 +66,14 @@ class TestDefaults:
         assert FiaConfig().resolved_cutoff(50) == 27
 
     def test_default_block_range_is_cross_only_tail(self):
-        assert FiaConfig().resolved_block_range(ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2)) == (4, 5)
+        cfg = FiaConfig(fri_enabled=False)
+        topo = ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2)
+        assert plan_capture(cfg, topo, 0, 50) == {(4, AttnKind.CROSS), (5, AttnKind.CROSS)}
 
     def test_explicit_range_validated_against_topology(self):
         cfg = FiaConfig(fij_block_range=(0, 9))
         with pytest.raises(TopologyError):
-            cfg.resolved_block_range(ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2))
+            plan_capture(cfg, ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2), 0, 50)
 
     def test_cutoff_cannot_exceed_steps(self):
         with pytest.raises(ValueError):
@@ -83,21 +85,20 @@ class TestDefaults:
 class TestPlanCapture:
     def test_all_disabled_is_empty(self):
         topo = ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2)
-        plan = plan_capture(FiaConfig.disabled(), topo, 0, 50)
-        assert plan == HookPlan()
+        assert plan_capture(FIA_OFF, topo, 0, 50) == frozenset()
 
     def test_fri_only_captures_each_dual_block(self):
         cfg = FiaConfig(fri_enabled=True, fij_enabled=False)
-        plan = plan_capture(cfg, ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2), 0, 50)
-        assert plan.capture == frozenset((b, AttnKind.SELF) for b in range(4))
+        sites = plan_capture(cfg, ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2), 0, 50)
+        assert sites == frozenset((b, AttnKind.SELF) for b in range(4))
 
     def test_defaults_capture_self_plus_tail_cross(self):
-        plan = plan_capture(FiaConfig(), ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2), 0, 50)
+        sites = plan_capture(FiaConfig(), ModelConfig(n_blocks_dual=4, n_blocks_cross_only=2), 0, 50)
         expected = {(b, AttnKind.SELF) for b in range(4)} | {
             (4, AttnKind.CROSS),
             (5, AttnKind.CROSS),
         }
-        assert plan.capture == frozenset(expected)
+        assert sites == frozenset(expected)
 
     def test_cross_sites_drop_once_the_injection_window_closes(
         self, tiny_model, prompt_pair, monkeypatch
@@ -105,7 +106,7 @@ class TestPlanCapture:
         cfg = FiaConfig(fij_step_cutoff=2)
         selfs = frozenset(tiny_model.cfg.self_sites())
         everything = selfs | {(4, AttnKind.CROSS), (5, AttnKind.CROSS)}
-        assert [plan_capture(cfg, tiny_model.cfg, i, 5).capture for i in range(5)] == (
+        assert [plan_capture(cfg, tiny_model.cfg, i, 5) for i in range(5)] == (
             [everything] * 2 + [selfs] * 3
         )
         # the engine's probe captures the per-step set, and its fork rule is
@@ -272,14 +273,14 @@ def test_override_sites_are_the_capture_sites(inputs, seed):
         for _ in range(2)
     )
     plan = step_plan(cfg, step, total, src, tar, (2, 2), topo)
-    assert set(plan.overrides) == plan_capture(cfg, topo, step, total).capture
+    assert set(plan.overrides) == plan_capture(cfg, topo, step, total)
     for site, action in plan.overrides.items():
         assert isinstance(action, ReplaceQK if site[1] is AttnKind.SELF else ReplaceQKVE)
 
 
 def public_plan(model, x_src, x_tar, p_src, p_tar, mu_src, cfg, step=0, total=10):
     """The source packets and the override plan, built the way the engine does."""
-    capture = plan_capture(cfg, model.cfg, step, total)
+    capture = HookPlan(capture=plan_capture(cfg, model.cfg, step, total))
     _, src = model.velocity(x_src, p_src, 0.5, mu_src, hooks=capture)
     _, tar = model.velocity(x_tar, p_tar, 0.5, 1.0, hooks=capture)
     grid = x_src.shape[-2:]
@@ -305,7 +306,7 @@ class TestConstrainedPair:
         guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
         v_src, v_tar = constrained_velocity_pair(
             tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10,
-            guidance, FiaConfig.disabled(),
+            guidance, FIA_OFF,
         )
         v_src_plain, _ = tiny_model.velocity(x_src, p_src, 0.5, 1.5)
         v_tar_plain, _ = tiny_model.velocity(x_tar, p_tar, 0.5, 3.0)
@@ -361,7 +362,7 @@ class TestConstrainedPair:
         "fia, bypass, mu_tar, batches",
         [
             (FiaConfig(), False, 3.0, (5,)),
-            (FiaConfig.disabled(), False, 3.0, (4,)),
+            (FIA_OFF, False, 3.0, (4,)),
             (FiaConfig(), True, 3.0, (2, 2)),
             (FiaConfig(), False, 0.0, (3,)),
         ],
@@ -395,7 +396,7 @@ class TestConstrainedPair:
 
     @pytest.mark.parametrize(
         "fia, cores",
-        [(FiaConfig.disabled(), [2]), (FiaConfig(), [3])],
+        [(FIA_OFF, [2]), (FiaConfig(), [3])],
         # a call's block-0 self cores: one per state, shared by its passes
         # unless the conditional pass overrides (0, SELF); a constrained pass
         # copies its probe's until its first override, here at (0, SELF)
@@ -479,7 +480,7 @@ class TestConstrainedPair:
         if same:
             p_tar, x_tar = p_src, x_src.copy()
         guidance = GuidanceConfig(mu_src=1.5, mu_tar=3.0)
-        for cfg in (FiaConfig.disabled(), fia):
+        for cfg in (FIA_OFF, fia):
             cores.append(0)
             constrained_velocity_pair(
                 tiny_model, x_src, x_tar, p_src, p_tar, 0.5, 0, 10, guidance, cfg
@@ -586,7 +587,7 @@ class TestConstrainedPair:
             return HookPlan(overrides={**plan.overrides, **copied})
 
         for i, (sigma_t, x_src_t, x_tar_t, v_tar, cores) in enumerate(steps):
-            capture = plan_capture(cfg, model.cfg, i, total)
+            capture = HookPlan(capture=plan_capture(cfg, model.cfg, i, total))
             _, src_by = model.velocity(x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture)
             _, tar_by = model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
             plan = step_plan(cfg, i, total, src_by, tar_by, x_src.shape[-2:], model.cfg)

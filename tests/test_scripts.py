@@ -13,6 +13,8 @@ import pytest
 from conftest import report_entries
 
 from fiaedit import steering
+from fiaedit.ablation import AblationReport, AblationRow
+from fiaedit.errors import EditRunError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # stock grid -> its cell count; the test ids keep the names these cases had
@@ -72,3 +74,16 @@ def test_steering_script_runs_one_seed(monkeypatch, tmp_path):
     monkeypatch.setattr(steering, "STEERING_SEEDS", (0,))
     stdout = run_script(SCRIPTS / "run_experiments.py", tmp_path)
     assert stdout.rstrip().endswith("/1 seeds")
+
+
+def test_a_failed_steering_arm_is_an_edit_run_error(monkeypatch):
+    rows = (
+        AblationRow((("fij_enabled", "true"),), "ok", {"mse": 0.1}),
+        AblationRow((("fij_enabled", "false"),), "error", error="EditRunError: boom"),
+    )
+    report = AblationReport(seed=0, fixture="blob16", axes=("fij_enabled",), rows=rows)
+    monkeypatch.setattr(steering, "run_ablation", lambda cfg, grid: report)
+    with pytest.raises(
+        EditRunError, match=r"steering arm \(\('fij_enabled', 'false'\),\) failed: EditRunError: boom"
+    ):
+        steering.run_steering_trial(0)
