@@ -40,9 +40,8 @@ def _format_trace(trace: EditTrace, cfg: RunConfig) -> str:
         lines.append(f"step.{r.step_index}.sigma={r.sigma_t!r}")
         lines.append(f"step.{r.step_index}.vdelta_norm={r.vdelta_norm!r}")
         lines.append(f"step.{r.step_index}.fij={int(r.fij_active)}")
-        if r.latent is not None:
-            norm = float((r.latent**2).sum() ** 0.5)
-            lines.append(f"step.{r.step_index}.latent_norm={norm!r}")
+        if r.latent_norm is not None:
+            lines.append(f"step.{r.step_index}.latent_norm={r.latent_norm!r}")
     lines.append(f"final.norm={float((trace.final_latent ** 2).sum() ** 0.5)!r}")
     return "\n".join(lines) + "\n"
 

@@ -3,8 +3,8 @@
 Each step draws the step noise, renoises the source, reconstructs the target
 state from the running edit latent, evaluates the source velocity and the
 constrained target velocities, and moves the edit latent along the velocity
-difference.  A trace records what happened at every step; latent
-snapshots are opt-in.
+difference.  A trace records what happened at every step; the edit
+latent's norm every few steps is opt-in.
 
 One loop runs a list of requests in lockstep when they share the model,
 schedule, run seed, source latent, source prompt and guidance, as the cells
@@ -55,7 +55,7 @@ class StepRecord:
     sigma_t: float
     vdelta_norm: float
     fij_active: bool
-    latent: np.ndarray | None = None
+    latent_norm: float | None = None  # the edit latent's, on a snapshot step
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def run_edits(
                     sigma_t=sigma_t,
                     vdelta_norm=vdelta_norm,
                     fij_active=fij_active,
-                    latent=x_fe.copy() if snap else None,
+                    latent_norm=float((x_fe**2).sum() ** 0.5) if snap else None,
                 )
             )
 

@@ -13,8 +13,8 @@ to its prompt under its hooks, and an unconditional pass, which attends to
 the single null token and so reduces its cross-attention to a constant row;
 its guidance scale says which of the two run.  Each pass is a branch of the
 batch.  Token-wise work is shared by the batch, and only the attention core
-runs branch by branch (on two threads at a large self site, see below), so
-a state's output does not depend on its batch.
+runs branch by branch (over query tiles, on two threads at a large self
+site, see below), so a state's output does not depend on its batch.
 
 A state's two passes are identical up to block 0's cross-attention, so that
 prefix runs once per state: the input projection, the position and time
@@ -25,10 +25,10 @@ own.  From block 0's output projection on, every branch has its own row.
 The residual stream is feature-major, (branches, d_model, tokens): every
 token-wise step runs along a contiguous axis of n tokens, and token-wise
 products are ``W^T @ h``.  The attention core is keys-major and makes
-three passes over a core's (heads, keys, queries) scores: the score product
-``K Qs^T``, exp, and the product of ``[V | 1]^T``, V^T with a row of ones
-appended, with them, whose last row holds the row sums.  The scores are
-never scanned or rescaled: exp runs on them unshifted, and only a product
+three passes over each query tile's (heads, keys, rows) scores: the score
+product ``K Qs^T``, exp, and the product of ``[V | 1]^T``, V^T with a row
+of ones appended, with them, whose last row holds the row sums.  The scores
+are never scanned or rescaled: exp runs on them unshifted, and only a product
 whose row sums or entries come out of range is redone with each query's
 scores shifted by their maximum.  Everything else at a site runs once for
 the batch: Q^T is scaled by 1/sqrt(d_head) once, every core writes its
@@ -37,14 +37,20 @@ the range check reads the whole buffer, and one divide writes the site's
 output, heads merged, as the (branches, d_model, n) input of the output
 projection, as FlashAttention defers its normalisation.
 
-A self site whose (heads, n, n) scores hold at least 2^16 entries (a 512 KiB
-core) runs its cores on two threads, as FlashAttention-2 splits attention
-work: the calling thread runs the first half, rounded up, and one worker
-thread, made on the first split, the rest, each into its own half of one
-(2, heads, n, n) score block.  Copied cores, the range check, shifted
-reruns and the divide run on the calling thread once both halves are done.
-Each core writes only its own rows, so the bytes do not depend on the
-thread.
+A self core runs over query tiles, as FlashAttention tiles its rows: a tile
+is a column block of Qs^T of 2^16 / (heads * keys) queries, at least 16 and
+at most all of them, whose scores go into one (heads, keys, rows) scratch
+buffer, so a site's scratch grows with its tokens, not their square.  A
+query's whole key row is in its tile, so there is no online softmax, and
+each tile writes its own columns of the ``[numerator | row sum]`` buffer.
+A self site whose (heads, n, n) scores hold at least 2^16 entries (512 KiB)
+runs its (core, tile) pairs on two threads, as FlashAttention-2 shares out
+attention work: in core-major order, the calling thread runs the first
+half, rounded up, and one worker thread the rest, each with its own tile
+cut from one (2, heads, n, rows) block.  The worker is made on the first
+split, and a forked child makes its own.  Copied cores, the range check,
+shifted reruns and the divide run on the calling thread once both halves
+are done.  A tile's bytes do not depend on the thread that runs it.
 
 Token-wise work is a few wide BLAS calls.  A dual block gets the whole
 batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
@@ -86,6 +92,7 @@ import contextvars
 import enum
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -98,11 +105,13 @@ _LN_EPS = 1e-6
 # a row sum below this redoes the core's softmax shifted: its terms have
 # drifted towards the subnormal range, or underflowed to 0/0
 _ROW_SUM_FLOOR = math.exp(-60.0)
-# a self site whose (heads, n, n) scores hold at least this many entries (a
-# 512 KiB core) runs its cores on two threads: the smallest size at which
-# the split clearly beats waking the worker (one site of 4 cores, 2 vCPUs,
-# serial against split: 145 -> 149 us at 2^15 entries, 262 -> 207 us at 2^16)
-_SPLIT_ENTRIES = 1 << 16
+# entries of a self site's score tile (512 KiB): a core runs over query
+# tiles of about this many scores, and a site whose (heads, n, n) scores hold
+# at least this many runs its tiles on two threads, the smallest size at
+# which the split clearly beats waking the worker (one site of 4 cores, 2
+# vCPUs, serial against split: 145 -> 149 us at 2^15 entries, 262 -> 207 us
+# at 2^16)
+_TILE_ENTRIES = 1 << 16
 
 
 class AttnKind(enum.Enum):
@@ -361,8 +370,9 @@ def peak_bytes(
 
     ``prompt_tokens`` is the longest prompt's token count and ``prompts``
     the number of distinct prompts.  Counts the weights and their
-    side-by-side copies; the self-attention score buffers, two where a
-    site's cores run on two threads, and one cross core's scores; per token
+    side-by-side copies; the self-attention score tile, two where a site's
+    tiles run on two threads, as :func:`_score_shape` gives the shape
+    ``_forward`` allocates, and one cross core's scores; per token
     and branch the arrays alive at the widest
     point, the MLP (two temporaries of four model widths, the residual
     stream, the attention and layer-norm outputs, and the last self site's
@@ -393,17 +403,29 @@ def peak_bytes(
 
 
 def _score_shape(heads: int, n_tok: int) -> tuple[int, ...]:
-    """A self site's scratch: (heads, n, n) scores, or two of them when its cores split."""
-    shape = (heads, n_tok, n_tok)
-    return (2, *shape) if math.prod(shape) >= _SPLIT_ENTRIES else shape
+    """A self site's scratch: one (heads, keys, rows) query tile, or two cut from one block.
+
+    A tile holds the queries whose scores fit in ``_TILE_ENTRIES``, at
+    least 16 and at most all of them; a site whose (heads, n, n) scores
+    hold that many entries gets two tiles, one per thread.
+    """
+    rows = min(n_tok, max(16, _TILE_ENTRIES // (heads * n_tok)))
+    shape = (heads, n_tok, rows)
+    return (2, *shape) if heads * n_tok * n_tok >= _TILE_ENTRIES else shape
 
 
 @functools.cache
 def _worker():
-    """The thread that runs the second half of a split site's cores, made on first use."""
+    """The thread that runs the second half of a split site's tiles, made on first use."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fiaedit-attend")
+
+
+# a forked child has no worker thread, and the copied executor would start
+# none: it makes its own on its first split (only POSIX forks)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_worker.cache_clear)
 
 
 def _head_view(z: np.ndarray, heads: int) -> np.ndarray:
@@ -460,17 +482,31 @@ def _attend(
     ``qs`` is Q^T scaled by :func:`_scaled`, (heads, d_head, queries),
     ``k`` is K, (heads, keys, d_head), and ``v1`` is ``[V | 1]^T``, (heads,
     d_head + 1, keys).  ``out``, (heads, d_head + 1, queries), receives the
-    softmax numerator with each query's row sum in its last row.  A call
-    makes three passes over the (heads, keys, queries) scores: the score
-    product, exp, and the product with ``[V | 1]^T``; with ``shift``, each
-    query's scores are shifted by their maximum before exp.  ``scores`` is
-    the scratch buffer, or None to allocate one.
+    softmax numerator with each query's row sum in its last row.
+
+    ``scores`` is the (heads, keys, rows) tile buffer, or None to allocate
+    one tile of every query.  The core runs over tiles of ``rows`` queries,
+    each a column block of ``qs`` and of ``out``; a last tile of fewer
+    queries uses the front of the buffer.  Each tile makes three passes
+    over its scores: the score product, exp, and the product with ``[V |
+    1]^T``; with ``shift``, each query's scores are shifted by their
+    maximum before exp.  A query's scores are whole within its tile, so
+    tiles need no running maximum or sum.
     """
-    scores = np.matmul(k, qs, out=scores)
-    if shift:
-        scores -= scores.max(axis=-2, keepdims=True)
-    np.exp(scores, out=scores)
-    np.matmul(v1, scores, out=out)
+    queries = qs.shape[-1]
+    rows = queries if scores is None else scores.shape[-1]
+    for lo in range(0, queries, rows):
+        q, o, tile = qs, out, scores
+        if rows != queries:
+            q, o = qs[..., lo : lo + rows], out[..., lo : lo + rows]
+            if q.shape[-1] < rows:  # a short last tile: the front of the buffer
+                size = math.prod(scores.shape[:-1]) * q.shape[-1]
+                tile = scores.reshape(-1)[:size].reshape(*scores.shape[:-1], q.shape[-1])
+        tile = np.matmul(k, q, out=tile)
+        if shift:
+            tile -= tile.max(axis=-2, keepdims=True)
+        np.exp(tile, out=tile)
+        np.matmul(v1, tile, out=o)
 
 
 def _attend_site(
@@ -483,53 +519,70 @@ def _attend_site(
 
     ``ops[i]`` is branch i's operands for :func:`_attend`, or the index of
     an earlier branch with the same operands, whose result it copies.
-    Each core writes its ``[numerator | row sum]`` rows into its slice of
-    ``weighted``, (branches, heads, d_head + 1, queries), and one divide by
-    the row sums writes ``out``, (branches, heads, d_head, queries), a
+    Each core writes its ``[numerator | row sum]`` columns into its slice
+    of ``weighted``, (branches, heads, d_head + 1, queries), and one divide
+    by the row sums writes ``out``, (branches, heads, d_head, queries), a
     per-head view of the (branches, d_model, queries) stream.
 
-    ``scores`` is the (heads, keys, queries) scratch buffer, or None to
-    allocate each core's.  A (2, heads, keys, queries) block, one buffer
-    per thread, splits the cores: the calling thread runs the first half,
-    rounded up, and the worker the rest, under the caller's error state;
-    the copies, the check below and the divide run once both halves are
-    done.  Each core writes only its own rows, so the bytes do not depend
-    on the thread.
+    ``scores`` is the (heads, keys, rows) tile buffer, or None to allocate
+    each core's.  A (2, heads, keys, rows) block, one tile per thread,
+    splits the cores' (core, tile) pairs in core-major order: the calling
+    thread runs the first half, rounded up, and the worker the rest, under
+    the caller's error state; the copies, the check below and the divide
+    run once both halves are done.  A core whose tiles the cut divides
+    runs its first tiles here and the rest on the worker.  Each tile
+    writes only its own columns, and the tiles are the same on either
+    thread, so the bytes do not depend on the thread.
 
     exp runs on the unshifted scores, and the products are checked after
     the fact: a branch's is kept unless one of its row sums is below
     ``_ROW_SUM_FLOOR`` (every score of its query below about -60) or an
     entry is not finite (exp overflowed, at a score above about 709).
-    Only such a branch's cores run again, shifted, on the calling thread.
-    So scores up to about 709 are not shifted, and scores in band keep
-    their bits.
+    Only such a branch's cores run again, shifted and tiled the same way,
+    on the calling thread.  So scores up to about 709 are not shifted, and
+    scores in band keep their bits.
     """
 
-    def run(branches: Iterable[int], shift: bool, buffer: np.ndarray | None) -> None:
+    def run(parts: Iterable[tuple[int, int, int]], shift: bool, buffer: np.ndarray | None) -> None:
+        for i, lo, hi in parts:
+            qs, k, v1 = ops[i]
+            into = weighted[i]
+            if hi - lo < n:
+                qs, into = qs[..., lo:hi], into[..., lo:hi]
+            _attend(qs, k, v1, buffer, into, shift)
+
+    def copy(branches: Iterable[int]) -> None:
         for i in branches:
             if isinstance(ops[i], int):
                 weighted[i] = weighted[ops[i]]
-            else:
-                _attend(*ops[i], buffer, weighted[i], shift)
 
-    split = scores is not None and scores.ndim == 4
-    mine = scores[0] if split else scores
-    cores = [i for i, op in enumerate(ops) if not isinstance(op, int)] if split else []
+    n = weighted.shape[-1]
+    cores = [i for i, op in enumerate(ops) if not isinstance(op, int)]
+    mine, theirs = [(i, 0, n) for i in cores], []
+    if scores is not None and scores.ndim == 4:
+        # the (core, tile) pairs in core-major order, cut after the first half
+        scores, spare = scores
+        tiles = -(-n // scores.shape[-1])
+        c, t = divmod((len(cores) * tiles + 1) // 2, tiles)
+        cut = t * scores.shape[-1]
+        mine = [(i, 0, n) for i in cores[:c]] + [(i, 0, cut) for i in cores[c : c + 1] if cut]
+        theirs = [(i, cut, n) for i in cores[c : c + 1]] + [(i, 0, n) for i in cores[c + 1 :]]
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(cores) > 1:
-            half = (len(cores) + 1) // 2
-            job = _worker().submit(contextvars.copy_context().run, run, cores[half:], False, scores[1])
-            try:
-                run(cores[:half], False, mine)
-            finally:
+        job = None
+        if theirs:
+            job = _worker().submit(contextvars.copy_context().run, run, theirs, False, spare)
+        try:
+            run(mine, False, scores)
+        finally:
+            if job is not None:
                 job.result()
-            run((i for i, op in enumerate(ops) if isinstance(op, int)), False, None)
-        else:
-            run(range(len(ops)), False, mine)
+    copy(range(len(ops)))
     sums = weighted[..., -1, :]
     if not (sums.min() >= _ROW_SUM_FLOOR and np.isfinite(weighted).all()):
         kept = (sums.min(axis=(1, 2)) >= _ROW_SUM_FLOOR) & np.isfinite(weighted).all(axis=(1, 2, 3))
-        run(np.flatnonzero(~kept), True, mine)
+        redo = np.flatnonzero(~kept)
+        run([(i, 0, n) for i in redo if not isinstance(ops[i], int)], True, scores)
+        copy(redo)
     np.divide(weighted[..., :-1, :], weighted[..., -1:, :], out=out)
 
 

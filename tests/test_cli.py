@@ -182,9 +182,10 @@ class TestResourceBudget:
         src, _ = scene
         cfg = write_config(tmp_path, EDIT_CONFIG)
         if command == "edit-large-image":
-            # a valid 512x512 PPM: 65536 tokens, so a 64 GiB score buffer
+            # a valid 1024x1024 PPM: 262,144 tokens, so a bound of about
+            # 3.3 GiB, nearly all of it a step's five branches' token-wise arrays
             src = str(tmp_path / "large.ppm")
-            write_ppm(gradient_image(512, 512), src)
+            write_ppm(gradient_image(1024, 1024), src)
         elif command == "edit-long-prompt":
             # 500,000 words: about 2.2 GiB of cross scores, K/V and packets
             # on the 8x8 latent grid, refused before the prompt is embedded

@@ -145,7 +145,7 @@ class TestDeterminismAndTraces:
             noise_mode=NoiseMode.NONE, snapshot_stride=3,
         )
         trace = run_edit(tiny_model, req)
-        stored = [r.step_index for r in trace.records if r.latent is not None]
+        stored = [r.step_index for r in trace.records if r.latent_norm is not None]
         assert stored == [0, 3]
 
 
@@ -394,7 +394,7 @@ class TestLockstep:
 def test_the_budget_counts_each_requests_constrained_fork():
     # the first grid of 16 rows whose step does not fit a guided source, a
     # guided probe and the probe's fork, though it fits the first two; a
-    # column adds 16 tokens, so the scores grow by less than a branch
+    # column adds 16 tokens, so the bound grows by less than a branch
     cfg = ModelConfig()
     w = next(w for w in itertools.count(1) if peak_bytes(cfg, (16, w), 5, 6, 2) > MAX_PEAK_BYTES)
     assert peak_bytes(cfg, (16, w), 4, 6, 2) <= MAX_PEAK_BYTES

@@ -314,13 +314,23 @@ def test_branches_sharing_a_latent_are_bit_identical_alone(cfg, grid, data):
     capture=st.booleans(),
     fia=st.none() | st.builds(FiaConfig, fri_mode=st.sampled_from(FriMode), fij_enabled=st.booleans()),
 )
-# 2 heads on 16x16: every self site with two cores or more runs them on two
-# threads; in the first example the two score buffers are most of the peak
+# 2 heads on 16x16: every self site runs its cores over two query tiles, on
+# two threads; in the first example the two score tiles are most of the
+# peak.  One head on 32x32 runs each core over 16 tiles, which a single core
+# shares out between the threads
 @example(
     cfg=ModelConfig(n_blocks_dual=2, n_blocks_cross_only=1, channels=3),
     grid=(16, 16),
     words=[1],
     passes=[(2.5, 0)],
+    capture=False,
+    fia=None,
+)
+@example(
+    cfg=ModelConfig(n_heads=1, n_blocks_dual=2, n_blocks_cross_only=1, channels=3),
+    grid=(32, 32),
+    words=[1],
+    passes=[(1.0, 0)],
     capture=False,
     fia=None,
 )

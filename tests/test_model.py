@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import os
 import re
+import signal
 import sys
 import threading
 import time
@@ -27,6 +30,7 @@ from fiaedit.model import (
     ReplaceQKVE,
     VelocityModel,
     _layer_norm,
+    _score_shape,
     guide,
     peak_bytes,
     position_features,
@@ -450,10 +454,75 @@ class TestSoftmax:
         assert np.abs(got - expected).max() <= keys * np.finfo(float).eps * np.abs(v).max()
 
 
+class TestQueryTiles:
+    """A core runs over query tiles; a split site shares its (core, tile) pairs out."""
+
+    @staticmethod
+    def operands(seed, heads, n, q_scale=1.0):
+        q, k, v = np.random.default_rng(seed).standard_normal((3, heads, n, 4))
+        return keys_major(q_scale * q, k, v)
+
+    @pytest.mark.parametrize("shift", [False, True], ids=["unshifted", "shifted"])
+    def test_a_tiled_core_equals_a_single_tile_core(self, shift):
+        # 2 heads on 256 tokens: a self site's tiles hold 128 queries each
+        assert _score_shape(2, 256) == (2, 2, 256, 128)
+        qs, k, v1 = self.operands(0, 2, 256)
+        tiled, whole = np.empty((2, 2, 5, 256))
+        fiaedit.model._attend(qs, k, v1, np.empty((2, 256, 128)), tiled, shift)
+        fiaedit.model._attend(qs, k, v1, None, whole, shift)
+        assert np.array_equal(tiled, whole)
+
+    @pytest.mark.parametrize("loud", [False, True], ids=["in-band", "shifted-rerun"])
+    @pytest.mark.parametrize("cores", [1, 3])
+    @pytest.mark.parametrize("tokens", [1024, 640])
+    def test_a_split_site_gives_its_serial_bytes(self, monkeypatch, tokens, cores, loud):
+        # one head: 16 tiles of 64 queries per core on 1,024 tokens, and six
+        # of 102 and a short one of 28 on 640.  One core splits by its tiles,
+        # the first half, rounded up, on the calling thread; of three, the
+        # calling thread runs the first and that half of the second.  A loud
+        # last core overflows exp, and its shifted rerun is tiled the same way
+        shape = _score_shape(1, tokens)
+        rows = shape[-1]
+        assert shape == (2, 1, tokens, rows) and rows == {1024: 64, 640: 102}[tokens]
+        cut = (-(-tokens // rows) + 1) // 2 * rows
+        scales = [1.0] * (cores - 1) + [1e3 if loud else 1.0]
+        ops = [self.operands(i, 1, tokens, scale) for i, scale in enumerate(scales)]
+        ops.append(0)  # a branch that copies the first core
+        attend, caller, calls = fiaedit.model._attend, threading.get_ident(), []
+
+        def spying(qs, k, v1, scores, out, shift=False):
+            calls.append((threading.get_ident() != caller, qs.shape[-1], shift))
+            attend(qs, k, v1, scores, out, shift)
+
+        monkeypatch.setattr(fiaedit.model, "_attend", spying)
+        results = []
+        for scores in (np.empty(shape[1:]), np.empty(shape)):
+            weighted = np.empty((cores + 1, 1, 5, tokens))
+            out = np.empty((cores + 1, 1, 4, tokens))
+            calls.clear()
+            fiaedit.model._attend_site(ops, scores, weighted, out)
+            results.append((out, sorted(calls)))
+        (serial, serial_calls), (split, split_calls) = results
+        assert np.array_equal(split, serial)
+        assert np.array_equal(split[-1], split[0])
+        rerun = [(False, tokens, True)] if loud else []
+        assert serial_calls == sorted([(False, tokens, False)] * cores + rerun)
+        halves = [(False, cut, False), (True, tokens - cut, False)]
+        if cores == 3:
+            halves += [(False, tokens, False), (True, tokens, False)]
+        assert split_calls == sorted(halves + rerun)
+
+
 class TestPeakBytes:
-    @pytest.mark.parametrize("grid, branches", [((32, 32), 2), ((16, 16), 4), ((8, 8), 4)])
-    def test_bounds_the_traced_peak_of_a_forward(self, prompt_pair, grid, branches):
-        cfg = ModelConfig()
+    # 2 heads on 32x32 and 16x16 run their self cores over query tiles of 32
+    # and 128 queries on two threads; one head on 32x32 over 16 tiles of 64
+    @pytest.mark.parametrize(
+        "grid, branches, heads",
+        [((32, 32), 2, 2), ((16, 16), 4, 2), ((8, 8), 4, 2), ((32, 32), 2, 1)],
+        ids=["grid0-2", "grid1-4", "grid2-4", "one-head-32x32"],
+    )
+    def test_bounds_the_traced_peak_of_a_forward(self, prompt_pair, grid, branches, heads):
+        cfg = ModelConfig(n_heads=heads)
         model = VelocityModel(cfg)
         x = np.random.default_rng(0).standard_normal((branches, cfg.channels, *grid))
         half = branches // 2
@@ -556,6 +625,13 @@ class TestPeakBytes:
         # and after a call on as many other prompts, whose operands the model
         # kept: it drops them before it builds this call's
         assert traced_peak(model, states, before=others) <= bound
+
+    def test_scratch_grows_in_proportion_to_tokens(self):
+        # a step of one request on 64x64 (4,096 tokens): two query tiles of
+        # 2 x 4,096 x 16 scores, where a (2, heads, n, n) block took 512 MiB
+        cfg = ModelConfig(channels=3)
+        assert _score_shape(cfg.n_heads, 64 * 64) == (2, 2, 4096, 16)
+        assert peak_bytes(cfg, (64, 64), 5, 6, 2) < 100 << 20
 
 
 class TestTimeEmbedding:
@@ -745,6 +821,37 @@ class TestBatchedForward:
             for out in repeats:
                 for state, state_ref in zip(out, ref):
                     assert all(np.array_equal(a, b) for a, b in zip(state[:2], state_ref[:2]))
+
+    def test_a_forked_child_makes_its_own_worker(self, tiny_model, prompt_pair):
+        # once a split forward has made the worker here, a child forked from
+        # this process has no worker thread: its own split forward must still
+        # finish, with this process's bytes, before the deadline
+        x = np.random.default_rng(7).standard_normal((2, 4, 16, 16))
+        states = [(xi, p, 2.5, HookPlan()) for xi, p in zip(x, prompt_pair)]
+
+        def digest():
+            out = tiny_model._forward(states, 0.5)
+            return hashlib.sha256(b"".join(v.tobytes() for state in out for v in state[:2])).digest()
+
+        want = digest()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report, and leave without running the parent's exit
+            try:
+                os.close(read)
+                os.write(write, digest())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as fh:
+            deadline = time.monotonic() + 10.0
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the child's split forward did not finish in 10 s")
+                time.sleep(0.01)
+            assert fh.read() == want
 
     def test_cross_kv_projected_once_per_distinct_prompt(
         self, tiny_model, prompt_pair, monkeypatch
