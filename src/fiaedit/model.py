@@ -52,6 +52,20 @@ split, and a forked child makes its own.  Copied cores, the range check,
 shifted reruns and the divide run on the calling thread once both halves
 are done.  A tile's bytes do not depend on the thread that runs it.
 
+Every buffer of a call that grows with tokens times branches is cut from
+one float64 block, which ``_scratch_layout`` lays out: the score tiles, the
+``[numerator | row sum]`` buffer, the attention output and the MLP's two
+hidden buffers.  A self site's Q/K/V product takes the front of the hidden
+buffers, since it is dead once the site's output projection has run, before
+the MLP writes them.  The products and the activation write into their
+buffers with ``out=``.  The block is one allocation for glibc's sake: once
+it frees a mapped block, glibc trims its heap top whenever more than twice
+that block's size is free there.  The first call's block sets that bound
+above what a later call of its shape frees, so the heap keeps the memory and
+no call faults it in again; several smaller buffers set it below, and each
+call gave its memory back and faulted it in anew.  The block is made per
+call and not held, so an idle model holds none.
+
 Token-wise work is a few wide BLAS calls.  A dual block gets the whole
 batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
 (K enters the score product as a transposed view), and each distinct
@@ -332,12 +346,12 @@ def _layer_norm(h: np.ndarray) -> np.ndarray:
     return centered
 
 
-def _gelu_like(g: np.ndarray) -> np.ndarray:
-    # sigmoid-gated smooth activation, x * sigma(1.702 x), in one temporary
-    t = np.multiply(g, -1.702)
-    np.exp(t, out=t)
-    t += 1.0
-    return np.divide(g, t, out=t)
+def _gelu_like(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # sigmoid-gated smooth activation, x * sigma(1.702 x), into ``out``
+    np.multiply(g, -1.702, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(g, out, out=out)
 
 
 def _weight_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -370,36 +384,59 @@ def peak_bytes(
 
     ``prompt_tokens`` is the longest prompt's token count and ``prompts``
     the number of distinct prompts.  Counts the weights and their
-    side-by-side copies; the self-attention score tile, two where a site's
-    tiles run on two threads, as :func:`_score_shape` gives the shape
-    ``_forward`` allocates, and one cross core's scores; per token
-    and branch the arrays alive at the widest
-    point, the MLP (two temporaries of four model widths, the residual
-    stream, the attention and layer-norm outputs, and the last self site's
-    Q/K/V product, of which Q^T and K are views, scaled Q^T and ``[V |
-    1]^T``), the ``[numerator | row sum]`` buffer and its range check's
-    flags, an overriding Q^T scaled, the channel copies and the packets
-    captured at every site (Q, K and V; at a cross site K and V are
-    prompt-sized); each distinct prompt's K and ``[V | 1]^T`` at every
-    block, the product they are cut from, its matrix's bytes that key
-    them and its C-ordered float64 copy, and per branch an overriding
-    packet's; and the Python objects.  Python integers, so absurd sizes
-    give exact large counts.  Prompt operands the model kept from its
-    latest call allocate nothing when reused, and those of other prompts
-    are dropped before the call builds its own, so the count stays an
-    upper bound.
+    side-by-side copies; the scratch block, as :func:`_scratch_layout`
+    gives the shapes ``_forward`` allocates it from (score tiles, the
+    ``[numerator | row sum]`` buffer, the attention output and the MLP's
+    hidden buffers, which hold a self site's Q/K/V product too), and one
+    cross core's scores; per token and branch the other arrays alive at
+    the widest point (the residual stream, a layer-norm output, scaled Q^T
+    and ``[V | 1]^T``, the range check's flags, an overriding Q^T scaled),
+    the channel copies and the packets captured at every site (Q, K and V;
+    at a cross site K and V are prompt-sized); each distinct prompt's K and
+    ``[V | 1]^T`` at every block, the product they are cut from, its
+    matrix's bytes that key them and its C-ordered float64 copy, and per
+    branch an overriding packet's; and the Python objects.  Python
+    integers, so absurd sizes give exact large counts.  Prompt operands the
+    model kept from its latest call allocate nothing when reused, and those
+    of other prompts are dropped before the call builds its own, so the
+    count stays an upper bound.
     """
     d, heads, n_blocks = cfg.d_model, cfg.n_heads, cfg.n_blocks
     n_tok = grid[0] * grid[1]
     weights = sum(math.prod(shape) for _, shape in _weight_layout(cfg))
     weights += d * d * (3 * cfg.n_blocks_dual + 2 * n_blocks)  # side-by-side copies
     packets = 3 * d * cfg.n_blocks_dual + d * n_blocks
-    tokenwise = 19 * d + 3 * heads + 2 * cfg.channels + packets
-    attention = math.prod(_score_shape(heads, n_tok)) + heads * n_tok * prompt_tokens
+    tokenwise = 6 * d + 2 * heads + 2 * cfg.channels + packets
+    scratch = sum(math.prod(shape) for shape in _scratch_layout(heads, d, n_tok, branches))
+    attention = scratch + heads * n_tok * prompt_tokens
     operands = prompts * (n_blocks * (2 * d + heads) + 2 * d) + 2 * d * n_blocks
     prompt_sized = prompt_tokens * (operands + branches * ((n_blocks + 1) * 2 * d + heads))
     objects = _OBJECT_BYTES * (8 + branches * (cfg.n_blocks_dual + n_blocks))
     return 8 * (weights + branches * n_tok * tokenwise + attention + prompt_sized) + objects
+
+
+def _scratch_layout(
+    heads: int, d_model: int, n_tok: int, branches: int
+) -> tuple[tuple[int, ...], ...]:
+    """The shapes ``_forward`` cuts, in order, from its one scratch block.
+
+    A self site's score tile(s), as :func:`_score_shape` gives them; the
+    cores' ``[numerator | row sum]``, (branches, heads, d_head + 1, tokens);
+    the attention output, heads merged, (branches, d_model, tokens); and the
+    MLP's two hidden buffers, (2, branches, 4 d_model, tokens), the front of
+    which holds a self site's Q/K/V product until its output projection.
+    """
+    return (
+        _score_shape(heads, n_tok),
+        (branches, heads, d_model // heads + 1, n_tok),
+        (branches, d_model, n_tok),
+        (2, branches, 4 * d_model, n_tok),
+    )
+
+
+def _front(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-ordered view of ``shape`` over the first entries of a contiguous ``buffer``."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _score_shape(heads: int, n_tok: int) -> tuple[int, ...]:
@@ -442,11 +479,11 @@ def _append_ones(vt: np.ndarray) -> np.ndarray:
 
 
 def _self_operands(
-    hn: np.ndarray, w_qkv: np.ndarray, heads: int
+    hn: np.ndarray, w_qkv: np.ndarray, heads: int, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q^T, K and ``[V | 1]^T`` per head from one product; Q^T and K are views of it."""
+    """Q^T, K and ``[V | 1]^T`` per head from one product into ``out``; Q^T and K view it."""
     d = hn.shape[-2]
-    qkv = w_qkv @ hn
+    qkv = np.matmul(w_qkv, hn, out=out)
     q, k, v = (_head_view(qkv[..., i * d : (i + 1) * d, :], heads) for i in range(3))
     return q, k.swapaxes(-1, -2), _append_ones(v)
 
@@ -500,8 +537,7 @@ def _attend(
         if rows != queries:
             q, o = qs[..., lo : lo + rows], out[..., lo : lo + rows]
             if q.shape[-1] < rows:  # a short last tile: the front of the buffer
-                size = math.prod(scores.shape[:-1]) * q.shape[-1]
-                tile = scores.reshape(-1)[:size].reshape(*scores.shape[:-1], q.shape[-1])
+                tile = _front(scores, (*scores.shape[:-1], q.shape[-1]))
         tile = np.matmul(k, q, out=tile)
         if shift:
             tile -= tile.max(axis=-2, keepdims=True)
@@ -693,11 +729,13 @@ class VelocityModel:
         (see ``HookPlan``) and gives ``v_cond``.  A pass that did not run
         gives None, and ``packets`` are the conditional pass's captures by
         site.  The batch holds the conditional passes first, then the
-        constrained ones; only the
-        attention core loops over its branches, and the batch-wide steps
-        act element by element, so a state's result does not depend on its
-        batch.  A hook at a site the model lacks raises ``TopologyError``,
-        and whatever a fork rule raises propagates.
+        constrained ones; only the attention core loops over its branches,
+        and the batch-wide steps act element by element, so a state's result
+        does not depend on its batch.  Every buffer that grows with tokens
+        times branches is cut from one block allocated here, as
+        :func:`_scratch_layout` lays it out (see the module docstring).  A
+        hook at a site the model lacks raises ``TopologyError``, and
+        whatever a fork rule raises propagates.
         """
         cfg = self.cfg
         W = self.weights
@@ -785,16 +823,22 @@ class VelocityModel:
             action = action if ruled is None else ruled
             return None if action is None else _hook_site(action, site, q, k, v1, text, None)
 
-        scores = np.empty(_score_shape(heads, n_tok))
-        # the cores' [numerator | row sum], and the attention outputs, heads merged
-        weighted = np.empty((n_b, heads, cfg.d_model // heads + 1, n_tok))
-        attn = np.empty((n_b, cfg.d_model, n_tok))
+        # one block for every buffer that grows with tokens x branches, so
+        # that glibc keeps its memory between calls (see the module docstring)
+        layout = _scratch_layout(heads, cfg.d_model, n_tok, n_b)
+        scratch = np.empty(sum(math.prod(shape) for shape in layout))
+        parts, lo = [], 0
+        for shape in layout:
+            parts.append(_front(scratch[lo:], shape))
+            lo += math.prod(shape)
+        scores, weighted, attn, hidden = parts
         attn_heads = _head_view(attn, heads)
         for b, block in enumerate(self._blocks):
             w_qkv, self_wo, cross_wq, cross_wo, null_row, mlp_w1, mlp_w2 = block
             if w_qkv is not None:
                 site = (b, AttnKind.SELF)
-                q, k, v1 = _self_operands(_layer_norm(h), w_qkv, heads)
+                qkv = _front(hidden, (len(h), 3 * cfg.d_model, n_tok))
+                q, k, v1 = _self_operands(_layer_norm(h), w_qkv, heads, qkv)
                 qs = _scaled(q)
                 done: dict[int, int] = {}  # row -> the branch whose core reads it unchanged
                 ops: list[tuple[np.ndarray, np.ndarray, np.ndarray] | int] = []
@@ -823,8 +867,8 @@ class VelocityModel:
             if n_att < n_b:
                 h[n_att:] += null_row
 
-            hn = _layer_norm(h)
-            h += mlp_w2 @ _gelu_like(mlp_w1 @ hn)
+            g = np.matmul(mlp_w1, _layer_norm(h), out=hidden[0])
+            h += mlp_w2 @ _gelu_like(g, hidden[1])
 
         out = (W["w_out"].T @ _layer_norm(h)).reshape(n_b, c, h_grid, w_grid)
         v_cond, v_uncond = dict(zip(cond + forks, out)), dict(zip(uncond, out[n_att:]))
