@@ -43,14 +43,17 @@ at most all of them, whose scores go into one (heads, keys, rows) scratch
 buffer, so a site's scratch grows with its tokens, not their square.  A
 query's whole key row is in its tile, so there is no online softmax, and
 each tile writes its own columns of the ``[numerator | row sum]`` buffer.
-A self site whose (heads, n, n) scores hold at least 2^16 entries (512 KiB)
-runs its (core, tile) pairs on two threads, as FlashAttention-2 shares out
-attention work: in core-major order, the calling thread runs the first
-half, rounded up, and one worker thread the rest, each with its own tile
-cut from one (2, heads, n, rows) block.  The worker is made on the first
-split, and a forked child makes its own.  Copied cores, the range check,
-shifted reruns and the divide run on the calling thread once both halves
-are done.  A tile's bytes do not depend on the thread that runs it.
+A self site whose (heads, n, n) scores hold at least 2^18 entries, four
+tiles' worth (from 363 tokens with 2 heads, 512 with one), runs its (core,
+tile) pairs on two threads, as FlashAttention-2 shares out attention work:
+in core-major order, the calling thread runs the first half, rounded up,
+and one worker thread the rest, each with its own tile cut from one (2,
+heads, n, rows) block.  Below that size a thread's share does not clearly
+pay for the handoff and the extra CPU, so a smaller site runs on the
+calling thread alone and makes no worker.  The worker is made on the first split, and a forked
+child makes its own.  Copied cores, the range check, shifted reruns and
+the divide run on the calling thread once both halves are done.  A tile's
+bytes do not depend on the thread that runs it.
 
 Every buffer of a call that grows with tokens times branches is cut from
 one float64 block, which ``_scratch_layout`` lays out: the score tiles, the
@@ -120,12 +123,17 @@ _LN_EPS = 1e-6
 # drifted towards the subnormal range, or underflowed to 0/0
 _ROW_SUM_FLOOR = math.exp(-60.0)
 # entries of a self site's score tile (512 KiB): a core runs over query
-# tiles of about this many scores, and a site whose (heads, n, n) scores hold
-# at least this many runs its tiles on two threads, the smallest size at
-# which the split clearly beats waking the worker (one site of 4 cores, 2
-# vCPUs, serial against split: 145 -> 149 us at 2^15 entries, 262 -> 207 us
-# at 2^16)
+# tiles of about this many scores
 _TILE_ENTRIES = 1 << 16
+# a site whose (heads, n, n) scores hold at least this many entries (four
+# tiles' worth) runs its tiles on two threads: from 363 tokens with 2 heads
+# and 512 with one.  Whole edits on 2 vCPUs, one BLAS thread, split against
+# serial wall time: 2 heads -10..-19% at 384 tokens, -16..-26% at 512,
+# about -20% at 1,024 and -23% at 4,096, 1 head -6..-16% at 512.  At 256
+# tokens with 2 heads it cost 9-23% more CPU per op, and won 14 of 30
+# rounds on a busy host and gained about 17% on an idle one; with 1 head
+# it lost 6%
+_SPLIT_ENTRIES = 4 * _TILE_ENTRIES
 
 
 class AttnKind(enum.Enum):
@@ -444,11 +452,12 @@ def _score_shape(heads: int, n_tok: int) -> tuple[int, ...]:
 
     A tile holds the queries whose scores fit in ``_TILE_ENTRIES``, at
     least 16 and at most all of them; a site whose (heads, n, n) scores
-    hold that many entries gets two tiles, one per thread.
+    hold ``_SPLIT_ENTRIES`` gets two tiles, one per thread.  A smaller
+    site runs on the calling thread alone, and never makes the worker.
     """
     rows = min(n_tok, max(16, _TILE_ENTRIES // (heads * n_tok)))
     shape = (heads, n_tok, rows)
-    return (2, *shape) if heads * n_tok * n_tok >= _TILE_ENTRIES else shape
+    return (2, *shape) if heads * n_tok * n_tok >= _SPLIT_ENTRIES else shape
 
 
 @functools.cache
@@ -560,9 +569,11 @@ def _attend_site(
     by the row sums writes ``out``, (branches, heads, d_head, queries), a
     per-head view of the (branches, d_model, queries) stream.
 
-    ``scores`` is the (heads, keys, rows) tile buffer, or None to allocate
-    each core's.  A (2, heads, keys, rows) block, one tile per thread,
-    splits the cores' (core, tile) pairs in core-major order: the calling
+    ``scores`` is the (heads, keys, rows) tile buffer, on which every core
+    runs on the calling thread, or None to allocate each core's.  A (2,
+    heads, keys, rows) block, one tile per thread, which
+    :func:`_score_shape` gives from ``_SPLIT_ENTRIES`` scores on, splits
+    the cores' (core, tile) pairs in core-major order: the calling
     thread runs the first half, rounded up, and the worker the rest, under
     the caller's error state; the copies, the check below and the divide
     run once both halves are done.  A core whose tiles the cut divides

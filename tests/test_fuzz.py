@@ -314,13 +314,15 @@ def test_branches_sharing_a_latent_are_bit_identical_alone(cfg, grid, data):
     capture=st.booleans(),
     fia=st.none() | st.builds(FiaConfig, fri_mode=st.sampled_from(FriMode), fij_enabled=st.booleans()),
 )
-# 2 heads on 16x16: every self site runs its cores over two query tiles, on
-# two threads; in the first example the two score tiles are most of the
-# peak.  One head on 32x32 runs each core over 16 tiles, which a single core
-# shares out between the threads
+# 2 heads on 20x20, the smallest square grid whose self sites split (which
+# test_model.py's split-size test asserts): every self site runs its cores
+# over five query tiles, on two threads, and the two score tiles are the
+# peak's largest term.  One head on 32x32 runs each core over 16 tiles,
+# which a single core shares out between the threads.  2 heads on 16x16
+# run each core over two tiles on the calling thread
 @example(
     cfg=ModelConfig(n_blocks_dual=2, n_blocks_cross_only=1, channels=3),
-    grid=(16, 16),
+    grid=(20, 20),
     words=[1],
     passes=[(2.5, 0)],
     capture=False,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -466,13 +467,48 @@ class TestQueryTiles:
 
     @pytest.mark.parametrize("shift", [False, True], ids=["unshifted", "shifted"])
     def test_a_tiled_core_equals_a_single_tile_core(self, shift):
-        # 2 heads on 256 tokens: a self site's tiles hold 128 queries each
-        assert _score_shape(2, 256) == (2, 2, 256, 128)
+        # 2 heads on 256 tokens, which run on the calling thread: tiles of
+        # 128 queries give the single tile's bytes
+        assert _score_shape(2, 256) == (2, 256, 128)
         qs, k, v1 = self.operands(0, 2, 256)
         tiled, whole = np.empty((2, 2, 5, 256))
         fiaedit.model._attend(qs, k, v1, np.empty((2, 256, 128)), tiled, shift)
         fiaedit.model._attend(qs, k, v1, None, whole, shift)
         assert np.array_equal(tiled, whole)
+        # 2 heads on 400 tokens (20x20, the smallest square grid whose self
+        # sites split): tiles of 81 queries, the last of 76, which BLAS
+        # blocks otherwise than one tile, so they agree to rounding
+        assert len(_score_shape(2, 400)) == 4
+        assert _score_shape(2, 400) == (2, 2, 400, 81)
+        qs, k, v1 = self.operands(0, 2, 400)
+        tiled, whole = np.empty((2, 2, 5, 400))
+        fiaedit.model._attend(qs, k, v1, np.empty((2, 400, 81)), tiled, shift)
+        fiaedit.model._attend(qs, k, v1, None, whole, shift)
+        assert np.abs(tiled - whole).max() <= 400 * np.finfo(float).eps * np.abs(whole).max()
+
+    @pytest.mark.parametrize(
+        "heads, grid", [(2, (16, 16)), (1, (16, 16)), (2, (20, 20))],
+        ids=["2-heads-16x16", "1-head-16x16", "2-heads-20x20"],
+    )
+    def test_only_a_site_of_the_split_size_asks_for_the_worker(
+        self, tiny_model, prompt_pair, monkeypatch, heads, grid
+    ):
+        # 2 x 256^2 and 256^2 scores run on the calling thread alone; 2 x
+        # 400^2 split, and each dual block's self site asks for the worker
+        splits = grid == (20, 20)
+        assert (len(_score_shape(heads, grid[0] * grid[1])) == 4) == splits
+        worker, asked = fiaedit.model._worker, []
+
+        def spying_worker():
+            asked.append(True)
+            return worker()
+
+        monkeypatch.setattr(fiaedit.model, "_worker", spying_worker)
+        cfg = dataclasses.replace(tiny_model.cfg, n_heads=heads)
+        x = np.random.default_rng(9).standard_normal((2, cfg.channels, *grid))
+        states = [(xi, p, 2.5, HookPlan()) for xi, p in zip(x, prompt_pair)]
+        VelocityModel(cfg)._forward(states, 0.5)
+        assert len(asked) == (cfg.n_blocks_dual if splits else 0)
 
     @pytest.mark.parametrize("loud", [False, True], ids=["in-band", "shifted-rerun"])
     @pytest.mark.parametrize("cores", [1, 3])
@@ -516,8 +552,9 @@ class TestQueryTiles:
 
 
 class TestPeakBytes:
-    # 2 heads on 32x32 and 16x16 run their self cores over query tiles of 32
-    # and 128 queries on two threads; one head on 32x32 over 16 tiles of 64
+    # 2 heads on 32x32 run their self cores over query tiles of 32 queries
+    # on two threads, and on 16x16 over two tiles of 128 on the calling
+    # thread; one head on 32x32 over 16 tiles of 64, on two threads
     @pytest.mark.parametrize(
         "grid, branches, heads",
         [((32, 32), 2, 2), ((16, 16), 4, 2), ((8, 8), 4, 2), ((32, 32), 2, 1)],
@@ -711,7 +748,7 @@ class TestScratchBlock:
         assert peak_bytes(cfg, grid, n_b, 6, 2) == bound + 8000
 
     @pytest.mark.parametrize(
-        "case", ["split-tiles-16x16", "short-last-tile", "fri-freq-step", "shifted-rerun",
+        "case", ["split-tiles-20x20", "short-last-tile", "fri-freq-step", "shifted-rerun",
                  "fewer-states-than-branches"],
     )
     def test_no_buffer_is_read_before_it_is_written(self, prompt_pair, monkeypatch, case):
@@ -720,8 +757,8 @@ class TestScratchBlock:
         p_src, p_tar = prompt_pair
         rng = np.random.default_rng(13)
         cfg = ModelConfig(channels=4, n_heads=1 if case == "short-last-tile" else 2)
-        grid = {"short-last-tile": (20, 32), "fri-freq-step": (8, 8),
-                "fewer-states-than-branches": (6, 5)}.get(case, (16, 16))
+        grid = {"split-tiles-20x20": (20, 20), "short-last-tile": (20, 32),
+                "fri-freq-step": (8, 8), "fewer-states-than-branches": (6, 5)}.get(case, (16, 16))
         x = rng.standard_normal((3, cfg.channels, *grid))
         sites = all_sites(cfg)
         if case == "short-last-tile":
@@ -741,10 +778,11 @@ class TestScratchBlock:
             loud = ReplaceQK(q=1e3 * own[site].q, k=own[site].k)
             states = [(x[0], p_tar, 2.5, HookPlan(overrides={site: loud})),
                       (x[1], p_src, 1.0, HookPlan())]
-        elif case == "split-tiles-16x16":
-            # one pass per state: each self site's cores run over two tiles
-            # of 128 queries, the second core's on the worker
-            assert _score_shape(2, 256) == (2, 2, 256, 128)
+        elif case == "split-tiles-20x20":
+            # one pass per state: each self site's cores run over five tiles
+            # of 81 queries, the last of 76, the second core's on the worker
+            assert len(_score_shape(2, 400)) == 4
+            assert _score_shape(2, 400) == (2, 2, 400, 81)
             states = [(xi, p, 1.0, HookPlan(capture=sites)) for xi, p in zip(x, prompt_pair)]
         else:
             # guided states, two passes each, one unguided: block 0's prefix
@@ -858,10 +896,11 @@ class TestBatchedForward:
                 overflowed_on_caller.append(threading.get_ident() == caller)
 
         monkeypatch.setattr(fiaedit.model, "_attend", spying)
-        # on 6x6 every core runs on the calling thread; on 16x16 (2 heads,
-        # 256 tokens) each self site's second half of cores runs on the
+        # on 6x6 every core runs on the calling thread; on 20x20 (2 heads,
+        # 400 tokens) each self site's second half of cores runs on the
         # worker, the loud branch's among them, and its exp overflows there
-        for grid in ((6, 6), (16, 16)):
+        assert len(_score_shape(2, 400)) == 4
+        for grid in ((6, 6), (20, 20)):
             x = np.stack([latent(s, (4, *grid)) for s in (0, 1, 2)] + [1e3 * latent(0, (4, *grid))])
             _, own = tiny_model.velocity(x[2], p_tar, 0.5, 1.0, hooks=HookPlan(capture=sites))
             loud = ReplaceQK(q=1e3 * own[site].q, k=own[site].k)
@@ -906,9 +945,10 @@ class TestBatchedForward:
     def test_a_failing_core_fails_the_call_and_leaves_no_job(
         self, tiny_model, prompt_pair, monkeypatch, failing
     ):
-        # two guided states on 16x16: each self site runs two of its four
+        # two guided states on 20x20: each self site runs two of its four
         # cores on the worker
-        x = np.random.default_rng(5).standard_normal((2, 4, 16, 16))
+        assert len(_score_shape(2, 400)) == 4
+        x = np.random.default_rng(5).standard_normal((2, 4, 20, 20))
         states = [(xi, p, 2.5, HookPlan()) for xi, p in zip(x, prompt_pair)]
         clean = tiny_model._forward(states, 0.5)
         attend = fiaedit.model._attend
@@ -940,7 +980,8 @@ class TestBatchedForward:
     def test_callers_on_several_threads_share_the_worker(self, tiny_model, prompt_pair):
         # four callers, more than the cores, each splitting every self site
         # under a short switch interval: every call keeps its serial bytes
-        x = np.random.default_rng(6).standard_normal((4, 2, 4, 16, 16))
+        assert len(_score_shape(2, 400)) == 4
+        x = np.random.default_rng(6).standard_normal((4, 2, 4, 20, 20))
         batches = [[(xi, p, 2.5, HookPlan()) for xi, p in zip(xs, prompt_pair)] for xs in x]
         want = [tiny_model._forward(states, 0.5) for states in batches]
         interval = sys.getswitchinterval()
@@ -963,7 +1004,8 @@ class TestBatchedForward:
         # once a split forward has made the worker here, a child forked from
         # this process has no worker thread: its own split forward must still
         # finish, with this process's bytes, before the deadline
-        x = np.random.default_rng(7).standard_normal((2, 4, 16, 16))
+        assert len(_score_shape(2, 400)) == 4
+        x = np.random.default_rng(7).standard_normal((2, 4, 20, 20))
         states = [(xi, p, 2.5, HookPlan()) for xi, p in zip(x, prompt_pair)]
 
         def digest():
@@ -1215,13 +1257,14 @@ class TestReferenceForward:
     ):
         # guided states that capture a self and a cross site and override one
         # of each, with Q/K and a donor packet of their own: one on a 6x5
-        # grid, and two on 16x16, whose self sites split their cores
+        # grid, and two on 20x20, whose self sites split their cores
+        assert len(_score_shape(2, 400)) == 4
         p, p_donor = prompt_pair
         rng = np.random.default_rng(12)
         heads, d_head, m = 2, 4, len(p_donor.tokens)
         self_site, cross_site = (1, AttnKind.SELF), (5, AttnKind.CROSS)
         capture = frozenset({(0, AttnKind.SELF), self_site, (3, AttnKind.CROSS), cross_site})
-        for grid, n_states in (((6, 5), 1), ((16, 16), 2)):
+        for grid, n_states in (((6, 5), 1), ((20, 20), 2)):
             n = grid[0] * grid[1]
             states = []
             for _ in range(n_states):
