@@ -75,10 +75,10 @@ batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
 prompt in a call gets every block's cross K and ``[V | 1]^T`` from one
 product with ``[wk_0 | wv_0 | wk_1 | ...]``.  The model builds these
 side-by-side weights once, and every block's other token-wise ``W^T`` too.
-Calls and branches share K and ``[V | 1]^T`` for prompt matrices of equal
-values: a call keys each prompt's operands by the shape and bytes of its
-C-ordered float64 matrix, takes those the latest call kept or builds them
-from that array once per key, and keeps only its own for the next call.
+A call's branches share K and ``[V | 1]^T`` for prompt matrices of equal
+values: it groups them by the shape and bytes of each C-ordered float64
+matrix and builds each group's operands from that array once.  A call
+keeps nothing for the next.
 Layer norm takes its mean and variance over the feature axis as products
 with a row of 1/d, one BLAS call per slice.
 
@@ -404,10 +404,7 @@ def peak_bytes(
     ``[V | 1]^T`` at every block, the product they are cut from, its
     matrix's bytes that key them and its C-ordered float64 copy, and per
     branch an overriding packet's; and the Python objects.  Python
-    integers, so absurd sizes give exact large counts.  Prompt operands the
-    model kept from its latest call allocate nothing when reused, and those
-    of other prompts are dropped before the call builds its own, so the
-    count stays an upper bound.
+    integers, so absurd sizes give exact large counts.
     """
     d, heads, n_blocks = cfg.d_model, cfg.n_heads, cfg.n_blocks
     n_tok = grid[0] * grid[1]
@@ -682,9 +679,7 @@ class VelocityModel:
 
     ``__init__`` builds what no call changes: one record per block of its
     transposed token-wise weights, side-by-side operand weights and null
-    row.  Between calls the model keeps only the latest call's prompt
-    operands, keyed by the matrix values they were built from (see the
-    module docstring), so a call's bytes are those of a fresh model.
+    row.  A call keeps nothing, so its bytes are those of a fresh model.
     """
 
     def __init__(self, cfg: ModelConfig):
@@ -719,8 +714,6 @@ class VelocityModel:
             self._blocks.append((w_qkv, self_wo, cross_wq, cross_wo, null_row, mlp_w1, mlp_w2))
         for arr in (self._cross_kv, *(a for rec in self._blocks for a in rec if a is not None)):
             arr.setflags(write=False)
-        # the latest call's K and [V | 1]^T, by prompt matrix value
-        self._prompt_kv: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._sites = frozenset(
             (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
         )
@@ -789,23 +782,16 @@ class VelocityModel:
         h += _positions(h_grid, w_grid, cfg.d_model)
         h += time_embedding(sigma_t, cfg.d_model)[:, None]
 
-        # K and [V | 1]^T depend only on the prompt matrix's values: group the
-        # branches by value, drop the latest call's operands of other values,
-        # and take each group's from that call or build them once.  Every
-        # entry holds its key's operands, so a caller on another thread may
-        # read the table while this call fills it.
-        groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
-        for i, p in enumerate(prompts):
+        # K and [V | 1]^T depend only on the prompt matrix's values: the
+        # branches share them by value, built once per value
+        built: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        operands = []
+        for p in prompts:
             matrix = np.ascontiguousarray(p.matrix, dtype=np.float64)
-            groups.setdefault((matrix.shape, matrix.tobytes()), (matrix, []))[1].append(i)
-        kept = self._prompt_kv
-        self._prompt_kv = kept = {key: kept[key] for key in groups if key in kept}
-        operands = [None] * n_att
-        for key, (matrix, branches) in groups.items():
-            if key not in kept:
-                kept[key] = _cross_operands(matrix, self._cross_kv, heads)
-            for i in branches:
-                operands[i] = kept[key]
+            key = (matrix.shape, matrix.tobytes())
+            if key not in built:
+                built[key] = _cross_operands(matrix, self._cross_kv, heads)
+            operands.append(built[key])
         packets: list[dict[Site, AttentionPacket]] = [{} for _ in states]
 
         def hooked(i, site, q, k, v1, text):

@@ -114,19 +114,11 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out[0].swapaxes(-1, -2)
 
 
-def traced_peak(model: VelocityModel, states, before=None) -> int:
-    """Traced peak bytes of one warm ``_forward`` of ``states`` that builds its prompt operands.
-
-    With ``before``, a call on those states runs first under the trace, so
-    the operands it keeps count for as long as the traced call holds them.
-    """
+def traced_peak(model: VelocityModel, states) -> int:
+    """Traced peak bytes of one warm ``_forward`` of ``states``."""
     model._forward(states, 0.5)  # caches the position features
-    model._prompt_kv = {}  # the operands the warm call kept would cost the traced one nothing
     tracemalloc.start()
     try:
-        if before is not None:
-            model._forward(before, 0.5)
-            tracemalloc.reset_peak()
         model._forward(states, 0.5)
         return tracemalloc.get_traced_memory()[1]
     finally:

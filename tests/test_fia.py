@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import fiaedit.fia
 import fiaedit.model
+from fiaedit.codec import encode
 from fiaedit.engine import EditRequest, run_edit
 from fiaedit.errors import NumericFailure, ShapeMismatchError, TopologyError
 from fiaedit.fia import (
@@ -21,6 +23,7 @@ from fiaedit.fia import (
     default_fij_cutoff,
     plan_capture,
 )
+from fiaedit.fixtures import load_fixture
 from fiaedit.model import (
     AttentionPacket,
     AttnKind,
@@ -31,6 +34,7 @@ from fiaedit.model import (
     ReplaceQKVE,
     VelocityModel,
 )
+from fiaedit.prompts import PromptEmbedding, embed_prompt
 from fiaedit.schedule import (
     NoiseMode,
     draw_step_noise,
@@ -540,9 +544,9 @@ class TestConstrainedPair:
     def test_an_injected_core_is_copied_from_the_source_branch(
         self, tiny_model, prompt_pair, monkeypatch, fri
     ):
-        # a two-step run with the injection window open throughout, on a
-        # model that has seen no prompt; then each step again, with the
-        # injected packets handed over as copies, which the model recomputes
+        # a two-step run with the injection window open throughout; then each
+        # step again, with the injected packets handed over as copies, which
+        # the model recomputes
         model = VelocityModel(tiny_model.cfg)
         attend, cross_operands = fiaedit.model._attend, fiaedit.model._cross_operands
         counts = Counter()
@@ -566,14 +570,14 @@ class TestConstrainedPair:
             sigma_t = sched.sigmas[i]
             x_src_t = interpolate_source(x_src, sigma_t, draw_step_noise(x_src.shape, 0, i))
             x_tar_t = reconstruct_target_state(x_fe, x_src_t, x_src)
-            before = counts["cores"]
+            before, built = counts["cores"], counts["operands"]
             v_src, v_tar = constrained_velocity_pair(
                 model, x_src_t, x_tar_t, p_src, p_tar, sigma_t, i, total, guidance, cfg
             )
+            # one model call, which builds each prompt's K and [V | 1]^T once
+            assert counts["operands"] - built == 2
             steps.append((sigma_t, x_src_t, x_tar_t, v_tar, counts["cores"] - before))
             x_fe = x_fe + (sched.sigmas[i + 1] - sigma_t) * (v_tar - v_src)
-        # each prompt's K and [V | 1]^T are built once for the whole run
-        assert counts["operands"] == 2
 
         build = fiaedit.fia.build_target_overrides
 
@@ -616,3 +620,53 @@ class TestConstrainedPair:
         )
         v_plain, _ = tiny_model.velocity(x_tar, p_tar, 0.5, 3.0)
         assert not np.array_equal(v_constrained, v_plain)
+
+
+@functools.cache
+def blob16_run() -> tuple[VelocityModel, np.ndarray, PromptEmbedding, PromptEmbedding]:
+    """The stock model, the ``blob16`` fixture's latent at patch 2 and two prompts."""
+    cfg = ModelConfig()
+    p_src, p_tar = (
+        embed_prompt(text, cfg.d_model)
+        for text in ("a small bright blob on a striped background", "a dark square")
+    )
+    return VelocityModel(cfg), encode(load_fixture("blob16")[0], 2), p_src, p_tar
+
+
+def blob16_edit(fia: FiaConfig, seed: int = 0, noise_mode: NoiseMode = NoiseMode.REUSED_EPSILON):
+    """A 6-step edit of ``blob16`` under ``fia``: its final latent bytes and step records."""
+    model, latent, p_src, p_tar = blob16_run()
+    trace = run_edit(
+        model,
+        EditRequest(
+            source_latent=latent, p_src=p_src, p_tar=p_tar, schedule=make_linear_schedule(6, 0.0),
+            guidance=GuidanceConfig(), fia=fia, seed=seed, noise_mode=noise_mode,
+        ),
+    )
+    return trace.final_latent.tobytes(), trace.records
+
+
+class TestEditIdentities:
+    """Two configs that differ in their settings give one edit, bit for bit."""
+
+    @pytest.mark.parametrize("noise_mode", list(NoiseMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_freq_fusion_at_even_weights_is_add(self, seed, noise_mode):
+        even = FiaConfig(fri_mode=FriMode.FREQ, fusion=FusionWeights(0.5, 0.5))
+        add = FiaConfig(fri_mode=FriMode.ADD)
+        assert blob16_edit(even, seed, noise_mode) == blob16_edit(add, seed, noise_mode)
+
+    @pytest.mark.parametrize("fri", [False, True], ids=["fij-only", "fri-and-fij"])
+    def test_injection_with_a_closed_window_is_injection_off(self, fri):
+        closed = FiaConfig(fri_enabled=fri, fij_step_cutoff=0)
+        off = FiaConfig(fri_enabled=fri, fij_enabled=False)
+        assert blob16_edit(closed) == blob16_edit(off)
+
+    def test_each_setting_moves_the_edit(self):
+        # so neither identity holds because a setting is never read
+        assert blob16_edit(FiaConfig(fri_mode=FriMode.FREQ)) != blob16_edit(
+            FiaConfig(fri_mode=FriMode.ADD)
+        )
+        assert blob16_edit(FiaConfig(fri_enabled=False)) != blob16_edit(
+            FiaConfig(fri_enabled=False, fij_enabled=False)
+        )

@@ -651,19 +651,11 @@ class TestPeakBytes:
         model = VelocityModel(cfg)
         x = np.random.default_rng(0).standard_normal((n, cfg.channels, *grid))
         plan = HookPlan(capture=all_sites(cfg))
-        states, others = (
-            [
-                (xi, embed_prompt(" ".join(f"{w}{j}x{i}" for j in range(words)), cfg.d_model),
-                 1.0, plan)
-                for i, xi in enumerate(x)
-            ]
-            for w in ("w", "v")
-        )
-        bound = peak_bytes(cfg, grid, n, words, n)
-        assert traced_peak(model, states) <= bound
-        # and after a call on as many other prompts, whose operands the model
-        # kept: it drops them before it builds this call's
-        assert traced_peak(model, states, before=others) <= bound
+        states = [
+            (xi, embed_prompt(" ".join(f"w{j}x{i}" for j in range(words)), cfg.d_model), 1.0, plan)
+            for i, xi in enumerate(x)
+        ]
+        assert traced_peak(model, states) <= peak_bytes(cfg, grid, n, words, n)
 
     def test_scratch_grows_in_proportion_to_tokens(self):
         # a step of one request on 64x64 (4,096 tokens): two query tiles of
@@ -1117,6 +1109,21 @@ class TestBatchedForward:
             want = VelocityModel(cfg)._forward(states, 0.5)
             for state, ref in zip(got, want, strict=True):
                 assert all(np.array_equal(a, b) for a, b in zip(state[:2], ref[:2]))
+
+    def test_a_call_leaves_the_model_as_it_found_it(self, prompt_pair):
+        # an FIA step on a source and two targets: two prompts, captures at
+        # the constrained sites and each target's fork; the model's
+        # attributes are afterwards the same names bound to the same objects
+        model = VelocityModel(ModelConfig(channels=4))
+        before = dict(vars(model))
+        p_src, p_tar = prompt_pair
+        x = [latent(i) for i in range(3)]
+        states, _ = _step_states(
+            model, x[0], x[1:], p_src, [p_tar] * 2, 0, 10, GuidanceConfig(), [FiaConfig()] * 2
+        )
+        assert count_branches(states, model._forward(states, 0.5)) == 8
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[name] is value for name, value in before.items())
 
     def test_self_qkv_is_one_product_per_dual_block(self, prompt_pair):
         # the product writes into the scratch block through np.matmul(out=),
