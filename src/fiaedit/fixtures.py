@@ -61,6 +61,8 @@ FIXTURES = {
     "checker16": lambda: (checkerboard_image(16, 16), None),
     "blob16": lambda: blob_scene(16, 16),
     "blob32": lambda: blob_scene(32, 32),
+    # the paper's image size: at codec.patch = 8 its latent is 64x64 tokens
+    "blob512": lambda: blob_scene(512, 512),
 }
 
 

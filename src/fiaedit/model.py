@@ -5,7 +5,9 @@ fraction of the width: an early run of blocks carries self-attention plus
 cross-attention, the remaining tail carries cross-attention only, and every
 block ends in a small gated MLP.  Latent pixels are the token grid; channels
 project to the model width.  All weights come from one seeded generator in a
-fixed order, so a config is a complete description of the network.
+fixed order, so a config is a complete description of the network, and
+models of equal configs share one read-only weight set, built once and kept
+for the last four configs used (see ``VelocityModel``).
 
 One forward call runs a batch of states, each a latent with its prompt,
 guidance scale and hooks.  A state runs a conditional pass, which attends
@@ -73,8 +75,8 @@ Token-wise work is a few wide BLAS calls.  A dual block gets the whole
 batch's Q^T, K^T and V^T as views of one product with ``[wq | wk | wv]^T``
 (K enters the score product as a transposed view), and each distinct
 prompt in a call gets every block's cross K and ``[V | 1]^T`` from one
-product with ``[wk_0 | wv_0 | wk_1 | ...]``.  The model builds these
-side-by-side weights once, and every block's other token-wise ``W^T`` too.
+product with ``[wk_0 | wv_0 | wk_1 | ...]``.  These side-by-side weights,
+and every block's other token-wise ``W^T``, are built with the weights.
 A call's branches share K and ``[V | 1]^T`` for prompt matrices of equal
 values: it groups them by the shape and bytes of each C-ordered float64
 matrix and builds each group's operands from that array once.  A call
@@ -110,6 +112,7 @@ import enum
 import functools
 import math
 import os
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -674,49 +677,70 @@ def _hook_site(
     return None if action is None else (_scaled(q.swapaxes(-1, -2)), k, v1)
 
 
+# bounded: an edit, a grid or a benchmark worker builds its models from one
+# config, but hypothesis properties and the steering seeds walk many, and an
+# unbounded cache would keep every one of their weight sets alive
+@functools.lru_cache(maxsize=4)
+def _weight_set(
+    cfg: ModelConfig,
+) -> tuple[Mapping[str, np.ndarray], np.ndarray, tuple[tuple, ...], frozenset[Site]]:
+    """A config's read-only weights, as every model of that config shares them.
+
+    Returns the seeded weights by name, the cross operands' side-by-side
+    weights, one record per block and the model's sites.  Every array is
+    read-only, the weights are a read-only mapping and the records tuples.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    W = {
+        name: rng.standard_normal(shape) / np.sqrt(shape[0])
+        for name, shape in _weight_layout(cfg)
+    }
+    # the cross operands' weights side by side, so that K and V are one product
+    cross_kv = np.hstack(
+        [W[f"b{b}.cross.{n}"] for b in range(cfg.n_blocks) for n in ("wk", "wv")]
+    )
+    # one record per block for the feature-major stream, weights
+    # transposed: self [wq | wk | wv] and wo (None in a cross-only block),
+    # cross wq and wo, the null row, MLP w1 and w2.  Softmax over the
+    # single null key is 1, so an unconditional branch's cross-attention
+    # adds the same projected value column, the null row, at every token.
+    blocks = []
+    for b in range(cfg.n_blocks):
+        w_qkv = self_wo = None
+        if cfg.has_self(b):
+            w_qkv = np.hstack([W[f"b{b}.self.{n}"] for n in ("wq", "wk", "wv")]).T
+            self_wo = W[f"b{b}.self.wo"].T
+        null_row = (W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]).T
+        cross_wq, cross_wo, mlp_w1, mlp_w2 = (
+            W[f"b{b}.{n}"].T for n in ("cross.wq", "cross.wo", "mlp.w1", "mlp.w2")
+        )
+        blocks.append((w_qkv, self_wo, cross_wq, cross_wo, null_row, mlp_w1, mlp_w2))
+    for arr in (*W.values(), cross_kv, *(a for rec in blocks for a in rec if a is not None)):
+        arr.setflags(write=False)
+    sites = frozenset(
+        (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
+    )
+    return types.MappingProxyType(W), cross_kv, tuple(blocks), sites
+
+
 class VelocityModel:
     """Seeded toy velocity network; weights are immutable after init.
 
-    ``__init__`` builds what no call changes: one record per block of its
-    transposed token-wise weights, side-by-side operand weights and null
-    row.  A call keeps nothing, so its bytes are those of a fresh model.
+    Models of equal configs share one read-only weight set: the seeded
+    weights, a read-only mapping, and one record per block of transposed
+    token-wise weights, side-by-side operand weights and null row, a tuple.
+    ``_weight_set`` builds it once per config and keeps the sets of the
+    last four configs used, beyond the models that hold them.  A call keeps
+    nothing, so its bytes are those of a fresh model.
     """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
-        self.weights = {
-            name: rng.standard_normal(shape) / np.sqrt(shape[0])
-            for name, shape in _weight_layout(cfg)
-        }
-        for arr in self.weights.values():
-            arr.setflags(write=False)
-        W = self.weights
-        # the cross operands' weights side by side, so that K and V are one product
-        self._cross_kv = np.hstack(
-            [W[f"b{b}.cross.{n}"] for b in range(cfg.n_blocks) for n in ("wk", "wv")]
-        )
-        # one record per block for the feature-major stream, weights
-        # transposed: self [wq | wk | wv] and wo (None in a cross-only block),
-        # cross wq and wo, the null row, MLP w1 and w2.  Softmax over the
-        # single null key is 1, so an unconditional branch's cross-attention
-        # adds the same projected value column, the null row, at every token.
-        self._blocks = []
-        for b in range(cfg.n_blocks):
-            w_qkv = self_wo = None
-            if cfg.has_self(b):
-                w_qkv = np.hstack([W[f"b{b}.self.{n}"] for n in ("wq", "wk", "wv")]).T
-                self_wo = W[f"b{b}.self.wo"].T
-            null_row = (W["null_token"] @ W[f"b{b}.cross.wv"] @ W[f"b{b}.cross.wo"]).T
-            cross_wq, cross_wo, mlp_w1, mlp_w2 = (
-                W[f"b{b}.{n}"].T for n in ("cross.wq", "cross.wo", "mlp.w1", "mlp.w2")
-            )
-            self._blocks.append((w_qkv, self_wo, cross_wq, cross_wo, null_row, mlp_w1, mlp_w2))
-        for arr in (self._cross_kv, *(a for rec in self._blocks for a in rec if a is not None)):
-            arr.setflags(write=False)
-        self._sites = frozenset(
-            (b, kind) for b in range(cfg.n_blocks) for kind in AttnKind if cfg.contains((b, kind))
-        )
+        self.weights, self._cross_kv, self._blocks, self._sites = _weight_set(cfg)
+
+    def __reduce__(self):
+        # the config describes the network: a copy or unpickled model shares its set
+        return VelocityModel, (self.cfg,)
 
     # -- forward machinery ---------------------------------------------------
 

@@ -19,7 +19,7 @@ from fiaedit.codec import (
     write_ppm,
 )
 from fiaedit.errors import ShapeMismatchError
-from fiaedit.fixtures import blob_scene, checkerboard_image, gradient_image
+from fiaedit.fixtures import blob_scene, checkerboard_image, gradient_image, load_fixture
 
 
 def random_image(h, w, seed=0):
@@ -168,3 +168,11 @@ class TestFixtures:
         assert img.pixels[0, 8, 8] > 0.9
         assert not mask[8, 8]
         assert mask[0, 0]
+
+    def test_blob512_is_the_papers_latent_grid_at_patch_8(self):
+        # the paper edits 512x512 images on a 64x64 latent grid
+        img, mask = load_fixture("blob512")
+        latent = encode(img, 8)
+        assert latent.shape == (192, 64, 64)
+        assert np.array_equal(decode(latent, 8).pixels, img.pixels)
+        assert mask.shape == (512, 512) and not mask[256, 256] and mask[0, 0]

@@ -48,8 +48,8 @@ from fiaedit.ablation import (
 from fiaedit.cli import main
 from fiaedit.codec import ImageBuffer, decode, encode, read_ppm
 from fiaedit.config import _SCHEMA, RunConfig, build_edit_request, parse_config
-from fiaedit.engine import EditRequest, run_edit
-from fiaedit.errors import ConfigError, FiaEditError
+from fiaedit.engine import EditRequest, run_edit, run_edits
+from fiaedit.errors import ConfigError, EditRunError, FiaEditError
 from fiaedit.fia import FiaConfig, FriMode, _step_states
 from fiaedit.fixtures import load_fixture
 from fiaedit.metrics import compute_report
@@ -66,6 +66,7 @@ from fiaedit.model import (
 )
 from fiaedit.prompts import embed_prompt, embeddings_equal
 from fiaedit.schedule import NoiseMode, make_linear_schedule
+from fiaedit.spectral import FusionWeights
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -201,13 +202,13 @@ _TEXTS = ("a small bright blob", "a dark square on a plain background", "stripes
 
 
 @st.composite
-def _model_configs(draw, channels=st.integers(min_value=1, max_value=4)):
+def _model_configs(draw, channels=st.integers(min_value=1, max_value=4), heads=(1, 2, 4)):
     d_model = draw(st.sampled_from([4, 8]))  # embed_prompt needs 4 or more
     return ModelConfig(
         n_blocks_dual=draw(st.integers(min_value=1, max_value=3)),
         n_blocks_cross_only=draw(st.integers(min_value=0, max_value=2)),
         d_model=d_model,
-        n_heads=draw(st.sampled_from([h for h in (1, 2, 4) if d_model % h == 0])),
+        n_heads=draw(st.sampled_from([h for h in heads if d_model % h == 0])),
         seed=draw(st.integers(min_value=0, max_value=1000)),
         channels=draw(channels),
     )
@@ -563,6 +564,58 @@ def test_disabled_fia_equals_the_bypassed_engine(cfg, grid, steps, mu, texts, no
     for (a_src, a_tar), (b_src, b_tar) in zip(fia_steps, bypass_steps, strict=True):
         assert np.array_equal(a_src, b_src)
         assert np.array_equal(a_tar, b_tar)
+
+
+def _identity_arms(cfg, grid, steps, mu, texts, noise_mode, data, arms):
+    """Final latent bytes and step records of each of two FiaConfigs, from one ``run_edits``."""
+    req = EditRequest(
+        source_latent=np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        .standard_normal((cfg.channels, *grid)),
+        p_src=_prompt(texts[0], cfg.d_model),
+        p_tar=_prompt(texts[1], cfg.d_model),
+        schedule=make_linear_schedule(steps, 0.0),
+        guidance=GuidanceConfig(mu_src=mu[0], mu_tar=mu[1]),
+        fia=arms[0],
+        seed=data.draw(st.integers(0, 1000)),
+        noise_mode=noise_mode,
+    )
+    traces = run_edits(VelocityModel(cfg), [dataclasses.replace(req, fia=fia) for fia in arms])
+    assert not any(isinstance(t, EditRunError) for t in traces), traces
+    return [(t.final_latent.tobytes(), t.records) for t in traces]
+
+
+# the two metamorphic identities of test_fia.TestEditIdentities, drawn
+_IDENTITY_RUNS = dict(
+    cfg=_model_configs(heads=(1, 2)),
+    grid=st.tuples(st.integers(min_value=2, max_value=8), st.integers(min_value=2, max_value=8)),
+    steps=st.integers(min_value=1, max_value=4),
+    mu=st.tuples(_MUS, _MUS),
+    texts=st.tuples(st.sampled_from(_TEXTS), st.sampled_from(_TEXTS)),
+    noise_mode=st.sampled_from(NoiseMode),
+    data=st.data(),
+)
+
+
+@LOCKSTEP_FUZZ
+@given(**_IDENTITY_RUNS)
+def test_freq_fusion_at_even_weights_is_add(cfg, grid, steps, mu, texts, noise_mode, data):
+    fia = dataclasses.replace(data.draw(_fia_configs(cfg, steps)), fri_enabled=True)
+    even = dataclasses.replace(fia, fri_mode=FriMode.FREQ, fusion=FusionWeights(0.5, 0.5))
+    add = dataclasses.replace(fia, fri_mode=FriMode.ADD)
+    a, b = _identity_arms(cfg, grid, steps, mu, texts, noise_mode, data, (even, add))
+    assert a == b
+
+
+@LOCKSTEP_FUZZ
+@given(**_IDENTITY_RUNS)
+def test_injection_with_a_closed_window_is_injection_off(
+    cfg, grid, steps, mu, texts, noise_mode, data
+):
+    fia = data.draw(_fia_configs(cfg, steps))
+    closed = dataclasses.replace(fia, fij_enabled=True, fij_step_cutoff=0)
+    off = dataclasses.replace(fia, fij_enabled=False)
+    a, b = _identity_arms(cfg, grid, steps, mu, texts, noise_mode, data, (closed, off))
+    assert a == b
 
 
 @LOCKSTEP_FUZZ

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import itertools
 import math
 import os
+import pickle
 import re
 import signal
 import sys
@@ -67,12 +69,23 @@ class TestModelConfig:
         assert topo.self_sites() == ((0, AttnKind.SELF), (1, AttnKind.SELF))
 
 
+def model_arrays(model) -> list[np.ndarray]:
+    """Every array of a model's weight set: weights, side-by-side weights, block records."""
+    records = [a for rec in model._blocks for a in rec if a is not None]
+    return [*model.weights.values(), model._cross_kv, *records]
+
+
 class TestDeterminism:
     def test_same_config_same_weights(self):
+        # the second model draws its own weights, not the first one's shared set
         cfg = ModelConfig(seed=5, channels=4)
-        a, b = VelocityModel(cfg), VelocityModel(cfg)
+        a = VelocityModel(cfg)
+        fiaedit.model._weight_set.cache_clear()
+        b = VelocityModel(cfg)
+        assert not any(x is y for x, y in zip(model_arrays(a), model_arrays(b)))
         assert set(a.weights) == set(b.weights)
-        assert all(np.array_equal(a.weights[k], b.weights[k]) for k in a.weights)
+        pairs = zip(model_arrays(a), model_arrays(b), strict=True)
+        assert all(np.array_equal(x, y) for x, y in pairs)
 
     def test_different_seed_different_weights(self):
         a = VelocityModel(ModelConfig(seed=5, channels=4))
@@ -89,6 +102,62 @@ class TestDeterminism:
     def test_weights_are_frozen(self, tiny_model):
         with pytest.raises(ValueError):
             tiny_model.weights["w_in"][0, 0] = 1.0
+
+
+class TestSharedWeights:
+    def test_equal_configs_share_every_array(self):
+        a = VelocityModel(ModelConfig(seed=5, channels=4))
+        b = VelocityModel(ModelConfig(seed=5, channels=4))
+        assert a.weights is b.weights and a._sites is b._sites
+        assert all(x is y for x, y in zip(model_arrays(a), model_arrays(b), strict=True))
+
+    @pytest.mark.parametrize("change", [{"seed": 6}, {"channels": 5}], ids=["seed", "channels"])
+    def test_configs_that_differ_share_nothing(self, change):
+        cfg = ModelConfig(seed=5, channels=4)
+        a, b = VelocityModel(cfg), VelocityModel(dataclasses.replace(cfg, **change))
+        assert not any(
+            np.shares_memory(x, y) for x in model_arrays(a) for y in model_arrays(b)
+        )
+
+    def test_the_shared_set_rejects_mutation(self):
+        model = VelocityModel(ModelConfig(seed=5, channels=4))
+        w_in = model.weights["w_in"]
+        with pytest.raises(TypeError):
+            model.weights["w_in"] = np.zeros_like(w_in)
+        with pytest.raises(TypeError):
+            del model.weights["w_in"]
+        with pytest.raises(TypeError):
+            model._blocks[0] = model._blocks[1]
+        with pytest.raises(TypeError):
+            model._blocks[0][2] = None
+        for arr in model_arrays(model):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+        assert VelocityModel(model.cfg).weights["w_in"] is w_in
+
+    def test_a_copy_or_pickle_shares_the_set(self):
+        model = VelocityModel(ModelConfig(seed=5, channels=4))
+        for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert other.cfg == model.cfg and other.weights is model.weights
+
+    def test_a_model_built_after_clearing_the_cache_gives_the_shared_bytes(self, prompt_pair):
+        cfg = ModelConfig(channels=4)
+        shared = VelocityModel(cfg)
+        VelocityModel(cfg)
+        fiaedit.model._weight_set.cache_clear()
+        fresh = VelocityModel(cfg)
+        assert fresh.weights is not shared.weights
+        # guided states on two prompts, one capturing at every site
+        plan = HookPlan(capture=frozenset(shared._sites))
+        states = [(latent(i), prompt_pair[i % 2], 2.5, plan) for i in range(3)]
+        for (c_a, u_a, pk_a), (c_b, u_b, pk_b) in zip(
+            shared._forward(states, 0.5), fresh._forward(states, 0.5), strict=True
+        ):
+            assert c_a.tobytes() == c_b.tobytes() and u_a.tobytes() == u_b.tobytes()
+            assert pk_a.keys() == pk_b.keys()
+            for site in pk_a:
+                for name in ("q", "k", "v"):
+                    assert getattr(pk_a[site], name).tobytes() == getattr(pk_b[site], name).tobytes()
 
 
 class TestGuidance:
