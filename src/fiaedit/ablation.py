@@ -6,9 +6,9 @@ pinned synthetic fixture, and no axis touches what a source pass computes,
 so the cells run in lockstep through one engine loop that evaluates the
 source once per step for all of them.  A fault in what every cell shares
 refuses the whole grid; a failed cell is recorded without stopping the
-sweep, and the report writes its metrics with ``repr``, so each float reads
-back exactly.  The grid's wall time goes to a separate ``.timings`` sidecar
-because it is the one non-reproducible output.
+sweep.  The report is ``key=value`` lines from ``codec.format_entries``,
+so each metric reads back exactly.  The grid's wall time goes to a
+separate ``.timings`` sidecar because it is the one non-reproducible output.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from .codec import decode
+from .codec import decode, format_entries
 from .config import _SCHEMA, RunConfig, _parse_int, build_run, with_overrides
 from .engine import EditRequest, EditRunError, run_edits
 from .errors import ConfigError
@@ -180,8 +180,9 @@ def run_ablation(
         # a finished run's latent is finite and has the encoded fixture's
         # shape, and every fixture's grid and mask suit every metric
         edited = decode(result.final_latent, base.codec_patch)
-        report = compute_report(edited, image, mask)
-        rows[i] = AblationRow(delta=cells[i], status="ok", metrics=report.columns())
+        rows[i] = AblationRow(
+            delta=cells[i], status="ok", metrics=compute_report(edited, image, mask)
+        )
 
     return AblationReport(
         seed=base.edit_seed,
@@ -194,23 +195,21 @@ def run_ablation(
 
 def format_report(report: AblationReport) -> str:
     """Deterministic text form; wall times intentionally excluded."""
-    lines = [
-        f"schema={REPORT_SCHEMA}",
-        f"seed={report.seed}",
-        f"fixture={report.fixture}",
-        f"axes={','.join(report.axes)}",
-        f"cells={len(report.rows)}",
-    ]
+    entries: dict[str, object] = {
+        "schema": REPORT_SCHEMA,
+        "seed": report.seed,
+        "fixture": report.fixture,
+        "axes": ",".join(report.axes),
+        "cells": len(report.rows),
+    }
     for i, row in enumerate(report.rows):
-        delta = " ".join(f"{k}={v}" for k, v in row.delta)
-        lines.append(f"cell.{i}.delta={delta}")
-        lines.append(f"cell.{i}.status={row.status}")
+        entries[f"cell.{i}.delta"] = " ".join(f"{k}={v}" for k, v in row.delta)
+        entries[f"cell.{i}.status"] = row.status
         if row.status == "ok":
-            for name, value in row.metrics.items():
-                lines.append(f"cell.{i}.{name}={value!r}")
+            entries.update({f"cell.{i}.{name}": value for name, value in row.metrics.items()})
         else:
-            lines.append(f"cell.{i}.error={row.error}")
-    return "\n".join(lines) + "\n"
+            entries[f"cell.{i}.error"] = row.error
+    return format_entries(entries)
 
 
 def format_table(report: AblationReport) -> str:
@@ -234,8 +233,8 @@ def format_table(report: AblationReport) -> str:
 
 def format_timings(report: AblationReport) -> str:
     """The grid's one wall time: its cells run in lockstep, not one by one."""
-    return (
-        f"schema=ablation-timings/2\ncells={len(report.rows)}\nwall_s={report.wall_s:.6f}\n"
+    return format_entries(
+        {"schema": "ablation-timings/2", "cells": len(report.rows), "wall_s": report.wall_s}
     )
 
 

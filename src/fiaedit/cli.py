@@ -16,12 +16,12 @@ import os
 import sys
 
 from .ablation import parse_grid, run_ablation, write_report
-from .codec import ImageBuffer, decode, read_mask, read_ppm, write_mask, write_ppm
+from .codec import ImageBuffer, decode, format_entries, read_mask, read_ppm, write_mask, write_ppm
 from .config import RunConfig, build_run, load_config, parse_config, with_overrides
 from .engine import EditTrace, run_edit
 from .errors import ConfigError, FiaEditError, NumericFailure
 from .fixtures import load_fixture
-from .metrics import METRIC_COLUMNS, compute_report
+from .metrics import compute_report
 
 TRACE_SCHEMA = "edit-trace/1"
 
@@ -29,21 +29,22 @@ TRACE_SCHEMA = "edit-trace/1"
 def _format_trace(trace: EditTrace, cfg: RunConfig) -> str:
     fia = cfg.make_fia()
     cutoff = fia.resolved_cutoff(cfg.schedule_steps) if fia.fij_enabled else -1
-    lines = [
-        f"schema={TRACE_SCHEMA}",
-        f"steps={cfg.schedule_steps}",
-        f"seed={cfg.edit_seed}",
-        f"noise_mode={cfg.edit_noise_mode}",
-        f"fij_cutoff={cutoff}",
-    ]
+    entries: dict[str, object] = {
+        "schema": TRACE_SCHEMA,
+        "steps": cfg.schedule_steps,
+        "seed": cfg.edit_seed,
+        "noise_mode": cfg.edit_noise_mode,
+        "fij_cutoff": cutoff,
+    }
     for r in trace.records:
-        lines.append(f"step.{r.step_index}.sigma={r.sigma_t!r}")
-        lines.append(f"step.{r.step_index}.vdelta_norm={r.vdelta_norm!r}")
-        lines.append(f"step.{r.step_index}.fij={int(r.fij_active)}")
+        step = f"step.{r.step_index}"
+        entries[f"{step}.sigma"] = r.sigma_t
+        entries[f"{step}.vdelta_norm"] = r.vdelta_norm
+        entries[f"{step}.fij"] = int(r.fij_active)
         if r.latent_norm is not None:
-            lines.append(f"step.{r.step_index}.latent_norm={r.latent_norm!r}")
-    lines.append(f"final.norm={float((trace.final_latent ** 2).sum() ** 0.5)!r}")
-    return "\n".join(lines) + "\n"
+            entries[f"{step}.latent_norm"] = r.latent_norm
+    entries["final.norm"] = float((trace.final_latent ** 2).sum() ** 0.5)
+    return format_entries(entries)
 
 
 def _edit_to(cfg: RunConfig, image: ImageBuffer, out: str) -> None:
@@ -82,9 +83,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     a = read_ppm(args.image_a)
     b = read_ppm(args.image_b)
     mask = read_mask(args.mask) if args.mask else None
-    report = compute_report(a, b, mask)
-    for attr in METRIC_COLUMNS.values():
-        print(f"{attr}={getattr(report, attr):.6g}")
+    print(format_entries(compute_report(a, b, mask)), end="")
     return 0
 
 
@@ -122,19 +121,11 @@ def _selftest_pass(root: str, seed: int) -> list[str]:
     grid = parse_grid("fri_mode=off,freq;fij_enabled=true,false")
     report_path = write_report(run_ablation(cfg, grid, fixture="blob16"), root)
 
-    metric_report = compute_report(read_ppm(edited_path), read_ppm(source_path), None)
-    with open(os.path.join(root, "metrics.txt"), "w", encoding="utf-8") as fh:
-        for name, value in metric_report.columns().items():
-            fh.write(f"{name}={value!r}\n")
+    metrics_path = os.path.join(root, "metrics.txt")
+    with open(metrics_path, "w", encoding="utf-8") as fh:
+        fh.write(format_entries(compute_report(read_ppm(edited_path), read_ppm(source_path))))
 
-    return [
-        source_path,
-        mask_path,
-        edited_path,
-        edited_path + ".trace",
-        report_path,
-        os.path.join(root, "metrics.txt"),
-    ]
+    return [source_path, mask_path, edited_path, edited_path + ".trace", report_path, metrics_path]
 
 
 def run_selftest(out_dir: str, seed: int = 0) -> tuple[bool, list[str]]:

@@ -1,8 +1,10 @@
-"""Image buffers, the invertible patch codec, and binary PPM I/O.
+"""Image buffers, the invertible patch codec, and fiaedit's file formats.
 
 The codec is a pure relayout (space to channel), so encode/decode round-trips
 are bit-exact.  Images are 3xHxW float64 in [0, 1]; files are binary P6 PPM
 with maxval 255, mapped by round(x * 255) on write and v / 255 on read.
+Every text artifact (an edit trace, an ablation report and its timings,
+a metric report) is ``key=value`` lines from :func:`format_entries`.
 """
 
 from __future__ import annotations
@@ -82,6 +84,16 @@ def write_ppm(img: ImageBuffer, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(quantized.transpose(1, 2, 0).tobytes())
+
+
+def format_entries(entries: dict[str, object]) -> str:
+    """One ``key=value`` line per entry, in order.
+
+    A value is written with ``str``, so a float is its shortest round-trip
+    ``repr`` and reads back exactly with ``float``.  Keys hold no ``=``, and
+    neither keys nor values hold a line break.
+    """
+    return "".join(f"{key}={value}\n" for key, value in entries.items())
 
 
 def _read_ppm_token(fh) -> bytes:

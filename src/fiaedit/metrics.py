@@ -3,13 +3,14 @@
 MSE and PSNR accept an optional region mask; SSIM runs on non-overlapping
 8x8 grayscale windows; the spectral structure distance compares log-magnitude
 spectra and stands in for learned structure metrics, which need pretrained
-feature extractors and are out of scope here.
+feature extractors and are out of scope here.  A report is one dict of
+columns (``mse``, ``psnr``, ``ssim``, ``ssd``), written as ``key=value``
+lines by ``codec.format_entries`` wherever it goes out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +25,8 @@ SSIM_L = 1.0
 PSNR_INFINITE = float("inf")
 
 
-# report column -> MetricReport field, in report order
-METRIC_COLUMNS = {
-    "mse": "mse",
-    "psnr": "psnr",
-    "ssim": "ssim",
-    "ssd": "spectral_structure_distance",
-}
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    mse: float
-    psnr: float
-    ssim: float
-    spectral_structure_distance: float
-
-    def columns(self) -> dict[str, float]:
-        """The report columns by name, in report order."""
-        return {name: float(getattr(self, attr)) for name, attr in METRIC_COLUMNS.items()}
+# a report's columns, in report order
+METRIC_COLUMNS = ("mse", "psnr", "ssim", "ssd")
 
 
 def _check_pair(a: ImageBuffer, b: ImageBuffer) -> None:
@@ -117,10 +101,14 @@ def spectral_structure_distance(a: ImageBuffer, b: ImageBuffer) -> float:
 
 def compute_report(
     a: ImageBuffer, b: ImageBuffer, mask: np.ndarray | None = None
-) -> MetricReport:
-    return MetricReport(
-        mse=mse(a, b, mask),
-        psnr=psnr(a, b, mask),
-        ssim=ssim(a, b),
-        spectral_structure_distance=spectral_structure_distance(a, b),
-    )
+) -> dict[str, float]:
+    """The report's columns by name, in ``METRIC_COLUMNS`` order.
+
+    The mask restricts MSE and PSNR; SSIM and ``ssd`` read whole images.
+    """
+    return {
+        "mse": mse(a, b, mask),
+        "psnr": psnr(a, b, mask),
+        "ssim": ssim(a, b),
+        "ssd": spectral_structure_distance(a, b),
+    }

@@ -81,7 +81,7 @@ def record_velocities(fn, *args, **kwargs):
 
 
 def report_entries(text: str) -> dict[str, str]:
-    """An ablation report's ``key=value`` lines, by key."""
+    """A ``key=value`` artifact's entries, by key, each value as written."""
     return dict(line.split("=", 1) for line in text.splitlines())
 
 

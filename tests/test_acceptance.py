@@ -323,9 +323,9 @@ def test_c11_end_to_end_determinism(tmp_path):
 def test_c12_metric_sanity():
     img = gradient_image(16, 16)
     report = compute_report(img, img)
-    assert report.mse == 0.0
-    assert report.psnr == PSNR_INFINITE
-    assert report.ssim == pytest.approx(1.0, abs=1e-12)
-    assert report.spectral_structure_distance == 0.0
+    assert report["mse"] == 0.0
+    assert report["psnr"] == PSNR_INFINITE
+    assert report["ssim"] == pytest.approx(1.0, abs=1e-12)
+    assert report["ssd"] == 0.0
     scene, _ = load_fixture("blob16")
     assert np.array_equal(decode(encode(scene, 2), 2).pixels, scene.pixels)

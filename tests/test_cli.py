@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 
 import fiaedit.codec
 from fiaedit.cli import _exit_code_for, main, run_selftest
-from fiaedit.codec import write_mask, write_ppm
+from fiaedit.codec import read_ppm, write_mask, write_ppm
 from fiaedit.errors import ConfigError, EditRunError, NumericFailure
 from fiaedit.fixtures import blob_scene, checkerboard_image, gradient_image, load_fixture
+from fiaedit.metrics import compute_report
 from fiaedit.model import VelocityModel
+
+from conftest import report_entries
 
 ZERO_EDIT_CONFIG = """
 model.channels = 12
@@ -44,12 +47,12 @@ edit.noise_mode = reused
 codec.patch = 2
 """
 
-# pinned golden output for gradient16 vs checker16 (6 significant digits)
+# pinned golden output for gradient16 vs checker16: each column's repr
 METRICS_GOLDEN = [
-    "mse=0.138673",
-    "psnr=8.58008",
-    "ssim=0.0659183",
-    "spectral_structure_distance=0.046197",
+    "mse=0.13867302640010254",
+    "psnr=8.580080063010772",
+    "ssim=0.06591825507096455",
+    "ssd=0.04619702175423046",
 ]
 
 
@@ -276,9 +279,9 @@ class TestMetrics:
         src, _ = scene
         assert main(["metrics", src, src]) == 0
         out = capsys.readouterr().out
-        assert "mse=0\n" in out
+        assert "mse=0.0\n" in out
         assert "psnr=inf" in out
-        assert "ssim=1\n" in out
+        assert "ssim=1.0\n" in out
 
     def test_pinned_golden_lines(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.ppm"), str(tmp_path / "b.ppm")
@@ -286,6 +289,19 @@ class TestMetrics:
         write_ppm(checkerboard_image(16, 16), b)
         assert main(["metrics", a, b]) == 0
         assert capsys.readouterr().out.splitlines() == METRICS_GOLDEN
+
+    def test_prints_the_bytes_selftest_writes_to_metrics_txt(self, tmp_path, capsys):
+        ok, _ = run_selftest(str(tmp_path / "self"))
+        assert ok
+        run = tmp_path / "self" / "a"
+        edited, source = str(run / "edited.ppm"), str(run / "source.ppm")
+        capsys.readouterr()
+        assert main(["metrics", edited, source]) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (run / "metrics.txt").read_bytes()
+        # each printed value reads back exactly
+        columns = compute_report(read_ppm(edited), read_ppm(source))
+        assert {k: float(v) for k, v in report_entries(out).items()} == columns
 
     def test_mask_restricts_region(self, tmp_path, scene, capsys):
         src, msk = scene

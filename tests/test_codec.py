@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import struct
 import types
 
 import numpy as np
@@ -13,6 +15,7 @@ from fiaedit.codec import (
     clamp_image,
     decode,
     encode,
+    format_entries,
     read_mask,
     read_ppm,
     write_mask,
@@ -20,6 +23,8 @@ from fiaedit.codec import (
 )
 from fiaedit.errors import ShapeMismatchError
 from fiaedit.fixtures import blob_scene, checkerboard_image, gradient_image, load_fixture
+
+from conftest import report_entries
 
 
 def random_image(h, w, seed=0):
@@ -151,6 +156,38 @@ class TestPpm:
         path = str(tmp_path / "m.ppm")
         write_mask(mask, path)
         assert np.array_equal(read_mask(path), mask)
+
+
+# dotted keys, as the trace and the report name their entries
+ENTRY_KEYS = st.lists(
+    st.text("abcxyz_0189", min_size=1, max_size=6), min_size=1, max_size=4
+).map(".".join)
+ENTRY_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308]),
+    st.integers(),
+    # one line, often holding "=" (a report's delta line does)
+    st.text(st.one_of(st.just("="), st.characters(blacklist_categories=("Cc", "Zl", "Zp")))),
+)
+
+
+class TestEntries:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(ENTRY_KEYS, ENTRY_VALUES, max_size=8))
+    def test_every_entry_reads_back(self, entries):
+        back = report_entries(format_entries(entries))
+        assert list(back) == list(entries)
+        for key, value in entries.items():
+            if isinstance(value, float):
+                # bit for bit: -0.0 stays negative, a subnormal keeps its last bit
+                assert struct.pack("<d", float(back[key])) == struct.pack("<d", value)
+            else:
+                assert type(value)(back[key]) == value
+
+    def test_one_line_per_entry_in_order(self):
+        text = format_entries({"schema": "x/1", "cells": 2, "a.b": 0.1, "d": "k=v w=u"})
+        assert text == "schema=x/1\ncells=2\na.b=0.1\nd=k=v w=u\n"
+        assert format_entries({}) == ""
 
 
 class TestFixtures:

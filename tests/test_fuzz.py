@@ -430,8 +430,7 @@ def _cell_by_cell_report(base: RunConfig, grid: GridSpec, fixture: str) -> str:
         try:
             cfg = apply_cell(base, delta)
             trace = run_edit(model, build_edit_request(cfg, latent))
-            report = compute_report(decode(trace.final_latent, cfg.codec_patch), image, mask)
-            metrics = report.columns()
+            metrics = compute_report(decode(trace.final_latent, cfg.codec_patch), image, mask)
             rows.append(AblationRow(delta, "ok", metrics))
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}".splitlines()[0]
