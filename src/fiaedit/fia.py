@@ -47,7 +47,6 @@ from .model import (
     HookPlan,
     ModelConfig,
     ReplaceQK,
-    ReplaceQKVE,
     Site,
     State,
     VelocityModel,
@@ -149,18 +148,18 @@ def _equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and (a.size == 0 or a.item(0) == b.item(0)) and np.array_equal(a, b)
 
 
-def _noop(cfg: FiaConfig, site: Site, src: AttentionPacket, tar: AttentionPacket) -> bool:
-    """Whether overriding ``site`` would hand the target its own features.
+def _identity(cfg: FiaConfig, src: AttentionPacket, tar: AttentionPacket) -> bool:
+    """Whether fusing a self site's Q/K would hand the target its own features.
 
-    Fusing bit-identical features under weights that sum to 1 is the
-    identity, and injecting the Q/K/V the target already computed
-    replaces values with themselves.
+    Bit-identical features blended by ``ADD``'s mean, or by ``FREQ``
+    weights that sum to 1, fuse to themselves.
     """
-    if not (_equal(src.q, tar.q) and _equal(src.k, tar.k)):
-        return False
-    if site[1] is AttnKind.CROSS:
-        return _equal(src.v, tar.v)
-    return cfg.fusion.lambda1 + cfg.fusion.lambda2 == 1.0
+    weights = cfg.fusion
+    return (
+        (cfg.fri_mode is FriMode.ADD or weights.lambda1 + weights.lambda2 == 1.0)
+        and _equal(src.q, tar.q)
+        and _equal(src.k, tar.k)
+    )
 
 
 def _fused(
@@ -196,21 +195,18 @@ def build_target_overrides(
 
     ``src`` and ``tar`` are the source's and the target probe's packets at
     ``site``, one of the sites :func:`plan_capture` names; ``topology`` is
-    the model's config.  A self site takes the fused source/target Q/K, and
-    a cross site the source packet.  A substitution that would be an exact
-    no-op gives an empty plan: fusing bit-identical features under weights
-    that sum to 1 is the identity, and injecting the Q/K/V the target
-    already computed replaces values with themselves.  Skipping them
-    changes no bits and keeps fully symmetric runs exactly symmetric.
+    the model's config.  A cross site always takes the source packet
+    itself, and a self site the fused source/target Q/K, unless the fusion
+    is the identity map (see :func:`_identity`): then the plan is empty,
+    which changes no bits and keeps fully symmetric runs exactly symmetric.
     """
-    is_self = site[1] is AttnKind.SELF
-    if is_self and (src.q.shape != tar.q.shape or src.k.shape != tar.k.shape):
+    if site[1] is AttnKind.CROSS:
+        return HookPlan(overrides={site: src})
+    if src.q.shape != tar.q.shape or src.k.shape != tar.k.shape:
         raise ShapeMismatchError(f"packet shapes differ at {site}")
-    if _noop(cfg, site, src, tar):
+    if _identity(cfg, src, tar):
         return EMPTY_PLAN
-    return HookPlan(
-        overrides={site: _fused(cfg, src, tar, grid) if is_self else ReplaceQKVE(packet=src)}
-    )
+    return HookPlan(overrides={site: _fused(cfg, src, tar, grid)})
 
 
 def _step_states(
@@ -231,7 +227,7 @@ def _step_states(
     else a plan that captures them under a fork rule.  At each of those
     sites, target ``j``'s rule builds its own override with one
     :func:`build_target_overrides` call on the two packets just captured
-    there, the source's and its probe's; that call drops exact no-ops.  A
+    there, the source's and its probe's; that call drops identity fusion.  A
     failed call is recorded in the table under ``j``, and that target gets
     no more overrides, so a failure stays with its own target.
     """
@@ -287,8 +283,8 @@ def constrained_velocities(
     pass, whose velocity the state returns.  At each capture site the rule
     builds that site's override from the source and probe packets just
     captured there, and the constrained pass runs its own cores from its
-    first applied override on; a target whose overrides are all exact
-    no-ops never forks.  The probe's unconditional pass has the same
+    first applied override on; a target that only fuses, and only by the
+    identity map, never forks.  The probe's unconditional pass has the same
     inputs as the constrained one's and takes no hooks, so it serves both,
     and each state's two velocities are guided as they come back.  A pass
     whose guidance weight keeps it out of the result is not run, unless it

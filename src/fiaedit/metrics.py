@@ -49,12 +49,13 @@ def mse(a: ImageBuffer, b: ImageBuffer, mask: np.ndarray | None = None) -> float
     return float(sq[:, mask].mean())
 
 
+def _psnr_db(err: float) -> float:
+    return PSNR_INFINITE if err == 0.0 else 10.0 * math.log10(1.0 / err)
+
+
 def psnr(a: ImageBuffer, b: ImageBuffer, mask: np.ndarray | None = None) -> float:
     """10 log10(1 / mse) dB with peak 1.0; +inf for identical inputs."""
-    err = mse(a, b, mask)
-    if err == 0.0:
-        return PSNR_INFINITE
-    return 10.0 * math.log10(1.0 / err)
+    return _psnr_db(mse(a, b, mask))
 
 
 def _grayscale(img: ImageBuffer) -> np.ndarray:
@@ -104,11 +105,13 @@ def compute_report(
 ) -> dict[str, float]:
     """The report's columns by name, in ``METRIC_COLUMNS`` order.
 
-    The mask restricts MSE and PSNR; SSIM and ``ssd`` read whole images.
+    The mask restricts MSE and PSNR, which is read off the same MSE; SSIM
+    and ``ssd`` read whole images.
     """
+    err = mse(a, b, mask)
     return {
-        "mse": mse(a, b, mask),
-        "psnr": psnr(a, b, mask),
+        "mse": err,
+        "psnr": _psnr_db(err),
         "ssim": ssim(a, b),
         "ssd": spectral_structure_distance(a, b),
     }

@@ -98,11 +98,11 @@ rule, asked at each captured site with the packets every state has just
 captured there, first returns an override; from that site on its cores
 are its own.  So an override built from another pass's features at the
 same site needs no second call, and a rule that never overrides costs
-only its token-wise row.  A rule's ``ReplaceQKVE`` at a cross site that
-carries the very packet a conditional pass captured there in the call
-copies that pass's core: a packet records what its pass consumed, so the
-bytes are those the injected core would compute.  A static ``ReplaceQKVE``
-in ``overrides`` runs its own core.
+only its token-wise row.  A rule that overrides a cross site with the
+very packet a conditional pass captured there in the call copies that
+pass's core: a packet records what its pass consumed, so the bytes are
+those the injected core would compute.  A static packet in ``overrides``
+runs its own core.
 """
 
 from __future__ import annotations
@@ -233,18 +233,13 @@ class ReplaceQK:
     k: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReplaceQKVE:
-    """Substitute a full captured packet: Q, K, V, and the text embedding."""
-
-    packet: AttentionPacket
-
+# an override: fused Q/K at a self site, or at a cross site a whole packet
+# (Q, K, V and the text embedding) substituted for the site's own
+Override = ReplaceQK | AttentionPacket
 
 # a fork rule: its override at a site, from every state's packets captured
 # so far in the call, or None for no override there
-ForkRule = Callable[
-    [Site, Sequence[Mapping[Site, AttentionPacket]]], ReplaceQK | ReplaceQKVE | None
-]
+ForkRule = Callable[[Site, Sequence[Mapping[Site, AttentionPacket]]], Override | None]
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,7 @@ class HookPlan:
     """
 
     capture: frozenset[Site] = frozenset()
-    overrides: Mapping[Site, ReplaceQK | ReplaceQKVE] = field(default_factory=dict)
+    overrides: Mapping[Site, Override] = field(default_factory=dict)
     fork: ForkRule | None = None
 
 
@@ -634,7 +629,7 @@ def _attend_site(
 
 
 def _hook_site(
-    action: ReplaceQK | ReplaceQKVE | None,
+    action: Override | None,
     site: Site,
     qt: np.ndarray,
     k: np.ndarray,
@@ -649,7 +644,7 @@ def _hook_site(
     Returns None when ``action`` is None, and otherwise the overridden
     operands as :func:`_attend` takes them, with the overriding Q^T, a
     transposed view of the packet's Q, scaled here for its own branch only.
-    ``ReplaceQK`` applies at self sites and ``ReplaceQKVE`` at cross sites.
+    ``ReplaceQK`` applies at self sites and an ``AttentionPacket`` at cross sites.
     With a ``captured`` table, the packet of what the attention consumes
     goes into it: plain Q, K and V, each (heads, tokens, d_head).
     """
@@ -661,13 +656,13 @@ def _hook_site(
                 f"override at {site} has shape {action.q.shape}, expected {q.shape}"
             )
         q, k = action.q, action.k
-    elif isinstance(action, ReplaceQKVE) and site[1] is AttnKind.CROSS:
-        pkt = action.packet
-        if pkt.q.shape != q.shape:
+    elif isinstance(action, AttentionPacket) and site[1] is AttnKind.CROSS:
+        if action.q.shape != q.shape:
             raise ShapeMismatchError(
-                f"override at {site} has shape {pkt.q.shape}, expected {q.shape}"
+                f"override at {site} has shape {action.q.shape}, expected {q.shape}"
             )
-        q, k, v1, text = pkt.q, pkt.k, _append_ones(pkt.v.swapaxes(-1, -2)), pkt.text_embedding
+        q, k, text = action.q, action.k, action.text_embedding
+        v1 = _append_ones(action.v.swapaxes(-1, -2))
     elif action is not None:
         raise TopologyError(f"{type(action).__name__} does not apply at {site}")
     if captured is not None:
@@ -835,11 +830,11 @@ class VelocityModel:
             if ruled is None and not forked[f]:
                 return probe[f]
             forked[f] = True
-            if isinstance(ruled, ReplaceQKVE) and site[1] is AttnKind.CROSS:
+            if isinstance(ruled, AttentionPacket) and site[1] is AttnKind.CROSS:
                 # a packet captured here in this call holds what its branch
                 # consumed, so that branch's core is the injected one
                 for j, s in enumerate(cond):
-                    if packets[s].get(site) is ruled.packet:
+                    if packets[s].get(site) is ruled:
                         return j
             action = action if ruled is None else ruled
             return None if action is None else _hook_site(action, site, q, k, v1, text, None)

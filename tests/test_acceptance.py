@@ -25,7 +25,6 @@ from fiaedit.model import (
     GuidanceConfig,
     HookPlan,
     ModelConfig,
-    ReplaceQKVE,
     VelocityModel,
 )
 from fiaedit.prompts import embed_prompt, embeddings_equal
@@ -172,7 +171,7 @@ def test_c05_fij_exactness(tiny_model, prompt_pair):
             rerun = HookPlan(capture=capture.capture, overrides=overrides)
             _, got_by = tiny_model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=rerun)
             for site in injected_sites:
-                assert isinstance(overrides[site], ReplaceQKVE)
+                assert overrides[site] is src_by[site]
                 assert np.array_equal(got_by[site].q, src_by[site].q)
                 assert np.array_equal(got_by[site].k, src_by[site].k)
                 assert np.array_equal(got_by[site].v, src_by[site].v)

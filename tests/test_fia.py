@@ -31,7 +31,6 @@ from fiaedit.model import (
     HookPlan,
     ModelConfig,
     ReplaceQK,
-    ReplaceQKVE,
     VelocityModel,
 )
 from fiaedit.prompts import PromptEmbedding, embed_prompt
@@ -46,6 +45,7 @@ from fiaedit.spectral import FusionWeights, fri_fuse, make_gaussian_lowpass
 
 from conftest import FIA_OFF, branches, step_plan
 from oracle_dft import grid_to_heads, heads_to_grid, oracle_fri_fuse
+from spec import reference_step
 
 
 def make_self_packet(seed, heads=2, tokens=4, d_head=2):
@@ -165,8 +165,7 @@ class TestBuildOverrides:
         src, tar = self.packets(0)
         cfg = FiaConfig(fij_step_cutoff=5)
         plan = step_plan(cfg, 4, 10, src, tar, (2, 2), self.topo)
-        assert isinstance(plan.overrides[(2, AttnKind.CROSS)], ReplaceQKVE)
-        assert plan.overrides[(2, AttnKind.CROSS)].packet is src[(2, AttnKind.CROSS)]
+        assert plan.overrides[(2, AttnKind.CROSS)] is src[(2, AttnKind.CROSS)]
 
     def test_identical_packets_fuse_to_no_override(self):
         src, _ = self.packets(0)
@@ -174,11 +173,25 @@ class TestBuildOverrides:
         plan = step_plan(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert not plan.overrides
 
-    def test_identical_packets_skip_injection_too(self):
+    def test_identical_cross_packets_still_inject_the_source_packet(self):
+        # the constrained pass may have left the probe before a cross site,
+        # so a source packet equal to the probe's is no no-op
         src, _ = self.packets(0)
         cfg = FiaConfig(fri_enabled=False, fij_step_cutoff=10)
         plan = step_plan(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
+        site = (2, AttnKind.CROSS)
+        assert set(plan.overrides) == {site}
+        assert plan.overrides[site] is src[site]
+
+    @pytest.mark.parametrize("lambda1", [0.8, 0.5, 2.0])
+    def test_add_mode_skips_identical_qk_whatever_the_weights(self, lambda1):
+        # the mean of a tensor with itself is that tensor, bit for bit
+        src, _ = self.packets(0)
+        cfg = FiaConfig(fri_mode=FriMode.ADD, fusion=FusionWeights(lambda1, 0.2), fij_enabled=False)
+        plan = step_plan(cfg, 0, 10, src, dict(src), (2, 2), self.topo)
         assert not plan.overrides
+        for site in self.topo.self_sites():
+            assert np.array_equal(0.5 * (src[site].q + src[site].q), src[site].q)
 
     def test_non_unit_weights_do_not_skip_identical_packets(self):
         src, _ = self.packets(0)
@@ -240,7 +253,7 @@ class TestBuildOverrides:
         for step in range(10):
             plan = step_plan(cfg, step, 10, src, tar, (2, 2), self.topo)
             assert (0, AttnKind.SELF) in plan.overrides
-            has_fij = any(isinstance(a, ReplaceQKVE) for a in plan.overrides.values())
+            has_fij = any(isinstance(a, AttentionPacket) for a in plan.overrides.values())
             assert has_fij == (step < 3)
 
 
@@ -279,7 +292,7 @@ def test_override_sites_are_the_capture_sites(inputs, seed):
     plan = step_plan(cfg, step, total, src, tar, (2, 2), topo)
     assert set(plan.overrides) == plan_capture(cfg, topo, step, total)
     for site, action in plan.overrides.items():
-        assert isinstance(action, ReplaceQK if site[1] is AttnKind.SELF else ReplaceQKVE)
+        assert isinstance(action, ReplaceQK if site[1] is AttnKind.SELF else AttentionPacket)
 
 
 def public_plan(model, x_src, x_tar, p_src, p_tar, mu_src, cfg, step=0, total=10):
@@ -333,14 +346,59 @@ class TestConstrainedPair:
             assert np.array_equal(got.v, src.v)
             assert got.text_embedding is src.text_embedding
 
-    def test_symmetric_inputs_give_equal_velocities(self, tiny_model, prompt_pair):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fri_enabled=st.booleans(),
+        mode=st.sampled_from(FriMode),
+        lambda1=st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.8, 1.0]),
+        add_lambda2=st.sampled_from([0.0, 0.2, 0.9]),
+        filter_sigma=st.sampled_from([0.2, 0.9, 5.0]),
+        fij_enabled=st.booleans(),
+        cutoff=st.none() | st.integers(0, 10),
+        block_range=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5)).map(sorted),
+        step=st.integers(0, 9),
+        mu=st.sampled_from([1.0, 2.0, 13.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_symmetric_inputs_give_equal_velocities(
+        self, tiny_model, prompt_pair, fri_enabled, mode, lambda1, add_lambda2, filter_sigma,
+        fij_enabled, cutoff, block_range, step, mu, seed,
+    ):
+        # any fusion that is the identity map: ADD at any weights, or FREQ
+        # weights that sum to 1; and every injection window and block range
+        lambda2 = add_lambda2 if mode is FriMode.ADD else 1.0 - lambda1
+        assert mode is FriMode.ADD or lambda1 + lambda2 == 1.0
+        cfg = FiaConfig(
+            fri_enabled=fri_enabled,
+            fri_mode=mode,
+            fusion=FusionWeights(lambda1, lambda2),
+            filter_sigma=filter_sigma,
+            fij_enabled=fij_enabled,
+            fij_step_cutoff=cutoff,
+            fij_block_range=None if block_range is None else tuple(block_range),
+        )
         p, _ = prompt_pair
-        x = np.random.default_rng(2).standard_normal((4, 6, 6))
+        x = np.random.default_rng(seed).standard_normal((4, 6, 6))
         v_src, v_tar = constrained_velocity_pair(
-            tiny_model, x, x.copy(), p, p, 0.5, 0, 10,
-            GuidanceConfig(mu_src=2.0, mu_tar=2.0), FiaConfig(),
+            tiny_model, x, x.copy(), p, p, 0.5, step, 10, GuidanceConfig(mu, mu), cfg
         )
         assert np.array_equal(v_src, v_tar)
+
+    def test_a_symmetric_step_equals_the_reference_step(self):
+        # FREQ fusion at weights that do not sum to 1 takes the constrained
+        # pass off its probe at block 0, so every cross site must still inject
+        model = VelocityModel(ModelConfig())
+        x = np.random.default_rng(5).standard_normal((12, 8, 8))
+        p = embed_prompt("a small bright blob", model.cfg.d_model)
+        guidance, cfg = GuidanceConfig(3.5, 13.5), FiaConfig(fusion=FusionWeights(0.8, 0.3))
+        v_src, v_tar = constrained_velocity_pair(
+            model, x, x.copy(), p, p, 1.0, 0, 10, guidance, cfg
+        )
+        ref_src, (ref_tar,) = reference_step(
+            model, x, [x.copy()], p, [p], 1.0, 0, 10, guidance, [cfg]
+        )
+        assert np.array_equal(v_src, ref_src)
+        assert np.array_equal(v_tar, ref_tar)
 
     @pytest.mark.parametrize("mu_tar", [0.0, 1.0, 3.0])
     def test_target_equals_full_constrained_velocity(self, tiny_model, prompt_pair, mu_tar):
@@ -584,9 +642,9 @@ class TestConstrainedPair:
         def copying_build(*args):
             plan = build(*args)
             copied = {
-                site: ReplaceQKVE(dataclasses.replace(a.packet))
+                site: dataclasses.replace(a)
                 for site, a in plan.overrides.items()
-                if isinstance(a, ReplaceQKVE)
+                if isinstance(a, AttentionPacket)
             }
             return HookPlan(overrides={**plan.overrides, **copied})
 
@@ -595,7 +653,7 @@ class TestConstrainedPair:
             _, src_by = model.velocity(x_src_t, p_src, sigma_t, guidance.mu_src, hooks=capture)
             _, tar_by = model.velocity(x_tar_t, p_tar, sigma_t, 1.0, hooks=capture)
             plan = step_plan(cfg, i, total, src_by, tar_by, x_src.shape[-2:], model.cfg)
-            injected = [site for site, a in plan.overrides.items() if isinstance(a, ReplaceQKVE)]
+            injected = [s for s, a in plan.overrides.items() if isinstance(a, AttentionPacket)]
             assert sorted(injected) == [(4, AttnKind.CROSS), (5, AttnKind.CROSS)]
             static, _ = model.velocity(
                 x_tar_t, p_tar, sigma_t, guidance.mu_tar, hooks=HookPlan(overrides=plan.overrides)

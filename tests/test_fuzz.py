@@ -50,7 +50,7 @@ from fiaedit.codec import ImageBuffer, decode, encode, read_ppm
 from fiaedit.config import _SCHEMA, RunConfig, build_edit_request, parse_config
 from fiaedit.engine import EditRequest, run_edit, run_edits
 from fiaedit.errors import ConfigError, EditRunError, FiaEditError
-from fiaedit.fia import FiaConfig, FriMode, _step_states
+from fiaedit.fia import FiaConfig, FriMode, _step_states, constrained_velocities
 from fiaedit.fixtures import load_fixture
 from fiaedit.metrics import compute_report
 from fiaedit.model import (
@@ -60,13 +60,13 @@ from fiaedit.model import (
     HookPlan,
     ModelConfig,
     ReplaceQK,
-    ReplaceQKVE,
     VelocityModel,
     peak_bytes,
 )
 from fiaedit.prompts import embed_prompt, embeddings_equal
 from fiaedit.schedule import NoiseMode, make_linear_schedule
 from fiaedit.spectral import FusionWeights
+from spec import reference_step
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -233,7 +233,7 @@ def _random_overrides(cfg, rng, n_tok, loud):
             k, v = rng.standard_normal((2, heads, 3, d_head))
             text = _prompt("stripes", cfg.d_model)
             pkt = AttentionPacket(scale * q, k, v, text)
-            overrides[(b, AttnKind.CROSS)] = ReplaceQKVE(packet=pkt)
+            overrides[(b, AttnKind.CROSS)] = pkt
     return overrides
 
 
@@ -501,6 +501,43 @@ def _fia_configs(draw, model_cfg: ModelConfig, total_steps: int):
         fij_step_cutoff=draw(st.none() | st.integers(min_value=0, max_value=total_steps)),
         fij_block_range=draw(ranges),
     )
+
+
+_LAMBDAS = st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.8, 1.0])
+
+
+@LOCKSTEP_FUZZ
+@given(
+    cfg=_model_configs(heads=(1, 2)),
+    grid=_LATENT_GRIDS,
+    total=st.integers(min_value=1, max_value=8),
+    sigma=st.sampled_from([1.0, 0.73, 0.5, 0.05, 0.0]),
+    mu=st.tuples(*[st.sampled_from([0.0, 1.0, 2.5])] * 2),
+    n_targets=st.integers(min_value=1, max_value=2),
+    data=st.data(),
+)
+def test_a_step_is_the_reference_step_bit_for_bit(cfg, grid, total, sigma, mu, n_targets, data):
+    # targets in lockstep, each with its own constraint, half of them in the
+    # source's own state and prompt
+    step = data.draw(st.integers(min_value=0, max_value=total - 1), label="step")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x_src = rng.standard_normal((cfg.channels, *grid))
+    p_src = _prompt(_TEXTS[0], cfg.d_model)
+    x_tars, p_tars, cfgs = [], [], []
+    for _ in range(n_targets):
+        symmetric = data.draw(st.booleans(), label="symmetric")
+        text = _TEXTS[0] if symmetric else data.draw(st.sampled_from(_TEXTS), label="text")
+        x_tars.append(x_src if symmetric else rng.standard_normal(x_src.shape))
+        p_tars.append(_prompt(text, cfg.d_model))
+        fusion = FusionWeights(*(data.draw(_LAMBDAS, label=f"lambda{i}") for i in (1, 2)))
+        cfgs.append(dataclasses.replace(data.draw(_fia_configs(cfg, total)), fusion=fusion))
+    model, guidance = VelocityModel(cfg), GuidanceConfig(*mu)
+    args = (model, x_src, x_tars, p_src, p_tars, sigma, step, total, guidance, cfgs)
+    v_src, v_tars = constrained_velocities(*args)
+    ref_src, ref_tars = reference_step(*args)
+    assert np.array_equal(v_src, ref_src)
+    for v_tar, ref_tar in zip(v_tars, ref_tars, strict=True):
+        assert np.array_equal(v_tar, ref_tar)
 
 
 @LOCKSTEP_FUZZ

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiaedit.metrics
 from fiaedit.codec import ImageBuffer
 from fiaedit.errors import ShapeMismatchError
 from fiaedit.fixtures import checkerboard_image, gradient_image
@@ -155,3 +156,17 @@ class TestReport:
         assert report["mse"] == mse(a, b, mask) != mse(a, b)
         assert report["psnr"] == psnr(a, b, mask)
         assert report["ssim"] == compute_report(a, b)["ssim"]
+
+    def test_each_mse_is_computed_once(self, monkeypatch):
+        # the report's PSNR is read off its own MSE, not a second one
+        a, b = gradient_image(), checkerboard_image()
+        calls = []
+
+        def counting_mse(*args):
+            calls.append(args)
+            return mse(*args)
+
+        monkeypatch.setattr(fiaedit.metrics, "mse", counting_mse)
+        report = compute_report(a, b)
+        assert len(calls) == 1
+        assert report["psnr"] == psnr(a, b) == 10.0 * math.log10(1.0 / report["mse"])

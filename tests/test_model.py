@@ -33,7 +33,6 @@ from fiaedit.model import (
     HookPlan,
     ModelConfig,
     ReplaceQK,
-    ReplaceQKVE,
     VelocityModel,
     _layer_norm,
     _score_shape,
@@ -244,7 +243,7 @@ class TestHooks:
         capture = HookPlan(capture=frozenset({site}))
         _, donor_packets = tiny_model.velocity(x_a, p_a, 0.5, 1.0, hooks=capture)
         donor = donor_packets[site]
-        plan = HookPlan(capture=frozenset({site}), overrides={site: ReplaceQKVE(donor)})
+        plan = HookPlan(capture=frozenset({site}), overrides={site: donor})
         _, got = tiny_model.velocity(x_b, p_b, 0.5, 1.0, hooks=plan)
         pkt = got[site]
         assert np.array_equal(pkt.q, donor.q)
@@ -289,7 +288,7 @@ class TestHooks:
         p, _ = prompt_pair
         capture = HookPlan(capture=frozenset({site}))
         pkt = tiny_model.velocity(latent(14, (4, 5, 6)), p, 0.5, 1.0, hooks=capture)[1][site]
-        action = ReplaceQK(pkt.q, pkt.k) if site[1] is AttnKind.SELF else ReplaceQKVE(pkt)
+        action = ReplaceQK(pkt.q, pkt.k) if site[1] is AttnKind.SELF else pkt
         hooks = HookPlan(overrides={site: action})
         with pytest.raises(ShapeMismatchError, match=f"override at {re.escape(str(site))} has shape"):
             tiny_model.velocity(latent(14), p, 0.5, 1.0, hooks=hooks)
@@ -301,7 +300,7 @@ class TestHooks:
         x = latent(10)
         cross, self_site = (4, AttnKind.CROSS), (0, AttnKind.SELF)
         _, packets = tiny_model.velocity(x, p, 0.5, 1.0, hooks=HookPlan(capture=frozenset({cross})))
-        hooks = HookPlan(overrides={self_site: ReplaceQKVE(packets[cross])})
+        hooks = HookPlan(overrides={self_site: packets[cross]})
         with pytest.raises(TopologyError):
             tiny_model._forward([(x, p, 1.0, hooks)], 0.5)
         with pytest.raises(TopologyError):
@@ -344,7 +343,7 @@ class TestForkRule:
         """An override at ``site`` from another state's packets."""
         _, src = model.velocity(latent(13), p, 0.5, 1.0, hooks=HookPlan(capture=frozenset({site})))
         if site[1] is AttnKind.CROSS:
-            return ReplaceQKVE(src[site])
+            return src[site]
         return ReplaceQK(q=src[site].q, k=src[site].k)
 
     @staticmethod
@@ -1290,7 +1289,7 @@ class TestReferenceForward:
                 q, k, v = (rng.standard_normal((heads, t, d_head)) for t in (n, m, m))
                 donor = AttentionPacket(q, k, v, p_donor)
                 qk = ReplaceQK(*rng.standard_normal((2, heads, n, d_head)))
-                overrides = {self_site: qk, cross_site: ReplaceQKVE(donor)}
+                overrides = {self_site: qk, cross_site: donor}
                 states.append((x, p, 2.5, HookPlan(capture=capture, overrides=overrides)))
             out = tiny_model._forward(states, 0.37)
             for (x, _, _, plan), (v_cond, v_uncond, packets) in zip(states, out):
